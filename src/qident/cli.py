@@ -391,7 +391,24 @@ def build_parser(default_seed: int, default_trials: int) -> argparse.ArgumentPar
     return parser
 
 
+def _check_ranges(args: argparse.Namespace) -> None:
+    """Reject values that would hang, crash or run no trial at all."""
+    # q is drawn from the rationals of size <= max_abs other than 0 and +-1
+    least = 1 if args.command == "series" else 2
+    if args.max_abs < least:
+        raise ConfigError("--max-abs must be at least %d for %s, got %d"
+                          % (least, args.command, args.max_abs))
+    if getattr(args, "order", 0) < 0:
+        raise ConfigError("--order must be at least 0, got %d" % args.order)
+    for attr in ("trials", "cert_trials", "series_trials"):
+        value = getattr(args, attr, 1)
+        if value < 1:
+            raise ConfigError("--%s must be at least 1, got %d"
+                              % (attr.replace("_", "-"), value))
+
+
 def config_from_args(args: argparse.Namespace) -> RunConfig:
+    _check_ranges(args)
     command = args.command
     config = RunConfig(command=command, seed=args.seed, max_abs=args.max_abs,
                        jobs=args.jobs, fmt=args.fmt, out=args.out)

@@ -173,6 +173,8 @@ def derive_trial_seed(seed: int, item_id: str, trial: int) -> int:
 
 
 def random_rational(rng: random.Random, bound: int = DEFAULT_SIZE_BOUND) -> Fraction:
+    if bound < 1:
+        raise ValueError("size bound must be at least 1, got %d" % bound)
     num = 0
     while num == 0:
         num = rng.randint(-bound, bound)
@@ -183,6 +185,8 @@ def random_rational(rng: random.Random, bound: int = DEFAULT_SIZE_BOUND) -> Frac
 
 
 def random_q(rng: random.Random, bound: int = DEFAULT_SIZE_BOUND) -> Fraction:
+    if bound < 2:
+        raise ValueError("q needs a size bound of at least 2, got %d" % bound)
     while True:
         v = random_rational(rng, bound)
         if v not in (0, 1, -1):

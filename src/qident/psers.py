@@ -7,6 +7,13 @@ series verify the limiting product identities (triple product, quintuple
 product, and allied sums) to a prescribed order: the non-q symbols are
 specialized to random nonzero rationals, so every q-coefficient comparison
 is a rational-function identity check in its own right.
+
+The products are built from factors (1 - c q^e)^{+-1} (Gasper & Rahman,
+*Basic Hypergeometric Series*, 2nd ed., section 1.2).  Each factor is applied
+in place to a working coefficient list in O(N), so an infinite product
+(c q^s; q^t)_infinity costs O(N^2 / t) and every identity side is
+accumulated in one list; a QSeries is built only for the returned residual.
+Order 200 takes a few seconds per specialization.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Tuple, Union
+from typing import Iterable, List, Mapping, Tuple, Union
 
 from .qcore import ParamPoint, PoleError, QIdentityError
 
@@ -126,9 +133,84 @@ class QSeries:
 
 
 FactorRule = Iterable[Tuple[Fraction, int]]
+Coeffs = List[Fraction]
 
 _FACTOR_CAP_SLACK = 64
 
+
+# ---------------------------------------------------------------------------
+# in-place binomial-factor kernels
+# ---------------------------------------------------------------------------
+#
+# A working series is a list of Fraction coefficients c_0..c_N.  Multiplying
+# or dividing it by one factor (1 - c q^e) touches each coefficient once, so
+# a product of F factors costs O(F N) instead of the O(F N^2) of building
+# every factor as a dense QSeries.  Coefficients that cannot reach the
+# truncation order are never computed: a caller that adds the working series
+# at offset q^s keeps only its first N - s + 1 coefficients.
+
+def _one(order: int) -> Coeffs:
+    return [Fraction(1)] + [Fraction(0)] * order
+
+
+def _mul_binomial(out: Coeffs, c: Fraction, e: int) -> None:
+    """out *= (1 - c q^e) in place, truncated at len(out) - 1.
+
+    Walks down from the top so every out[i - e] read is still the old
+    coefficient.  For e = 0 the factor is the scalar (1 - c).
+    """
+    for i in range(len(out) - 1, e - 1, -1):
+        x = out[i - e]
+        if x:
+            out[i] -= c * x
+
+
+def _div_binomial(out: Coeffs, c: Fraction, e: int) -> None:
+    """out /= (1 - c q^e) in place for e >= 1, truncated at len(out) - 1.
+
+    Walks up so every out[i - e] read is already a coefficient of the
+    quotient: the recurrence of out = old + c q^e out.
+    """
+    for i in range(e, len(out)):
+        x = out[i - e]
+        if x:
+            out[i] += c * x
+
+
+def _mul_poch_inf(out: Coeffs, c: Fraction, start: int, step: int) -> None:
+    """out *= (c q^start; q^step)_infinity in place."""
+    for e in range(start, len(out), step):
+        _mul_binomial(out, c, e)
+
+
+def _div_poch_inf(out: Coeffs, c: Fraction, start: int, step: int) -> None:
+    """out /= (c q^start; q^step)_infinity in place, for start >= 1."""
+    for e in range(start, len(out), step):
+        _div_binomial(out, c, e)
+
+
+def _poch_products(order: int, *factors: Tuple[Fraction, int, int]) -> Coeffs:
+    """prod of (c q^start; q^step)_infinity over (c, start, step) triples."""
+    out = _one(order)
+    for c, start, step in factors:
+        _mul_poch_inf(out, c, start, step)
+    return out
+
+
+def _add_shifted(acc: Coeffs, term: Coeffs, shift: int, scale: Fraction) -> None:
+    """acc += scale * q^shift * term; term holds len(acc) - shift coefficients."""
+    for i, x in enumerate(term, shift):
+        if x:
+            acc[i] += scale * x
+
+
+def _residual(lhs: Coeffs, rhs: Coeffs) -> QSeries:
+    return QSeries(tuple(a - b for a, b in zip(lhs, rhs)))
+
+
+# ---------------------------------------------------------------------------
+# public constructors
+# ---------------------------------------------------------------------------
 
 def series_product(factors: FactorRule, order: int) -> QSeries:
     """Exact truncated product of factors (1 - c_k q^{e_k}).
@@ -136,43 +218,42 @@ def series_product(factors: FactorRule, order: int) -> QSeries:
     The exponents must be strictly increasing and unbounded; iteration stops
     at the first exponent beyond the order (the remaining factors are 1 mod
     q^{order+1}).  NonTerminatingExponent is raised if the exponents fail to
-    pass the order within an iteration cap.
+    pass the order within an iteration cap.  Each factor costs O(order).
     """
-    result = QSeries.one(order)
+    out = _one(order)
     cap = 4 * (order + 2) + _FACTOR_CAP_SLACK
     count = 0
     for coeff, exponent in factors:
         if exponent > order:
-            return result
+            break
+        if exponent < 0:
+            raise ValueError("negative q-exponent; specialize symbols instead")
         count += 1
         if count > cap:
             raise NonTerminatingExponent(
                 "factor exponents failed to exceed order %d within %d factors"
                 % (order, cap))
-        factor = QSeries.one(order) - QSeries.monomial(coeff, exponent, order)
-        result = result * factor
-    return result
+        _mul_binomial(out, Fraction(coeff), exponent)
+    return QSeries(tuple(out))
 
 
 def poch_inf(coeff, start: int, step: int, order: int) -> QSeries:
     """(c q^{start}; q^{step})_infinity truncated: prod_j (1 - c q^{start + j step})."""
     if step <= 0:
         raise ValueError("step must be positive")
-    coeff = Fraction(coeff)
-    return series_product(((coeff, start + j * step) for j in itertools.count()),
-                          order)
+    if start < 0:
+        raise ValueError("negative q-exponent; specialize symbols instead")
+    out = _one(order)
+    _mul_poch_inf(out, Fraction(coeff), start, step)
+    return QSeries(tuple(out))
 
 
 def geometric_inverse(coeff, exponent: int, order: int) -> QSeries:
     """Inverse of (1 - c q^e) as the geometric series, for e >= 1."""
     if exponent < 1:
         raise ValueError("geometric_inverse needs exponent >= 1")
-    coeff = Fraction(coeff)
-    out = [Fraction(0)] * (order + 1)
-    power = Fraction(1)
-    for e in range(0, order + 1, exponent):
-        out[e] = power
-        power *= coeff
+    out = _one(order)
+    _div_binomial(out, Fraction(coeff), exponent)
     return QSeries(tuple(out))
 
 
@@ -192,18 +273,21 @@ def _need(symbols: Mapping[str, Fraction], name: str) -> Fraction:
     return symbols[name]
 
 
+# ---------------------------------------------------------------------------
+# residuals: each side accumulates in one coefficient list
+# ---------------------------------------------------------------------------
+
 def _jacobi_triple_residual(z: Fraction, order: int) -> QSeries:
-    lhs = QSeries.zero(order)
-    k = 0
+    lhs = _one(order)
+    k = 1
     while k * k <= order:
-        lhs += QSeries.monomial(z ** k, k * k, order)
-        if k > 0:
-            lhs += QSeries.monomial(z ** (-k), k * k, order)
+        lhs[k * k] = z ** k + z ** (-k)
         k += 1
-    rhs = poch_inf(1, 2, 2, order)              # (q^2;q^2)_inf
-    rhs *= poch_inf(-1 / z, 1, 2, order)        # (-q/z;q^2)_inf
-    rhs *= poch_inf(-z, 1, 2, order)            # (-qz;q^2)_inf
-    return lhs - rhs
+    rhs = _poch_products(order,
+                         (Fraction(1), 2, 2),   # (q^2;q^2)_inf
+                         (-1 / z, 1, 2),        # (-q/z;q^2)_inf
+                         (-z, 1, 2))            # (-qz;q^2)_inf
+    return _residual(lhs, rhs)
 
 
 def _quintuple_exponents(k: int) -> Tuple[int, int]:
@@ -213,97 +297,116 @@ def _quintuple_exponents(k: int) -> Tuple[int, int]:
 
 
 def _quintuple_residual(z: Fraction, order: int) -> QSeries:
-    lhs = QSeries.zero(order)
-    for k in itertools.count():
-        e_hi, e_lo = _quintuple_exponents(k)
-        if min(e_hi, e_lo) > order:
-            break
-        lhs += QSeries.monomial(z ** (3*k + 3), e_hi, order)
-        lhs -= QSeries.monomial(z ** (3*k + 1), e_lo, order)
-    for k in itertools.count(1):
-        e_hi, e_lo = _quintuple_exponents(-k)
-        if min(e_hi, e_lo) > order:
-            break
-        lhs += QSeries.monomial(z ** (-3*k + 3), e_hi, order)
-        lhs -= QSeries.monomial(z ** (-3*k + 1), e_lo, order)
-    rhs = poch_inf(1, 1, 1, order)              # (q;q)_inf
-    rhs *= poch_inf(z, 0, 1, order)             # (z;q)_inf
-    rhs *= poch_inf(1 / z, 1, 1, order)         # (q/z;q)_inf
-    rhs *= poch_inf(z * z, 1, 2, order)         # (qz^2;q^2)_inf
-    rhs *= poch_inf(1 / (z * z), 1, 2, order)   # (q/z^2;q^2)_inf
-    return lhs - rhs
+    lhs = [Fraction(0)] * (order + 1)
+    for ks, sign in ((itertools.count(), 1), (itertools.count(1), -1)):
+        for k in ks:
+            k *= sign
+            e_hi, e_lo = _quintuple_exponents(k)
+            if min(e_hi, e_lo) > order:
+                break
+            if e_hi <= order:
+                lhs[e_hi] += z ** (3*k + 3)
+            if e_lo <= order:
+                lhs[e_lo] -= z ** (3*k + 1)
+    rhs = _poch_products(order,
+                         (Fraction(1), 1, 1),   # (q;q)_inf
+                         (z, 0, 1),             # (z;q)_inf
+                         (1 / z, 1, 1),         # (q/z;q)_inf
+                         (z * z, 1, 2),         # (qz^2;q^2)_inf
+                         (1 / (z * z), 1, 2))   # (q/z^2;q^2)_inf
+    return _residual(lhs, rhs)
 
 
 def _lebesgue_inf_residual(a: Fraction, order: int) -> QSeries:
-    lhs = QSeries.zero(order)
-    term = QSeries.one(order)
-    k = 0
-    while k * (k + 1) // 2 <= order:
-        lhs += term.shift(k * (k + 1) // 2)
-        k += 1
-        # ratio to the next term besides the q^k order shift:
-        # (1 - a q^{k-1}) / (1 - q^k)
-        factor = QSeries.one(order) - QSeries.monomial(a, k - 1, order)
-        term = term * factor * geometric_inverse(1, k, order)
-    rhs = poch_inf(a, 1, 2, order) * poch_inf(-1, 1, 1, order)
-    return lhs - rhs
+    # sum_k (a;q)_k / (q;q)_k q^{k(k+1)/2}
+    lhs = [Fraction(0)] * (order + 1)
+    term = _one(order)
+    one = Fraction(1)
+    for k in itertools.count():
+        shift = k * (k + 1) // 2
+        if shift > order:
+            break
+        del term[order - shift + 1:]
+        if k > 0:
+            _mul_binomial(term, a, k - 1)
+            _div_binomial(term, one, k)
+        _add_shifted(lhs, term, shift, one)
+    rhs = _poch_products(order,
+                         (a, 1, 2),             # (aq;q^2)_inf
+                         (-one, 1, 1))          # (-q;q)_inf
+    return _residual(lhs, rhs)
+
+
+def _ab_rhs(z: Fraction, order: int) -> Coeffs:
+    return _poch_products(order,
+                          (-z, 1, 2),           # (-zq;q^2)_inf
+                          (z * z, 4, 4))        # (z^2q^4;q^4)_inf
 
 
 def _ab11_residual(z: Fraction, order: int) -> QSeries:
-    lhs = QSeries.one(order)
-    poch = QSeries.one(order)       # (z^2 q^2;q^2)_{k-1}
-    inv = QSeries.one(order)        # 1 / (q^2;q^2)_k
+    # 1 + sum_{k>=1} z^k q^{2k^2-k} (z^2q^2;q^2)_{k-1} / (q^2;q^2)_k
+    #                                              * (1 - z^2 q^{4k})
+    lhs = _one(order)
+    term = _one(order)
+    one, zz = Fraction(1), z * z
     for k in itertools.count(1):
-        if 2 * k * k - k > order:
+        shift = 2 * k * k - k
+        if shift > order:
             break
-        inv = inv * geometric_inverse(1, 2 * k, order)
+        del term[order - shift + 1:]
         if k > 1:
-            poch = poch * (QSeries.one(order)
-                           - QSeries.monomial(z * z, 2 * (k - 1), order))
-        tail = (QSeries.one(order)
-                - QSeries.monomial(z * z, 4 * k, order))
-        lhs += (poch * inv * tail * z**k).shift(2 * k * k - k)
-    rhs = poch_inf(-z, 1, 2, order) * poch_inf(z * z, 4, 4, order)
-    return lhs - rhs
+            _mul_binomial(term, zz, 2 * (k - 1))
+        _div_binomial(term, one, 2 * k)
+        tail = term[:]
+        _mul_binomial(tail, zz, 4 * k)
+        _add_shifted(lhs, tail, shift, z ** k)
+    return _residual(lhs, _ab_rhs(z, order))
 
 
 def _ab00_residual(z: Fraction, order: int) -> QSeries:
-    lhs = QSeries.zero(order)
-    poch = QSeries.one(order)       # (z^2 q^2;q^2)_k
-    inv = QSeries.one(order)        # 1 / (q^2;q^2)_k
+    # sum_{k>=0} z^k q^{2k^2+k} (z^2q^2;q^2)_k / (q^2;q^2)_k (1 + z q^{2k+1})
+    lhs = [Fraction(0)] * (order + 1)
+    term = _one(order)
+    one, zz = Fraction(1), z * z
     for k in itertools.count():
-        if 2 * k * k + k > order:
+        shift = 2 * k * k + k
+        if shift > order:
             break
+        del term[order - shift + 1:]
         if k > 0:
-            inv = inv * geometric_inverse(1, 2 * k, order)
-            poch = poch * (QSeries.one(order)
-                           - QSeries.monomial(z * z, 2 * k, order))
-        tail = (QSeries.one(order)
-                + QSeries.monomial(z, 2 * k + 1, order))
-        lhs += (poch * inv * tail * z**k).shift(2 * k * k + k)
-    rhs = poch_inf(-z, 1, 2, order) * poch_inf(z * z, 4, 4, order)
-    return lhs - rhs
+            _mul_binomial(term, zz, 2 * k)
+            _div_binomial(term, one, 2 * k)
+        tail = term[:]
+        _mul_binomial(tail, -z, 2 * k + 1)
+        _add_shifted(lhs, tail, shift, z ** k)
+    return _residual(lhs, _ab_rhs(z, order))
 
 
 def _q_kummer_residual(a: Fraction, b: Fraction, order: int) -> QSeries:
     if b == 0:
         raise PoleError("q-Kummer requires b != 0")
-    lhs = QSeries.zero(order)
-    term = QSeries.one(order)
+    # sum_k (a;q)_k (b;q)_k / ((q;q)_k (aq/b;q)_k) (-q/b)^k; the (-1/b)^k
+    # is applied as a scalar when the term is added
+    lhs = [Fraction(0)] * (order + 1)
+    term = _one(order)
+    one, a_over_b, ratio = Fraction(1), a / b, Fraction(-1) / b
+    scale = one
     for k in range(order + 1):
-        lhs += term.shift(k)
-        # ratio besides the q-order shift:
-        # (1 - a q^k)(1 - b q^k)(-1/b) / ((1 - q^{k+1})(1 - (a/b) q^{k+1}))
-        num = ((QSeries.one(order) - QSeries.monomial(a, k, order))
-               * (QSeries.one(order) - QSeries.monomial(b, k, order)))
-        term = (term * num * geometric_inverse(1, k + 1, order)
-                * geometric_inverse(a / b, k + 1, order) * (Fraction(-1) / b))
-    rhs = poch_inf(a, 1, 2, order)                      # (aq;q^2)_inf
-    rhs *= poch_inf(a / (b * b), 2, 2, order)           # (aq^2/b^2;q^2)_inf
-    rhs *= poch_inf(-1, 1, 1, order)                    # (-q;q)_inf
-    rhs *= poch_inf(a / b, 1, 1, order).invert()        # 1/(aq/b;q)_inf
-    rhs *= poch_inf(-1 / b, 1, 1, order).invert()       # 1/(-q/b;q)_inf
-    return lhs - rhs
+        del term[order - k + 1:]
+        if k > 0:
+            _mul_binomial(term, a, k - 1)
+            _mul_binomial(term, b, k - 1)
+            _div_binomial(term, one, k)
+            _div_binomial(term, a_over_b, k)
+            scale *= ratio
+        _add_shifted(lhs, term, k, scale)
+    rhs = _poch_products(order,
+                         (a, 1, 2),             # (aq;q^2)_inf
+                         (a / (b * b), 2, 2),   # (aq^2/b^2;q^2)_inf
+                         (-one, 1, 1))          # (-q;q)_inf
+    _div_poch_inf(rhs, a_over_b, 1, 1)          # 1/(aq/b;q)_inf
+    _div_poch_inf(rhs, ratio, 1, 1)             # 1/(-q/b;q)_inf
+    return _residual(lhs, rhs)
 
 
 def infinite_identity_residual(identity_id: str,
@@ -337,12 +440,12 @@ def jacobi_product_relation_residual(z, order: int) -> QSeries:
     z = Fraction(z)
     if z == 0:
         raise PoleError("z must be nonzero")
-    lhs = (poch_inf(-1, 1, 1, order) * poch_inf(1, 1, 1, order)
-           * poch_inf(-1 / z, 1, 1, order) * poch_inf(-z, 0, 1, order))
-    rhs = (poch_inf(1, 2, 2, order) * poch_inf(-1 / z, 1, 2, order)
-           * poch_inf(-z, 1, 2, order)
-           * poch_inf(-1 / z, 2, 2, order) * poch_inf(-z, 0, 2, order))
-    return lhs - rhs
+    one = Fraction(1)
+    lhs = _poch_products(order, (-one, 1, 1), (one, 1, 1), (-1 / z, 1, 1),
+                         (-z, 0, 1))
+    rhs = _poch_products(order, (one, 2, 2), (-1 / z, 1, 2), (-z, 1, 2),
+                         (-1 / z, 2, 2), (-z, 0, 2))
+    return _residual(lhs, rhs)
 
 
 def quintuple_product_relation_residual(z, order: int) -> QSeries:
@@ -355,9 +458,9 @@ def quintuple_product_relation_residual(z, order: int) -> QSeries:
     z = Fraction(z)
     if z in (0, 1, -1):
         raise PoleError("z must avoid {0, 1, -1}")
-    lhs = (poch_inf(-z, 0, 1, order) * poch_inf(-1 / z, 1, 1, order)
-           * poch_inf(z * z, 1, 2, order) * poch_inf(z, 0, 1, order)
-           * poch_inf(1 / (z * z), 1, 2, order) * poch_inf(1 / z, 1, 1, order))
-    rhs = (QSeries.one(order) * (-z * z)
-           * poch_inf(z * z, 1, 1, order) * poch_inf(1 / (z * z), 0, 1, order))
-    return lhs - rhs
+    zz = z * z
+    lhs = _poch_products(order, (-z, 0, 1), (-1 / z, 1, 1), (zz, 1, 2),
+                         (z, 0, 1), (1 / zz, 1, 2), (1 / z, 1, 1))
+    rhs = _poch_products(order, (zz, 1, 1), (1 / zz, 0, 1))
+    rhs = [-zz * x for x in rhs]
+    return _residual(lhs, rhs)

@@ -1,7 +1,10 @@
 import copy
 import json
+import random
 from dataclasses import replace
 from fractions import Fraction
+
+import pytest
 
 from qident import cli
 from qident import identities as ident
@@ -165,3 +168,44 @@ def test_lebesgue_finite_2_selectable(capsys):
     assert status == 0
     report = json.loads(out)
     assert report["items"][0]["id"] == "lebesgue_finite_2"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "--max-abs", "0"], "--max-abs"),
+    (["verify", "--max-abs", "-5"], "--max-abs"),
+    (["verify", "--max-abs", "1"], "--max-abs"),
+    (["certify", "--max-abs", "1"], "--max-abs"),
+    (["series", "--max-abs", "0"], "--max-abs"),
+    (["series", "--order", "-1"], "--order"),
+    (["series", "--trials", "0"], "--trials"),
+    (["verify", "--trials", "0"], "--trials"),
+    (["certify", "--trials", "0"], "--trials"),
+    (["all", "--trials", "0"], "--trials"),
+    (["all", "--cert-trials", "0"], "--cert-trials"),
+    (["all", "--series-trials", "0"], "--series-trials"),
+    (["all", "--order", "-1"], "--order"),
+])
+def test_bad_values_exit_2(capsys, argv, flag):
+    status, out, err = run_main(capsys, argv)
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: %s must be at least" % flag)
+    assert "Traceback" not in err
+
+
+def test_series_max_abs_1_runs(capsys):
+    status, out, _ = run_main(capsys, [
+        "series", "--id", "quintuple", "--max-abs", "1", "--order", "10",
+        "--trials", "1"])
+    assert status == 0
+    assert "PASS" in out
+
+
+def test_random_draws_reject_small_bounds():
+    rng = random.Random(1)
+    for bound in (0, -5):
+        with pytest.raises(ValueError):
+            ident.random_rational(rng, bound)
+    with pytest.raises(ValueError):
+        ident.random_q(rng, 1)
+    assert abs(ident.random_rational(rng, 1)) == 1

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qident import psers
 from qident.qcore import PoleError
 from qident.psers import (NonTerminatingExponent, QSeries, SERIES_IDENTITIES,
                           geometric_inverse, infinite_identity_residual,
@@ -161,3 +162,112 @@ def test_series_guards():
         quintuple_product_relation_residual(1, 10)
     with pytest.raises(PoleError):
         infinite_identity_residual("lebesgue_inf", {"z": 2}, 10)
+
+
+# -- binomial-factor kernels ------------------------------------------------
+
+def dense_poch_inf(c, start, step, order):
+    """Reference (c q^start; q^step)_infinity: one dense product per factor."""
+    result = QSeries.one(order)
+    for e in range(start, order + 1, step):
+        result = result * (QSeries.one(order) - QSeries.monomial(c, e, order))
+    return result
+
+
+@settings(max_examples=80)
+@given(coeff_lists, small_rats, st.integers(0, 10))
+def test_mul_kernel_matches_dense_product(xs, c, e):
+    n = len(xs) - 1
+    out = list(xs)
+    psers._mul_binomial(out, c, e)
+    factor = QSeries.one(n) - QSeries.monomial(c, e, n)
+    assert QSeries(tuple(out)) == QSeries(tuple(xs)) * factor
+
+
+@settings(max_examples=80)
+@given(coeff_lists, small_rats, st.integers(1, 10))
+def test_div_kernel_matches_inverses(xs, c, e):
+    n = len(xs) - 1
+    out = list(xs)
+    psers._div_binomial(out, c, e)
+    quotient = QSeries(tuple(out))
+    assert quotient == QSeries(tuple(xs)) * geometric_inverse(c, e, n)
+    factor = QSeries.one(n) - QSeries.monomial(c, e, n)
+    assert quotient == QSeries(tuple(xs)) * factor.invert()
+    assert quotient * factor == QSeries(tuple(xs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_rats, st.sampled_from((0, 1, 2)), st.sampled_from((1, 2, 4)),
+       st.integers(0, 30))
+def test_poch_inf_matches_dense_reference(c, start, step, order):
+    assert poch_inf(c, start, step, order) == dense_poch_inf(c, start, step,
+                                                              order)
+
+
+def test_geometric_inverse_powers_and_guards():
+    g = geometric_inverse(Fraction(-2, 3), 3, 10)
+    assert g.coeffs == tuple(Fraction(-2, 3) ** (i // 3) if i % 3 == 0 else 0
+                             for i in range(11))
+    with pytest.raises(ValueError):
+        geometric_inverse(1, 0, 5)
+    with pytest.raises(ValueError):
+        poch_inf(1, -1, 1, 5)
+    with pytest.raises(ValueError):
+        series_product([(Fraction(1), -1)], 5)
+
+
+# One fixed specialization per series identity.
+FIXED_POINTS = {
+    "jacobi_triple": {"z": Fraction(3, 7)},
+    "quintuple": {"z": Fraction(-5, 4)},
+    "lebesgue_inf": {"a": Fraction(2, 9)},
+    "ab11": {"z": Fraction(-7, 3)},
+    "ab00": {"z": Fraction(4, 11)},
+    "q_kummer": {"a": Fraction(-3, 5), "b": Fraction(7, 2)},
+}
+
+
+def test_series_identities_vanish_to_order_200():
+    for identity_id in SERIES_IDENTITIES:
+        res = infinite_identity_residual(identity_id,
+                                         FIXED_POINTS[identity_id], 200)
+        assert len(res.coeffs) == 201
+        assert res.is_zero(), identity_id
+
+
+@pytest.mark.parametrize("identity_id", SERIES_IDENTITIES)
+def test_one_perturbed_series_factor_is_caught(identity_id, monkeypatch):
+    """Scale the coefficient c of exactly one factor (1 - c q^e) by 102/101.
+
+    The perturbed factors are the first and the last that reach the working
+    truncation, and every scalar (e = 0) factor.  A rewrite that dropped any
+    of them would leave the residual unchanged under the perturbation.
+    """
+    kernel = psers._mul_binomial
+    params, order = FIXED_POINTS[identity_id], 40
+    calls = []          # exponent of every factor, in call order
+    effective = []      # call indices of the factors that reach the truncation
+
+    def record(out, c, e):
+        if e < len(out):
+            effective.append(len(calls))
+        calls.append(e)
+        kernel(out, c, e)
+
+    monkeypatch.setattr(psers, "_mul_binomial", record)
+    assert infinite_identity_residual(identity_id, params, order).is_zero()
+    targets = {effective[0], effective[-1]}
+    targets.update(i for i in effective if calls[i] == 0)
+
+    for target in sorted(targets):
+        count = itertools.count()
+
+        def perturb(out, c, e):
+            if next(count) == target:
+                c = c * Fraction(102, 101)
+            kernel(out, c, e)
+
+        monkeypatch.setattr(psers, "_mul_binomial", perturb)
+        res = infinite_identity_residual(identity_id, params, order)
+        assert not res.is_zero(), (identity_id, target, calls[target])
