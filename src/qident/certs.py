@@ -9,6 +9,11 @@ checks; ``inductive_replay`` then re-derives each identity from its base
 case by propagating the recurrence over the shift orbit and comparing every
 node against direct evaluation of both sides.
 
+The summands and both sides are not evaluated here: F_{n,k} and G_{n,k} are
+entries of the proved identity's summand rows in ``identities``, and the
+sides at level n are that identity's own evaluators, so a certificate
+replays the proof of exactly the sums the harness verifies.
+
 Single-index recurrences come in two shapes:
 
     order 1:  F_{n,k} = c_keep(n) F_{n-1,k} + c_move(n) F_{n-1,k-ks}(sigma p)
@@ -27,7 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
-from .qcore import ParamPoint, PoleError, qbinom, qpoch, qpoch_multi
+from .hyper import TermRow
+from .qcore import ParamPoint, PoleError, qpoch, qpoch_multi
 from . import identities as _ident
 
 TermFn = Callable[[ParamPoint, int, int], Fraction]
@@ -38,6 +44,7 @@ ValueFn = Callable[[ParamPoint, int], Fraction]
 @dataclass(frozen=True)
 class ProofCertificate:
     id: str
+    identity: str                   # the registered identity the proof proves
     symbols: Tuple[str, ...]
     order: int                      # recurrence depth in n (1 or 2; 0 = multi)
     k_shift: int
@@ -50,16 +57,42 @@ class ProofCertificate:
     multi: bool = False
 
     def lhs_value(self, point: ParamPoint, n: int) -> Fraction:
-        if self.multi:
-            return _schlosser_lhs_value(point, n)
-        total = Fraction(0)
-        for k in range(n + 1):
-            total += self.term(point, n, k)
-        return total
+        desc = _ident.get_identity(self.identity)
+        return desc.lhs(_identity_point(self.identity, point, n))
+
+
+def _identity_point(identity_id: str, point: ParamPoint, n: int) -> ParamPoint:
+    """The identity's own point at level n: index n set, derived symbols
+    (e for jackson, lam for bailey) applied."""
+    derive = _ident.get_identity(identity_id).derive
+    point = ParamPoint(point.symbols, {**point.indices, "n": n})
+    return derive(point) if derive is not None else point
+
+
+def _closed_form(identity_id: str) -> ValueFn:
+    """The identity's right side at level n."""
+    def value(point: ParamPoint, n: int) -> Fraction:
+        desc = _ident.get_identity(identity_id)
+        return desc.rhs(_identity_point(identity_id, point, n))
+    return value
+
+
+def _row_term(identity_id: str, row: Callable[[ParamPoint], TermRow]) -> TermFn:
+    """Entry k of the identity's summand row at level n; 0 for k outside
+    [0, n].  ``row`` looks the row function up at call time."""
+    def term(point: ParamPoint, n: int, k: int) -> Fraction:
+        if k < 0 or k > n:
+            return Fraction(0)
+        return row(_identity_point(identity_id, point, n)).term(k)
+    return term
 
 
 def _sym(point: ParamPoint, names: str):
     return tuple(point.sym(s) for s in names)
+
+
+def _xs(point: ParamPoint, r: int) -> list:
+    return [point.sym("x%d" % i) for i in range(1, r + 1)]
 
 
 def _zero_div(num: Fraction, den: Fraction) -> Fraction:
@@ -72,17 +105,6 @@ def _zero_div(num: Fraction, den: Fraction) -> Fraction:
 # balanced very-well-poised summation (four free parameters)
 # ---------------------------------------------------------------------------
 
-def jackson_term(p: ParamPoint, n: int, k: int) -> Fraction:
-    if k < 0 or k > n:
-        return Fraction(0)
-    a, b, c, d, q = _sym(p, "abcdq")
-    e = a*a*q**(n+1) / (b*c*d)
-    num = (1 - a*q**(2*k)) * qpoch_multi([a, b, c, d, e, q**(-n)], q, k) * q**k
-    den = (1 - a) * qpoch_multi(
-        [q, a*q/b, a*q/c, a*q/d, b*c*d*q**(-n)/a, a*q**(n+1)], q, k)
-    return _zero_div(num, den)
-
-
 def jackson_gamma(p: ParamPoint, n: int) -> Fraction:
     a, b, c, d, q = _sym(p, "abcdq")
     num = ((a*a*q**n/(b*c*d) - q**(-n)) * (1 - b*c*d/a) * (1 - a*q)
@@ -92,26 +114,9 @@ def jackson_gamma(p: ParamPoint, n: int) -> Fraction:
     return _zero_div(num, den)
 
 
-def _jackson_rhs_value(p: ParamPoint, n: int) -> Fraction:
-    a, b, c, d, q = _sym(p, "abcdq")
-    return _zero_div(qpoch_multi([a*q, a*q/(b*c), a*q/(b*d), a*q/(c*d)], q, n),
-                     qpoch_multi([a*q/b, a*q/c, a*q/d, a*q/(b*c*d)], q, n))
-
-
 # ---------------------------------------------------------------------------
 # q-Whipple transformation (five free parameters)
 # ---------------------------------------------------------------------------
-
-def watson_term(p: ParamPoint, n: int, k: int) -> Fraction:
-    if k < 0 or k > n:
-        return Fraction(0)
-    a, b, c, d, e, q = _sym(p, "abcdeq")
-    z = a*a*q**(n+2) / (b*c*d*e)
-    num = (1 - a*q**(2*k)) * qpoch_multi([a, b, c, d, e, q**(-n)], q, k) * z**k
-    den = (1 - a) * qpoch_multi(
-        [q, a*q/b, a*q/c, a*q/d, a*q/e, a*q**(n+1)], q, k)
-    return _zero_div(num, den)
-
 
 def watson_beta(p: ParamPoint, n: int) -> Fraction:
     a, b, c, d, e, q = _sym(p, "abcdeq")
@@ -120,17 +125,6 @@ def watson_beta(p: ParamPoint, n: int) -> Fraction:
     den = ((1 - a*q/b) * (1 - a*q/c) * (1 - a*q/d) * (1 - a*q/e)
            * (1 - a*q**n) * (1 - a*q**(n+1)) * b*c*d*e)
     return _zero_div(num, den)
-
-
-def watson_rhs_term(p: ParamPoint, n: int, k: int) -> Fraction:
-    if k < 0 or k > n:
-        return Fraction(0)
-    a, b, c, d, e, q = _sym(p, "abcdeq")
-    pre = _zero_div(qpoch_multi([a*q, a*q/(d*e)], q, n),
-                    qpoch_multi([a*q/d, a*q/e], q, n))
-    num = qpoch_multi([a*q/(b*c), d, e, q**(-n)], q, k) * q**k
-    den = qpoch_multi([q, a*q/b, a*q/c, d*e*q**(-n)/a], q, k)
-    return pre * _zero_div(num, den)
 
 
 def watson_anti_diff(p: ParamPoint, n: int, k: int) -> Fraction:
@@ -146,30 +140,9 @@ def watson_anti_diff(p: ParamPoint, n: int, k: int) -> Fraction:
     return pre * _zero_div(num, den)
 
 
-def _watson_rhs_value(p: ParamPoint, n: int) -> Fraction:
-    total = Fraction(0)
-    for k in range(n + 1):
-        total += watson_rhs_term(p, n, k)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # two-level very-well-poised transformation (six free parameters)
 # ---------------------------------------------------------------------------
-
-def bailey_term(p: ParamPoint, n: int, k: int) -> Fraction:
-    if k < 0 or k > n:
-        return Fraction(0)
-    a, b, c, d, e, f, q = _sym(p, "abcdefq")
-    lam = a*a*q / (b*c*d)
-    g = lam*a*q**(n+1) / (e*f)
-    num = (1 - a*q**(2*k)) \
-        * qpoch_multi([a, b, c, d, e, f, g, q**(-n)], q, k) * q**k
-    den = (1 - a) * qpoch_multi(
-        [q, a*q/b, a*q/c, a*q/d, a*q/e, a*q/f, e*f*q**(-n)/lam, a*q**(n+1)],
-        q, k)
-    return _zero_div(num, den)
-
 
 def bailey_alpha(p: ParamPoint, n: int) -> Fraction:
     a, b, c, d, e, f, q = _sym(p, "abcdefq")
@@ -180,23 +153,6 @@ def bailey_alpha(p: ParamPoint, n: int) -> Fraction:
            * (1 - a*q**n) * (1 - a*q**(n+1))
            * (1 - e*f*q**(1-n)/lam) * (1 - e*f*q**(-n)/lam) * q**(n-1))
     return _zero_div(num, den)
-
-
-def bailey_rhs_term(p: ParamPoint, n: int, k: int) -> Fraction:
-    if k < 0 or k > n:
-        return Fraction(0)
-    a, b, c, d, e, f, q = _sym(p, "abcdefq")
-    lam = a*a*q / (b*c*d)
-    g = lam*a*q**(n+1) / (e*f)
-    pre = _zero_div(qpoch_multi([a*q, a*q/(e*f), lam*q/e, lam*q/f], q, n),
-                    qpoch_multi([a*q/e, a*q/f, lam*q/(e*f), lam*q], q, n))
-    num = (1 - lam*q**(2*k)) \
-        * qpoch_multi([lam, lam*b/a, lam*c/a, lam*d/a, e, f, g, q**(-n)], q, k) \
-        * q**k
-    den = (1 - lam) * qpoch_multi(
-        [q, a*q/b, a*q/c, a*q/d, lam*q/e, lam*q/f, e*f*q**(-n)/a,
-         lam*q**(n+1)], q, k)
-    return pre * _zero_div(num, den)
 
 
 def bailey_anti_diff(p: ParamPoint, n: int, k: int) -> Fraction:
@@ -218,25 +174,9 @@ def bailey_anti_diff(p: ParamPoint, n: int, k: int) -> Fraction:
     return pre * _zero_div(num, den)
 
 
-def _bailey_rhs_value(p: ParamPoint, n: int) -> Fraction:
-    total = Fraction(0)
-    for k in range(n + 1):
-        total += bailey_rhs_term(p, n, k)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # quadratic transformation (free symbols A = a^2, B = b^2, c)
 # ---------------------------------------------------------------------------
-
-def singh_term(p: ParamPoint, n: int, k: int) -> Fraction:
-    if k < 0 or k > n:
-        return Fraction(0)
-    A, B, c, q = _sym(p, "ABcq")
-    num = qpoch_multi([A, B, c, q**(-n)], q, k) * q**k
-    den = qpoch(q, q, k) * qpoch(A*B*q, q*q, k) * qpoch(-c*q**(-n), q, k)
-    return _zero_div(num, den)
-
 
 def singh_alpha(p: ParamPoint, n: int) -> Fraction:
     c, q = p.sym("c"), p.sym("q")
@@ -264,19 +204,9 @@ def singh_first_order_residual(p: ParamPoint, n: int, k: int) -> Fraction:
     gamma1 = _zero_div(-(1 - A) * (1 - B) * (1 - c*c) * q**(1-n),
                        (1 - A*B*q) * (1 + c*q**(-n)) * (1 + c*q**(1-n)))
     shifted = p.scaled(A=q, B=q, c=q)
-    return (singh_term(p, n, k) - singh_term(p, n - 1, k)
-            - gamma1 * singh_term(shifted, n - 1, k - 1))
-
-
-def singh_rhs_term(p: ParamPoint, n: int, k: int) -> Fraction:
-    if k < 0 or k > n:
-        return Fraction(0)
-    A, B, c, q = _sym(p, "ABcq")
-    q2 = q*q
-    num = qpoch_multi([A, B, c*c, q**(-2*n)], q2, k) * q2**k
-    den = (qpoch(q2, q2, k) * qpoch(A*B*q, q2, k)
-           * qpoch(-c*q**(-n), q, 2*k))
-    return _zero_div(num, den)
+    term = get_certificate("singh").term
+    return (term(p, n, k) - term(p, n - 1, k)
+            - gamma1 * term(shifted, n - 1, k - 1))
 
 
 def singh_anti_diff(p: ParamPoint, n: int, k: int) -> Fraction:
@@ -294,24 +224,9 @@ def singh_anti_diff(p: ParamPoint, n: int, k: int) -> Fraction:
     return _zero_div(num, den)
 
 
-def _singh_rhs_value(p: ParamPoint, n: int) -> Fraction:
-    total = Fraction(0)
-    for k in range(n + 1):
-        total += singh_rhs_term(p, n, k)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # q-binomial / Pochhammer-quotient summations (one free symbol)
 # ---------------------------------------------------------------------------
-
-def lebesgue_term(p: ParamPoint, n: int, k: int) -> Fraction:
-    if k < 0 or k > n:
-        return Fraction(0)
-    a, q = p.sym("a"), p.sym("q")
-    return _zero_div(qbinom(n, k, q) * q**(k*(k+1)//2),
-                     qpoch(a*q**k, q, n + 1))
-
 
 def lebesgue_keep(p: ParamPoint, n: int) -> Fraction:
     a, q = p.sym("a"), p.sym("q")
@@ -321,20 +236,6 @@ def lebesgue_keep(p: ParamPoint, n: int) -> Fraction:
 def lebesgue_move(p: ParamPoint, n: int) -> Fraction:
     a, q = p.sym("a"), p.sym("q")
     return _zero_div(q**n, 1 - a*q**n)
-
-
-def _lebesgue_rhs_value(p: ParamPoint, n: int) -> Fraction:
-    a, q = p.sym("a"), p.sym("q")
-    return _zero_div(qpoch(-q, q, n), qpoch(a, q*q, n + 1))
-
-
-def quintuple_term(p: ParamPoint, n: int, k: int) -> Fraction:
-    if k < 0 or k > n:
-        return Fraction(0)
-    z, q = p.sym("z"), p.sym("q")
-    num = ((1 - z*z*q**(2*k+1)) * qbinom(n, k, q) * qpoch(z*q, q, n)
-           * z**k * q**(k*k))
-    return _zero_div(num, qpoch(z*z*q**(k+1), q, n + 1))
 
 
 def quintuple_keep(p: ParamPoint, n: int) -> Fraction:
@@ -351,6 +252,13 @@ def quintuple_move(p: ParamPoint, n: int) -> Fraction:
 # C_r certificate (multi-index)
 # ---------------------------------------------------------------------------
 
+def _pair_ratio(a, q, xs: Sequence, shifts: Sequence[int]) -> Fraction:
+    """The pair-interaction product at the given shifts over its value at
+    no shift."""
+    return _zero_div(_ident.pair_product(a, q, xs, shifts),
+                     _ident.pair_product(a, q, xs, [0] * len(xs)))
+
+
 def schlosser_term(p: ParamPoint, n: int, ks) -> Fraction:
     r = p.idx("r")
     ks = (ks,) if isinstance(ks, int) else tuple(ks)
@@ -358,22 +266,12 @@ def schlosser_term(p: ParamPoint, n: int, ks) -> Fraction:
         raise ValueError("need a k-vector of length r=%d" % r)
     if any(k < 0 or k > n for k in ks):
         return Fraction(0)
-    a, b, c, d, q = _sym(p, "abcdq")
-    xs = [p.sym("x%d" % i) for i in range(1, r + 1)]
-    t = Fraction(1)
-    for i in range(r):
-        for j in range(i + 1, r):
-            t *= (xs[i]*q**ks[i] - xs[j]*q**ks[j]) \
-                * (1 - a*xs[i]*xs[j]*q**(ks[i]+ks[j]))
-            t = _zero_div(t, (xs[i] - xs[j]) * (1 - a*xs[i]*xs[j]))
-    for i in range(r):
-        xi, ki = xs[i], ks[i]
-        t *= _zero_div(1 - a*xi*xi*q**(2*ki), 1 - a*xi*xi)
-        num = qpoch_multi([a*xi*xi, b*xi, c*xi, d*xi,
-                           a*a*xi*q**(n-r+2)/(b*c*d), q**(-n)], q, ki) * q**ki
-        den = qpoch_multi([q, a*xi*q/b, a*xi*q/c, a*xi*q/d,
-                           b*c*d*xi*q**(r-n-1)/a, a*xi*xi*q**(n+1)], q, ki)
-        t *= _zero_div(num, den)
+    a, q = p.sym("a"), p.sym("q")
+    xs = _xs(p, r)
+    t = _pair_ratio(a, q, xs, ks)
+    for row, k in zip(_ident.schlosser_axis_rows(_identity_point(
+            "schlosser_cr", p, n)), ks):
+        t *= row.term(k)
     return t
 
 
@@ -381,13 +279,8 @@ def schlosser_split_coeff(p: ParamPoint, n: int, ss: Sequence[int]) -> Fraction:
     """Per-s coefficient of the 2^r-fold split (product form), at lower level n."""
     r = p.idx("r")
     a, b, c, d, q = _sym(p, "abcdq")
-    xs = [p.sym("x%d" % i) for i in range(1, r + 1)]
-    t = Fraction(1)
-    for i in range(r):
-        for j in range(i + 1, r):
-            t *= (xs[i]*q**ss[i] - xs[j]*q**ss[j]) \
-                * (1 - a*xs[i]*xs[j]*q**(ss[i]+ss[j]))
-            t = _zero_div(t, (xs[i] - xs[j]) * (1 - a*xs[i]*xs[j]))
+    xs = _xs(p, r)
+    t = _pair_ratio(a, q, xs, ss)
     for i in range(r):
         xi, si = xs[i], ss[i]
         num = (Fraction(-1)**si * qpoch(a*xi*xi*q, q, 2*si)
@@ -420,18 +313,6 @@ def _schlosser_term_residual(p: ParamPoint, n: int, ks: Sequence[int]) -> Fracti
     return schlosser_term(p, n, ks) - rhs
 
 
-def _with_n(point: ParamPoint, n: int) -> ParamPoint:
-    return ParamPoint(dict(point.symbols), {**dict(point.indices), "n": n})
-
-
-def _schlosser_lhs_value(p: ParamPoint, n: int) -> Fraction:
-    return _ident.schlosser_lhs(_with_n(p, n))
-
-
-def _schlosser_rhs_value(p: ParamPoint, n: int) -> Fraction:
-    return _ident.schlosser_rhs(_with_n(p, n))
-
-
 def schlosser_split_residual(point: ParamPoint, n: int, r: int, i: int,
                              k_i: int) -> Fraction:
     """Denominator-cleared residual of the two-term partial-fraction split
@@ -458,7 +339,7 @@ def schlosser_split_residual(point: ParamPoint, n: int, r: int, i: int,
 def _schlosser_alpha_s(point: ParamPoint, n: int, r: int,
                        ss: Sequence[int]) -> Fraction:
     a, b, c, d, q = _sym(point, "abcdq")
-    xs = [point.sym("x%d" % i) for i in range(1, r + 1)]
+    xs = _xs(point, r)
     t = _zero_div(Fraction(1), (1 - q**(n+1)) ** r)
     for i in range(r):
         xi, si = xs[i], ss[i]
@@ -479,13 +360,8 @@ def schlosser_coeff_residual(point: ParamPoint, n: int, r: int,
     if len(ss) != r or any(s not in (0, 1) for s in ss):
         raise ValueError("s_vector must lie in {0,1}^r")
     a, b, c, d, q = _sym(point, "abcdq")
-    xs = [point.sym("x%d" % i) for i in range(1, r + 1)]
-    form1 = _schlosser_alpha_s(point, n, r, ss)
-    for i in range(r):
-        for j in range(i + 1, r):
-            form1 *= (xs[i]*q**ss[i] - xs[j]*q**ss[j]) \
-                * (1 - a*xs[i]*xs[j]*q**(ss[i]+ss[j]))
-            form1 = _zero_div(form1, (xs[i] - xs[j]) * (1 - a*xs[i]*xs[j]))
+    xs = _xs(point, r)
+    form1 = _schlosser_alpha_s(point, n, r, ss) * _pair_ratio(a, q, xs, ss)
     for i in range(r):
         xi, si = xs[i], ss[i]
         form1 *= _zero_div(1 - a*xi*xi*q**(2*si), 1 - a*xi*xi)
@@ -526,48 +402,66 @@ def _build_certificates() -> Dict[str, ProofCertificate]:
         certs[cert.id] = cert
 
     add(ProofCertificate(
-        id="jackson", symbols=("a", "b", "c", "d"), order=1, k_shift=1,
-        term=jackson_term, shift=_scale_shift(a=2, b=1, c=1, d=1),
-        rhs_value=_jackson_rhs_value,
+        id="jackson", identity="jackson_8phi7", symbols=("a", "b", "c", "d"),
+        order=1, k_shift=1,
+        term=_row_term("jackson_8phi7", lambda p: _ident.jackson_row(p)),
+        shift=_scale_shift(a=2, b=1, c=1, d=1),
+        rhs_value=_closed_form("jackson_8phi7"),
         coeffs=(lambda p, n: Fraction(1), jackson_gamma)))
 
     add(ProofCertificate(
-        id="watson", symbols=("a", "b", "c", "d", "e"), order=1, k_shift=1,
-        term=watson_term, shift=_scale_shift(a=2, b=1, c=1, d=1, e=1),
-        rhs_value=_watson_rhs_value,
+        id="watson", identity="watson_transform",
+        symbols=("a", "b", "c", "d", "e"), order=1, k_shift=1,
+        term=_row_term("watson_transform", lambda p: _ident.watson_row(p)),
+        shift=_scale_shift(a=2, b=1, c=1, d=1, e=1),
+        rhs_value=_closed_form("watson_transform"),
         coeffs=(lambda p, n: Fraction(1), watson_beta),
-        rhs_term=watson_rhs_term, anti_diff=watson_anti_diff))
+        rhs_term=_row_term("watson_transform",
+                           lambda p: _ident.watson_rhs_row(p)),
+        anti_diff=watson_anti_diff))
 
     add(ProofCertificate(
-        id="bailey", symbols=("a", "b", "c", "d", "e", "f"), order=1, k_shift=1,
-        term=bailey_term, shift=_scale_shift(a=2, b=1, c=1, d=1, e=1, f=1),
-        rhs_value=_bailey_rhs_value,
+        id="bailey", identity="bailey_10phi9",
+        symbols=("a", "b", "c", "d", "e", "f"), order=1, k_shift=1,
+        term=_row_term("bailey_10phi9", lambda p: _ident.bailey_row(p)),
+        shift=_scale_shift(a=2, b=1, c=1, d=1, e=1, f=1),
+        rhs_value=_closed_form("bailey_10phi9"),
         coeffs=(lambda p, n: Fraction(1), bailey_alpha),
-        rhs_term=bailey_rhs_term, anti_diff=bailey_anti_diff))
+        rhs_term=_row_term("bailey_10phi9", lambda p: _ident.bailey_rhs_row(p)),
+        anti_diff=bailey_anti_diff))
 
     add(ProofCertificate(
-        id="singh", symbols=("A", "B", "c"), order=2, k_shift=2,
-        term=singh_term, shift=_scale_shift(A=2, B=2, c=2),
-        rhs_value=_singh_rhs_value,
+        id="singh", identity="singh_quadratic", symbols=("A", "B", "c"),
+        order=2, k_shift=2,
+        term=_row_term("singh_quadratic", lambda p: _ident.singh_lhs_row(p)),
+        shift=_scale_shift(A=2, B=2, c=2),
+        rhs_value=_closed_form("singh_quadratic"),
         coeffs=(singh_alpha, singh_beta, singh_gamma),
-        rhs_term=singh_rhs_term, anti_diff=singh_anti_diff))
+        rhs_term=_row_term("singh_quadratic",
+                           lambda p: _ident.singh_rhs_row(p)),
+        anti_diff=singh_anti_diff))
 
     add(ProofCertificate(
-        id="lebesgue", symbols=("a",), order=1, k_shift=1,
-        term=lebesgue_term, shift=_scale_shift(a=2),
-        rhs_value=_lebesgue_rhs_value,
+        id="lebesgue", identity="lebesgue_finite", symbols=("a",),
+        order=1, k_shift=1,
+        term=_row_term("lebesgue_finite", lambda p: _ident.lebesgue_row(p)),
+        shift=_scale_shift(a=2),
+        rhs_value=_closed_form("lebesgue_finite"),
         coeffs=(lebesgue_keep, lebesgue_move)))
 
     add(ProofCertificate(
-        id="quintuple", symbols=("z",), order=1, k_shift=1,
-        term=quintuple_term, shift=_scale_shift(z=1),
-        rhs_value=lambda p, n: Fraction(1),
+        id="quintuple", identity="quintuple_finite", symbols=("z",),
+        order=1, k_shift=1,
+        term=_row_term("quintuple_finite", lambda p: _ident.quintuple_row(p)),
+        shift=_scale_shift(z=1),
+        rhs_value=_closed_form("quintuple_finite"),
         coeffs=(quintuple_keep, quintuple_move)))
 
     add(ProofCertificate(
-        id="schlosser", symbols=("a", "b", "c", "d"), order=0, k_shift=1,
+        id="schlosser", identity="schlosser_cr", symbols=("a", "b", "c", "d"),
+        order=0, k_shift=1,
         term=schlosser_term, shift=lambda p: p,
-        rhs_value=_schlosser_rhs_value,
+        rhs_value=_closed_form("schlosser_cr"),
         coeffs=(), multi=True))
 
     return certs
@@ -690,7 +584,7 @@ def inductive_replay(proof: CertOrId, point: ParamPoint, n_max: int) -> bool:
     """
     cert = _resolve(proof)
     if cert.multi:
-        return _schlosser_replay(point, n_max)
+        return _schlosser_replay(cert, point, n_max)
     pts = [point]
     for _ in range(n_max):
         pts.append(cert.shift(pts[-1]))
@@ -754,7 +648,8 @@ SCHLOSSER_REPLAY_MAX_R = 3
 SCHLOSSER_REPLAY_MAX_N = 3
 
 
-def _schlosser_replay(point: ParamPoint, n_max: int) -> bool:
+def _schlosser_replay(cert: ProofCertificate, point: ParamPoint,
+                      n_max: int) -> bool:
     """Replay the C_r induction: at each level, the n=1 lemma re-based at
     a -> a q^{level-1}, the split residuals, the coefficient residuals, and a
     direct two-sided evaluation must all hold."""
@@ -764,7 +659,7 @@ def _schlosser_replay(point: ParamPoint, n_max: int) -> bool:
         raise ValueError("replay cost guard: r <= %d" % SCHLOSSER_REPLAY_MAX_R)
     a = point.sym("a")
     q = point.sym("q")
-    if _schlosser_lhs_value(point, 0) != _schlosser_rhs_value(point, 0):
+    if cert.lhs_value(point, 0) != cert.rhs_value(point, 0):
         return False
     for level in range(1, n_max + 1):
         lemma_point = point.with_symbols(a=a * q**(level - 1))
@@ -778,6 +673,6 @@ def _schlosser_replay(point: ParamPoint, n_max: int) -> bool:
         for ss in itertools.product((0, 1), repeat=r):
             if schlosser_coeff_residual(point, level - 1, r, ss) != 0:
                 return False
-        if _schlosser_lhs_value(point, level) != _schlosser_rhs_value(point, level):
+        if cert.lhs_value(point, level) != cert.rhs_value(point, level):
             return False
     return True

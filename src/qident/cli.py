@@ -48,7 +48,6 @@ class RunConfig:
     series_trials: int = SERIES_DEFAULT_TRIALS
     cert_trials: int = CERT_DEFAULT_TRIALS
     max_abs: int = ident.DEFAULT_SIZE_BOUND
-    jobs: int = 1
     fmt: str = "text"
     out: Optional[str] = None
 
@@ -67,7 +66,6 @@ class RunConfig:
             "r_max": self.r_max,
             "order": self.order,
             "max_abs": self.max_abs,
-            "jobs": self.jobs,
         }
 
 
@@ -106,7 +104,7 @@ def _verify_item(identity_id: str, config: RunConfig) -> Dict:
     start = time.monotonic()
     try:
         report = ident.verify(identity_id, config.trials, config.seed, ranges,
-                              size_bound=config.max_abs, jobs=config.jobs)
+                              size_bound=config.max_abs)
     except ident.CounterexampleFound as exc:
         rep = exc.report
         item.update(status="FAIL", succeeded=rep.succeeded,
@@ -183,7 +181,7 @@ def _certify_item(proof_id: str, config: RunConfig) -> Dict:
         done = False
         for _ in range(ident.DEFAULT_RETRY_CAP):
             point = certs.sample_certificate_point(
-                cert, rng, config.max_abs, (1, min(config.r_max, 3)))
+                cert, rng, config.max_abs, (1, config.r_max))
             try:
                 counts, failure = _certificate_checks(cert, point, config)
             except PoleError:
@@ -349,7 +347,6 @@ def build_parser(default_seed: int, default_trials: int) -> argparse.ArgumentPar
         p.add_argument("--seed", type=int, default=default_seed)
         p.add_argument("--max-abs", type=int, default=ident.DEFAULT_SIZE_BOUND,
                        help="numerator/denominator size bound for samples")
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--format", dest="fmt", choices=("text", "json"),
                        default="text")
         p.add_argument("--out", default=None, help="write the report here "
@@ -405,13 +402,26 @@ def _check_ranges(args: argparse.Namespace) -> None:
         if value < 1:
             raise ConfigError("--%s must be at least 1, got %d"
                               % (attr.replace("_", "-"), value))
+    # every proof must check at least one recurrence: the deepest has order 2
+    least_n = 0 if args.command == "verify" else 2
+    for attr, least in (("n_max", least_n), ("m_max", 0), ("r_max", 1)):
+        value = getattr(args, attr, least)
+        if value < least:
+            raise ConfigError("--%s must be at least %d for %s, got %d"
+                              % (attr.replace("_", "-"), least, args.command,
+                                 value))
+    most_r = (ident.MULTISUM_MAX_R if args.command == "verify"
+              else certs.SCHLOSSER_REPLAY_MAX_R)
+    if getattr(args, "r_max", 1) > most_r:
+        raise ConfigError("--r-max must be at most %d for %s, got %d"
+                          % (most_r, args.command, args.r_max))
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     _check_ranges(args)
     command = args.command
     config = RunConfig(command=command, seed=args.seed, max_abs=args.max_abs,
-                       jobs=args.jobs, fmt=args.fmt, out=args.out)
+                       fmt=args.fmt, out=args.out)
     if command == "verify":
         config.identity_ids = _resolve_selection(
             args.id or (), ident.identity_ids(), "identity")

@@ -1,5 +1,8 @@
 """Terminating basic hypergeometric sums and the well-poised contiguous relations.
 
+``poch_ratio_terms`` is the package's one term-ratio loop: every terminating
+summand row, in ``identities`` and so in the certificates, is built on it.
+
 The two contiguous relations implemented here connect the k-th term of a
 well-poised series whose last two parameters differ by a factor of q (first
 relation) or whose argument differs by a factor of q (second relation) to the
@@ -11,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import Iterable, Iterator, Sequence, Tuple
 
 from .qcore import PoleError, qpoch, qpoch_multi
 
@@ -37,39 +40,88 @@ class PhiSpec:
             raise ValueError("term_count must be >= 0")
 
 
-def poch_ratio_sum(nums: Sequence, dens: Sequence, q, z, terms: int) -> Fraction:
-    """Exact sum_{k=0}^{terms-1} (nums;q)_k z^k / (dens;q)_k, incrementally.
+def poch_ratio_terms(nums: Sequence, dens: Sequence, q, z,
+                     terms: int) -> Iterator[Fraction]:
+    """Yield T_0 = 1, T_1, ..., T_{terms-1} of T_k = (nums;q)_k z^k / (dens;q)_k.
 
-    ``dens`` must already include q itself when the usual (q;q)_k factor is
-    wanted.  Each term is the previous one times a ratio of linear factors,
-    so no Pochhammer is ever recomputed from scratch.
+    Each term is the one before times the term ratio
+    z prod(1 - a q^k) / prod(1 - b q^k), so no Pochhammer is recomputed.  An
+    entry of ``nums`` or ``dens`` is a value a, read as (a;q)_k, or a pair
+    (a, p), read as (a;p)_k.  ``dens`` must already include q itself when the
+    usual (q;q)_k factor is wanted.  When a denominator factor vanishes, every
+    term before it has been yielded and PoleError is raised.
     """
     q = Fraction(q)
     z = Fraction(z)
-    nums = [Fraction(a) for a in nums]
-    dens = [Fraction(b) for b in dens]
-    if terms <= 0:
-        return Fraction(0)
-    total = Fraction(1)
+    num_runs = _runs(nums, q)
+    den_runs = _runs(dens, q)
     term = Fraction(1)
-    npow = list(nums)
-    dpow = list(dens)
-    for k in range(terms - 1):
+    for k in range(terms):
+        yield term
+        if k == terms - 1:
+            return
         ratio = z
-        for i in range(len(npow)):
-            ratio *= 1 - npow[i]
-            npow[i] *= q
-        for i in range(len(dpow)):
-            factor = 1 - dpow[i]
+        for run in num_runs:
+            ratio *= 1 - run[0]
+            run[0] *= run[1]
+        for run, b in zip(den_runs, dens):
+            factor = 1 - run[0]
             if factor == 0:
                 raise PoleError(
                     "denominator factor 1 - (%s) q^%d vanished at k=%d"
-                    % (dens[i], k, k + 1))
+                    % (b, k, k + 1))
             ratio /= factor
-            dpow[i] *= q
+            run[0] *= run[1]
         term *= ratio
-        total += term
-    return total
+
+
+def _runs(params: Sequence, q: Fraction) -> list:
+    """[current factor, base] for each Pochhammer parameter."""
+    return [[Fraction(a[0]), Fraction(a[1])] if isinstance(a, tuple)
+            else [Fraction(a), q] for a in params]
+
+
+def poch_ratio_sum(nums: Sequence, dens: Sequence, q, z, terms: int) -> Fraction:
+    """Exact sum_{k=0}^{terms-1} (nums;q)_k z^k / (dens;q)_k (see
+    ``poch_ratio_terms``)."""
+    return sum(poch_ratio_terms(nums, dens, q, z, terms), Fraction(0))
+
+
+@dataclass(frozen=True)
+class TermRow:
+    """The terms F_0, ..., F_n of one terminating sum, as far as defined.
+
+    ``terms`` stops short of n + 1 entries where a denominator factor
+    vanished; reading a term from there on, or the total, raises PoleError.
+    Terms outside [0, n] are 0.
+    """
+
+    terms: Tuple[Fraction, ...]
+    n: int
+    pole: str = ""
+
+    def term(self, k: int) -> Fraction:
+        if k < 0 or k > self.n:
+            return Fraction(0)
+        if k >= len(self.terms):
+            raise PoleError(self.pole)
+        return self.terms[k]
+
+    def total(self) -> Fraction:
+        if len(self.terms) <= self.n:
+            raise PoleError(self.pole)
+        return sum(self.terms, Fraction(0))
+
+
+def term_row(terms: Iterable[Fraction], n: int) -> TermRow:
+    """Collect the terms k = 0..n; a PoleError ends the row where it arose."""
+    out = []
+    try:
+        for t in terms:
+            out.append(t)
+    except PoleError as exc:
+        return TermRow(tuple(out), n, str(exc))
+    return TermRow(tuple(out), n)
 
 
 def phi_sum(spec: PhiSpec) -> Fraction:

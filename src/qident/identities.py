@@ -10,18 +10,19 @@ bounded by total degree over sample-space size and is negligible here.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, Mapping, Optional,
+                    Sequence, Tuple)
 
 from .qcore import (ParamPoint, PoleError, QIdentityError,
                     qbinom, qpoch, qpoch_multi)
-from .hyper import poch_ratio_sum
+from .hyper import TermRow, poch_ratio_terms, term_row
 
 # Cost guard for the r-fold multi-sums (exact bignum arithmetic grows fast).
 MULTISUM_MAX_R = 4
@@ -50,6 +51,28 @@ def _div(num: Fraction, den: Fraction, what: str = "denominator") -> Fraction:
     return num / den
 
 
+def _well_poised(a, q, terms: Iterable[Fraction]) -> Iterator[Fraction]:
+    """The given terms, the k-th times the well-poised factor
+    (1 - a q^{2k})/(1 - a)."""
+    if a == 1:
+        raise PoleError("very-well-poised anchor must differ from 1")
+    for k, t in enumerate(terms):
+        yield t * (1 - a * q**(2*k)) / (1 - a)
+
+
+def _vwp_terms(a1, middles: Sequence, q, n: int, z) -> Iterator[Fraction]:
+    """The terms k = 0..n of ``vwp_sum``."""
+    a1 = Fraction(a1)
+    q = Fraction(q)
+    middles = [Fraction(m) for m in middles]
+    for m in middles:
+        if m == 0:
+            raise PoleError("very-well-poised middle parameter must be nonzero")
+    nums = [a1] + middles + [q ** (-n)]
+    dens = [q] + [a1 * q / m for m in middles] + [a1 * q ** (n + 1)]
+    return _well_poised(a1, q, poch_ratio_terms(nums, dens, q, z, n + 1))
+
+
 def vwp_sum(a1, middles: Sequence, q, n: int, z) -> Fraction:
     """Terminating very-well-poised sum with anchor a1 and the given middle
     parameters: sum_{k=0}^{n} of
@@ -61,41 +84,40 @@ def vwp_sum(a1, middles: Sequence, q, n: int, z) -> Fraction:
     The paired square-root parameters of the classical printing enter only
     through the ratio (1 - a1 q^{2k})/(1 - a1), so everything stays rational.
     """
-    a1 = Fraction(a1)
-    q = Fraction(q)
-    z = Fraction(z)
-    if a1 == 1:
-        raise PoleError("very-well-poised anchor must differ from 1")
-    middles = [Fraction(m) for m in middles]
-    for m in middles:
-        if m == 0:
-            raise PoleError("very-well-poised middle parameter must be nonzero")
-    nums = [a1] + middles + [q ** (-n)]
-    dens = [q] + [a1 * q / m for m in middles] + [a1 * q ** (n + 1)]
-    total = Fraction(0)
-    base = Fraction(1)          # Pochhammer-ratio part of the k-th term
-    npow = list(nums)
-    dpow = list(dens)
-    vwp = Fraction(1)           # q^{2k} running power for the (1 - a1 q^{2k}) factor
-    one_minus_a1 = 1 - a1
-    for k in range(n + 1):
-        total += base * (1 - a1 * vwp) / one_minus_a1
-        if k == n:
-            break
-        ratio = z
-        for i in range(len(npow)):
-            ratio *= 1 - npow[i]
-            npow[i] *= q
-        for i in range(len(dpow)):
-            factor = 1 - dpow[i]
-            if factor == 0:
-                raise PoleError("denominator factor 1 - (%s) q^%d vanished"
-                                % (dens[i], k))
-            ratio /= factor
-            dpow[i] *= q
-        base *= ratio
-        vwp *= q * q
-    return total
+    return sum(_vwp_terms(a1, middles, q, n, z), Fraction(0))
+
+
+def _memo_rows(build: Callable[[ParamPoint], TermRow]
+               ) -> Callable[[ParamPoint], TermRow]:
+    """Memoize a summand-row builder on the point's symbol and index values.
+
+    A certificate sweep reads each row at every k of a level, and the next
+    level reads most of them again: a C_r step at r = 3 reads the rows of
+    2^3 + 1 points.  Sixteen recent rows cover that.  A pole raised before
+    the row exists is not cached.
+    """
+    @functools.lru_cache(maxsize=16)
+    def cached(symbols, indices):
+        return build(ParamPoint(dict(symbols), dict(indices)))
+
+    @functools.wraps(build)
+    def row(point: ParamPoint):
+        return cached(tuple(sorted(point.symbols.items())),
+                      tuple(sorted(point.indices.items())))
+    return row
+
+
+def pair_product(a, q, xs: Sequence, shifts: Sequence[int]) -> Fraction:
+    """The pair-interaction product of the C_r sums,
+
+        prod_{i<j} (x_i q^{s_i} - x_j q^{s_j})(1 - a x_i x_j q^{s_i+s_j}).
+    """
+    ys = [x * q**s for x, s in zip(xs, shifts)]
+    t = Fraction(1)
+    for i in range(len(ys)):
+        for j in range(i + 1, len(ys)):
+            t *= (ys[i] - ys[j]) * (1 - a * ys[i] * ys[j])
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +265,19 @@ def _xs(point: ParamPoint, r: int) -> list:
 # identity evaluators
 # ---------------------------------------------------------------------------
 
-def _jackson_lhs(p: ParamPoint) -> Fraction:
+# A summand row holds the terms k = 0..n of one side at one point; each side
+# below that is a single sum is the total of its row, and the certificates
+# read their summands F_{n,k} and G_{n,k} from the same rows.
+
+@_memo_rows
+def jackson_row(p: ParamPoint) -> TermRow:
     a, b, c, d, e, q = (p.sym(s) for s in "abcdeq")
-    return vwp_sum(a, [b, c, d, e], q, p.idx("n"), q)
+    n = p.idx("n")
+    return term_row(_vwp_terms(a, [b, c, d, e], q, n, q), n)
+
+
+def _jackson_lhs(p: ParamPoint) -> Fraction:
+    return jackson_row(p).total()
 
 
 def _jackson_rhs(p: ParamPoint) -> Fraction:
@@ -273,20 +305,31 @@ def _6phi5_rhs(p: ParamPoint) -> Fraction:
                 qpoch_multi([a*q/b, a*q/c], q, n))
 
 
-def _watson_lhs(p: ParamPoint) -> Fraction:
+@_memo_rows
+def watson_row(p: ParamPoint) -> TermRow:
     a, b, c, d, e, q = (p.sym(s) for s in "abcdeq")
     n = p.idx("n")
-    return vwp_sum(a, [b, c, d, e], q, n, a*a*q**(n+2)/(b*c*d*e))
+    z = a*a*q**(n+2)/(b*c*d*e)
+    return term_row(_vwp_terms(a, [b, c, d, e], q, n, z), n)
 
 
-def _watson_rhs(p: ParamPoint) -> Fraction:
+@_memo_rows
+def watson_rhs_row(p: ParamPoint) -> TermRow:
     a, b, c, d, e, q = (p.sym(s) for s in "abcdeq")
     n = p.idx("n")
     pre = _div(qpoch_multi([a*q, a*q/(d*e)], q, n),
                qpoch_multi([a*q/d, a*q/e], q, n))
-    ser = poch_ratio_sum([a*q/(b*c), d, e, q**(-n)],
-                         [q, a*q/b, a*q/c, d*e*q**(-n)/a], q, q, n + 1)
-    return pre * ser
+    ser = poch_ratio_terms([a*q/(b*c), d, e, q**(-n)],
+                           [q, a*q/b, a*q/c, d*e*q**(-n)/a], q, q, n + 1)
+    return term_row((pre * t for t in ser), n)
+
+
+def _watson_lhs(p: ParamPoint) -> Fraction:
+    return watson_row(p).total()
+
+
+def _watson_rhs(p: ParamPoint) -> Fraction:
+    return watson_rhs_row(p).total()
 
 
 def _vwp_derive(p: ParamPoint) -> ParamPoint:
@@ -302,20 +345,50 @@ def _vwp_rhs(p: ParamPoint) -> Fraction:
     return pre * vwp_sum(lam, [lam*b/a, lam*c/a, lam*d/a, e], q, n, a*q**(n+1)/e)
 
 
-def _bailey_lhs(p: ParamPoint) -> Fraction:
+@_memo_rows
+def bailey_row(p: ParamPoint) -> TermRow:
     a, b, c, d, e, f, q, lam = (p.sym(s) for s in ("a", "b", "c", "d", "e", "f", "q", "lam"))
     n = p.idx("n")
     g = lam*a*q**(n+1)/(e*f)
-    return vwp_sum(a, [b, c, d, e, f, g], q, n, q)
+    return term_row(_vwp_terms(a, [b, c, d, e, f, g], q, n, q), n)
 
 
-def _bailey_rhs(p: ParamPoint) -> Fraction:
+@_memo_rows
+def bailey_rhs_row(p: ParamPoint) -> TermRow:
     a, b, c, d, e, f, q, lam = (p.sym(s) for s in ("a", "b", "c", "d", "e", "f", "q", "lam"))
     n = p.idx("n")
     g = lam*a*q**(n+1)/(e*f)
     pre = _div(qpoch_multi([a*q, a*q/(e*f), lam*q/e, lam*q/f], q, n),
                qpoch_multi([a*q/e, a*q/f, lam*q/(e*f), lam*q], q, n))
-    return pre * vwp_sum(lam, [lam*b/a, lam*c/a, lam*d/a, e, f, g], q, n, q)
+    ser = _vwp_terms(lam, [lam*b/a, lam*c/a, lam*d/a, e, f, g], q, n, q)
+    return term_row((pre * t for t in ser), n)
+
+
+def _bailey_lhs(p: ParamPoint) -> Fraction:
+    return bailey_row(p).total()
+
+
+def _bailey_rhs(p: ParamPoint) -> Fraction:
+    return bailey_rhs_row(p).total()
+
+
+@_memo_rows
+def singh_lhs_row(p: ParamPoint) -> TermRow:
+    A, B, c, q = (p.sym(s) for s in ("A", "B", "c", "q"))
+    n = p.idx("n")
+    return term_row(poch_ratio_terms([A, B, c, q**(-n)],
+                                     [q, (A*B*q, q*q), -c*q**(-n)], q, q, n + 1), n)
+
+
+@_memo_rows
+def singh_rhs_row(p: ParamPoint) -> TermRow:
+    A, B, c, q = (p.sym(s) for s in ("A", "B", "c", "q"))
+    n = p.idx("n")
+    q2 = q * q
+    # (-c q^{-n};q)_{2k} = (-c q^{-n}, -c q^{1-n};q^2)_k
+    return term_row(poch_ratio_terms([A, B, c*c, q**(-2*n)],
+                                     [q2, A*B*q, -c*q**(-n), -c*q**(1-n)],
+                                     q2, q2, n + 1), n)
 
 
 def singh_sides(point: ParamPoint, terminating: str = "d") -> Tuple[Fraction, Fraction]:
@@ -329,29 +402,15 @@ def singh_sides(point: ParamPoint, terminating: str = "d") -> Tuple[Fraction, Fr
     """
     if terminating not in ("d", "c"):
         raise ValueError("terminating must be 'd' or 'c'")
-    A, B, c, q = (point.sym(s) for s in ("A", "B", "c", "q"))
-    n = point.idx("n")
-    q2 = q * q
-    lhs = Fraction(0)
-    for k in range(n + 1):
-        t = qpoch_multi([A, B, c, q**(-n)], q, k) * q**k
-        den = qpoch(q, q, k) * qpoch(A*B*q, q2, k) * qpoch(-c*q**(-n), q, k)
-        lhs += _div(t, den)
-    rhs = Fraction(0)
-    for k in range(n + 1):
-        t = qpoch_multi([A, B, c*c, q**(-2*n)], q2, k) * q2**k
-        den = (qpoch(q2, q2, k) * qpoch(A*B*q, q2, k)
-               * qpoch(-c*q**(-n), q, 2*k))
-        rhs += _div(t, den)
-    return lhs, rhs
+    return _singh_lhs(point), _singh_rhs(point)
 
 
 def _singh_lhs(p: ParamPoint) -> Fraction:
-    return singh_sides(p)[0]
+    return singh_lhs_row(p).total()
 
 
 def _singh_rhs(p: ParamPoint) -> Fraction:
-    return singh_sides(p)[1]
+    return singh_rhs_row(p).total()
 
 
 def _require_multisum_budget(n: int, r: int) -> None:
@@ -360,59 +419,37 @@ def _require_multisum_budget(n: int, r: int) -> None:
                          "got n=%d r=%d" % (MULTISUM_MAX_R, MULTISUM_MAX_TERMS, n, r))
 
 
-def schlosser_lhs(p: ParamPoint) -> Fraction:
+@_memo_rows
+def schlosser_axis_rows(p: ParamPoint) -> Tuple[TermRow, ...]:
+    """Per-axis summand rows of schlosser_cr: row i holds, for k_i = 0..n,
+    the factors of the summand that depend on x_i and k_i alone."""
     a, b, c, d, q = (p.sym(s) for s in "abcdq")
     n, r = p.idx("n"), p.idx("r")
-    _require_multisum_budget(n, r)
-    xs = _xs(p, r)
-    pair_den = Fraction(1)
-    for i in range(r):
-        for j in range(i + 1, r):
-            pair_den *= (xs[i] - xs[j]) * (1 - a*xs[i]*xs[j])
-    if pair_den == 0:
-        raise PoleError("pair-interaction denominator vanished")
-    # separable per-axis term tables, built incrementally
-    tables = []
-    for i in range(r):
-        xi = xs[i]
-        if 1 - a*xi*xi == 0:
-            raise PoleError("1 - a x_%d^2 vanished" % (i + 1))
+    rows = []
+    for xi in _xs(p, r):
         nums = [a*xi*xi, b*xi, c*xi, d*xi, a*a*xi*q**(n-r+2)/(b*c*d), q**(-n)]
         dens = [q, a*xi*q/b, a*xi*q/c, a*xi*q/d,
                 b*c*d*xi*q**(r-n-1)/a, a*xi*xi*q**(n+1)]
-        row = []
-        base = Fraction(1)
-        npow = list(nums)
-        dpow = list(dens)
-        vwp = Fraction(1)
-        for k in range(n + 1):
-            row.append(base * (1 - a*xi*xi*vwp) / (1 - a*xi*xi))
-            if k == n:
-                break
-            ratio = q
-            for t in range(len(npow)):
-                ratio *= 1 - npow[t]
-                npow[t] *= q
-            for t in range(len(dpow)):
-                factor = 1 - dpow[t]
-                if factor == 0:
-                    raise PoleError("axis %d denominator factor vanished at k=%d"
-                                    % (i + 1, k))
-                ratio /= factor
-                dpow[t] *= q
-            base *= ratio
-            vwp *= q*q
-        tables.append(row)
-    qpow = [[xs[i] * q**k for k in range(n + 1)] for i in range(r)]
+        rows.append(term_row(_well_poised(
+            a*xi*xi, q, poch_ratio_terms(nums, dens, q, q, n + 1)), n))
+    return tuple(rows)
+
+
+def schlosser_lhs(p: ParamPoint) -> Fraction:
+    a, q = p.sym("a"), p.sym("q")
+    n, r = p.idx("n"), p.idx("r")
+    _require_multisum_budget(n, r)
+    xs = _xs(p, r)
+    pair_den = pair_product(a, q, xs, [0] * r)
+    if pair_den == 0:
+        raise PoleError("pair-interaction denominator vanished")
+    tables = [[row.term(k) for k in range(n + 1)]
+              for row in schlosser_axis_rows(p)]
     total = Fraction(0)
     for ks in itertools.product(range(n + 1), repeat=r):
-        t = Fraction(1)
+        t = pair_product(a, q, xs, ks)
         for i in range(r):
             t *= tables[i][ks[i]]
-        for i in range(r):
-            for j in range(i + 1, r):
-                t *= ((qpow[i][ks[i]] - qpow[j][ks[j]])
-                      * (1 - a*xs[i]*xs[j]*q**(ks[i]+ks[j])))
         total += t
     return total / pair_den
 
@@ -438,15 +475,10 @@ def schlosser_lemma_lhs(p: ParamPoint) -> Fraction:
     a, b, c, d, q = (p.sym(s) for s in "abcdq")
     r = p.idx("r")
     xs = _xs(p, r)
+    pair_den = pair_product(a*q, q, xs, [0] * r)
     total = Fraction(0)
     for ss in itertools.product((0, 1), repeat=r):
-        t = Fraction(1)
-        for i in range(r):
-            for j in range(i + 1, r):
-                t *= ((xs[i]*q**ss[i] - xs[j]*q**ss[j])
-                      * (1 - a*xs[i]*xs[j]*q**(ss[i]+ss[j])))
-                t = _div(t, (xs[i] - xs[j]) * (1 - a*xs[i]*xs[j]*q),
-                         "lemma pair denominator")
+        t = _div(pair_product(a, q, xs, ss), pair_den, "lemma pair denominator")
         for i in range(r):
             xi, si = xs[i], ss[i]
             t *= Fraction(-1) ** si
@@ -497,20 +529,12 @@ def _cr_lhs(p: ParamPoint, signed: bool) -> Fraction:
     n, r = p.idx("n"), p.idx("r")
     _require_multisum_budget(n, r)
     xs = _xs(p, r)
-    pair_den = Fraction(1)
-    for i in range(r):
-        for j in range(i + 1, r):
-            pair_den *= (xs[i] - xs[j]) * (1 - a*xs[i]*xs[j]*q**n)
+    pair_den = pair_product(a*q**n, q, xs, [0] * r)
     if pair_den == 0:
         raise PoleError("pair-interaction denominator vanished")
-    qpow = [[xs[i] * q**k for k in range(n + 1)] for i in range(r)]
     total = Fraction(0)
     for ss in itertools.product(range(n + 1), repeat=r):
-        t = Fraction(1)
-        for i in range(r):
-            for j in range(i + 1, r):
-                t *= ((qpow[i][ss[i]] - qpow[j][ss[j]])
-                      * (1 - a*xs[i]*xs[j]*q**(ss[i]+ss[j])))
+        t = pair_product(a, q, xs, ss)
         s_tot = sum(ss)
         w = q ** (-(r - 1) * s_tot)
         if signed and s_tot % 2 == 1:
@@ -543,14 +567,19 @@ def _cr_xcheck(signed: bool):
     return check
 
 
-def _lebesgue_lhs(p: ParamPoint) -> Fraction:
+@_memo_rows
+def lebesgue_row(p: ParamPoint) -> TermRow:
+    """F_{n,k} = [n, k]_q q^{k(k+1)/2} / (a q^k;q)_{n+1}, which is
+    (q^{-n}, a;q)_k (-q^{n+1})^k / (q, a q^{n+1};q)_k / (a;q)_{n+1}."""
     a, q = p.sym("a"), p.sym("q")
     n = p.idx("n")
-    total = Fraction(0)
-    for k in range(n + 1):
-        total += _div(qbinom(n, k, q) * q**(k*(k+1)//2),
-                      qpoch(a*q**k, q, n + 1))
-    return total
+    pre = _div(Fraction(1), qpoch(a, q, n + 1))
+    ser = poch_ratio_terms([q**(-n), a], [q, a*q**(n+1)], q, -q**(n+1), n + 1)
+    return term_row((pre * t for t in ser), n)
+
+
+def _lebesgue_lhs(p: ParamPoint) -> Fraction:
+    return lebesgue_row(p).total()
 
 
 def _lebesgue_rhs(p: ParamPoint) -> Fraction:
@@ -592,15 +621,23 @@ def _jacobi_pref_rhs(p: ParamPoint) -> Fraction:
     return t * q**(k*k) * z**k
 
 
-def _quintuple_lhs(p: ParamPoint) -> Fraction:
+@_memo_rows
+def quintuple_row(p: ParamPoint) -> TermRow:
+    """F_{n,k} = (1 - z^2 q^{2k+1}) [n, k]_q (zq;q)_n z^k q^{k^2}
+    / (z^2 q^{k+1};q)_{n+1}; with a = z^2 q that is (zq;q)_n / (aq;q)_n times
+    the well-poised factor of a times
+    (a, q^{-n};q)_k (-z q^{n+1})^k q^{k(k-1)/2} / (q, a q^{n+1};q)_k."""
     z, q = p.sym("z"), p.sym("q")
     n = p.idx("n")
-    total = Fraction(0)
-    for k in range(n + 1):
-        t = (1 - z*z*q**(2*k+1)) * qbinom(n, k, q) * qpoch(z*q, q, n)
-        t = _div(t, qpoch(z*z*q**(k+1), q, n + 1))
-        total += t * z**k * q**(k*k)
-    return total
+    a = z*z*q
+    pre = _div(qpoch(z*q, q, n), qpoch(a*q, q, n))
+    ser = _well_poised(a, q, poch_ratio_terms(
+        [a, q**(-n)], [q, a*q**(n+1)], q, -z*q**(n+1), n + 1))
+    return term_row((pre * t * q**(k*(k-1)//2) for k, t in enumerate(ser)), n)
+
+
+def _quintuple_lhs(p: ParamPoint) -> Fraction:
+    return quintuple_row(p).total()
 
 
 def _quintuple_mn_lhs(p: ParamPoint) -> Fraction:
@@ -926,13 +963,13 @@ def _run_trial(desc: IdentityDescriptor, seed: int, trial: int,
 def verify(identity_id: str, trials: int, seed: int,
            index_ranges: Optional[Mapping[str, Tuple[int, int]]] = None, *,
            mutate_rhs: bool = False, size_bound: int = DEFAULT_SIZE_BOUND,
-           retry_cap: int = DEFAULT_RETRY_CAP, jobs: int = 1) -> VerificationReport:
+           retry_cap: int = DEFAULT_RETRY_CAP) -> VerificationReport:
     """Random-rational verification of one identity.
 
     Each trial derives its own RNG from (seed, identity id, trial index), so
-    reports are reproducible regardless of scheduling.  Raises
-    CounterexampleFound on the first exact mismatch (the report rides on the
-    exception) and RetryExhausted if every trial drowned in pole rejections.
+    reports are reproducible.  Raises CounterexampleFound on the first exact
+    mismatch (the report rides on the exception) and RetryExhausted if every
+    trial drowned in pole rejections.
     With ``mutate_rhs`` the right side is multiplied by q, which a healthy
     harness must catch.
     """
@@ -945,23 +982,9 @@ def verify(identity_id: str, trials: int, seed: int,
     report = VerificationReport(identity=desc.id, seed=seed,
                                 index_ranges=ranges, mutated=mutate_rhs)
     start = time.monotonic()
-
-    def run(trial: int):
-        return _run_trial(desc, seed, trial, ranges, size_bound, retry_cap,
-                          mutate_rhs)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run, range(trials)))
-    else:
-        outcomes = []
-        for trial in range(trials):
-            outcome = run(trial)
-            outcomes.append(outcome)
-            if outcome[0] == "fail":
-                break
-
-    for status, point, rejections in outcomes:
+    for trial in range(trials):
+        status, point, rejections = _run_trial(
+            desc, seed, trial, ranges, size_bound, retry_cap, mutate_rhs)
         report.attempted += 1
         report.point_rejections += rejections
         if status == "ok":

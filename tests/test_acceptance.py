@@ -9,6 +9,9 @@ import itertools
 import json
 import random
 import time
+from dataclasses import replace
+from fractions import Fraction
+
 import pytest
 
 from qident.qcore import PoleError
@@ -16,6 +19,7 @@ from qident.hyper import (WellPoisedTerm, contiguous_residual_1,
                           contiguous_residual_2)
 from qident import certs
 from qident import cli
+from qident import identities
 from qident.identities import (CounterexampleFound, derive_trial_seed,
                                identity_ids, random_q, random_rational,
                                verify)
@@ -210,6 +214,79 @@ def test_mutation_sensitivity():
           "RHS x q corruption caught within 20 trials for all 18 identities, "
           "%.1fs%s" % (elapsed, "" if ok else " missed=%r" % missed))
     assert not missed
+
+
+SCALE = Fraction(102, 101)
+
+# proof -> (planted fault, the check that must report it)
+CERT_FAULTS = {
+    "jackson": (lambda cert: replace(cert, coeffs=(
+        cert.coeffs[0], lambda p, n: cert.coeffs[1](p, n) * SCALE)),
+        "term_recurrence"),
+    "watson": (lambda cert: replace(
+        cert, anti_diff=lambda p, n, k: cert.anti_diff(p, n, k) * SCALE),
+        "telescoping"),
+    "bailey": (lambda cert: replace(
+        cert, shift=certs._scale_shift(a=1, b=1, c=1, d=1, e=1, f=1)),
+        "term_recurrence"),
+}
+
+
+@pytest.mark.parametrize("proof_id", sorted(CERT_FAULTS))
+def test_certificate_fault_matrix(proof_id):
+    plant, check = CERT_FAULTS[proof_id]
+    cert = certs.get_certificate(proof_id)
+    point = _certificate_point(cert, 0)
+    config = cli.RunConfig(command="certify", n_max=4)
+    _, failure = cli._certificate_checks(cert, point, config)
+    assert failure is None
+    _, failure = cli._certificate_checks(plant(cert), point, config)
+    caught = failure is not None and failure["check"] == check
+    _line("cert-fault-%s" % proof_id, caught,
+          "planted fault reported by the %s check" % check)
+    assert caught, failure
+
+
+# shared summand row -> (identity, proof) that both read it
+SHARED_ROWS = {
+    "jackson_row": ("jackson_8phi7", "jackson"),
+    "watson_row": ("watson_transform", "watson"),
+    "watson_rhs_row": ("watson_transform", "watson"),
+    "bailey_row": ("bailey_10phi9", "bailey"),
+    "bailey_rhs_row": ("bailey_10phi9", "bailey"),
+    "singh_lhs_row": ("singh_quadratic", "singh"),
+    "singh_rhs_row": ("singh_quadratic", "singh"),
+    "lebesgue_row": ("lebesgue_finite", "lebesgue"),
+    "quintuple_row": ("quintuple_finite", "quintuple"),
+}
+
+
+@pytest.mark.parametrize("row_name", sorted(SHARED_ROWS))
+def test_shared_row_fault_fails_identity_and_proof(monkeypatch, row_name):
+    identity_id, proof_id = SHARED_ROWS[row_name]
+    config = cli.RunConfig(command="all", identity_ids=(identity_id,),
+                           proof_ids=(proof_id,), trials=5, cert_trials=1,
+                           seed=SEED, n_max=3)
+    # the healthy run also fills the row memo, which must not mask the fault
+    status, _ = cli.run(config)
+    assert status == 0
+    healthy = getattr(identities, row_name)
+
+    def faulty(point):
+        row = healthy(point)
+        if len(row.terms) < 2:
+            return row
+        return replace(row, terms=(row.terms[0], row.terms[1] * SCALE)
+                       + row.terms[2:])
+
+    monkeypatch.setattr(identities, row_name, faulty)
+    status, report = cli.run(config)
+    statuses = [item["status"] for item in report["items"]]
+    _line("row-fault-%s" % row_name, statuses == ["FAIL", "FAIL"],
+          "F_{n,1} x 102/101: %s %s, %s %s" % (identity_id, statuses[0],
+                                                proof_id, statuses[1]))
+    assert status == 1
+    assert statuses == ["FAIL", "FAIL"]
 
 
 def test_determinism():

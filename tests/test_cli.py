@@ -184,12 +184,34 @@ def test_lebesgue_finite_2_selectable(capsys):
     (["all", "--cert-trials", "0"], "--cert-trials"),
     (["all", "--series-trials", "0"], "--series-trials"),
     (["all", "--order", "-1"], "--order"),
+    (["verify", "--id", "jackson_8phi7", "--n-max", "-1"], "--n-max"),
+    (["verify", "--id", "jacobi_finite", "--m-max", "-1"], "--m-max"),
+    (["verify", "--id", "cr_prop_1", "--r-max", "0"], "--r-max"),
+    (["certify", "--proof", "schlosser", "--r-max", "0"], "--r-max"),
+    (["certify", "--proof", "jackson", "--n-max", "-1"], "--n-max"),
+    (["certify", "--proof", "singh", "--n-max", "1"], "--n-max"),
+    (["all", "--n-max", "1"], "--n-max"),
+    (["all", "--m-max", "-1"], "--m-max"),
+    (["all", "--r-max", "0"], "--r-max"),
 ])
 def test_bad_values_exit_2(capsys, argv, flag):
     status, out, err = run_main(capsys, argv)
     assert status == 2
     assert out == ""
     assert err.startswith("error: %s must be at least" % flag)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, flag, most", [
+    (["verify", "--id", "cr_prop_1", "--r-max", "6"], "--r-max", 4),
+    (["certify", "--proof", "schlosser", "--r-max", "9"], "--r-max", 3),
+    (["all", "--r-max", "4"], "--r-max", 3),
+])
+def test_too_large_values_exit_2(capsys, argv, flag, most):
+    status, out, err = run_main(capsys, argv)
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: %s must be at most %d" % (flag, most))
     assert "Traceback" not in err
 
 

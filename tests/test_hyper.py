@@ -2,12 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qident.qcore import PoleError, qpoch, qpoch_multi
 from qident.hyper import (PhiSpec, WellPoisedTerm, contiguous_alpha,
                           contiguous_beta, contiguous_residual_1,
-                          contiguous_residual_2, phi_sum,
+                          contiguous_residual_2, phi_sum, poch_ratio_sum,
+                          poch_ratio_terms, term_row,
                           trivial_identity_residuals, wp_term)
+
+small_rats = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+# a parameter and the power of q that is its base
+params = st.lists(st.tuples(small_rats, st.sampled_from((1, 2))), max_size=4)
 
 
 def rand_rational(rng, bound=1000):
@@ -75,6 +81,58 @@ def test_phi_sum_pole_reported_with_position():
     spec = PhiSpec((2, 3), (Fraction(1, 2),), 2, 1, 4)
     with pytest.raises(PoleError, match="k="):
         phi_sum(spec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(params, params, small_rats.filter(lambda v: v not in (0, 1, -1)),
+       small_rats, st.integers(0, 8))
+def test_poch_ratio_terms_match_pochhammers(nums, dens, q, z, n):
+    def entries(ps):
+        return [a if e == 1 else (a, q**e) for a, e in ps]
+
+    def poch(ps, k):
+        out = Fraction(1)
+        for a, e in ps:
+            out *= qpoch(a, q**e, k)
+        return out
+
+    expected = []
+    for k in range(n + 1):
+        den = poch(dens, k)
+        if den == 0:
+            break
+        expected.append(poch(nums, k) * z**k / den)
+    got = []
+    try:
+        for t in poch_ratio_terms(entries(nums), entries(dens), q, z, n + 1):
+            got.append(t)
+    except PoleError:
+        assert len(expected) <= n
+    assert got == expected
+
+
+def test_poch_ratio_terms_pole_at_known_k():
+    # (1/8;2)_k vanishes from k = 4 on: 1 - (1/8) 2^3 = 0
+    q = Fraction(2)
+    nums, dens = [Fraction(3, 5), Fraction(-7, 2)], [q, Fraction(1, 8)]
+    terms = poch_ratio_terms(nums, dens, q, Fraction(5, 3), 7)
+    for k in range(4):
+        assert next(terms) == (qpoch_multi(nums, q, k) * Fraction(5, 3)**k
+                               / qpoch_multi(dens, q, k))
+    with pytest.raises(PoleError, match="k=4"):
+        next(terms)
+    with pytest.raises(PoleError):
+        poch_ratio_sum(nums, dens, q, Fraction(5, 3), 7)
+    assert poch_ratio_sum(nums, dens, q, Fraction(5, 3), 4) == sum(
+        poch_ratio_terms(nums, dens, q, Fraction(5, 3), 4))
+    row = term_row(poch_ratio_terms(nums, dens, q, Fraction(5, 3), 7), 6)
+    assert len(row.terms) == 4
+    assert row.term(3) != 0
+    assert row.term(-1) == row.term(7) == 0
+    with pytest.raises(PoleError):
+        row.term(4)
+    with pytest.raises(PoleError):
+        row.total()
 
 
 def test_wp_term_values():

@@ -147,12 +147,6 @@ def test_verify_rejects_bad_trials():
         verify("jackson_8phi7", 0, 1)
 
 
-def test_verify_jobs_matches_sequential():
-    seq = verify("watson_transform", 6, 99)
-    par = verify("watson_transform", 6, 99, jobs=3)
-    assert (seq.succeeded, seq.rejected) == (par.succeeded, par.rejected)
-
-
 def test_mutation_detected():
     for identity_id in ("jackson_8phi7", "cr_prop_2", "quintuple_finite"):
         with pytest.raises(CounterexampleFound) as info:
