@@ -14,15 +14,18 @@ entries of the proved identity's summand rows in ``identities``, and the
 sides at level n are that identity's own evaluators, so a certificate
 replays the proof of exactly the sums the harness verifies.
 
-Single-index recurrences come in two shapes:
+Every recurrence is one tuple of steps (c, dn, s), read as
 
-    order 1:  F_{n,k} = c_keep(n) F_{n-1,k} + c_move(n) F_{n-1,k-ks}(sigma p)
-    order 2:  F_{n,k} = alpha(n) F_{n-1,k} - beta(n) F_{n-2,k}
-                        + gamma(n) F_{n-2,k-2}(sigma p)
+    F_{n,k} = sum over steps of c(p, n) F_{n-dn, k-s*k_shift}(sigma^s p):
 
-The multi-index certificate (the C_r sum) replaces the single shifted term
-with a 2^r-fold split over s in {0,1}^r with per-s coefficients beta_s and
-per-axis shifts x_i -> x_i q^{s_i}.
+    jackson, watson, bailey:   (1, 1, 0)        (c_move, 1, 1)
+    lebesgue, quintuple:       (c_keep, 1, 0)   (c_move, 1, 1)
+    singh:                     (alpha, 1, 0)    (-beta, 2, 0)    (gamma, 2, 1)
+
+The term recurrence, the telescoped right-side combination and the replay's
+propagation all read these steps.  The multi-index certificate (the C_r sum)
+has no steps: its recurrence is a 2^r-fold split over s in {0,1}^r with
+per-s coefficients beta_s and per-axis shifts x_i -> x_i q^{s_i}.
 """
 
 from __future__ import annotations
@@ -33,12 +36,14 @@ from fractions import Fraction
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 from .hyper import TermRow
-from .qcore import ParamPoint, PoleError, qpoch, qpoch_multi
+from .qcore import ParamPoint, qpoch, qpoch_multi
 from . import identities as _ident
+from .identities import _div, _xs
 
 TermFn = Callable[[ParamPoint, int, int], Fraction]
 CoeffFn = Callable[[ParamPoint, int], Fraction]
 ValueFn = Callable[[ParamPoint, int], Fraction]
+Step = Tuple[CoeffFn, int, int]     # (coefficient, levels down, shifts)
 
 
 @dataclass(frozen=True)
@@ -46,12 +51,12 @@ class ProofCertificate:
     id: str
     identity: str                   # the registered identity the proof proves
     symbols: Tuple[str, ...]
-    order: int                      # recurrence depth in n (1 or 2; 0 = multi)
+    order: int                      # recurrence depth in n
     k_shift: int
     term: TermFn
     shift: Callable[[ParamPoint], ParamPoint]
     rhs_value: ValueFn
-    coeffs: Tuple[CoeffFn, ...]
+    steps: Tuple[Step, ...]
     rhs_term: Optional[TermFn] = None
     anti_diff: Optional[TermFn] = None
     multi: bool = False
@@ -91,16 +96,6 @@ def _sym(point: ParamPoint, names: str):
     return tuple(point.sym(s) for s in names)
 
 
-def _xs(point: ParamPoint, r: int) -> list:
-    return [point.sym("x%d" % i) for i in range(1, r + 1)]
-
-
-def _zero_div(num: Fraction, den: Fraction) -> Fraction:
-    if den == 0:
-        raise PoleError("certificate denominator vanished")
-    return num / den
-
-
 # ---------------------------------------------------------------------------
 # balanced very-well-poised summation (four free parameters)
 # ---------------------------------------------------------------------------
@@ -111,7 +106,7 @@ def jackson_gamma(p: ParamPoint, n: int) -> Fraction:
            * (1 - a*q*q) * (1 - b) * (1 - c) * (1 - d) * q)
     den = ((1 - b*c*d*q**(-n)/a) * (1 - a*q**n) * (1 - a*q/b) * (1 - a*q/c)
            * (1 - a*q/d) * (1 - b*c*d*q**(1-n)/a) * (1 - a*q**(n+1)))
-    return _zero_div(num, den)
+    return _div(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -124,20 +119,20 @@ def watson_beta(p: ParamPoint, n: int) -> Fraction:
         * a*a*q**(n+1)
     den = ((1 - a*q/b) * (1 - a*q/c) * (1 - a*q/d) * (1 - a*q/e)
            * (1 - a*q**n) * (1 - a*q**(n+1)) * b*c*d*e)
-    return _zero_div(num, den)
+    return _div(num, den)
 
 
 def watson_anti_diff(p: ParamPoint, n: int, k: int) -> Fraction:
     if k < 0:
         return Fraction(0)
     a, b, c, d, e, q = _sym(p, "abcdeq")
-    pre = _zero_div(qpoch(a*q, q, n - 1) * qpoch(a*q/(d*e), q, n),
-                    qpoch_multi([a*q/d, a*q/e], q, n))
+    pre = _div(qpoch(a*q, q, n - 1) * qpoch(a*q/(d*e), q, n),
+               qpoch_multi([a*q/d, a*q/e], q, n))
     num = (qpoch_multi([a*q/(b*c), q**(1-n)], q, k)
            * qpoch_multi([d, e], q, k + 1))
     den = (qpoch_multi([q, a*q/b, a*q/c], q, k)
            * qpoch(d*e*q**(-n)/a, q, k + 1))
-    return pre * _zero_div(num, den)
+    return pre * _div(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +147,7 @@ def bailey_alpha(p: ParamPoint, n: int) -> Fraction:
     den = ((1 - a*q/b) * (1 - a*q/c) * (1 - a*q/d) * (1 - a*q/e) * (1 - a*q/f)
            * (1 - a*q**n) * (1 - a*q**(n+1))
            * (1 - e*f*q**(1-n)/lam) * (1 - e*f*q**(-n)/lam) * q**(n-1))
-    return _zero_div(num, den)
+    return _div(num, den)
 
 
 def bailey_anti_diff(p: ParamPoint, n: int, k: int) -> Fraction:
@@ -161,7 +156,7 @@ def bailey_anti_diff(p: ParamPoint, n: int, k: int) -> Fraction:
     a, b, c, d, e, f, q = _sym(p, "abcdefq")
     lam = a*a*q / (b*c*d)
     g = lam*a*q**(n+1) / (e*f)
-    pre = _zero_div(
+    pre = _div(
         (1 - a*lam*q**(2*n)/(e*f))
         * qpoch_multi([a*q, lam*q/e, lam*q/f], q, n - 1)
         * qpoch(a*q/(e*f), q, n),
@@ -171,7 +166,7 @@ def bailey_anti_diff(p: ParamPoint, n: int, k: int) -> Fraction:
            * qpoch_multi([lam, e, f], q, k + 1))
     den = (qpoch_multi([q, a*q/b, a*q/c, a*q/d, lam*q/e, lam*q/f], q, k)
            * qpoch_multi([e*f*q**(-n)/a, lam*q**n], q, k + 1))
-    return pre * _zero_div(num, den)
+    return pre * _div(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -180,12 +175,12 @@ def bailey_anti_diff(p: ParamPoint, n: int, k: int) -> Fraction:
 
 def singh_alpha(p: ParamPoint, n: int) -> Fraction:
     c, q = p.sym("c"), p.sym("q")
-    return _zero_div((1 + q) * (1 + c*q**(1-n)), q * (1 + c*q**(-n)))
+    return _div((1 + q) * (1 + c*q**(1-n)), q * (1 + c*q**(-n)))
 
 
 def singh_beta(p: ParamPoint, n: int) -> Fraction:
     c, q = p.sym("c"), p.sym("q")
-    return _zero_div(1 + c*q**(2-n), q * (1 + c*q**(-n)))
+    return _div(1 + c*q**(2-n), q * (1 + c*q**(-n)))
 
 
 def singh_gamma(p: ParamPoint, n: int) -> Fraction:
@@ -194,15 +189,15 @@ def singh_gamma(p: ParamPoint, n: int) -> Fraction:
            * (1 - c*c*q*q) * q**(3 - 2*n))
     den = ((1 - A*B*q) * (1 - A*B*q**3) * (1 + c*q**(-n)) * (1 + c*q**(1-n))
            * (1 + c*q**(2-n)) * (1 + c*q**(3-n)))
-    return _zero_div(num, den)
+    return _div(num, den)
 
 
 def singh_first_order_residual(p: ParamPoint, n: int, k: int) -> Fraction:
     """Residual of the first-order relation F_{n,k} - F_{n-1,k}
     = gamma'_n F_{n-1,k-1}(Aq, Bq, cq); always 0 for n >= 1."""
     A, B, c, q = _sym(p, "ABcq")
-    gamma1 = _zero_div(-(1 - A) * (1 - B) * (1 - c*c) * q**(1-n),
-                       (1 - A*B*q) * (1 + c*q**(-n)) * (1 + c*q**(1-n)))
+    gamma1 = _div(-(1 - A) * (1 - B) * (1 - c*c) * q**(1-n),
+                  (1 - A*B*q) * (1 + c*q**(-n)) * (1 + c*q**(1-n)))
     shifted = p.scaled(A=q, B=q, c=q)
     term = get_certificate("singh").term
     return (term(p, n, k) - term(p, n - 1, k)
@@ -221,7 +216,7 @@ def singh_anti_diff(p: ParamPoint, n: int, k: int) -> Fraction:
            * q**(2 - 2*n))
     den = (qpoch(q2, q2, k - 1) * qpoch(A*B*q, q2, k)
            * qpoch(-c*q**(-n), q, 2*k + 2))
-    return _zero_div(num, den)
+    return _div(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -230,22 +225,22 @@ def singh_anti_diff(p: ParamPoint, n: int, k: int) -> Fraction:
 
 def lebesgue_keep(p: ParamPoint, n: int) -> Fraction:
     a, q = p.sym("a"), p.sym("q")
-    return _zero_div(Fraction(1), 1 - a*q**n)
+    return _div(Fraction(1), 1 - a*q**n)
 
 
 def lebesgue_move(p: ParamPoint, n: int) -> Fraction:
     a, q = p.sym("a"), p.sym("q")
-    return _zero_div(q**n, 1 - a*q**n)
+    return _div(q**n, 1 - a*q**n)
 
 
 def quintuple_keep(p: ParamPoint, n: int) -> Fraction:
     z, q = p.sym("z"), p.sym("q")
-    return _zero_div(1 - z*q**n, 1 - z*z*q**(n+1))
+    return _div(1 - z*q**n, 1 - z*z*q**(n+1))
 
 
 def quintuple_move(p: ParamPoint, n: int) -> Fraction:
     z, q = p.sym("z"), p.sym("q")
-    return _zero_div((1 - z*q) * z * q**n, 1 - z*z*q**(n+1))
+    return _div((1 - z*q) * z * q**n, 1 - z*z*q**(n+1))
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +250,8 @@ def quintuple_move(p: ParamPoint, n: int) -> Fraction:
 def _pair_ratio(a, q, xs: Sequence, shifts: Sequence[int]) -> Fraction:
     """The pair-interaction product at the given shifts over its value at
     no shift."""
-    return _zero_div(_ident.pair_product(a, q, xs, shifts),
-                     _ident.pair_product(a, q, xs, [0] * len(xs)))
+    return _div(_ident.pair_product(a, q, xs, shifts),
+                _ident.pair_product(a, q, xs, [0] * len(xs)))
 
 
 def schlosser_term(p: ParamPoint, n: int, ks) -> Fraction:
@@ -289,7 +284,7 @@ def schlosser_split_coeff(p: ParamPoint, n: int, ss: Sequence[int]) -> Fraction:
         den = (q**(n*si)
                * qpoch_multi([a*xi*xi*q**(n+1), b*c*d*xi*q**(r-n-2)/a], q, 2*si)
                * qpoch_multi([a*xi*q/b, a*xi*q/c, a*xi*q/d], q, si))
-        t *= _zero_div(num, den)
+        t *= _div(num, den)
     return t
 
 
@@ -297,20 +292,6 @@ def _schlosser_shift_s(p: ParamPoint, ss: Sequence[int]) -> ParamPoint:
     q = p.sym("q")
     updates = {"x%d" % (i + 1): q**ss[i] for i in range(len(ss)) if ss[i]}
     return p.scaled(**updates) if updates else p
-
-
-def _schlosser_term_residual(p: ParamPoint, n: int, ks: Sequence[int]) -> Fraction:
-    if n < 1:
-        raise ValueError("term recurrence needs n >= 1")
-    r = p.idx("r")
-    ks = tuple(ks)
-    rhs = Fraction(0)
-    for ss in itertools.product((0, 1), repeat=r):
-        coeff = schlosser_split_coeff(p, n - 1, ss)
-        shifted = _schlosser_shift_s(p, ss)
-        rhs += coeff * schlosser_term(shifted, n - 1,
-                                      tuple(k - s for k, s in zip(ks, ss)))
-    return schlosser_term(p, n, ks) - rhs
 
 
 def schlosser_split_residual(point: ParamPoint, n: int, r: int, i: int,
@@ -340,10 +321,10 @@ def _schlosser_alpha_s(point: ParamPoint, n: int, r: int,
                        ss: Sequence[int]) -> Fraction:
     a, b, c, d, q = _sym(point, "abcdq")
     xs = _xs(point, r)
-    t = _zero_div(Fraction(1), (1 - q**(n+1)) ** r)
+    t = _div(Fraction(1), (1 - q**(n+1)) ** r)
     for i in range(r):
         xi, si = xs[i], ss[i]
-        t *= _zero_div((-q**(n+1)) ** (1 - si), 1 - a*xi*xi*q**(n+1))
+        t *= _div((-q**(n+1)) ** (1 - si), 1 - a*xi*xi*q**(n+1))
         t *= (1 - a*a*xi*q**(n-r+2)/(b*c*d)) ** (1 - si)
         t *= (1 - b*c*d*xi*q**(r-n-2)/a) ** (1 - si)
         t *= (1 - a*a*xi*q**(2*n-r+3)/(b*c*d)) ** si
@@ -364,14 +345,14 @@ def schlosser_coeff_residual(point: ParamPoint, n: int, r: int,
     form1 = _schlosser_alpha_s(point, n, r, ss) * _pair_ratio(a, q, xs, ss)
     for i in range(r):
         xi, si = xs[i], ss[i]
-        form1 *= _zero_div(1 - a*xi*xi*q**(2*si), 1 - a*xi*xi)
+        form1 *= _div(1 - a*xi*xi*q**(2*si), 1 - a*xi*xi)
         num = (qpoch(a*xi*xi, q, 2*si)
                * qpoch_multi([b*xi, c*xi, d*xi], q, si) * q**si
                * (1 - a*xi*xi*q**(n+si+1)) ** (1 - 2*si) * (1 - q**(-n-1)))
         den = (qpoch_multi([a*xi*q/b, a*xi*q/c, a*xi*q/d], q, si)
                * qpoch(b*c*d*xi*q**(r-n-2)/a, q, si + 1)
                * qpoch(a*a*xi*q**(n-r+2)/(b*c*d), q, 1 - si))
-        form1 *= _zero_div(num, den)
+        form1 *= _div(num, den)
     form2 = schlosser_split_coeff(_with_r(point, r), n, ss)
     return form1 - form2
 
@@ -395,6 +376,10 @@ def _scale_shift(**factors_of_q):
     return shift
 
 
+def _one(p: ParamPoint, n: int) -> Fraction:
+    return Fraction(1)
+
+
 def _build_certificates() -> Dict[str, ProofCertificate]:
     certs = {}
 
@@ -407,7 +392,7 @@ def _build_certificates() -> Dict[str, ProofCertificate]:
         term=_row_term("jackson_8phi7", lambda p: _ident.jackson_row(p)),
         shift=_scale_shift(a=2, b=1, c=1, d=1),
         rhs_value=_closed_form("jackson_8phi7"),
-        coeffs=(lambda p, n: Fraction(1), jackson_gamma)))
+        steps=((_one, 1, 0), (jackson_gamma, 1, 1))))
 
     add(ProofCertificate(
         id="watson", identity="watson_transform",
@@ -415,7 +400,7 @@ def _build_certificates() -> Dict[str, ProofCertificate]:
         term=_row_term("watson_transform", lambda p: _ident.watson_row(p)),
         shift=_scale_shift(a=2, b=1, c=1, d=1, e=1),
         rhs_value=_closed_form("watson_transform"),
-        coeffs=(lambda p, n: Fraction(1), watson_beta),
+        steps=((_one, 1, 0), (watson_beta, 1, 1)),
         rhs_term=_row_term("watson_transform",
                            lambda p: _ident.watson_rhs_row(p)),
         anti_diff=watson_anti_diff))
@@ -426,7 +411,7 @@ def _build_certificates() -> Dict[str, ProofCertificate]:
         term=_row_term("bailey_10phi9", lambda p: _ident.bailey_row(p)),
         shift=_scale_shift(a=2, b=1, c=1, d=1, e=1, f=1),
         rhs_value=_closed_form("bailey_10phi9"),
-        coeffs=(lambda p, n: Fraction(1), bailey_alpha),
+        steps=((_one, 1, 0), (bailey_alpha, 1, 1)),
         rhs_term=_row_term("bailey_10phi9", lambda p: _ident.bailey_rhs_row(p)),
         anti_diff=bailey_anti_diff))
 
@@ -436,7 +421,8 @@ def _build_certificates() -> Dict[str, ProofCertificate]:
         term=_row_term("singh_quadratic", lambda p: _ident.singh_lhs_row(p)),
         shift=_scale_shift(A=2, B=2, c=2),
         rhs_value=_closed_form("singh_quadratic"),
-        coeffs=(singh_alpha, singh_beta, singh_gamma),
+        steps=((singh_alpha, 1, 0), (lambda p, n: -singh_beta(p, n), 2, 0),
+               (singh_gamma, 2, 1)),
         rhs_term=_row_term("singh_quadratic",
                            lambda p: _ident.singh_rhs_row(p)),
         anti_diff=singh_anti_diff))
@@ -447,7 +433,7 @@ def _build_certificates() -> Dict[str, ProofCertificate]:
         term=_row_term("lebesgue_finite", lambda p: _ident.lebesgue_row(p)),
         shift=_scale_shift(a=2),
         rhs_value=_closed_form("lebesgue_finite"),
-        coeffs=(lebesgue_keep, lebesgue_move)))
+        steps=((lebesgue_keep, 1, 0), (lebesgue_move, 1, 1))))
 
     add(ProofCertificate(
         id="quintuple", identity="quintuple_finite", symbols=("z",),
@@ -455,14 +441,14 @@ def _build_certificates() -> Dict[str, ProofCertificate]:
         term=_row_term("quintuple_finite", lambda p: _ident.quintuple_row(p)),
         shift=_scale_shift(z=1),
         rhs_value=_closed_form("quintuple_finite"),
-        coeffs=(quintuple_keep, quintuple_move)))
+        steps=((quintuple_keep, 1, 0), (quintuple_move, 1, 1))))
 
     add(ProofCertificate(
         id="schlosser", identity="schlosser_cr", symbols=("a", "b", "c", "d"),
-        order=0, k_shift=1,
+        order=1, k_shift=1,
         term=schlosser_term, shift=lambda p: p,
         rhs_value=_closed_form("schlosser_cr"),
-        coeffs=(), multi=True))
+        steps=(), multi=True))
 
     return certs
 
@@ -497,6 +483,24 @@ def _resolve(cert: CertOrId) -> ProofCertificate:
 # residual operations
 # ---------------------------------------------------------------------------
 
+def _residual(cert: ProofCertificate, f: TermFn, point: ParamPoint, n: int,
+              k) -> Fraction:
+    """f at (point, n, k) minus the recurrence's right side read off f."""
+    total = f(point, n, k)
+    if cert.multi:
+        for ss in itertools.product((0, 1), repeat=point.idx("r")):
+            total -= (schlosser_split_coeff(point, n - 1, ss)
+                      * f(_schlosser_shift_s(point, ss), n - 1,
+                          tuple(ki - si for ki, si in zip(k, ss))))
+        return total
+    for coeff, dn, s in cert.steps:
+        shifted = point
+        for _ in range(s):
+            shifted = cert.shift(shifted)
+        total -= coeff(point, n) * f(shifted, n - dn, k - s * cert.k_shift)
+    return total
+
+
 def term_recurrence_residual(cert: CertOrId, point: ParamPoint, n: int,
                              k) -> Fraction:
     """F_{n,k} minus its recurrence right side; always exactly 0.
@@ -505,42 +509,11 @@ def term_recurrence_residual(cert: CertOrId, point: ParamPoint, n: int,
     for the multi-index one (an int is accepted there when r = 1).
     """
     cert = _resolve(cert)
-    if cert.multi:
-        if isinstance(k, int):
-            k = (k,)
-        return _schlosser_term_residual(point, n, k)
-    if cert.order == 2:
-        if n < 2:
-            raise ValueError("three-term recurrence needs n >= 2")
-        alpha, beta, gamma = cert.coeffs
-        shifted = cert.shift(point)
-        return (cert.term(point, n, k)
-                - alpha(point, n) * cert.term(point, n - 1, k)
-                + beta(point, n) * cert.term(point, n - 2, k)
-                - gamma(point, n) * cert.term(shifted, n - 2, k - cert.k_shift))
-    if n < 1:
-        raise ValueError("term recurrence needs n >= 1")
-    keep, move = cert.coeffs
-    shifted = cert.shift(point)
-    return (cert.term(point, n, k)
-            - keep(point, n) * cert.term(point, n - 1, k)
-            - move(point, n) * cert.term(shifted, n - 1, k - cert.k_shift))
-
-
-def _rhs_combination(cert: ProofCertificate, point: ParamPoint, n: int,
-                     k: int) -> Fraction:
-    """The telescoped combination of right-side terms at (n, k)."""
-    shifted = cert.shift(point)
-    if cert.order == 2:
-        alpha, beta, gamma = cert.coeffs
-        return (cert.rhs_term(point, n, k)
-                - alpha(point, n) * cert.rhs_term(point, n - 1, k)
-                + beta(point, n) * cert.rhs_term(point, n - 2, k)
-                - gamma(point, n) * cert.rhs_term(shifted, n - 2, k - cert.k_shift))
-    keep, move = cert.coeffs
-    return (cert.rhs_term(point, n, k)
-            - keep(point, n) * cert.rhs_term(point, n - 1, k)
-            - move(point, n) * cert.rhs_term(shifted, n - 1, k - cert.k_shift))
+    if n < cert.order:
+        raise ValueError("term recurrence needs n >= %d" % cert.order)
+    if cert.multi and isinstance(k, int):
+        k = (k,)
+    return _residual(cert, cert.term, point, n, k)
 
 
 def telescoping_residual(cert: CertOrId, point: ParamPoint, n: int,
@@ -551,7 +524,7 @@ def telescoping_residual(cert: CertOrId, point: ParamPoint, n: int,
         raise ValueError("certificate %s has no anti-difference" % cert.id)
     if n < cert.order:
         raise ValueError("telescoping needs n >= %d" % cert.order)
-    return (_rhs_combination(cert, point, n, k)
+    return (_residual(cert, cert.rhs_term, point, n, k)
             - (cert.anti_diff(point, n, k) - cert.anti_diff(point, n, k - 1)))
 
 
@@ -565,7 +538,7 @@ def boundary_check(cert: CertOrId, point: ParamPoint, n: int) -> bool:
         raise ValueError("boundary check needs n >= %d" % cert.order)
     total = Fraction(0)
     for k in range(n + 1):
-        total += _rhs_combination(cert, point, n, k)
+        total += _residual(cert, cert.rhs_term, point, n, k)
     return total == 0
 
 
@@ -576,11 +549,12 @@ def boundary_check(cert: CertOrId, point: ParamPoint, n: int) -> bool:
 def inductive_replay(proof: CertOrId, point: ParamPoint, n_max: int) -> bool:
     """Re-derive the identity from its base case at the given point.
 
-    The level-n recurrence references level n-1 at the shifted point, so the
-    replay propagates values over the triangle V[m][j] = level m at the j-fold
-    shifted point, starting from directly evaluated bases, and checks every
-    node against direct evaluation of both sides.  Returns True iff all
-    checks hold exactly.
+    The level-n recurrence references lower levels at shifted points, so the
+    replay propagates values over the triangle V[m][j] = level m at the
+    j-fold shifted point, V[m][j] = sum of c(p_j, m) V[m-dn][j+s] over the
+    steps, starting from directly evaluated levels 0..order-1, and checks
+    every node against direct evaluation of both sides.  Returns True iff
+    all checks hold exactly.
     """
     cert = _resolve(proof)
     if cert.multi:
@@ -590,30 +564,18 @@ def inductive_replay(proof: CertOrId, point: ParamPoint, n_max: int) -> bool:
         pts.append(cert.shift(pts[-1]))
 
     values: Dict[Tuple[int, int], Fraction] = {}
-    for j in range(n_max + 1):
-        base = cert.lhs_value(pts[j], 0)
-        if base != cert.rhs_value(pts[j], 0):
-            return False
-        values[(0, j)] = base
-    if cert.order == 2:
+    for m in range(cert.order):
         for j in range(n_max + 1):
-            one = cert.lhs_value(pts[j], 1)
-            if one != cert.rhs_value(pts[j], 1):
+            base = cert.lhs_value(pts[j], m)
+            if base != cert.rhs_value(pts[j], m):
                 return False
-            values[(1, j)] = one
+            values[(m, j)] = base
 
     for m in range(cert.order, n_max + 1):
         for j in range(n_max + 1 - m):
             p = pts[j]
-            if cert.order == 2:
-                alpha, beta, gamma = cert.coeffs
-                propagated = (alpha(p, m) * values[(m - 1, j)]
-                              - beta(p, m) * values[(m - 2, j)]
-                              + gamma(p, m) * values[(m - 2, j + 1)])
-            else:
-                keep, move = cert.coeffs
-                propagated = (keep(p, m) * values[(m - 1, j)]
-                              + move(p, m) * values[(m - 1, j + 1)])
+            propagated = sum((coeff(p, m) * values[(m - dn, j + s)]
+                              for coeff, dn, s in cert.steps), Fraction(0))
             if propagated != cert.lhs_value(p, m):
                 return False
             if propagated != cert.rhs_value(p, m):

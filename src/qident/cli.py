@@ -77,6 +77,13 @@ def _progress(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _note_n_cap(item_id: str, n_max: int, config: RunConfig) -> None:
+    """Say when an item stops short of the requested --n-max."""
+    if n_max < config.n_max:
+        _progress("# %s: n capped at %d (--n-max %d)"
+                  % (item_id, n_max, config.n_max))
+
+
 # ---------------------------------------------------------------------------
 # per-item runners
 # ---------------------------------------------------------------------------
@@ -86,7 +93,8 @@ _MULTISUM_IDS = ("schlosser_cr", "cr_prop_1", "cr_prop_2")
 
 def _identity_ranges(identity_id: str, config: RunConfig) -> Dict[str, Tuple[int, int]]:
     if identity_id in _MULTISUM_IDS:
-        return {"n": (0, min(config.n_max, 3)), "r": (1, config.r_max)}
+        return {"n": (0, min(config.n_max, ident.MULTISUM_MAX_N)),
+                "r": (1, config.r_max)}
     if identity_id == "schlosser_lemma_n1":
         return {"r": (1, config.r_max)}
     return {"n": (0, config.n_max), "m": (0, config.m_max)}
@@ -94,6 +102,8 @@ def _identity_ranges(identity_id: str, config: RunConfig) -> Dict[str, Tuple[int
 
 def _verify_item(identity_id: str, config: RunConfig) -> Dict:
     ranges = _identity_ranges(identity_id, config)
+    if "n" in ranges:
+        _note_n_cap(identity_id, ranges["n"][1], config)
     noisy = identity_id in _MULTISUM_IDS and config.r_max >= 3
     if noisy:
         _progress("# %s: multi-sum verification up to r=%d"
@@ -120,6 +130,13 @@ def _verify_item(identity_id: str, config: RunConfig) -> Dict:
     return item
 
 
+def _sweep_n_max(cert: certs.ProofCertificate, config: RunConfig) -> int:
+    """The largest n of the term-recurrence sweep."""
+    if cert.multi:
+        return min(config.n_max, certs.SCHLOSSER_REPLAY_MAX_N)
+    return config.n_max
+
+
 def _certificate_checks(cert: certs.ProofCertificate, point, config: RunConfig
                         ) -> Tuple[Dict[str, int], Optional[Dict]]:
     """Run every check for one sampled point; returns (counts, failure)."""
@@ -130,24 +147,13 @@ def _certificate_checks(cert: certs.ProofCertificate, point, config: RunConfig
         info.update(extra)
         return info
 
-    if cert.multi:
-        r = point.idx("r")
-        sweep_n = min(config.n_max, certs.SCHLOSSER_REPLAY_MAX_N)
-        for n in range(1, sweep_n + 1):
-            for ks in itertools.product(range(n + 1), repeat=r):
-                if certs.term_recurrence_residual(cert, point, n, ks) != 0:
-                    return counts, fail("term_recurrence", n=n, k=list(ks))
-                counts["term_recurrence"] += 1
-        if not certs.inductive_replay(cert, point, min(config.n_max,
-                                                       CERT_REPLAY_N_MAX)):
-            return counts, fail("inductive_replay")
-        counts["replay"] += 1
-        return counts, None
-
-    for n in range(cert.order, config.n_max + 1):
-        for k in range(n + 1):
+    for n in range(cert.order, _sweep_n_max(cert, config) + 1):
+        ks = (itertools.product(range(n + 1), repeat=point.idx("r"))
+              if cert.multi else range(n + 1))
+        for k in ks:
             if certs.term_recurrence_residual(cert, point, n, k) != 0:
-                return counts, fail("term_recurrence", n=n, k=k)
+                return counts, fail("term_recurrence", n=n, k=(
+                    list(k) if cert.multi else k))
             counts["term_recurrence"] += 1
     if cert.anti_diff is not None:
         for n in range(cert.order, config.n_max + 1):
@@ -175,6 +181,7 @@ def _certify_item(proof_id: str, config: RunConfig) -> Dict:
     start = time.monotonic()
     if cert.multi and config.r_max >= 3:
         _progress("# %s: certificate sweep up to r=%d" % (proof_id, config.r_max))
+    _note_n_cap(proof_id, _sweep_n_max(cert, config), config)
     for trial in range(config.cert_trials):
         rng = random.Random(ident.derive_trial_seed(
             config.seed, "cert:%s" % proof_id, trial))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Tuple
 
-from .qcore import PoleError, qpoch, qpoch_multi
+from .qcore import PoleError
 
 
 @dataclass(frozen=True)
@@ -154,15 +154,11 @@ def _wp_value(a_list: Sequence[Fraction], q: Fraction, z: Fraction, k: int) -> F
     if k < 0:
         return Fraction(0)
     a1 = a_list[0]
-    num = qpoch_multi(a_list, q, k) * z ** k
-    den = qpoch(q, q, k)
-    for a in a_list[1:]:
-        if a == 0:
-            raise PoleError("well-poised parameter must be nonzero")
-        den *= qpoch(a1 * q / a, q, k)
-    if den == 0:
-        raise PoleError("well-poised denominator vanished at k=%d" % k)
-    return num / den
+    if any(a == 0 for a in a_list[1:]):
+        raise PoleError("well-poised parameter must be nonzero")
+    dens = [q] + [a1 * q / a for a in a_list[1:]]
+    *_, term = poch_ratio_terms(a_list, dens, q, z, k + 1)
+    return term
 
 
 def wp_term(t: WellPoisedTerm, k: int) -> Fraction:

@@ -26,6 +26,8 @@ from .hyper import TermRow, poch_ratio_terms, term_row
 
 # Cost guard for the r-fold multi-sums (exact bignum arithmetic grows fast).
 MULTISUM_MAX_R = 4
+# Largest n the multi-sums are verified at by default and from the CLI.
+MULTISUM_MAX_N = 3
 MULTISUM_MAX_TERMS = 2500
 
 DEFAULT_SIZE_BOUND = 1000
@@ -588,17 +590,18 @@ def _lebesgue_rhs(p: ParamPoint) -> Fraction:
     return _div(qpoch(-q, q, n), qpoch(a, q*q, n + 1))
 
 
+def _jacobi_summand(z, q, n: int, m: int, k: int) -> Fraction:
+    """(-q^2/z;q^2)_m (-z;q^2)_{n+1} q^{k^2} z^k / ((-q/z;q)_{m-k} (-z;q)_{n+k+1})."""
+    t = qpoch(-q*q/z, q*q, m) * qpoch(-z, q*q, n + 1)
+    t = _div(t, qpoch(-q/z, q, m - k) * qpoch(-z, q, n + k + 1))
+    return t * q**(k*k) * z**k
+
+
 def _jacobi_finite_lhs(p: ParamPoint) -> Fraction:
     z, q = p.sym("z"), p.sym("q")
     n, m = p.idx("n"), p.idx("m")
-    total = Fraction(0)
-    for k in range(-m, n + 1):
-        t = qbinom(m + n, m + k, q)
-        t *= qpoch(-q*q/z, q*q, m) * qpoch(-z, q*q, n + 1)
-        t = _div(t, qpoch(-q/z, q, m - k) * qpoch(-z, q, n + k + 1))
-        t *= q**(k*k) * z**k
-        total += t
-    return total
+    return sum((qbinom(m + n, m + k, q) * _jacobi_summand(z, q, n, m, k)
+                for k in range(-m, n + 1)), Fraction(0))
 
 
 def _jacobi_finite_rhs(p: ParamPoint) -> Fraction:
@@ -614,11 +617,8 @@ def _jacobi_pref_lhs(p: ParamPoint) -> Fraction:
 
 
 def _jacobi_pref_rhs(p: ParamPoint) -> Fraction:
-    z, q = p.sym("z"), p.sym("q")
-    n, m, k = p.idx("n"), p.idx("m"), p.idx("k")
-    t = qpoch(-q*q/z, q*q, m) * qpoch(-z, q*q, n + 1)
-    t = _div(t, qpoch(-q/z, q, m - k) * qpoch(-z, q, n + k + 1))
-    return t * q**(k*k) * z**k
+    return _jacobi_summand(p.sym("z"), p.sym("q"), p.idx("n"), p.idx("m"),
+                           p.idx("k"))
 
 
 @_memo_rows
@@ -774,7 +774,7 @@ def _build_registry() -> Dict[str, IdentityDescriptor]:
         lhs=schlosser_lhs, rhs=schlosser_rhs,
         guards=_distinct_x_guard,
         sample_symbols=_x_family_sampler(("a", "b", "c", "d")),
-        default_ranges={"n": (0, 3), "r": (1, 3)}))
+        default_ranges={"n": (0, MULTISUM_MAX_N), "r": (1, 3)}))
 
     add(IdentityDescriptor(
         id="schlosser_lemma_n1",
@@ -799,7 +799,7 @@ def _build_registry() -> Dict[str, IdentityDescriptor]:
         guards=_distinct_x_guard,
         sample_symbols=_x_family_sampler(("a",)),
         xcheck=_cr_xcheck(signed=False),
-        default_ranges={"n": (0, 3), "r": (1, 3)}))
+        default_ranges={"n": (0, MULTISUM_MAX_N), "r": (1, 3)}))
 
     add(IdentityDescriptor(
         id="cr_prop_2",
@@ -809,7 +809,7 @@ def _build_registry() -> Dict[str, IdentityDescriptor]:
         guards=_distinct_x_guard,
         sample_symbols=_x_family_sampler(("a",)),
         xcheck=_cr_xcheck(signed=True),
-        default_ranges={"n": (0, 3), "r": (1, 3)},
+        default_ranges={"n": (0, MULTISUM_MAX_N), "r": (1, 3)},
         notes="per-index weight (-1)^{s_i} q^{-(r-1) s_i}; right side vanishes "
               "for odd n"))
 

@@ -220,8 +220,8 @@ SCALE = Fraction(102, 101)
 
 # proof -> (planted fault, the check that must report it)
 CERT_FAULTS = {
-    "jackson": (lambda cert: replace(cert, coeffs=(
-        cert.coeffs[0], lambda p, n: cert.coeffs[1](p, n) * SCALE)),
+    "jackson": (lambda cert: replace(cert, steps=(
+        cert.steps[0], (lambda p, n: cert.steps[1][0](p, n) * SCALE, 1, 1))),
         "term_recurrence"),
     "watson": (lambda cert: replace(
         cert, anti_diff=lambda p, n, k: cert.anti_diff(p, n, k) * SCALE),

@@ -223,3 +223,24 @@ def test_sample_point_shapes():
     p = sample_certificate_point("singh", rng)
     for name in ("A", "B", "c", "q"):
         p.sym(name)
+
+
+STEP_CASES = [(cert_id, i) for cert_id in SINGLE_CERTS
+              for i in range(len(get_certificate(cert_id).steps))]
+
+
+@pytest.mark.parametrize("cert_id,step", STEP_CASES)
+def test_checks_and_replay_read_the_same_steps(cert_id, step):
+    cert = get_certificate(cert_id)
+    coeff, dn, s = cert.steps[step]
+    scaled = (lambda p, n: coeff(p, n) * Fraction(102, 101), dn, s)
+    faulty = replace(cert, steps=cert.steps[:step] + (scaled,)
+                     + cert.steps[step + 1:])
+    point = sample_certificate_point(cert, random.Random(90))
+    sweep = [(n, k) for n in range(cert.order, 5) for k in range(n + 1)]
+    assert all(term_recurrence_residual(cert, point, n, k) == 0
+               for n, k in sweep)
+    assert inductive_replay(cert, point, 4)
+    assert any(term_recurrence_residual(faulty, point, n, k) != 0
+               for n, k in sweep)
+    assert not inductive_replay(faulty, point, 4)

@@ -161,6 +161,24 @@ def test_schlosser_progress_to_stderr(capsys):
     assert "schlosser_cr" in out
 
 
+@pytest.mark.parametrize("argv, item", [
+    (["certify", "--proof", "schlosser", "--trials", "1"], "schlosser"),
+    (["verify", "--id", "schlosser_cr", "--trials", "2"], "schlosser_cr"),
+])
+def test_n_cap_is_noted_on_stderr(capsys, argv, item):
+    argv = argv + ["--r-max", "1", "--seed", "3", "--format", "json"]
+    status, out, err = run_main(capsys, argv + ["--n-max", "9"])
+    assert status == 0
+    assert "# %s: n capped at 3 (--n-max 9)" % item in err.splitlines()
+    capped = json.loads(out)
+    status, out, err = run_main(capsys, argv + ["--n-max", "3"])
+    assert status == 0
+    assert "capped" not in err
+    # the cap is a note only: the capped run checks exactly what n <= 3 does
+    assert without_timings(capped)["items"] == \
+        without_timings(json.loads(out))["items"]
+
+
 def test_lebesgue_finite_2_selectable(capsys):
     status, out, _ = run_main(capsys, [
         "verify", "--id", "lebesgue_finite_2", "--trials", "3", "--seed", "4",
