@@ -9,8 +9,11 @@ checks; ``inductive_replay`` then re-derives each identity from its base
 case by propagating the recurrence over the shift orbit and comparing every
 node against direct evaluation of both sides.
 
-The summands and both sides are not evaluated here: F_{n,k} and G_{n,k} are
-entries of the proved identity's summand rows in ``identities``, and the
+F, G and H are read a level at a time: ``term``, ``rhs_term`` and
+``anti_diff`` map (point, n) to the row of level n, whose ``term(k)`` is the
+entry at k (0 outside [0, n]; PoleError from a vanished denominator on).
+The multi-index certificate's F row is read by k-vector.  F_{n,k} and G_{n,k}
+are entries of the proved identity's summand rows in ``identities``, and the
 sides at level n are that identity's own evaluators, so a certificate
 replays the proof of exactly the sums the harness verifies.
 
@@ -22,10 +25,30 @@ Every recurrence is one tuple of steps (c, dn, s), read as
     lebesgue, quintuple:       (c_keep, 1, 0)   (c_move, 1, 1)
     singh:                     (alpha, 1, 0)    (-beta, 2, 0)    (gamma, 2, 1)
 
-The term recurrence, the telescoped right-side combination and the replay's
-propagation all read these steps.  The multi-index certificate (the C_r sum)
-has no steps: its recurrence is a 2^r-fold split over s in {0,1}^r with
-per-s coefficients beta_s and per-axis shifts x_i -> x_i q^{s_i}.
+The multi-index certificate (the C_r sum) has no steps: its recurrence is a
+2^r-fold split over s in {0,1}^r with per-s coefficients beta_s and per-axis
+shifts x_i -> x_i q^{s_i}.  ``_level_residuals`` is the one residual loop:
+per level it evaluates each coefficient once, shifts the point once per step
+and fetches each row once, then yields the residuals in k order.  The term
+recurrence, the telescoped right-side combination and the boundary sum all
+run on it, the per-k checks as one-k levels; the replay's propagation reads
+the same steps.
+
+The anti-differences are rows on the term kernel, memoized like the
+summands.  Each (x;q)_{k+1} of the printed form is taken as (1 - x)(xq;q)_k,
+with 1 - x moved into the k-independent prefactor P:
+
+    watson   H_{n,k} = P (aq/bc, q^{1-n}, dq, eq;q)_k
+                       / (q, aq/b, aq/c, de q^{1-n}/a;q)_k
+    bailey   H_{n,k} = P (1 - lam q^k/a)
+                       (lam b/a, lam c/a, lam d/a, g, q^{1-n}, lam q, eq, fq;q)_k
+                       / (q, aq/b, aq/c, aq/d, lam q/e, lam q/f,
+                          ef q^{1-n}/a, lam q^{n+1};q)_k
+    singh    H_{n,0} = 0,  H_{n,j+1} = P (1 - q^{2j+1})
+                       (Aq^2, Bq^2, q^{4-2n}, c^2 q^4;q^2)_j
+                       / (q^2, ABq^3, -c q^{4-n}, -c q^{5-n};q^2)_j
+
+with g = lam a q^{n+1}/(ef) and lam = a^2 q/(bcd).
 """
 
 from __future__ import annotations
@@ -33,14 +56,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterable, Iterator, Optional, Sequence,
+                    Tuple, Union)
 
-from .hyper import TermRow
-from .qcore import ParamPoint, qpoch, qpoch_multi
+from .hyper import TermRow, poch_ratio, poch_ratio_terms, term_row
+from .qcore import ParamPoint, PoleError, qpoch, qpoch_multi
 from . import identities as _ident
 from .identities import _div, _xs
 
-TermFn = Callable[[ParamPoint, int, int], Fraction]
+LevelFn = Callable[[ParamPoint, int], "TermRow | CrRow"]
 CoeffFn = Callable[[ParamPoint, int], Fraction]
 ValueFn = Callable[[ParamPoint, int], Fraction]
 Step = Tuple[CoeffFn, int, int]     # (coefficient, levels down, shifts)
@@ -53,12 +77,12 @@ class ProofCertificate:
     symbols: Tuple[str, ...]
     order: int                      # recurrence depth in n
     k_shift: int
-    term: TermFn
+    term: LevelFn
     shift: Callable[[ParamPoint], ParamPoint]
     rhs_value: ValueFn
     steps: Tuple[Step, ...]
-    rhs_term: Optional[TermFn] = None
-    anti_diff: Optional[TermFn] = None
+    rhs_term: Optional[LevelFn] = None
+    anti_diff: Optional[LevelFn] = None
     multi: bool = False
 
     def lhs_value(self, point: ParamPoint, n: int) -> Fraction:
@@ -82,14 +106,17 @@ def _closed_form(identity_id: str) -> ValueFn:
     return value
 
 
-def _row_term(identity_id: str, row: Callable[[ParamPoint], TermRow]) -> TermFn:
-    """Entry k of the identity's summand row at level n; 0 for k outside
-    [0, n].  ``row`` looks the row function up at call time."""
-    def term(point: ParamPoint, n: int, k: int) -> Fraction:
-        if k < 0 or k > n:
-            return Fraction(0)
-        return row(_identity_point(identity_id, point, n)).term(k)
-    return term
+def _row_level(identity_id: str, row: Callable[[ParamPoint], TermRow]
+               ) -> LevelFn:
+    """Level reader of a row builder at the identity's own points.  A pole
+    raised before the row exists gives a row with no entries, so that, as for
+    any row, only reads inside [0, n] raise it."""
+    def level(point: ParamPoint, n: int) -> TermRow:
+        try:
+            return row(_identity_point(identity_id, point, n))
+        except PoleError as exc:
+            return TermRow((), n, str(exc))
+    return level
 
 
 def _sym(point: ParamPoint, names: str):
@@ -122,17 +149,17 @@ def watson_beta(p: ParamPoint, n: int) -> Fraction:
     return _div(num, den)
 
 
-def watson_anti_diff(p: ParamPoint, n: int, k: int) -> Fraction:
-    if k < 0:
-        return Fraction(0)
+@_ident._memo_rows
+def watson_anti_diff_row(p: ParamPoint) -> TermRow:
     a, b, c, d, e, q = _sym(p, "abcdeq")
-    pre = _div(qpoch(a*q, q, n - 1) * qpoch(a*q/(d*e), q, n),
-               qpoch_multi([a*q/d, a*q/e], q, n))
-    num = (qpoch_multi([a*q/(b*c), q**(1-n)], q, k)
-           * qpoch_multi([d, e], q, k + 1))
-    den = (qpoch_multi([q, a*q/b, a*q/c], q, k)
-           * qpoch(d*e*q**(-n)/a, q, k + 1))
-    return pre * _div(num, den)
+    n = p.idx("n")
+    x = d*e*q**(-n)/a
+    pre = _div(poch_ratio([a*q], [], q, n - 1)
+               * poch_ratio([a*q/(d*e)], [a*q/d, a*q/e], q, n)
+               * (1 - d) * (1 - e), 1 - x)
+    ser = poch_ratio_terms([a*q/(b*c), q**(1-n), d*q, e*q],
+                           [q, a*q/b, a*q/c, x*q], q, 1, n + 1)
+    return term_row((pre * t for t in ser), n)
 
 
 # ---------------------------------------------------------------------------
@@ -150,23 +177,20 @@ def bailey_alpha(p: ParamPoint, n: int) -> Fraction:
     return _div(num, den)
 
 
-def bailey_anti_diff(p: ParamPoint, n: int, k: int) -> Fraction:
-    if k < 0:
-        return Fraction(0)
+@_ident._memo_rows
+def bailey_anti_diff_row(p: ParamPoint) -> TermRow:
     a, b, c, d, e, f, q = _sym(p, "abcdefq")
-    lam = a*a*q / (b*c*d)
+    lam, n = p.sym("lam"), p.idx("n")
     g = lam*a*q**(n+1) / (e*f)
-    pre = _div(
-        (1 - a*lam*q**(2*n)/(e*f))
-        * qpoch_multi([a*q, lam*q/e, lam*q/f], q, n - 1)
-        * qpoch(a*q/(e*f), q, n),
-        qpoch_multi([a*q/e, a*q/f, lam*q/(e*f), lam], q, n))
-    num = ((1 - lam*q**k/a)
-           * qpoch_multi([lam*b/a, lam*c/a, lam*d/a, g, q**(1-n)], q, k)
-           * qpoch_multi([lam, e, f], q, k + 1))
-    den = (qpoch_multi([q, a*q/b, a*q/c, a*q/d, lam*q/e, lam*q/f], q, k)
-           * qpoch_multi([e*f*q**(-n)/a, lam*q**n], q, k + 1))
-    return pre * _div(num, den)
+    x, y = e*f*q**(-n)/a, lam*q**n
+    pre = _div((1 - a*lam*q**(2*n)/(e*f))
+               * poch_ratio([a*q, lam*q/e, lam*q/f], [], q, n - 1)
+               * poch_ratio([a*q/(e*f)], [a*q/e, a*q/f, lam*q/(e*f), lam], q, n)
+               * (1 - lam) * (1 - e) * (1 - f), (1 - x) * (1 - y))
+    ser = poch_ratio_terms(
+        [lam*b/a, lam*c/a, lam*d/a, g, q**(1-n), lam*q, e*q, f*q],
+        [q, a*q/b, a*q/c, a*q/d, lam*q/e, lam*q/f, x*q, y*q], q, 1, n + 1)
+    return term_row((pre * t * (1 - lam*q**k/a) for k, t in enumerate(ser)), n)
 
 
 # ---------------------------------------------------------------------------
@@ -199,24 +223,30 @@ def singh_first_order_residual(p: ParamPoint, n: int, k: int) -> Fraction:
     gamma1 = _div(-(1 - A) * (1 - B) * (1 - c*c) * q**(1-n),
                   (1 - A*B*q) * (1 + c*q**(-n)) * (1 + c*q**(1-n)))
     shifted = p.scaled(A=q, B=q, c=q)
-    term = get_certificate("singh").term
-    return (term(p, n, k) - term(p, n - 1, k)
-            - gamma1 * term(shifted, n - 1, k - 1))
+    level = get_certificate("singh").term
+    return (level(p, n).term(k) - level(p, n - 1).term(k)
+            - gamma1 * level(shifted, n - 1).term(k - 1))
 
 
-def singh_anti_diff(p: ParamPoint, n: int, k: int) -> Fraction:
-    # At k = 0 the printed denominator carries (q^2;q^2)_{-1}, a vanishing
-    # reciprocal, so the value is 0 there just as for k < 0.
-    if k < 1:
-        return Fraction(0)
+@_ident._memo_rows
+def singh_anti_diff_row(p: ParamPoint) -> TermRow:
     A, B, c, q = _sym(p, "ABcq")
+    n = p.idx("n")
     q2 = q*q
-    num = (-(1 - q**(2*k-1)) * qpoch_multi([A, B], q2, k)
-           * qpoch(q**(4-2*n), q2, k - 1) * qpoch(c*c, q2, k + 1)
-           * q**(2 - 2*n))
-    den = (qpoch(q2, q2, k - 1) * qpoch(A*B*q, q2, k)
-           * qpoch(-c*q**(-n), q, 2*k + 2))
-    return _div(num, den)
+
+    def terms() -> Iterator[Fraction]:
+        # the printed H_{n,0} carries (q^2;q^2)_{-1}, a vanishing reciprocal,
+        # so the entry is 0 and the prefactor only starts at k = 1
+        yield Fraction(0)
+        pre = _div(-(1 - A) * (1 - B) * (1 - c*c) * (1 - c*c*q2) * q**(2 - 2*n),
+                   (1 - A*B*q) * (1 + c*q**(-n)) * (1 + c*q**(1-n))
+                   * (1 + c*q**(2-n)) * (1 + c*q**(3-n)))
+        ser = poch_ratio_terms([A*q2, B*q2, q**(4-2*n), c*c*q2*q2],
+                               [q2, A*B*q**3, -c*q**(4-n), -c*q**(5-n)],
+                               q2, 1, n)
+        for j, t in enumerate(ser):
+            yield pre * t * (1 - q**(2*j + 1))
+    return term_row(terms(), n)
 
 
 # ---------------------------------------------------------------------------
@@ -254,20 +284,32 @@ def _pair_ratio(a, q, xs: Sequence, shifts: Sequence[int]) -> Fraction:
                 _ident.pair_product(a, q, xs, [0] * len(xs)))
 
 
-def schlosser_term(p: ParamPoint, n: int, ks) -> Fraction:
-    r = p.idx("r")
-    ks = (ks,) if isinstance(ks, int) else tuple(ks)
-    if len(ks) != r:
-        raise ValueError("need a k-vector of length r=%d" % r)
-    if any(k < 0 or k > n for k in ks):
-        return Fraction(0)
-    a, q = p.sym("a"), p.sym("q")
-    xs = _xs(p, r)
-    t = _pair_ratio(a, q, xs, ks)
-    for row, k in zip(_ident.schlosser_axis_rows(_identity_point(
-            "schlosser_cr", p, n)), ks):
-        t *= row.term(k)
-    return t
+class CrRow:
+    """Level n of the C_r summand at one point, read by k-vector: the
+    pair-interaction ratio times one entry of each axis row.  A plain class:
+    generating a dataclass's methods is a measurable share of import time."""
+
+    __slots__ = ("n", "a", "q", "xs", "axes")
+
+    def __init__(self, n: int, a: Fraction, q: Fraction,
+                 xs: Tuple[Fraction, ...], axes: Tuple[TermRow, ...]):
+        self.n, self.a, self.q, self.xs, self.axes = n, a, q, xs, axes
+
+    def term(self, ks) -> Fraction:
+        ks = (ks,) if isinstance(ks, int) else tuple(ks)
+        if len(ks) != len(self.xs):
+            raise ValueError("need a k-vector of length r=%d" % len(self.xs))
+        if any(k < 0 or k > self.n for k in ks):
+            return Fraction(0)
+        t = _pair_ratio(self.a, self.q, self.xs, ks)
+        for row, k in zip(self.axes, ks):
+            t *= row.term(k)
+        return t
+
+
+def schlosser_term(p: ParamPoint, n: int) -> CrRow:
+    return CrRow(n, p.sym("a"), p.sym("q"), tuple(_xs(p, p.idx("r"))),
+                 _ident.schlosser_axis_rows(_identity_point("schlosser_cr", p, n)))
 
 
 def schlosser_split_coeff(p: ParamPoint, n: int, ss: Sequence[int]) -> Fraction:
@@ -389,7 +431,7 @@ def _build_certificates() -> Dict[str, ProofCertificate]:
     add(ProofCertificate(
         id="jackson", identity="jackson_8phi7", symbols=("a", "b", "c", "d"),
         order=1, k_shift=1,
-        term=_row_term("jackson_8phi7", lambda p: _ident.jackson_row(p)),
+        term=_row_level("jackson_8phi7", lambda p: _ident.jackson_row(p)),
         shift=_scale_shift(a=2, b=1, c=1, d=1),
         rhs_value=_closed_form("jackson_8phi7"),
         steps=((_one, 1, 0), (jackson_gamma, 1, 1))))
@@ -397,40 +439,41 @@ def _build_certificates() -> Dict[str, ProofCertificate]:
     add(ProofCertificate(
         id="watson", identity="watson_transform",
         symbols=("a", "b", "c", "d", "e"), order=1, k_shift=1,
-        term=_row_term("watson_transform", lambda p: _ident.watson_row(p)),
+        term=_row_level("watson_transform", lambda p: _ident.watson_row(p)),
         shift=_scale_shift(a=2, b=1, c=1, d=1, e=1),
         rhs_value=_closed_form("watson_transform"),
         steps=((_one, 1, 0), (watson_beta, 1, 1)),
-        rhs_term=_row_term("watson_transform",
-                           lambda p: _ident.watson_rhs_row(p)),
-        anti_diff=watson_anti_diff))
+        rhs_term=_row_level("watson_transform",
+                            lambda p: _ident.watson_rhs_row(p)),
+        anti_diff=_row_level("watson_transform", watson_anti_diff_row)))
 
     add(ProofCertificate(
         id="bailey", identity="bailey_10phi9",
         symbols=("a", "b", "c", "d", "e", "f"), order=1, k_shift=1,
-        term=_row_term("bailey_10phi9", lambda p: _ident.bailey_row(p)),
+        term=_row_level("bailey_10phi9", lambda p: _ident.bailey_row(p)),
         shift=_scale_shift(a=2, b=1, c=1, d=1, e=1, f=1),
         rhs_value=_closed_form("bailey_10phi9"),
         steps=((_one, 1, 0), (bailey_alpha, 1, 1)),
-        rhs_term=_row_term("bailey_10phi9", lambda p: _ident.bailey_rhs_row(p)),
-        anti_diff=bailey_anti_diff))
+        rhs_term=_row_level("bailey_10phi9",
+                            lambda p: _ident.bailey_rhs_row(p)),
+        anti_diff=_row_level("bailey_10phi9", bailey_anti_diff_row)))
 
     add(ProofCertificate(
         id="singh", identity="singh_quadratic", symbols=("A", "B", "c"),
         order=2, k_shift=2,
-        term=_row_term("singh_quadratic", lambda p: _ident.singh_lhs_row(p)),
+        term=_row_level("singh_quadratic", lambda p: _ident.singh_lhs_row(p)),
         shift=_scale_shift(A=2, B=2, c=2),
         rhs_value=_closed_form("singh_quadratic"),
         steps=((singh_alpha, 1, 0), (lambda p, n: -singh_beta(p, n), 2, 0),
                (singh_gamma, 2, 1)),
-        rhs_term=_row_term("singh_quadratic",
-                           lambda p: _ident.singh_rhs_row(p)),
-        anti_diff=singh_anti_diff))
+        rhs_term=_row_level("singh_quadratic",
+                            lambda p: _ident.singh_rhs_row(p)),
+        anti_diff=_row_level("singh_quadratic", singh_anti_diff_row)))
 
     add(ProofCertificate(
         id="lebesgue", identity="lebesgue_finite", symbols=("a",),
         order=1, k_shift=1,
-        term=_row_term("lebesgue_finite", lambda p: _ident.lebesgue_row(p)),
+        term=_row_level("lebesgue_finite", lambda p: _ident.lebesgue_row(p)),
         shift=_scale_shift(a=2),
         rhs_value=_closed_form("lebesgue_finite"),
         steps=((lebesgue_keep, 1, 0), (lebesgue_move, 1, 1))))
@@ -438,7 +481,7 @@ def _build_certificates() -> Dict[str, ProofCertificate]:
     add(ProofCertificate(
         id="quintuple", identity="quintuple_finite", symbols=("z",),
         order=1, k_shift=1,
-        term=_row_term("quintuple_finite", lambda p: _ident.quintuple_row(p)),
+        term=_row_level("quintuple_finite", lambda p: _ident.quintuple_row(p)),
         shift=_scale_shift(z=1),
         rhs_value=_closed_form("quintuple_finite"),
         steps=((quintuple_keep, 1, 0), (quintuple_move, 1, 1))))
@@ -483,22 +526,55 @@ def _resolve(cert: CertOrId) -> ProofCertificate:
 # residual operations
 # ---------------------------------------------------------------------------
 
-def _residual(cert: ProofCertificate, f: TermFn, point: ParamPoint, n: int,
-              k) -> Fraction:
-    """f at (point, n, k) minus the recurrence's right side read off f."""
-    total = f(point, n, k)
+def _back(k, back):
+    """The index k moved back by a step's k-shift (a vector for the C_r sum)."""
+    if isinstance(k, tuple):
+        return tuple(ki - bi for ki, bi in zip(k, back))
+    return k - back
+
+
+def _level_residuals(cert: ProofCertificate, read: LevelFn, point: ParamPoint,
+                     n: int, ks: Iterable) -> Iterator[Tuple[object, Fraction]]:
+    """(k, residual) for each k of ks in order: read's entry at (point, n, k)
+    minus the recurrence's right side read off read's lower rows.
+
+    Coefficients, shifted points and rows are fixed per level and are made
+    here, once; per k only row entries are read, so a nonzero residual at k
+    is yielded before any entry past k is read.
+    """
+    top = read(point, n)
+    lower = []                      # (coefficient value, row, k-shift)
     if cert.multi:
         for ss in itertools.product((0, 1), repeat=point.idx("r")):
-            total -= (schlosser_split_coeff(point, n - 1, ss)
-                      * f(_schlosser_shift_s(point, ss), n - 1,
-                          tuple(ki - si for ki, si in zip(k, ss))))
-        return total
-    for coeff, dn, s in cert.steps:
-        shifted = point
-        for _ in range(s):
-            shifted = cert.shift(shifted)
-        total -= coeff(point, n) * f(shifted, n - dn, k - s * cert.k_shift)
-    return total
+            lower.append((schlosser_split_coeff(point, n - 1, ss),
+                          read(_schlosser_shift_s(point, ss), n - 1), ss))
+    else:
+        shifted = [point]
+        for coeff, dn, s in cert.steps:
+            while len(shifted) <= s:
+                shifted.append(cert.shift(shifted[-1]))
+            lower.append((coeff(point, n), read(shifted[s], n - dn),
+                          s * cert.k_shift))
+    for k in ks:
+        total = top.term(k)
+        for c, row, back in lower:
+            total -= c * row.term(_back(k, back))
+        yield k, total
+
+
+def term_recurrence_residuals(cert: CertOrId, point: ParamPoint, n: int,
+                              ks: Optional[Iterable] = None
+                              ) -> Iterator[Tuple[object, Fraction]]:
+    """(k, F_{n,k} minus its recurrence right side) for each k of ks, by
+    default every k of level n (k-vectors for the multi-index certificate);
+    every residual is exactly 0."""
+    cert = _resolve(cert)
+    if n < cert.order:
+        raise ValueError("term recurrence needs n >= %d" % cert.order)
+    if ks is None:
+        ks = (itertools.product(range(n + 1), repeat=point.idx("r"))
+              if cert.multi else range(n + 1))
+    return _level_residuals(cert, cert.term, point, n, ks)
 
 
 def term_recurrence_residual(cert: CertOrId, point: ParamPoint, n: int,
@@ -509,37 +585,48 @@ def term_recurrence_residual(cert: CertOrId, point: ParamPoint, n: int,
     for the multi-index one (an int is accepted there when r = 1).
     """
     cert = _resolve(cert)
-    if n < cert.order:
-        raise ValueError("term recurrence needs n >= %d" % cert.order)
     if cert.multi and isinstance(k, int):
         k = (k,)
-    return _residual(cert, cert.term, point, n, k)
+    return next(term_recurrence_residuals(cert, point, n, (k,)))[1]
+
+
+def _right_side_levels(cert: ProofCertificate, point: ParamPoint, n: int,
+                       ks: Iterable, check: str
+                       ) -> Iterator[Tuple[int, Fraction]]:
+    """The recurrence's residual on the right-side terms G: the telescoped
+    right-side combination at each k of ks."""
+    if cert.rhs_term is None or cert.anti_diff is None:
+        raise ValueError("certificate %s has no anti-difference" % cert.id)
+    if n < cert.order:
+        raise ValueError("%s needs n >= %d" % (check, cert.order))
+    return _level_residuals(cert, cert.rhs_term, point, n, ks)
+
+
+def telescoping_residuals(cert: CertOrId, point: ParamPoint, n: int,
+                          ks: Optional[Iterable[int]] = None
+                          ) -> Iterator[Tuple[int, Fraction]]:
+    """(k, telescoped right-side combination minus (H_{n,k} - H_{n,k-1}))
+    for each k of ks, by default 0..n; every residual is exactly 0."""
+    cert = _resolve(cert)
+    combos = _right_side_levels(cert, point, n,
+                                range(n + 1) if ks is None else ks,
+                                "telescoping")
+    h = cert.anti_diff(point, n)
+    return ((k, c - (h.term(k) - h.term(k - 1))) for k, c in combos)
 
 
 def telescoping_residual(cert: CertOrId, point: ParamPoint, n: int,
                          k: int) -> Fraction:
     """Telescoped right-side combination minus (H_{n,k} - H_{n,k-1}); always 0."""
-    cert = _resolve(cert)
-    if cert.rhs_term is None or cert.anti_diff is None:
-        raise ValueError("certificate %s has no anti-difference" % cert.id)
-    if n < cert.order:
-        raise ValueError("telescoping needs n >= %d" % cert.order)
-    return (_residual(cert, cert.rhs_term, point, n, k)
-            - (cert.anti_diff(point, n, k) - cert.anti_diff(point, n, k - 1)))
+    return next(telescoping_residuals(cert, point, n, (k,)))[1]
 
 
 def boundary_check(cert: CertOrId, point: ParamPoint, n: int) -> bool:
     """True iff the summed telescoping collapses exactly:
     sum_{k=0}^{n} of the telescoped right-side combination is 0."""
     cert = _resolve(cert)
-    if cert.rhs_term is None:
-        raise ValueError("certificate %s has no right-side terms" % cert.id)
-    if n < cert.order:
-        raise ValueError("boundary check needs n >= %d" % cert.order)
-    total = Fraction(0)
-    for k in range(n + 1):
-        total += _residual(cert, cert.rhs_term, point, n, k)
-    return total == 0
+    combos = _right_side_levels(cert, point, n, range(n + 1), "boundary check")
+    return sum((c for _, c in combos), Fraction(0)) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ fractions.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import random
@@ -148,17 +147,15 @@ def _certificate_checks(cert: certs.ProofCertificate, point, config: RunConfig
         return info
 
     for n in range(cert.order, _sweep_n_max(cert, config) + 1):
-        ks = (itertools.product(range(n + 1), repeat=point.idx("r"))
-              if cert.multi else range(n + 1))
-        for k in ks:
-            if certs.term_recurrence_residual(cert, point, n, k) != 0:
+        for k, residual in certs.term_recurrence_residuals(cert, point, n):
+            if residual != 0:
                 return counts, fail("term_recurrence", n=n, k=(
                     list(k) if cert.multi else k))
             counts["term_recurrence"] += 1
     if cert.anti_diff is not None:
         for n in range(cert.order, config.n_max + 1):
-            for k in range(n + 1):
-                if certs.telescoping_residual(cert, point, n, k) != 0:
+            for k, residual in certs.telescoping_residuals(cert, point, n):
+                if residual != 0:
                     return counts, fail("telescoping", n=n, k=k)
                 counts["telescoping"] += 1
             if not certs.boundary_check(cert, point, n):
@@ -270,7 +267,11 @@ def _resolve_selection(requested: Sequence[str], known: Sequence[str],
 
 
 def run(config: RunConfig) -> Tuple[int, Dict]:
-    """Execute the configured checks; returns (exit_status, report)."""
+    """Execute the configured checks; returns (exit_status, report).
+
+    The row memo is cleared first, so that a run's work does not depend on
+    what ran before it in the same process."""
+    ident.clear_row_memo()
     items: List[Dict] = []
     if config.command in ("verify", "all"):
         for identity_id in config.identity_ids:

@@ -1,7 +1,8 @@
 """Terminating basic hypergeometric sums and the well-poised contiguous relations.
 
 ``poch_ratio_terms`` is the package's one term-ratio loop: every terminating
-summand row, in ``identities`` and so in the certificates, is built on it.
+summand row, in ``identities`` and so in the certificates, and every
+certificate anti-difference row is built on it.
 
 The two contiguous relations implemented here connect the k-th term of a
 well-poised series whose last two parameters differ by a factor of q (first
@@ -81,6 +82,16 @@ def _runs(params: Sequence, q: Fraction) -> list:
             else [Fraction(a), q] for a in params]
 
 
+def poch_ratio(nums: Sequence, dens: Sequence, q, n: int, z=1) -> Fraction:
+    """The single term T_n = (nums;q)_n z^n / (dens;q)_n of
+    ``poch_ratio_terms``; PoleError when (dens;q)_n vanishes."""
+    if n < 0:
+        raise ValueError("poch_ratio needs n >= 0, got %d" % n)
+    for term in poch_ratio_terms(nums, dens, q, z, n + 1):
+        pass
+    return term
+
+
 def poch_ratio_sum(nums: Sequence, dens: Sequence, q, z, terms: int) -> Fraction:
     """Exact sum_{k=0}^{terms-1} (nums;q)_k z^k / (dens;q)_k (see
     ``poch_ratio_terms``)."""
@@ -157,8 +168,7 @@ def _wp_value(a_list: Sequence[Fraction], q: Fraction, z: Fraction, k: int) -> F
     if any(a == 0 for a in a_list[1:]):
         raise PoleError("well-poised parameter must be nonzero")
     dens = [q] + [a1 * q / a for a in a_list[1:]]
-    *_, term = poch_ratio_terms(a_list, dens, q, z, k + 1)
-    return term
+    return poch_ratio(a_list, dens, q, k, z)
 
 
 def wp_term(t: WellPoisedTerm, k: int) -> Fraction:

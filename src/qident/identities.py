@@ -89,16 +89,20 @@ def vwp_sum(a1, middles: Sequence, q, n: int, z) -> Fraction:
     return sum(_vwp_terms(a1, middles, q, n, z), Fraction(0))
 
 
+_ROW_MEMOS: Dict[str, Callable] = {}
+
+
 def _memo_rows(build: Callable[[ParamPoint], TermRow]
                ) -> Callable[[ParamPoint], TermRow]:
     """Memoize a summand-row builder on the point's symbol and index values.
 
-    A certificate sweep reads each row at every k of a level, and the next
-    level reads most of them again: a C_r step at r = 3 reads the rows of
-    2^3 + 1 points.  Sixteen recent rows cover that.  A pole raised before
-    the row exists is not cached.
+    At n <= 6 one certificate point's checks read each builder's rows at 23
+    (point, n) keys: the sweeps read levels 1..6 at the point and 0..5 at its
+    first shift, the replay levels 0..5-j at its j-th shift.  The memo holds
+    32 rows, so each is built once.  A pole raised before the row exists is
+    not cached.
     """
-    @functools.lru_cache(maxsize=16)
+    @functools.lru_cache(maxsize=32)
     def cached(symbols, indices):
         return build(ParamPoint(dict(symbols), dict(indices)))
 
@@ -106,7 +110,21 @@ def _memo_rows(build: Callable[[ParamPoint], TermRow]
     def row(point: ParamPoint):
         return cached(tuple(sorted(point.symbols.items())),
                       tuple(sorted(point.indices.items())))
+    _ROW_MEMOS[build.__name__] = cached
     return row
+
+
+def clear_row_memo() -> None:
+    """Forget every memoized row and reset the memo counts."""
+    for cached in _ROW_MEMOS.values():
+        cached.cache_clear()
+
+
+def row_memo_info() -> Dict[str, Tuple[int, int, int, int]]:
+    """Per row builder: (hits, misses, maxsize, currsize) since the last clear;
+    a miss is one row build."""
+    return {name: tuple(cached.cache_info())
+            for name, cached in _ROW_MEMOS.items()}
 
 
 def pair_product(a, q, xs: Sequence, shifts: Sequence[int]) -> Fraction:
@@ -142,7 +160,8 @@ class IdentityDescriptor:
     guards: Optional[Callable[[ParamPoint], Iterable[Tuple[str, Fraction]]]] = None
     sample_indices: Optional[Callable[[random.Random, Mapping], Dict[str, int]]] = None
     sample_symbols: Optional[Callable[[random.Random, Mapping, int], Dict[str, Fraction]]] = None
-    xcheck: Optional[Callable[[ParamPoint, random.Random], Tuple[Fraction, Fraction]]] = None
+    xcheck: Optional[Callable[[ParamPoint, random.Random, int],
+                              Tuple[Fraction, Fraction]]] = None
     default_ranges: Mapping[str, Tuple[int, int]] = field(default_factory=dict)
     notes: str = ""
 
@@ -562,9 +581,10 @@ def _cr2_rhs(p: ParamPoint) -> Fraction:
 
 
 def _cr_xcheck(signed: bool):
-    def check(point: ParamPoint, rng: random.Random) -> Tuple[Fraction, Fraction]:
+    def check(point: ParamPoint, rng: random.Random,
+              size_bound: int) -> Tuple[Fraction, Fraction]:
         r = point.idx("r")
-        other = point.with_symbols(**_sample_x_vector(rng, r, DEFAULT_SIZE_BOUND))
+        other = point.with_symbols(**_sample_x_vector(rng, r, size_bound))
         return _cr_lhs(point, signed), _cr_lhs(other, signed)
     return check
 
@@ -831,9 +851,11 @@ def _build_registry() -> Dict[str, IdentityDescriptor]:
         symbols=("z",),
         index_names=("n", "m", "k"),
         lhs=_jacobi_pref_lhs, rhs=_jacobi_pref_rhs,
+        guards=lambda p: _guard_values(("1 + z", 1 + p.sym("z"))),
         sample_indices=_pref_sample_indices,
         default_ranges={"n": (0, 6), "m": (0, 4)},
-        notes="termwise change-of-variables relation; k ranges over [-m, n]"))
+        notes="termwise change-of-variables relation; k ranges over [-m, n]; "
+              "z = -1 is guarded, since both sides vanish there for k < -n"))
 
     add(IdentityDescriptor(
         id="quintuple_finite",
@@ -950,7 +972,7 @@ def _run_trial(desc: IdentityDescriptor, seed: int, trial: int,
             return ("fail", point, rejections)
         if desc.xcheck is not None:
             try:
-                first, second = desc.xcheck(point, rng)
+                first, second = desc.xcheck(point, rng, size_bound)
             except PoleError:
                 pass
             else:

@@ -218,23 +218,31 @@ def test_mutation_sensitivity():
 
 SCALE = Fraction(102, 101)
 
-# proof -> (planted fault, the check that must report it)
+def _scaled_anti_diff(cert):
+    """The certificate with every entry of its anti-difference rows scaled."""
+    def anti_diff(point, n):
+        row = cert.anti_diff(point, n)
+        return replace(row, terms=tuple(t * SCALE for t in row.terms))
+    return replace(cert, anti_diff=anti_diff)
+
+
+# fault -> (proof, planted fault, the check that must report it)
 CERT_FAULTS = {
-    "jackson": (lambda cert: replace(cert, steps=(
+    "jackson": ("jackson", lambda cert: replace(cert, steps=(
         cert.steps[0], (lambda p, n: cert.steps[1][0](p, n) * SCALE, 1, 1))),
         "term_recurrence"),
-    "watson": (lambda cert: replace(
-        cert, anti_diff=lambda p, n, k: cert.anti_diff(p, n, k) * SCALE),
-        "telescoping"),
-    "bailey": (lambda cert: replace(
+    "watson": ("watson", _scaled_anti_diff, "telescoping"),
+    "bailey": ("bailey", lambda cert: replace(
         cert, shift=certs._scale_shift(a=1, b=1, c=1, d=1, e=1, f=1)),
         "term_recurrence"),
+    "bailey_anti_diff": ("bailey", _scaled_anti_diff, "telescoping"),
+    "singh_anti_diff": ("singh", _scaled_anti_diff, "telescoping"),
 }
 
 
-@pytest.mark.parametrize("proof_id", sorted(CERT_FAULTS))
-def test_certificate_fault_matrix(proof_id):
-    plant, check = CERT_FAULTS[proof_id]
+@pytest.mark.parametrize("fault", sorted(CERT_FAULTS))
+def test_certificate_fault_matrix(fault):
+    proof_id, plant, check = CERT_FAULTS[fault]
     cert = certs.get_certificate(proof_id)
     point = _certificate_point(cert, 0)
     config = cli.RunConfig(command="certify", n_max=4)
@@ -242,7 +250,7 @@ def test_certificate_fault_matrix(proof_id):
     assert failure is None
     _, failure = cli._certificate_checks(plant(cert), point, config)
     caught = failure is not None and failure["check"] == check
-    _line("cert-fault-%s" % proof_id, caught,
+    _line("cert-fault-%s" % fault, caught,
           "planted fault reported by the %s check" % check)
     assert caught, failure
 

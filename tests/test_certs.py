@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from qident.qcore import ParamPoint
+from qident.qcore import ParamPoint, PoleError, qpoch, qpoch_multi
 from qident.hyper import contiguous_alpha, contiguous_beta
-from qident import certs
+from qident import certs, cli
+from qident import identities as ident
 from qident.certs import (bailey_alpha, boundary_check, certificate_ids,
                           get_certificate, inductive_replay, jackson_gamma,
                           list_certificates, sample_certificate_point,
@@ -244,3 +245,171 @@ def test_checks_and_replay_read_the_same_steps(cert_id, step):
     assert any(term_recurrence_residual(faulty, point, n, k) != 0
                for n, k in sweep)
     assert not inductive_replay(faulty, point, 4)
+
+
+# ---------------------------------------------------------------------------
+# the anti-differences as printed, Pochhammer products evaluated per k: the
+# reference for the kernel rows behind cert.anti_diff
+# ---------------------------------------------------------------------------
+
+def _div(num, den):
+    if den == 0:
+        raise PoleError("denominator vanished")
+    return num / den
+
+
+def watson_anti_diff(p, n, k):
+    if k < 0:
+        return Fraction(0)
+    a, b, c, d, e, q = (p.sym(s) for s in "abcdeq")
+    pre = _div(qpoch(a*q, q, n - 1) * qpoch(a*q/(d*e), q, n),
+               qpoch_multi([a*q/d, a*q/e], q, n))
+    num = (qpoch_multi([a*q/(b*c), q**(1-n)], q, k)
+           * qpoch_multi([d, e], q, k + 1))
+    den = (qpoch_multi([q, a*q/b, a*q/c], q, k)
+           * qpoch(d*e*q**(-n)/a, q, k + 1))
+    return pre * _div(num, den)
+
+
+def bailey_anti_diff(p, n, k):
+    if k < 0:
+        return Fraction(0)
+    a, b, c, d, e, f, q = (p.sym(s) for s in "abcdefq")
+    lam = a*a*q / (b*c*d)
+    g = lam*a*q**(n+1) / (e*f)
+    pre = _div(
+        (1 - a*lam*q**(2*n)/(e*f))
+        * qpoch_multi([a*q, lam*q/e, lam*q/f], q, n - 1)
+        * qpoch(a*q/(e*f), q, n),
+        qpoch_multi([a*q/e, a*q/f, lam*q/(e*f), lam], q, n))
+    num = ((1 - lam*q**k/a)
+           * qpoch_multi([lam*b/a, lam*c/a, lam*d/a, g, q**(1-n)], q, k)
+           * qpoch_multi([lam, e, f], q, k + 1))
+    den = (qpoch_multi([q, a*q/b, a*q/c, a*q/d, lam*q/e, lam*q/f], q, k)
+           * qpoch_multi([e*f*q**(-n)/a, lam*q**n], q, k + 1))
+    return pre * _div(num, den)
+
+
+def singh_anti_diff(p, n, k):
+    # at k = 0 the printed denominator carries (q^2;q^2)_{-1}, a vanishing
+    # reciprocal, so the value is 0 there just as for k < 0
+    if k < 1:
+        return Fraction(0)
+    A, B, c, q = (p.sym(s) for s in "ABcq")
+    q2 = q*q
+    num = (-(1 - q**(2*k-1)) * qpoch_multi([A, B], q2, k)
+           * qpoch(q**(4-2*n), q2, k - 1) * qpoch(c*c, q2, k + 1)
+           * q**(2 - 2*n))
+    den = (qpoch(q2, q2, k - 1) * qpoch(A*B*q, q2, k)
+           * qpoch(-c*q**(-n), q, 2*k + 2))
+    return _div(num, den)
+
+
+ANTI_DIFF_REFERENCES = {"watson": watson_anti_diff, "bailey": bailey_anti_diff,
+                        "singh": singh_anti_diff}
+
+
+def _value_or_pole(fn, *args):
+    try:
+        return fn(*args)
+    except PoleError:
+        return PoleError
+
+
+@pytest.mark.parametrize("bound", [2, 3, 5, 1000])
+@pytest.mark.parametrize("cert_id", TELESCOPING_CERTS)
+def test_anti_diff_rows_match_products(cert_id, bound):
+    cert = get_certificate(cert_id)
+    reference = ANTI_DIFF_REFERENCES[cert_id]
+    rng = random.Random(bound)
+    cases = poles = 0
+    for _ in range(40):
+        point = sample_certificate_point(cert, rng, bound)
+        for n in range(cert.order, 7):
+            row = cert.anti_diff(point, n)
+            for k in range(-1, n + 1):
+                expected = _value_or_pole(reference, point, n, k)
+                assert _value_or_pole(row.term, k) == expected, \
+                    (point, n, k)
+                cases += 1
+                poles += expected is PoleError
+    assert cases > 900
+    if bound <= 3:
+        assert poles > 0
+
+
+@pytest.mark.parametrize("bound", [2, 3, 1000])
+@pytest.mark.parametrize("cert_id", certificate_ids())
+def test_level_residuals_match_per_k(cert_id, bound):
+    """Each level's residuals equal the one-k checks up to the first pole,
+    and a one-k check at that k raises too."""
+    cert = get_certificate(cert_id)
+    rng = random.Random(100 + bound)
+    checks = [(term_recurrence_residual, certs.term_recurrence_residuals)]
+    if cert.anti_diff is not None:
+        checks.append((telescoping_residual, certs.telescoping_residuals))
+    read = poles = 0
+    for _ in range(6):
+        point = sample_certificate_point(cert, rng, bound, (1, 2))
+        for n in range(cert.order, (3 if cert.multi else 5) + 1):
+            for one_k, level in checks:
+                ks = (list(itertools.product(range(n + 1),
+                                             repeat=point.idx("r")))
+                      if cert.multi else list(range(n + 1)))
+                yielded = []
+                try:
+                    for k, residual in level(cert, point, n):
+                        yielded.append((k, residual))
+                except PoleError:
+                    poles += 1
+                    with pytest.raises(PoleError):
+                        one_k(cert, point, n, ks[len(yielded)])
+                assert [k for k, _ in yielded] == ks[:len(yielded)]
+                for k, residual in yielded:
+                    assert residual == one_k(cert, point, n, k) == 0
+                    read += 1
+                if len(yielded) == len(ks) and cert.anti_diff is not None \
+                        and one_k is telescoping_residual:
+                    assert boundary_check(cert, point, n)
+    assert read > 0
+    if bound == 2:
+        assert poles > 0
+
+
+@pytest.mark.parametrize("cert_id", certificate_ids())
+def test_one_point_builds_each_row_once(cert_id):
+    cert = get_certificate(cert_id)
+    rng = random.Random(12)
+    config = cli.RunConfig(command="certify", n_max=6, r_max=1)
+    while True:
+        point = sample_certificate_point(cert, rng, r_range=(1, 1))
+        ident.clear_row_memo()
+        try:
+            counts, failure = cli._certificate_checks(cert, point, config)
+        except PoleError:
+            continue
+        break
+    assert failure is None and counts["replay"] == 1
+    built = {name: info for name, info in ident.row_memo_info().items()
+             if info[1]}
+    assert built
+    for name, (hits, misses, maxsize, currsize) in built.items():
+        # every miss built a row that is still held: no key was built twice
+        assert misses == currsize < maxsize, (name, misses, currsize)
+
+
+def test_level_yields_each_k_before_a_later_pole():
+    # a = q^{-3}: at n = 2 the shifted row (a q^2, level 1) has the prefactor
+    # 1/(a q^2;q)_2 = 1/((1 - q^{-1})(1 - 1)), a pole first read at k = 1
+    q = Fraction(2, 3)
+    point = ParamPoint({"a": q**-3, "q": q}, {})
+    cert = get_certificate("lebesgue")
+    keep, dn, s = cert.steps[0]
+    faulty = replace(cert, steps=((lambda p, n: keep(p, n) * Fraction(102, 101),
+                                   dn, s),) + cert.steps[1:])
+    for c, healthy in ((cert, True), (faulty, False)):
+        level = certs.term_recurrence_residuals(c, point, 2)
+        k, residual = next(level)
+        assert k == 0 and (residual == 0) == healthy
+        with pytest.raises(PoleError):
+            next(level)

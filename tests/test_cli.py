@@ -127,6 +127,28 @@ def test_certify_all_proofs(capsys):
     assert report["summary"]["passed"] == 7
 
 
+def _row_builds():
+    return sum(info[1] for info in ident.row_memo_info().values())
+
+
+def test_row_builds_do_not_depend_on_earlier_runs():
+    certify = cli.RunConfig(command="certify", proof_ids=("watson",),
+                            cert_trials=1, seed=11, n_max=3)
+    verify = cli.RunConfig(command="verify",
+                           identity_ids=("watson_transform",), trials=5,
+                           seed=11)
+    builds = []
+    for earlier in (None, certify, verify):
+        if earlier is not None:
+            cli.run(earlier)
+        cli.run(certify)
+        builds.append(_row_builds())
+    # one point's rows all fit in the memo, so a run that kept an earlier
+    # run's rows would build none of them again
+    assert builds[0] > 0
+    assert builds == [builds[0]] * 3
+
+
 def test_series_spec_example(capsys):
     status, out, _ = run_main(capsys, [
         "series", "--id", "jacobi_triple", "--order", "60", "--trials", "5",

@@ -268,3 +268,38 @@ def test_schlosser_lemma_r0_is_trivial():
     p = ParamPoint({"a": 2, "b": 3, "c": 5, "d": 7, "q": Fraction(1, 3)},
                    {"r": 0})
     assert eval_sides("schlosser_lemma_n1", p) == (1, 1)
+
+
+def test_jacobi_prefactor_guard_rejects_z_minus_1():
+    # at z = -1 and k < -n both sides are exactly 0, so a right side scaled
+    # by q would go unseen; the guard rejects the point instead
+    point = ParamPoint({"z": -1, "q": Fraction(-478, 979)},
+                       {"n": 0, "m": 3, "k": -3})
+    desc = get_identity("jacobi_prefactor_relation")
+    assert desc.lhs(point) == desc.rhs(point) == 0
+    with pytest.raises(PoleError, match="1 \\+ z"):
+        eval_sides("jacobi_prefactor_relation", point)
+    lhs, rhs = eval_sides("jacobi_prefactor_relation",
+                          point.with_symbols(z=Fraction(-1, 2)))
+    assert lhs == rhs
+
+
+@pytest.mark.parametrize("identity_id", ["cr_prop_1", "cr_prop_2"])
+def test_cr_xcheck_draws_within_the_size_bound(monkeypatch, identity_id):
+    seen = []
+    healthy = ident._cr_lhs
+
+    def recording(point, signed):
+        seen.append(point)
+        return healthy(point, signed)
+
+    monkeypatch.setattr(ident, "_cr_lhs", recording)
+    report = verify(identity_id, 10, 3, {"n": (0, 2), "r": (2, 3)},
+                    size_bound=3)
+    assert report.succeeded == 10
+    # one left side per trial, and one more for the redrawn x-vector
+    assert len(seen) >= 20
+    for point in seen:
+        for i in range(1, point.idx("r") + 1):
+            x = point.sym("x%d" % i)
+            assert abs(x.numerator) <= 3 and x.denominator <= 3, x
