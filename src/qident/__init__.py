@@ -28,7 +28,7 @@ from .identities import (IdentityDescriptor, VerificationReport,
                          list_identities, identity_ids, get_identity,
                          eval_sides, verify, sample_point, serialize_point,
                          random_rational, random_q, derive_trial_seed,
-                         vwp_sum, singh_sides)
+                         vwp_sum)
 from .certs import (ProofCertificate, list_certificates, certificate_ids,
                     get_certificate, term_recurrence_residual,
                     telescoping_residual, boundary_check, inductive_replay,
@@ -53,7 +53,7 @@ __all__ = [
     "list_identities", "identity_ids", "get_identity",
     "eval_sides", "verify", "sample_point", "serialize_point",
     "random_rational", "random_q", "derive_trial_seed",
-    "vwp_sum", "singh_sides",
+    "vwp_sum",
     "ProofCertificate", "list_certificates", "certificate_ids",
     "get_certificate", "term_recurrence_residual", "telescoping_residual",
     "boundary_check", "inductive_replay",

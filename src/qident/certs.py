@@ -12,10 +12,11 @@ node against direct evaluation of both sides.
 F, G and H are read a level at a time: ``term``, ``rhs_term`` and
 ``anti_diff`` map (point, n) to the row of level n, whose ``term(k)`` is the
 entry at k (0 outside [0, n]; PoleError from a vanished denominator on).
-The multi-index certificate's F row is read by k-vector.  F_{n,k} and G_{n,k}
-are entries of the proved identity's summand rows in ``identities``, and the
-sides at level n are that identity's own evaluators, so a certificate
-replays the proof of exactly the sums the harness verifies.
+F_{n,k} and G_{n,k} are entries of the proved identity's summand rows in
+``identities`` (the C_r row, ``schlosser_row``, is read by k-vector).  The
+symbols, the index r of a multi-index proof and both sides at level n are
+that identity's own, read from its registry entry, so a certificate replays
+the proof of exactly the sums the harness verifies.
 
 Every recurrence is one tuple of steps (c, dn, s), read as
 
@@ -64,30 +65,46 @@ from .qcore import ParamPoint, PoleError, qpoch, qpoch_multi
 from . import identities as _ident
 from .identities import _div, _xs
 
-LevelFn = Callable[[ParamPoint, int], "TermRow | CrRow"]
+LevelFn = Callable[[ParamPoint, int], "TermRow | _ident.CrRow"]
 CoeffFn = Callable[[ParamPoint, int], Fraction]
-ValueFn = Callable[[ParamPoint, int], Fraction]
 Step = Tuple[CoeffFn, int, int]     # (coefficient, levels down, shifts)
 
 
 @dataclass(frozen=True)
 class ProofCertificate:
+    """One proof's machinery; what its identity says (symbols, indices and
+    both sides) is read from the identity registry."""
+
     id: str
     identity: str                   # the registered identity the proof proves
-    symbols: Tuple[str, ...]
-    order: int                      # recurrence depth in n
     k_shift: int
     term: LevelFn
     shift: Callable[[ParamPoint], ParamPoint]
-    rhs_value: ValueFn
     steps: Tuple[Step, ...]
     rhs_term: Optional[LevelFn] = None
     anti_diff: Optional[LevelFn] = None
-    multi: bool = False
+
+    @property
+    def symbols(self) -> Tuple[str, ...]:
+        return _ident.get_identity(self.identity).symbols
+
+    @property
+    def multi(self) -> bool:
+        """True for the multi-index certificate, whose identity has index r."""
+        return "r" in _ident.get_identity(self.identity).index_names
+
+    @property
+    def order(self) -> int:
+        """The recurrence depth in n: the largest dn over the steps."""
+        return max((dn for _, dn, _ in self.steps), default=1)
 
     def lhs_value(self, point: ParamPoint, n: int) -> Fraction:
         desc = _ident.get_identity(self.identity)
         return desc.lhs(_identity_point(self.identity, point, n))
+
+    def rhs_value(self, point: ParamPoint, n: int) -> Fraction:
+        desc = _ident.get_identity(self.identity)
+        return desc.rhs(_identity_point(self.identity, point, n))
 
 
 def _identity_point(identity_id: str, point: ParamPoint, n: int) -> ParamPoint:
@@ -98,22 +115,17 @@ def _identity_point(identity_id: str, point: ParamPoint, n: int) -> ParamPoint:
     return derive(point) if derive is not None else point
 
 
-def _closed_form(identity_id: str) -> ValueFn:
-    """The identity's right side at level n."""
-    def value(point: ParamPoint, n: int) -> Fraction:
-        desc = _ident.get_identity(identity_id)
-        return desc.rhs(_identity_point(identity_id, point, n))
-    return value
-
-
-def _row_level(identity_id: str, row: Callable[[ParamPoint], TermRow]
-               ) -> LevelFn:
-    """Level reader of a row builder at the identity's own points.  A pole
-    raised before the row exists gives a row with no entries, so that, as for
-    any row, only reads inside [0, n] raise it."""
+def _row_level(identity_id: str,
+               row: Union[str, Callable[[ParamPoint], TermRow]]) -> LevelFn:
+    """Level reader of a row builder at the identity's own points.  A name is
+    a builder in ``identities``, looked up at each read, so that a patched
+    builder takes effect.  A pole raised before the row exists gives a row
+    with no entries, so that, as for any row, only reads inside [0, n] raise
+    it."""
     def level(point: ParamPoint, n: int) -> TermRow:
+        build = getattr(_ident, row) if isinstance(row, str) else row
         try:
-            return row(_identity_point(identity_id, point, n))
+            return build(_identity_point(identity_id, point, n))
         except PoleError as exc:
             return TermRow((), n, str(exc))
     return level
@@ -284,34 +296,6 @@ def _pair_ratio(a, q, xs: Sequence, shifts: Sequence[int]) -> Fraction:
                 _ident.pair_product(a, q, xs, [0] * len(xs)))
 
 
-class CrRow:
-    """Level n of the C_r summand at one point, read by k-vector: the
-    pair-interaction ratio times one entry of each axis row.  A plain class:
-    generating a dataclass's methods is a measurable share of import time."""
-
-    __slots__ = ("n", "a", "q", "xs", "axes")
-
-    def __init__(self, n: int, a: Fraction, q: Fraction,
-                 xs: Tuple[Fraction, ...], axes: Tuple[TermRow, ...]):
-        self.n, self.a, self.q, self.xs, self.axes = n, a, q, xs, axes
-
-    def term(self, ks) -> Fraction:
-        ks = (ks,) if isinstance(ks, int) else tuple(ks)
-        if len(ks) != len(self.xs):
-            raise ValueError("need a k-vector of length r=%d" % len(self.xs))
-        if any(k < 0 or k > self.n for k in ks):
-            return Fraction(0)
-        t = _pair_ratio(self.a, self.q, self.xs, ks)
-        for row, k in zip(self.axes, ks):
-            t *= row.term(k)
-        return t
-
-
-def schlosser_term(p: ParamPoint, n: int) -> CrRow:
-    return CrRow(n, p.sym("a"), p.sym("q"), tuple(_xs(p, p.idx("r"))),
-                 _ident.schlosser_axis_rows(_identity_point("schlosser_cr", p, n)))
-
-
 def schlosser_split_coeff(p: ParamPoint, n: int, ss: Sequence[int]) -> Fraction:
     """Per-s coefficient of the 2^r-fold split (product form), at lower level n."""
     r = p.idx("r")
@@ -429,69 +413,52 @@ def _build_certificates() -> Dict[str, ProofCertificate]:
         certs[cert.id] = cert
 
     add(ProofCertificate(
-        id="jackson", identity="jackson_8phi7", symbols=("a", "b", "c", "d"),
-        order=1, k_shift=1,
-        term=_row_level("jackson_8phi7", lambda p: _ident.jackson_row(p)),
+        id="jackson", identity="jackson_8phi7", k_shift=1,
+        term=_row_level("jackson_8phi7", "jackson_row"),
         shift=_scale_shift(a=2, b=1, c=1, d=1),
-        rhs_value=_closed_form("jackson_8phi7"),
         steps=((_one, 1, 0), (jackson_gamma, 1, 1))))
 
     add(ProofCertificate(
-        id="watson", identity="watson_transform",
-        symbols=("a", "b", "c", "d", "e"), order=1, k_shift=1,
-        term=_row_level("watson_transform", lambda p: _ident.watson_row(p)),
+        id="watson", identity="watson_transform", k_shift=1,
+        term=_row_level("watson_transform", "watson_row"),
         shift=_scale_shift(a=2, b=1, c=1, d=1, e=1),
-        rhs_value=_closed_form("watson_transform"),
         steps=((_one, 1, 0), (watson_beta, 1, 1)),
-        rhs_term=_row_level("watson_transform",
-                            lambda p: _ident.watson_rhs_row(p)),
+        rhs_term=_row_level("watson_transform", "watson_rhs_row"),
         anti_diff=_row_level("watson_transform", watson_anti_diff_row)))
 
     add(ProofCertificate(
-        id="bailey", identity="bailey_10phi9",
-        symbols=("a", "b", "c", "d", "e", "f"), order=1, k_shift=1,
-        term=_row_level("bailey_10phi9", lambda p: _ident.bailey_row(p)),
+        id="bailey", identity="bailey_10phi9", k_shift=1,
+        term=_row_level("bailey_10phi9", "bailey_row"),
         shift=_scale_shift(a=2, b=1, c=1, d=1, e=1, f=1),
-        rhs_value=_closed_form("bailey_10phi9"),
         steps=((_one, 1, 0), (bailey_alpha, 1, 1)),
-        rhs_term=_row_level("bailey_10phi9",
-                            lambda p: _ident.bailey_rhs_row(p)),
+        rhs_term=_row_level("bailey_10phi9", "bailey_rhs_row"),
         anti_diff=_row_level("bailey_10phi9", bailey_anti_diff_row)))
 
     add(ProofCertificate(
-        id="singh", identity="singh_quadratic", symbols=("A", "B", "c"),
-        order=2, k_shift=2,
-        term=_row_level("singh_quadratic", lambda p: _ident.singh_lhs_row(p)),
+        id="singh", identity="singh_quadratic", k_shift=2,
+        term=_row_level("singh_quadratic", "singh_lhs_row"),
         shift=_scale_shift(A=2, B=2, c=2),
-        rhs_value=_closed_form("singh_quadratic"),
         steps=((singh_alpha, 1, 0), (lambda p, n: -singh_beta(p, n), 2, 0),
                (singh_gamma, 2, 1)),
-        rhs_term=_row_level("singh_quadratic",
-                            lambda p: _ident.singh_rhs_row(p)),
+        rhs_term=_row_level("singh_quadratic", "singh_rhs_row"),
         anti_diff=_row_level("singh_quadratic", singh_anti_diff_row)))
 
     add(ProofCertificate(
-        id="lebesgue", identity="lebesgue_finite", symbols=("a",),
-        order=1, k_shift=1,
-        term=_row_level("lebesgue_finite", lambda p: _ident.lebesgue_row(p)),
+        id="lebesgue", identity="lebesgue_finite", k_shift=1,
+        term=_row_level("lebesgue_finite", "lebesgue_row"),
         shift=_scale_shift(a=2),
-        rhs_value=_closed_form("lebesgue_finite"),
         steps=((lebesgue_keep, 1, 0), (lebesgue_move, 1, 1))))
 
     add(ProofCertificate(
-        id="quintuple", identity="quintuple_finite", symbols=("z",),
-        order=1, k_shift=1,
-        term=_row_level("quintuple_finite", lambda p: _ident.quintuple_row(p)),
+        id="quintuple", identity="quintuple_finite", k_shift=1,
+        term=_row_level("quintuple_finite", "quintuple_row"),
         shift=_scale_shift(z=1),
-        rhs_value=_closed_form("quintuple_finite"),
         steps=((quintuple_keep, 1, 0), (quintuple_move, 1, 1))))
 
     add(ProofCertificate(
-        id="schlosser", identity="schlosser_cr", symbols=("a", "b", "c", "d"),
-        order=1, k_shift=1,
-        term=schlosser_term, shift=lambda p: p,
-        rhs_value=_closed_form("schlosser_cr"),
-        steps=(), multi=True))
+        id="schlosser", identity="schlosser_cr", k_shift=1,
+        term=_row_level("schlosser_cr", "schlosser_row"), shift=lambda p: p,
+        steps=()))
 
     return certs
 
@@ -680,16 +647,9 @@ def sample_certificate_point(cert: CertOrId, rng, size_bound: int = 1000,
     symbols["q"] = _ident.random_q(rng, size_bound)
     indices: Dict[str, int] = {}
     if cert.multi:
-        r = rng.randint(*r_range)
-        indices["r"] = r
-        seen = set(symbols.values())
-        for i in range(1, r + 1):
-            while True:
-                v = _ident.random_rational(rng, size_bound)
-                if v not in seen:
-                    seen.add(v)
-                    symbols["x%d" % i] = v
-                    break
+        indices["r"] = rng.randint(*r_range)
+        symbols.update(_ident._sample_x_vector(rng, indices["r"], size_bound,
+                                               symbols.values()))
     return ParamPoint(symbols, indices)
 
 

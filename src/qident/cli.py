@@ -76,22 +76,24 @@ def _progress(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _note_n_cap(item_id: str, n_max: int, config: RunConfig) -> None:
+def _note_n_cap(item_id: str, n_max: int, config: RunConfig,
+                what: str = "n") -> None:
     """Say when an item stops short of the requested --n-max."""
     if n_max < config.n_max:
-        _progress("# %s: n capped at %d (--n-max %d)"
-                  % (item_id, n_max, config.n_max))
+        _progress("# %s: %s capped at %d (--n-max %d)"
+                  % (item_id, what, n_max, config.n_max))
 
 
 # ---------------------------------------------------------------------------
 # per-item runners
 # ---------------------------------------------------------------------------
 
-_MULTISUM_IDS = ("schlosser_cr", "cr_prop_1", "cr_prop_2")
+def _is_multisum(identity_id: str) -> bool:
+    return {"n", "r"} <= set(ident.get_identity(identity_id).index_names)
 
 
 def _identity_ranges(identity_id: str, config: RunConfig) -> Dict[str, Tuple[int, int]]:
-    if identity_id in _MULTISUM_IDS:
+    if _is_multisum(identity_id):
         return {"n": (0, min(config.n_max, ident.MULTISUM_MAX_N)),
                 "r": (1, config.r_max)}
     if identity_id == "schlosser_lemma_n1":
@@ -103,7 +105,7 @@ def _verify_item(identity_id: str, config: RunConfig) -> Dict:
     ranges = _identity_ranges(identity_id, config)
     if "n" in ranges:
         _note_n_cap(identity_id, ranges["n"][1], config)
-    noisy = identity_id in _MULTISUM_IDS and config.r_max >= 3
+    noisy = _is_multisum(identity_id) and config.r_max >= 3
     if noisy:
         _progress("# %s: multi-sum verification up to r=%d"
                   % (identity_id, config.r_max))
@@ -136,6 +138,11 @@ def _sweep_n_max(cert: certs.ProofCertificate, config: RunConfig) -> int:
     return config.n_max
 
 
+def _replay_n_max(config: RunConfig) -> int:
+    """The largest n of a single-index replay."""
+    return min(config.n_max, CERT_REPLAY_N_MAX)
+
+
 def _certificate_checks(cert: certs.ProofCertificate, point, config: RunConfig
                         ) -> Tuple[Dict[str, int], Optional[Dict]]:
     """Run every check for one sampled point; returns (counts, failure)."""
@@ -161,8 +168,7 @@ def _certificate_checks(cert: certs.ProofCertificate, point, config: RunConfig
             if not certs.boundary_check(cert, point, n):
                 return counts, fail("boundary", n=n)
             counts["boundary"] += 1
-    if not certs.inductive_replay(cert, point, min(config.n_max,
-                                                   CERT_REPLAY_N_MAX)):
+    if not certs.inductive_replay(cert, point, _replay_n_max(config)):
         return counts, fail("inductive_replay")
     counts["replay"] += 1
     return counts, None
@@ -179,6 +185,8 @@ def _certify_item(proof_id: str, config: RunConfig) -> Dict:
     if cert.multi and config.r_max >= 3:
         _progress("# %s: certificate sweep up to r=%d" % (proof_id, config.r_max))
     _note_n_cap(proof_id, _sweep_n_max(cert, config), config)
+    if not cert.multi:
+        _note_n_cap(proof_id, _replay_n_max(config), config, "replay n")
     for trial in range(config.cert_trials):
         rng = random.Random(ident.derive_trial_seed(
             config.seed, "cert:%s" % proof_id, trial))
@@ -230,7 +238,7 @@ def _series_item(series_id: str, config: RunConfig) -> Dict:
         try:
             residual = psers.infinite_identity_residual(
                 series_id, symbols, config.order)
-        except (PoleError, psers.NonTerminatingExponent) as exc:
+        except PoleError as exc:
             item["status"] = "ERROR"
             item["first_failure"] = {"error": str(exc)}
             break

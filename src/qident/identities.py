@@ -92,8 +92,8 @@ def vwp_sum(a1, middles: Sequence, q, n: int, z) -> Fraction:
 _ROW_MEMOS: Dict[str, Callable] = {}
 
 
-def _memo_rows(build: Callable[[ParamPoint], TermRow]
-               ) -> Callable[[ParamPoint], TermRow]:
+def _memo_rows(build: Callable[[ParamPoint], "TermRow | CrRow"]
+               ) -> Callable[[ParamPoint], "TermRow | CrRow"]:
     """Memoize a summand-row builder on the point's symbol and index values.
 
     At n <= 6 one certificate point's checks read each builder's rows at 23
@@ -159,7 +159,6 @@ class IdentityDescriptor:
     derive: Optional[Callable[[ParamPoint], ParamPoint]] = None
     guards: Optional[Callable[[ParamPoint], Iterable[Tuple[str, Fraction]]]] = None
     sample_indices: Optional[Callable[[random.Random, Mapping], Dict[str, int]]] = None
-    sample_symbols: Optional[Callable[[random.Random, Mapping, int], Dict[str, Fraction]]] = None
     xcheck: Optional[Callable[[ParamPoint, random.Random, int],
                               Tuple[Fraction, Fraction]]] = None
     default_ranges: Mapping[str, Tuple[int, int]] = field(default_factory=dict)
@@ -247,18 +246,21 @@ def _default_sample_indices(names: Sequence[str], defaults: Mapping[str, Tuple[i
     return sample
 
 
-def _default_sample_symbols(names: Sequence[str]
-                            ) -> Callable[[random.Random, Mapping, int], Dict[str, Fraction]]:
-    def sample(rng: random.Random, indices: Mapping, bound: int) -> Dict[str, Fraction]:
-        out = {name: random_rational(rng, bound) for name in names}
-        out["q"] = random_q(rng, bound)
-        return out
-    return sample
+def _sample_symbols(rng: random.Random, names: Sequence[str], indices: Mapping,
+                    bound: int) -> Dict[str, Fraction]:
+    """The named symbols, then q, then x_1..x_r when the point has index r."""
+    out = {name: random_rational(rng, bound) for name in names}
+    out["q"] = random_q(rng, bound)
+    if "r" in indices:
+        out.update(_sample_x_vector(rng, indices["r"], bound))
+    return out
 
 
-def _sample_x_vector(rng: random.Random, r: int, bound: int) -> Dict[str, Fraction]:
+def _sample_x_vector(rng: random.Random, r: int, bound: int,
+                     seen: Iterable[Fraction] = ()) -> Dict[str, Fraction]:
+    """x_1..x_r, distinct from each other and from the values in seen."""
     xs: Dict[str, Fraction] = {}
-    seen = set()
+    seen = set(seen)
     for i in range(1, r + 1):
         while True:
             v = random_rational(rng, bound)
@@ -267,15 +269,6 @@ def _sample_x_vector(rng: random.Random, r: int, bound: int) -> Dict[str, Fracti
                 xs["x%d" % i] = v
                 break
     return xs
-
-
-def _x_family_sampler(base: Sequence[str]):
-    def sample(rng: random.Random, indices: Mapping, bound: int) -> Dict[str, Fraction]:
-        out = {name: random_rational(rng, bound) for name in base}
-        out["q"] = random_q(rng, bound)
-        out.update(_sample_x_vector(rng, indices["r"], bound))
-        return out
-    return sample
 
 
 def _xs(point: ParamPoint, r: int) -> list:
@@ -290,15 +283,19 @@ def _xs(point: ParamPoint, r: int) -> list:
 # below that is a single sum is the total of its row, and the certificates
 # read their summands F_{n,k} and G_{n,k} from the same rows.
 
+def _total(row_name: str) -> Evaluator:
+    """The total of the named row, whose builder is looked up at each call,
+    so that a patched builder takes effect."""
+    def total(p: ParamPoint) -> Fraction:
+        return globals()[row_name](p).total()
+    return total
+
+
 @_memo_rows
 def jackson_row(p: ParamPoint) -> TermRow:
     a, b, c, d, e, q = (p.sym(s) for s in "abcdeq")
     n = p.idx("n")
     return term_row(_vwp_terms(a, [b, c, d, e], q, n, q), n)
-
-
-def _jackson_lhs(p: ParamPoint) -> Fraction:
-    return jackson_row(p).total()
 
 
 def _jackson_rhs(p: ParamPoint) -> Fraction:
@@ -345,14 +342,6 @@ def watson_rhs_row(p: ParamPoint) -> TermRow:
     return term_row((pre * t for t in ser), n)
 
 
-def _watson_lhs(p: ParamPoint) -> Fraction:
-    return watson_row(p).total()
-
-
-def _watson_rhs(p: ParamPoint) -> Fraction:
-    return watson_rhs_row(p).total()
-
-
 def _vwp_derive(p: ParamPoint) -> ParamPoint:
     a, b, c, d, q = (p.sym(s) for s in "abcdq")
     return p.with_symbols(lam=a*a*q/(b*c*d))
@@ -385,14 +374,6 @@ def bailey_rhs_row(p: ParamPoint) -> TermRow:
     return term_row((pre * t for t in ser), n)
 
 
-def _bailey_lhs(p: ParamPoint) -> Fraction:
-    return bailey_row(p).total()
-
-
-def _bailey_rhs(p: ParamPoint) -> Fraction:
-    return bailey_rhs_row(p).total()
-
-
 @_memo_rows
 def singh_lhs_row(p: ParamPoint) -> TermRow:
     A, B, c, q = (p.sym(s) for s in ("A", "B", "c", "q"))
@@ -412,67 +393,71 @@ def singh_rhs_row(p: ParamPoint) -> TermRow:
                                      q2, q2, n + 1), n)
 
 
-def singh_sides(point: ParamPoint, terminating: str = "d") -> Tuple[Fraction, Fraction]:
-    """Both sides of the quadratic transformation, terminated by q^{-n}.
-
-    The free symbols are A = a^2, B = b^2 and c (only the squares of the
-    printed a, b ever appear, so A and B are sampled directly).  With
-    ``terminating="c"`` the printed c carries q^{-n} instead of d; the two
-    sides are then the identical expressions with c and d swapping roles, so
-    the flag selects the same computation over the same sampled symbols.
-    """
-    if terminating not in ("d", "c"):
-        raise ValueError("terminating must be 'd' or 'c'")
-    return _singh_lhs(point), _singh_rhs(point)
-
-
-def _singh_lhs(p: ParamPoint) -> Fraction:
-    return singh_lhs_row(p).total()
-
-
-def _singh_rhs(p: ParamPoint) -> Fraction:
-    return singh_rhs_row(p).total()
-
-
 def _require_multisum_budget(n: int, r: int) -> None:
     if r > MULTISUM_MAX_R or (n + 1) ** r > MULTISUM_MAX_TERMS:
         raise ValueError("multi-sum cost guard: need r <= %d and (n+1)^r <= %d, "
                          "got n=%d r=%d" % (MULTISUM_MAX_R, MULTISUM_MAX_TERMS, n, r))
 
 
+class CrRow:
+    """Level n of the schlosser_cr summand at one point, read by k-vector:
+    the pair-interaction product at shifts k over its value at no shift,
+    times one entry of each axis row.  Axis row i holds, for k_i = 0..n, the
+    factors that depend on x_i and k_i alone.  The pair denominator is
+    evaluated once, and a vanished one raises PoleError on read, as a
+    TermRow's pole does.  A plain class: generating a dataclass's methods is
+    a measurable share of import time."""
+
+    __slots__ = ("n", "a", "q", "xs", "axes", "pair_den")
+
+    def __init__(self, n: int, a: Fraction, q: Fraction,
+                 xs: Tuple[Fraction, ...], axes: Tuple[TermRow, ...]):
+        self.n, self.a, self.q, self.xs, self.axes = n, a, q, xs, axes
+        self.pair_den = pair_product(a, q, xs, [0] * len(xs))
+
+    def term(self, ks) -> Fraction:
+        ks = (ks,) if isinstance(ks, int) else tuple(ks)
+        if len(ks) != len(self.xs):
+            raise ValueError("need a k-vector of length r=%d" % len(self.xs))
+        if any(k < 0 or k > self.n for k in ks):
+            return Fraction(0)
+        t = _div(pair_product(self.a, self.q, self.xs, ks), self.pair_den,
+                 "pair-interaction denominator")
+        for row, k in zip(self.axes, ks):
+            t *= row.term(k)
+        return t
+
+    def total(self) -> Fraction:
+        if self.pair_den == 0:
+            raise PoleError("pair-interaction denominator vanished")
+        tables = [[row.term(k) for k in range(self.n + 1)] for row in self.axes]
+        total = Fraction(0)
+        for ks in itertools.product(range(self.n + 1), repeat=len(self.xs)):
+            t = pair_product(self.a, self.q, self.xs, ks)
+            for table, k in zip(tables, ks):
+                t *= table[k]
+            total += t
+        return total / self.pair_den
+
+
 @_memo_rows
-def schlosser_axis_rows(p: ParamPoint) -> Tuple[TermRow, ...]:
-    """Per-axis summand rows of schlosser_cr: row i holds, for k_i = 0..n,
-    the factors of the summand that depend on x_i and k_i alone."""
+def schlosser_row(p: ParamPoint) -> CrRow:
     a, b, c, d, q = (p.sym(s) for s in "abcdq")
     n, r = p.idx("n"), p.idx("r")
-    rows = []
-    for xi in _xs(p, r):
+    xs = tuple(_xs(p, r))
+    axes = []
+    for xi in xs:
         nums = [a*xi*xi, b*xi, c*xi, d*xi, a*a*xi*q**(n-r+2)/(b*c*d), q**(-n)]
         dens = [q, a*xi*q/b, a*xi*q/c, a*xi*q/d,
                 b*c*d*xi*q**(r-n-1)/a, a*xi*xi*q**(n+1)]
-        rows.append(term_row(_well_poised(
+        axes.append(term_row(_well_poised(
             a*xi*xi, q, poch_ratio_terms(nums, dens, q, q, n + 1)), n))
-    return tuple(rows)
+    return CrRow(n, a, q, xs, tuple(axes))
 
 
 def schlosser_lhs(p: ParamPoint) -> Fraction:
-    a, q = p.sym("a"), p.sym("q")
-    n, r = p.idx("n"), p.idx("r")
-    _require_multisum_budget(n, r)
-    xs = _xs(p, r)
-    pair_den = pair_product(a, q, xs, [0] * r)
-    if pair_den == 0:
-        raise PoleError("pair-interaction denominator vanished")
-    tables = [[row.term(k) for k in range(n + 1)]
-              for row in schlosser_axis_rows(p)]
-    total = Fraction(0)
-    for ks in itertools.product(range(n + 1), repeat=r):
-        t = pair_product(a, q, xs, ks)
-        for i in range(r):
-            t *= tables[i][ks[i]]
-        total += t
-    return total / pair_den
+    _require_multisum_budget(p.idx("n"), p.idx("r"))
+    return schlosser_row(p).total()
 
 
 def schlosser_rhs(p: ParamPoint) -> Fraction:
@@ -600,10 +585,6 @@ def lebesgue_row(p: ParamPoint) -> TermRow:
     return term_row((pre * t for t in ser), n)
 
 
-def _lebesgue_lhs(p: ParamPoint) -> Fraction:
-    return lebesgue_row(p).total()
-
-
 def _lebesgue_rhs(p: ParamPoint) -> Fraction:
     a, q = p.sym("a"), p.sym("q")
     n = p.idx("n")
@@ -654,10 +635,6 @@ def quintuple_row(p: ParamPoint) -> TermRow:
     ser = _well_poised(a, q, poch_ratio_terms(
         [a, q**(-n)], [q, a*q**(n+1)], q, -z*q**(n+1), n + 1))
     return term_row((pre * t * q**(k*(k-1)//2) for k, t in enumerate(ser)), n)
-
-
-def _quintuple_lhs(p: ParamPoint) -> Fraction:
-    return quintuple_row(p).total()
 
 
 def _quintuple_mn_lhs(p: ParamPoint) -> Fraction:
@@ -711,8 +688,8 @@ def _andrews_jain_rhs(p: ParamPoint) -> Fraction:
 # the registry
 # ---------------------------------------------------------------------------
 
-def _guard_values(*pairs):
-    return list(pairs)
+def _anchor_guard(p: ParamPoint):
+    return [("1 - a", 1 - p.sym("a"))]
 
 
 def _distinct_x_guard(p: ParamPoint):
@@ -745,8 +722,8 @@ def _build_registry() -> Dict[str, IdentityDescriptor]:
         id="jackson_8phi7",
         symbols=("a", "b", "c", "d"),
         index_names=("n",),
-        lhs=_jackson_lhs, rhs=_jackson_rhs, derive=_jackson_derive,
-        guards=lambda p: _guard_values(("1 - a", 1 - p.sym("a"))),
+        lhs=_total("jackson_row"), rhs=_jackson_rhs, derive=_jackson_derive,
+        guards=_anchor_guard,
         notes="balanced very-well-poised summation; e := a^2 q^{n+1}/(bcd)"))
 
     add(IdentityDescriptor(
@@ -754,38 +731,37 @@ def _build_registry() -> Dict[str, IdentityDescriptor]:
         symbols=("a", "b", "c"),
         index_names=("n",),
         lhs=_6phi5_lhs, rhs=_6phi5_rhs,
-        guards=lambda p: _guard_values(("1 - a", 1 - p.sym("a")))))
+        guards=_anchor_guard))
 
     add(IdentityDescriptor(
         id="watson_transform",
         symbols=("a", "b", "c", "d", "e"),
         index_names=("n",),
-        lhs=_watson_lhs, rhs=_watson_rhs,
-        guards=lambda p: _guard_values(("1 - a", 1 - p.sym("a")))))
+        lhs=_total("watson_row"), rhs=_total("watson_rhs_row"),
+        guards=_anchor_guard))
 
     add(IdentityDescriptor(
         id="vwp_transform",
         symbols=("a", "b", "c", "d", "e"),
         index_names=("n",),
-        lhs=_watson_lhs, rhs=_vwp_rhs, derive=_vwp_derive,
-        guards=lambda p: _guard_values(("1 - a", 1 - p.sym("a"))),
+        lhs=_total("watson_row"), rhs=_vwp_rhs, derive=_vwp_derive,
+        guards=_anchor_guard,
         notes="lam := a^2 q/(bcd); both sides share the Watson-shaped left side"))
 
     add(IdentityDescriptor(
         id="bailey_10phi9",
         symbols=("a", "b", "c", "d", "e", "f"),
         index_names=("n",),
-        lhs=_bailey_lhs, rhs=_bailey_rhs, derive=_vwp_derive,
-        guards=lambda p: _guard_values(("1 - a", 1 - p.sym("a")))))
+        lhs=_total("bailey_row"), rhs=_total("bailey_rhs_row"), derive=_vwp_derive,
+        guards=_anchor_guard))
 
     add(IdentityDescriptor(
         id="singh_quadratic",
         symbols=("A", "B", "c"),
         index_names=("n",),
-        lhs=_singh_lhs, rhs=_singh_rhs,
+        lhs=_total("singh_lhs_row"), rhs=_total("singh_rhs_row"),
         notes="A = a^2, B = b^2; terminated by d = q^{-n} (the c = q^{-n} "
-              "variant swaps the roles of c and d and evaluates identically; "
-              "see singh_sides)"))
+              "variant swaps the roles of c and d and evaluates identically)"))
 
     add(IdentityDescriptor(
         id="schlosser_cr",
@@ -793,7 +769,6 @@ def _build_registry() -> Dict[str, IdentityDescriptor]:
         index_names=("n", "r"),
         lhs=schlosser_lhs, rhs=schlosser_rhs,
         guards=_distinct_x_guard,
-        sample_symbols=_x_family_sampler(("a", "b", "c", "d")),
         default_ranges={"n": (0, MULTISUM_MAX_N), "r": (1, 3)}))
 
     add(IdentityDescriptor(
@@ -802,7 +777,6 @@ def _build_registry() -> Dict[str, IdentityDescriptor]:
         index_names=("r",),
         lhs=schlosser_lemma_lhs, rhs=schlosser_lemma_rhs,
         guards=_distinct_x_guard,
-        sample_symbols=_x_family_sampler(("a", "b", "c", "d")),
         default_ranges={"r": (1, 3)}))
 
     add(IdentityDescriptor(
@@ -817,7 +791,6 @@ def _build_registry() -> Dict[str, IdentityDescriptor]:
         index_names=("n", "r"),
         lhs=lambda p: _cr_lhs(p, signed=False), rhs=_cr1_rhs,
         guards=_distinct_x_guard,
-        sample_symbols=_x_family_sampler(("a",)),
         xcheck=_cr_xcheck(signed=False),
         default_ranges={"n": (0, MULTISUM_MAX_N), "r": (1, 3)}))
 
@@ -827,7 +800,6 @@ def _build_registry() -> Dict[str, IdentityDescriptor]:
         index_names=("n", "r"),
         lhs=lambda p: _cr_lhs(p, signed=True), rhs=_cr2_rhs,
         guards=_distinct_x_guard,
-        sample_symbols=_x_family_sampler(("a",)),
         xcheck=_cr_xcheck(signed=True),
         default_ranges={"n": (0, MULTISUM_MAX_N), "r": (1, 3)},
         notes="per-index weight (-1)^{s_i} q^{-(r-1) s_i}; right side vanishes "
@@ -837,7 +809,7 @@ def _build_registry() -> Dict[str, IdentityDescriptor]:
         id="lebesgue_finite",
         symbols=("a",),
         index_names=("n",),
-        lhs=_lebesgue_lhs, rhs=_lebesgue_rhs))
+        lhs=_total("lebesgue_row"), rhs=_lebesgue_rhs))
 
     add(IdentityDescriptor(
         id="jacobi_finite",
@@ -851,7 +823,7 @@ def _build_registry() -> Dict[str, IdentityDescriptor]:
         symbols=("z",),
         index_names=("n", "m", "k"),
         lhs=_jacobi_pref_lhs, rhs=_jacobi_pref_rhs,
-        guards=lambda p: _guard_values(("1 + z", 1 + p.sym("z"))),
+        guards=lambda p: [("1 + z", 1 + p.sym("z"))],
         sample_indices=_pref_sample_indices,
         default_ranges={"n": (0, 6), "m": (0, 4)},
         notes="termwise change-of-variables relation; k ranges over [-m, n]; "
@@ -861,14 +833,14 @@ def _build_registry() -> Dict[str, IdentityDescriptor]:
         id="quintuple_finite",
         symbols=("z",),
         index_names=("n",),
-        lhs=_quintuple_lhs, rhs=_one))
+        lhs=_total("quintuple_row"), rhs=_one))
 
     add(IdentityDescriptor(
         id="quintuple_finite_mn",
         symbols=("z",),
         index_names=("n", "m"),
         lhs=_quintuple_mn_lhs, rhs=_one,
-        guards=lambda p: _guard_values(("1 - z^2", 1 - p.sym("z")**2)),
+        guards=lambda p: [("1 - z^2", 1 - p.sym("z")**2)],
         default_ranges={"n": (0, 6), "m": (0, 4)}))
 
     add(IdentityDescriptor(
@@ -941,9 +913,8 @@ def sample_point(desc: IdentityDescriptor, rng: random.Random,
     idx_sampler = desc.sample_indices or _default_sample_indices(
         desc.index_names, desc.default_ranges)
     indices = idx_sampler(rng, index_ranges)
-    sym_sampler = desc.sample_symbols or _default_sample_symbols(desc.symbols)
-    symbols = sym_sampler(rng, indices, size_bound)
-    return ParamPoint(symbols, indices)
+    return ParamPoint(_sample_symbols(rng, desc.symbols, indices, size_bound),
+                      indices)
 
 
 def _run_trial(desc: IdentityDescriptor, seed: int, trial: int,

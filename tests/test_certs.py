@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from qident.qcore import ParamPoint, PoleError, qpoch, qpoch_multi
-from qident.hyper import contiguous_alpha, contiguous_beta
+from qident.hyper import (contiguous_alpha, contiguous_beta,
+                          poch_ratio_terms, term_row)
 from qident import certs, cli
 from qident import identities as ident
 from qident.certs import (bailey_alpha, boundary_check, certificate_ids,
@@ -144,14 +145,16 @@ def test_inductive_replay_schlosser():
         assert inductive_replay("schlosser", point, 3)
 
 
-def test_replay_rejects_corrupt_closed_form():
+def test_replay_rejects_corrupt_closed_form(monkeypatch):
     rng = random.Random(75)
     cert = get_certificate("jackson")
     point = sample_certificate_point(cert, rng)
-    corrupt = replace(cert, rhs_value=lambda p, n:
-                      cert.rhs_value(p, n) * (p.sym("q") if n else 1))
     assert inductive_replay(cert, point, 4)
-    assert not inductive_replay(corrupt, point, 4)
+    # the certificate reads its closed form from the registry
+    desc = ident.get_identity(cert.identity)
+    monkeypatch.setitem(ident._REGISTRY, cert.identity, replace(
+        desc, rhs=lambda p: desc.rhs(p) * (p.sym("q") if p.idx("n") else 1)))
+    assert not inductive_replay(cert, point, 4)
 
 
 def test_schlosser_term_recurrence_vectors():
@@ -413,3 +416,156 @@ def test_level_yields_each_k_before_a_later_pole():
         assert k == 0 and (residual == 0) == healthy
         with pytest.raises(PoleError):
             next(level)
+
+
+# ---------------------------------------------------------------------------
+# the C_r summand as two loops evaluated it before they became one row: the
+# reference for identities.schlosser_row
+# ---------------------------------------------------------------------------
+
+def reference_axis_rows(p):
+    """Per-axis summand rows of schlosser_cr: row i holds, for k_i = 0..n,
+    the factors of the summand that depend on x_i and k_i alone."""
+    a, b, c, d, q = (p.sym(s) for s in "abcdq")
+    n, r = p.idx("n"), p.idx("r")
+    rows = []
+    for xi in ident._xs(p, r):
+        nums = [a*xi*xi, b*xi, c*xi, d*xi, a*a*xi*q**(n-r+2)/(b*c*d), q**(-n)]
+        dens = [q, a*xi*q/b, a*xi*q/c, a*xi*q/d,
+                b*c*d*xi*q**(r-n-1)/a, a*xi*xi*q**(n+1)]
+        rows.append(term_row(ident._well_poised(
+            a*xi*xi, q, poch_ratio_terms(nums, dens, q, q, n + 1)), n))
+    return tuple(rows)
+
+
+def reference_schlosser_lhs(p):
+    a, q = p.sym("a"), p.sym("q")
+    n, r = p.idx("n"), p.idx("r")
+    ident._require_multisum_budget(n, r)
+    xs = ident._xs(p, r)
+    pair_den = ident.pair_product(a, q, xs, [0] * r)
+    if pair_den == 0:
+        raise PoleError("pair-interaction denominator vanished")
+    tables = [[row.term(k) for k in range(n + 1)]
+              for row in reference_axis_rows(p)]
+    total = Fraction(0)
+    for ks in itertools.product(range(n + 1), repeat=r):
+        t = ident.pair_product(a, q, xs, ks)
+        for i in range(r):
+            t *= tables[i][ks[i]]
+        total += t
+    return total / pair_den
+
+
+def _pair_ratio(a, q, xs, shifts):
+    """The pair-interaction product at the given shifts over its value at
+    no shift."""
+    return _div(ident.pair_product(a, q, xs, shifts),
+                ident.pair_product(a, q, xs, [0] * len(xs)))
+
+
+def reference_cr_term(p, axes, ks):
+    """Level n of the C_r summand at p, read by k-vector: the
+    pair-interaction ratio times one entry of each axis row."""
+    n = p.idx("n")
+    xs = tuple(ident._xs(p, p.idx("r")))
+    ks = (ks,) if isinstance(ks, int) else tuple(ks)
+    if len(ks) != len(xs):
+        raise ValueError("need a k-vector of length r=%d" % len(xs))
+    if any(k < 0 or k > n for k in ks):
+        return Fraction(0)
+    t = _pair_ratio(p.sym("a"), p.sym("q"), xs, ks)
+    for row, k in zip(axes, ks):
+        t *= row.term(k)
+    return t
+
+
+@pytest.mark.parametrize("bound", [2, 3, 1000])
+def test_schlosser_row_matches_the_reference_loops(bound):
+    rng = random.Random(300 + bound)
+    cases = poles = 0
+    for r in (1, 2, 3):
+        for _ in range(6):
+            # x_1..x_r distinct from each other only: a certificate point's
+            # x-vector must also avoid a, b, c, d and q, which bound 2 cannot
+            # always satisfy at r = 3
+            symbols = ident._sample_symbols(rng, "abcd", {"r": r}, bound)
+            for n in range(4):
+                p = ParamPoint(symbols, {"n": n, "r": r})
+                row = ident.schlosser_row(p)
+                expected = _value_or_pole(reference_schlosser_lhs, p)
+                assert _value_or_pole(row.total) == expected, p
+                poles += expected is PoleError
+                axes = reference_axis_rows(p)
+                for ks in itertools.product(range(-1, n + 2), repeat=r):
+                    assert (_value_or_pole(row.term, ks)
+                            == _value_or_pole(reference_cr_term, p, axes, ks)), \
+                        (p, ks)
+                    cases += 1
+    assert cases > 1000
+    if bound <= 3:
+        assert poles > 0
+
+
+def test_schlosser_row_raises_a_vanished_pair_denominator_on_read():
+    # 1 - a x1 x2 = 0 at a = 1/6, x1 = 2, x2 = 3
+    point = ParamPoint({"a": Fraction(1, 6), "b": 5, "c": 7,
+                        "d": Fraction(1, 11), "q": Fraction(2, 3),
+                        "x1": 2, "x2": 3}, {"n": 2, "r": 2})
+    row = ident.schlosser_row(point)
+    assert row.term((0, 3)) == 0
+    with pytest.raises(PoleError, match="pair-interaction"):
+        row.term((0, 0))
+    with pytest.raises(PoleError, match="pair-interaction"):
+        row.total()
+    with pytest.raises(PoleError, match="pair-interaction"):
+        ident.schlosser_lhs(point)
+    # the certificate's level reader hands back the row itself, not an
+    # int-indexed empty row, so the pole surfaces on read there too
+    level = get_certificate("schlosser").term(point, 2)
+    assert isinstance(level, ident.CrRow)
+    with pytest.raises(PoleError, match="pair-interaction"):
+        level.term((1, 1))
+    with pytest.raises(PoleError):
+        term_recurrence_residual("schlosser", point, 2, (1, 1))
+
+
+# proof -> (symbols, order, multi), derived from the identity and the steps
+CERT_FACTS = {
+    "jackson": (("a", "b", "c", "d"), 1, False),
+    "watson": (("a", "b", "c", "d", "e"), 1, False),
+    "bailey": (("a", "b", "c", "d", "e", "f"), 1, False),
+    "singh": (("A", "B", "c"), 2, False),
+    "lebesgue": (("a",), 1, False),
+    "quintuple": (("z",), 1, False),
+    "schlosser": (("a", "b", "c", "d"), 1, True),
+}
+
+
+def test_certificate_facts_derived_from_the_registry():
+    assert {cert.id: (cert.symbols, cert.order, cert.multi)
+            for cert in list_certificates()} == CERT_FACTS
+
+
+# (proof, level reader, identities row builder it reads)
+CERT_ROWS = [("jackson", "term", "jackson_row"),
+             ("watson", "term", "watson_row"),
+             ("watson", "rhs_term", "watson_rhs_row"),
+             ("bailey", "term", "bailey_row"),
+             ("bailey", "rhs_term", "bailey_rhs_row"),
+             ("singh", "term", "singh_lhs_row"),
+             ("singh", "rhs_term", "singh_rhs_row"),
+             ("lebesgue", "term", "lebesgue_row"),
+             ("quintuple", "term", "quintuple_row"),
+             ("schlosser", "term", "schlosser_row")]
+
+
+@pytest.mark.parametrize("cert_id,reader,row_name", CERT_ROWS)
+def test_level_reader_looks_up_the_row_builder_when_read(monkeypatch, cert_id,
+                                                          reader, row_name):
+    cert = get_certificate(cert_id)
+    point = sample_certificate_point(cert, random.Random(5), r_range=(1, 1))
+    marker, built = object(), []
+    monkeypatch.setattr(ident, row_name, lambda p: built.append(p) or marker)
+    assert getattr(cert, reader)(point, 3) is marker
+    assert [p.idx("n") for p in built] == [3]

@@ -271,3 +271,13 @@ def test_random_draws_reject_small_bounds():
     with pytest.raises(ValueError):
         ident.random_q(rng, 1)
     assert abs(ident.random_rational(rng, 1)) == 1
+
+
+def test_replay_cap_is_noted_on_stderr(capsys):
+    argv = ["certify", "--proof", "jackson", "--trials", "1", "--seed", "3"]
+    status, _, err = run_main(capsys, argv + ["--n-max", "6"])
+    assert status == 0
+    assert "# jackson: replay n capped at 5 (--n-max 6)" in err.splitlines()
+    status, _, err = run_main(capsys, argv + ["--n-max", "5"])
+    assert status == 0
+    assert "capped" not in err

@@ -8,8 +8,7 @@ from qident.qcore import ParamPoint, PoleError, qpoch, qpoch_multi
 from qident import identities as ident
 from qident.identities import (CounterexampleFound, RetryExhausted,
                                eval_sides, get_identity, identity_ids,
-                               list_identities, sample_point, singh_sides,
-                               verify)
+                               list_identities, sample_point, verify)
 
 EXPECTED_IDS = (
     "jackson_8phi7", "jackson_6phi5", "watson_transform", "vwp_transform",
@@ -216,11 +215,8 @@ def test_quintuple_forms_agree():
 def test_singh_variant_flag():
     p = ParamPoint({"A": Fraction(3, 4), "B": Fraction(-2, 5),
                     "c": Fraction(7, 2), "q": Fraction(3, 5)}, {"n": 3})
-    assert singh_sides(p, "d") == singh_sides(p, "c")
-    lhs, rhs = singh_sides(p)
+    lhs, rhs = eval_sides("singh_quadratic", p)
     assert lhs == rhs
-    with pytest.raises(ValueError):
-        singh_sides(p, "e")
 
 
 def test_cr_lhs_independent_of_x():
