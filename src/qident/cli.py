@@ -93,12 +93,12 @@ def _is_multisum(identity_id: str) -> bool:
 
 
 def _identity_ranges(identity_id: str, config: RunConfig) -> Dict[str, Tuple[int, int]]:
-    if _is_multisum(identity_id):
-        return {"n": (0, min(config.n_max, ident.MULTISUM_MAX_N)),
-                "r": (1, config.r_max)}
-    if identity_id == "schlosser_lemma_n1":
-        return {"r": (1, config.r_max)}
-    return {"n": (0, config.n_max), "m": (0, config.m_max)}
+    """The sampled range of each of the identity's indices n, m and r."""
+    n_max = (min(config.n_max, ident.MULTISUM_MAX_N)
+             if _is_multisum(identity_id) else config.n_max)
+    ranges = {"n": (0, n_max), "m": (0, config.m_max), "r": (1, config.r_max)}
+    names = ident.get_identity(identity_id).index_names
+    return {name: ranges[name] for name in names if name in ranges}
 
 
 def _verify_item(identity_id: str, config: RunConfig) -> Dict:
@@ -463,6 +463,12 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         config.series_trials = args.series_trials
         config.n_max, config.m_max, config.r_max = args.n_max, args.m_max, args.r_max
         config.order = args.order
+    # at --max-abs 2 only 6 rationals exist (+-1, +-2, +-1/2); a multi-index
+    # certificate's x_1..x_r must avoid its symbols and q, up to 5 of them
+    if (config.max_abs == 2 and config.r_max >= 2
+            and any(certs.get_certificate(p).multi for p in config.proof_ids)):
+        raise ConfigError("--max-abs 2 leaves too few x values for a "
+                          "multi-index certificate at --r-max >= 2")
     return config
 
 

@@ -1,8 +1,11 @@
 """Terminating basic hypergeometric sums and the well-poised contiguous relations.
 
-``poch_ratio_terms`` is the package's one term-ratio loop: every terminating
-summand row, in ``identities`` and so in the certificates, and every
-certificate anti-difference row is built on it.
+``poch_ratio_terms`` is the package's one term-ratio loop: every one-sided
+terminating sum and same-index Pochhammer quotient in ``identities``, and so
+every certificate row, is built on it; z may be a pair (z, p), read as
+z^k p^{k(k-1)/2}.  The bilateral ``jacobi_finite`` and ``quintuple_finite_mn``
+stay on ``qcore``: their negative-index Pochhammers raise PoleError where the
+term merely vanishes, and a kernel form would move those rejections.
 
 The two contiguous relations implemented here connect the k-th term of a
 well-poised series whose last two parameters differ by a factor of q (first
@@ -48,12 +51,13 @@ def poch_ratio_terms(nums: Sequence, dens: Sequence, q, z,
     Each term is the one before times the term ratio
     z prod(1 - a q^k) / prod(1 - b q^k), so no Pochhammer is recomputed.  An
     entry of ``nums`` or ``dens`` is a value a, read as (a;q)_k, or a pair
-    (a, p), read as (a;p)_k.  ``dens`` must already include q itself when the
+    (a, p), read as (a;p)_k.  Likewise z may be a pair (z, p), read as
+    z^k p^{k(k-1)/2}.  ``dens`` must already include q itself when the
     usual (q;q)_k factor is wanted.  When a denominator factor vanishes, every
     term before it has been yielded and PoleError is raised.
     """
     q = Fraction(q)
-    z = Fraction(z)
+    z, zp = (Fraction(v) for v in (z if isinstance(z, tuple) else (z, 1)))
     num_runs = _runs(nums, q)
     den_runs = _runs(dens, q)
     term = Fraction(1)
@@ -62,6 +66,7 @@ def poch_ratio_terms(nums: Sequence, dens: Sequence, q, z,
         if k == terms - 1:
             return
         ratio = z
+        z *= zp
         for run in num_runs:
             ratio *= 1 - run[0]
             run[0] *= run[1]
@@ -161,14 +166,23 @@ class WellPoisedTerm:
             raise ValueError("well-poised term needs at least two parameters")
 
 
+def wp_terms(a_list: Sequence, q, z, terms: int) -> Iterator[Fraction]:
+    """The terms k = 0..terms-1 of the well-poised series
+    (a_1, ..., a_{r+1};q)_k z^k / (q, a_1 q/a_2, ..., a_1 q/a_{r+1};q)_k; a
+    zero a_2, ..., a_{r+1} raises PoleError before any term is read."""
+    q = Fraction(q)
+    a_list = [Fraction(a) for a in a_list]
+    if any(a == 0 for a in a_list[1:]):
+        raise PoleError("well-poised parameter must be nonzero")
+    dens = [q] + [a_list[0] * q / a for a in a_list[1:]]
+    return poch_ratio_terms(a_list, dens, q, z, terms)
+
+
 def _wp_value(a_list: Sequence[Fraction], q: Fraction, z: Fraction, k: int) -> Fraction:
     if k < 0:
         return Fraction(0)
-    a1 = a_list[0]
-    if any(a == 0 for a in a_list[1:]):
-        raise PoleError("well-poised parameter must be nonzero")
-    dens = [q] + [a1 * q / a for a in a_list[1:]]
-    return poch_ratio(a_list, dens, q, k, z)
+    *_, term = wp_terms(a_list, q, z, k + 1)
+    return term
 
 
 def wp_term(t: WellPoisedTerm, k: int) -> Fraction:

@@ -20,9 +20,9 @@ from fractions import Fraction
 from typing import (Callable, Dict, Iterable, Iterator, Mapping, Optional,
                     Sequence, Tuple)
 
-from .qcore import (ParamPoint, PoleError, QIdentityError,
-                    qbinom, qpoch, qpoch_multi)
-from .hyper import TermRow, poch_ratio_terms, term_row
+from .qcore import ParamPoint, PoleError, QIdentityError, qbinom, qpoch
+from .hyper import (TermRow, poch_ratio, poch_ratio_sum, poch_ratio_terms,
+                    term_row, wp_terms)
 
 # Cost guard for the r-fold multi-sums (exact bignum arithmetic grows fast).
 MULTISUM_MAX_R = 4
@@ -64,15 +64,8 @@ def _well_poised(a, q, terms: Iterable[Fraction]) -> Iterator[Fraction]:
 
 def _vwp_terms(a1, middles: Sequence, q, n: int, z) -> Iterator[Fraction]:
     """The terms k = 0..n of ``vwp_sum``."""
-    a1 = Fraction(a1)
-    q = Fraction(q)
-    middles = [Fraction(m) for m in middles]
-    for m in middles:
-        if m == 0:
-            raise PoleError("very-well-poised middle parameter must be nonzero")
-    nums = [a1] + middles + [q ** (-n)]
-    dens = [q] + [a1 * q / m for m in middles] + [a1 * q ** (n + 1)]
-    return _well_poised(a1, q, poch_ratio_terms(nums, dens, q, z, n + 1))
+    a1, q = Fraction(a1), Fraction(q)
+    return _well_poised(a1, q, wp_terms([a1, *middles, q**(-n)], q, z, n + 1))
 
 
 def vwp_sum(a1, middles: Sequence, q, n: int, z) -> Fraction:
@@ -301,8 +294,8 @@ def jackson_row(p: ParamPoint) -> TermRow:
 def _jackson_rhs(p: ParamPoint) -> Fraction:
     a, b, c, d, q = (p.sym(s) for s in "abcdq")
     n = p.idx("n")
-    return _div(qpoch_multi([a*q, a*q/(b*c), a*q/(b*d), a*q/(c*d)], q, n),
-                qpoch_multi([a*q/b, a*q/c, a*q/d, a*q/(b*c*d)], q, n))
+    return poch_ratio([a*q, a*q/(b*c), a*q/(b*d), a*q/(c*d)],
+                      [a*q/b, a*q/c, a*q/d, a*q/(b*c*d)], q, n)
 
 
 def _jackson_derive(p: ParamPoint) -> ParamPoint:
@@ -319,8 +312,7 @@ def _6phi5_lhs(p: ParamPoint) -> Fraction:
 def _6phi5_rhs(p: ParamPoint) -> Fraction:
     a, b, c, q = (p.sym(s) for s in "abcq")
     n = p.idx("n")
-    return _div(qpoch_multi([a*q, a*q/(b*c)], q, n),
-                qpoch_multi([a*q/b, a*q/c], q, n))
+    return poch_ratio([a*q, a*q/(b*c)], [a*q/b, a*q/c], q, n)
 
 
 @_memo_rows
@@ -335,8 +327,7 @@ def watson_row(p: ParamPoint) -> TermRow:
 def watson_rhs_row(p: ParamPoint) -> TermRow:
     a, b, c, d, e, q = (p.sym(s) for s in "abcdeq")
     n = p.idx("n")
-    pre = _div(qpoch_multi([a*q, a*q/(d*e)], q, n),
-               qpoch_multi([a*q/d, a*q/e], q, n))
+    pre = poch_ratio([a*q, a*q/(d*e)], [a*q/d, a*q/e], q, n)
     ser = poch_ratio_terms([a*q/(b*c), d, e, q**(-n)],
                            [q, a*q/b, a*q/c, d*e*q**(-n)/a], q, q, n + 1)
     return term_row((pre * t for t in ser), n)
@@ -350,8 +341,7 @@ def _vwp_derive(p: ParamPoint) -> ParamPoint:
 def _vwp_rhs(p: ParamPoint) -> Fraction:
     a, b, c, d, e, q, lam = (p.sym(s) for s in ("a", "b", "c", "d", "e", "q", "lam"))
     n = p.idx("n")
-    pre = _div(qpoch_multi([a*q, lam*q/e], q, n),
-               qpoch_multi([a*q/e, lam*q], q, n))
+    pre = poch_ratio([a*q, lam*q/e], [a*q/e, lam*q], q, n)
     return pre * vwp_sum(lam, [lam*b/a, lam*c/a, lam*d/a, e], q, n, a*q**(n+1)/e)
 
 
@@ -368,8 +358,8 @@ def bailey_rhs_row(p: ParamPoint) -> TermRow:
     a, b, c, d, e, f, q, lam = (p.sym(s) for s in ("a", "b", "c", "d", "e", "f", "q", "lam"))
     n = p.idx("n")
     g = lam*a*q**(n+1)/(e*f)
-    pre = _div(qpoch_multi([a*q, a*q/(e*f), lam*q/e, lam*q/f], q, n),
-               qpoch_multi([a*q/e, a*q/f, lam*q/(e*f), lam*q], q, n))
+    pre = poch_ratio([a*q, a*q/(e*f), lam*q/e, lam*q/f],
+                     [a*q/e, a*q/f, lam*q/(e*f), lam*q], q, n)
     ser = _vwp_terms(lam, [lam*b/a, lam*c/a, lam*d/a, e, f, g], q, n, q)
     return term_row((pre * t for t in ser), n)
 
@@ -447,11 +437,8 @@ def schlosser_row(p: ParamPoint) -> CrRow:
     xs = tuple(_xs(p, r))
     axes = []
     for xi in xs:
-        nums = [a*xi*xi, b*xi, c*xi, d*xi, a*a*xi*q**(n-r+2)/(b*c*d), q**(-n)]
-        dens = [q, a*xi*q/b, a*xi*q/c, a*xi*q/d,
-                b*c*d*xi*q**(r-n-1)/a, a*xi*xi*q**(n+1)]
-        axes.append(term_row(_well_poised(
-            a*xi*xi, q, poch_ratio_terms(nums, dens, q, q, n + 1)), n))
+        middles = [b*xi, c*xi, d*xi, a*a*xi*q**(n-r+2)/(b*c*d)]
+        axes.append(term_row(_vwp_terms(a*xi*xi, middles, q, n, q), n))
     return CrRow(n, a, q, xs, tuple(axes))
 
 
@@ -460,21 +447,28 @@ def schlosser_lhs(p: ParamPoint) -> Fraction:
     return schlosser_row(p).total()
 
 
-def schlosser_rhs(p: ParamPoint) -> Fraction:
+def _schlosser_axes_rhs(p: ParamPoint, n: int) -> Fraction:
+    """The per-axis closed-form product of the C_r sum at level n."""
     a, b, c, d, q = (p.sym(s) for s in "abcdq")
+    r = p.idx("r")
+    t = Fraction(1)
+    for i, xi in enumerate(_xs(p, r), 1):
+        t *= poch_ratio([a*xi*xi*q, a*q**(2-i)/(b*c),
+                         a*q**(2-i)/(b*d), a*q**(2-i)/(c*d)],
+                        [a*q**(2-r)/(b*c*d*xi), a*xi*q/b,
+                         a*xi*q/c, a*xi*q/d], q, n)
+    return t
+
+
+def schlosser_rhs(p: ParamPoint) -> Fraction:
+    a, q = p.sym("a"), p.sym("q")
     n, r = p.idx("n"), p.idx("r")
     xs = _xs(p, r)
     t = Fraction(1)
     for i in range(r):
         for j in range(i + 1, r):
             t *= _div(1 - a*xs[i]*xs[j]*q**n, 1 - a*xs[i]*xs[j])
-    for i in range(1, r + 1):
-        xi = xs[i - 1]
-        t *= _div(qpoch_multi([a*xi*xi*q, a*q**(2-i)/(b*c),
-                               a*q**(2-i)/(b*d), a*q**(2-i)/(c*d)], q, n),
-                  qpoch_multi([a*q**(2-r)/(b*c*d*xi), a*xi*q/b,
-                               a*xi*q/c, a*xi*q/d], q, n))
-    return t
+    return t * _schlosser_axes_rhs(p, n)
 
 
 def schlosser_lemma_lhs(p: ParamPoint) -> Fraction:
@@ -485,49 +479,31 @@ def schlosser_lemma_lhs(p: ParamPoint) -> Fraction:
     total = Fraction(0)
     for ss in itertools.product((0, 1), repeat=r):
         t = _div(pair_product(a, q, xs, ss), pair_den, "lemma pair denominator")
-        for i in range(r):
-            xi, si = xs[i], ss[i]
-            t *= Fraction(-1) ** si
-            t *= qpoch_multi([b*xi, c*xi, d*xi, a*a*xi*q**(3-r)/(b*c*d)], q, si)
-            t = _div(t, qpoch_multi([a*xi*q/b, a*xi*q/c, a*xi*q/d,
-                                     b*c*d*xi*q**(r-2)/a], q, si))
+        for xi, si in zip(xs, ss):
+            t *= poch_ratio([b*xi, c*xi, d*xi, a*a*xi*q**(3-r)/(b*c*d)],
+                            [a*xi*q/b, a*xi*q/c, a*xi*q/d,
+                             b*c*d*xi*q**(r-2)/a], q, si, -1)
         total += t
     return total
 
 
 def schlosser_lemma_rhs(p: ParamPoint) -> Fraction:
-    a, b, c, d, q = (p.sym(s) for s in "abcdq")
-    r = p.idx("r")
-    xs = _xs(p, r)
-    t = Fraction(1)
-    for i in range(1, r + 1):
-        xi = xs[i - 1]
-        t *= _div(qpoch_multi([a*xi*xi*q, a*q**(2-i)/(b*c),
-                               a*q**(2-i)/(b*d), a*q**(2-i)/(c*d)], q, 1),
-                  qpoch_multi([a*q**(2-r)/(b*c*d*xi), a*xi*q/b,
-                               a*xi*q/c, a*xi*q/d], q, 1))
-    return t
+    return _schlosser_axes_rhs(p, 1)
 
 
 def _sch_special_lhs(p: ParamPoint) -> Fraction:
     a, b, c, d, q = (p.sym(s) for s in "abcdq")
     n = p.idx("n")
-    total = Fraction(0)
-    for k in range(n + 1):
-        t = Fraction(-1)**k * q**(k*(k+1)//2 - k*n) * qbinom(n, k, q)
-        t *= _div(1 - a*q**(2*k), qpoch(a*q**k, q, n + 1))
-        t *= qpoch_multi([a*q/b, a*q/c, a*q/d, b*c*d*q**(n-2)/a], q, k)
-        t = _div(t, qpoch_multi([b, c, d, a*a*q**(3-n)/(b*c*d)], q, k))
-        total += t
-    return total
+    return poch_ratio([], [a*q], q, n) * vwp_sum(
+        a, [a*q/b, a*q/c, a*q/d, b*c*d*q**(n-2)/a], q, n, q)
 
 
 def _sch_special_rhs(p: ParamPoint) -> Fraction:
     a, b, c, d, q = (p.sym(s) for s in "abcdq")
     n = p.idx("n")
-    t = (b*c*d*q**(n-2)/a) ** n
-    t *= qpoch_multi([a*q**(2-n)/(b*c), a*q**(2-n)/(b*d), a*q**(2-n)/(c*d)], q, n)
-    return _div(t, qpoch_multi([b, c, d, a*a*q**(3-n)/(b*c*d)], q, n))
+    return (b*c*d*q**(n-2)/a) ** n * poch_ratio(
+        [a*q**(2-n)/(b*c), a*q**(2-n)/(b*d), a*q**(2-n)/(c*d)],
+        [b, c, d, a*a*q**(3-n)/(b*c*d)], q, n)
 
 
 def _cr_lhs(p: ParamPoint, signed: bool) -> Fraction:
@@ -552,8 +528,8 @@ def _cr_lhs(p: ParamPoint, signed: bool) -> Fraction:
 def _cr1_rhs(p: ParamPoint) -> Fraction:
     q = p.sym("q")
     n, r = p.idx("n"), p.idx("r")
-    return _div((n + 1) * qpoch(q**(n+1), q**(n+1), r - 1),
-                q**(n * (r*(r-1)//2)) * qpoch(q, q, r - 1))
+    return ((n + 1) * poch_ratio([(q**(n+1), q**(n+1))], [q], q, r - 1)
+            / q**(n * (r*(r-1)//2)))
 
 
 def _cr2_rhs(p: ParamPoint) -> Fraction:
@@ -561,8 +537,8 @@ def _cr2_rhs(p: ParamPoint) -> Fraction:
     n, r = p.idx("n"), p.idx("r")
     if n % 2 == 1:
         return Fraction(0)
-    return _div(qpoch(-q**(n+1), q**(n+1), r - 1),
-                q**(n * (r*(r-1)//2)) * qpoch(-q, q, r - 1))
+    return (poch_ratio([(-q**(n+1), q**(n+1))], [-q], q, r - 1)
+            / q**(n * (r*(r-1)//2)))
 
 
 def _cr_xcheck(signed: bool):
@@ -580,7 +556,7 @@ def lebesgue_row(p: ParamPoint) -> TermRow:
     (q^{-n}, a;q)_k (-q^{n+1})^k / (q, a q^{n+1};q)_k / (a;q)_{n+1}."""
     a, q = p.sym("a"), p.sym("q")
     n = p.idx("n")
-    pre = _div(Fraction(1), qpoch(a, q, n + 1))
+    pre = poch_ratio([], [a], q, n + 1)
     ser = poch_ratio_terms([q**(-n), a], [q, a*q**(n+1)], q, -q**(n+1), n + 1)
     return term_row((pre * t for t in ser), n)
 
@@ -612,9 +588,8 @@ def _jacobi_finite_rhs(p: ParamPoint) -> Fraction:
 def _jacobi_pref_lhs(p: ParamPoint) -> Fraction:
     z, q = p.sym("z"), p.sym("q")
     n, m, k = p.idx("n"), p.idx("m"), p.idx("k")
-    t = _div(qpoch(-z*q**(-2*m), q*q, m + n + 1),
-             qpoch(-z*q**(k-m), q, m + n + 1))
-    return t * q**((m+k+1)*(m+k)//2)
+    return (poch_ratio([(-z*q**(-2*m), q*q)], [-z*q**(k-m)], q, m + n + 1)
+            * q**((m+k+1)*(m+k)//2))
 
 
 def _jacobi_pref_rhs(p: ParamPoint) -> Fraction:
@@ -631,10 +606,10 @@ def quintuple_row(p: ParamPoint) -> TermRow:
     z, q = p.sym("z"), p.sym("q")
     n = p.idx("n")
     a = z*z*q
-    pre = _div(qpoch(z*q, q, n), qpoch(a*q, q, n))
-    ser = _well_poised(a, q, poch_ratio_terms(
-        [a, q**(-n)], [q, a*q**(n+1)], q, -z*q**(n+1), n + 1))
-    return term_row((pre * t * q**(k*(k-1)//2) for k, t in enumerate(ser)), n)
+    pre = poch_ratio([z*q], [a*q], q, n)
+    ser = _well_poised(a, q, wp_terms([a, q**(-n)], q, (-z*q**(n+1), q),
+                                      n + 1))
+    return term_row((pre * t for t in ser), n)
 
 
 def _quintuple_mn_lhs(p: ParamPoint) -> Fraction:
@@ -650,14 +625,14 @@ def _quintuple_mn_lhs(p: ParamPoint) -> Fraction:
 
 
 def _quintuple_ccg_lhs(p: ParamPoint) -> Fraction:
+    """(z;q)_{n+1}/(z^2;q)_{n+1} sum_k (1 + z q^k) T_k; the factor 1 + z q^k
+    stays per term, as (-zq;q)_k/(-z;q)_k would add poles at z = -q^{-j}."""
     z, q = p.sym("z"), p.sym("q")
     n = p.idx("n")
-    total = Fraction(0)
-    for k in range(n + 1):
-        t = (1 + z*q**k) * qbinom(n, k, q) * qpoch(z, q, n + 1)
-        t = _div(t, qpoch(z*z*q**k, q, n + 1))
-        total += t * z**k * q**(k*k)
-    return total
+    ser = poch_ratio_terms([q**(-n), z*z], [q, z*z*q**(n+1)], q,
+                           (-z*q**(n+1), q), n + 1)
+    return poch_ratio([z], [z*z], q, n + 1) * sum(
+        ((1 + z*q**k) * t for k, t in enumerate(ser)), Fraction(0))
 
 
 def _one(p: ParamPoint) -> Fraction:
@@ -668,29 +643,20 @@ def _andrews_jain_lhs(p: ParamPoint) -> Fraction:
     a, b, q = (p.sym(s) for s in "abq")
     n = p.idx("n")
     q2 = q*q
-    total = Fraction(0)
-    for k in range(n + 1):
-        t = qpoch_multi([a, b], q, k) * qpoch(q**(-2*n), q2, k) * q**k
-        den = qpoch(q, q, k) * qpoch(a*b*q, q2, k) * qpoch(q**(-2*n), q, k)
-        total += _div(t, den)
-    return total
+    return poch_ratio_sum([a, b, (q**(-2*n), q2)], [q, (a*b*q, q2), q**(-2*n)],
+                          q, q, n + 1)
 
 
 def _andrews_jain_rhs(p: ParamPoint) -> Fraction:
     a, b, q = (p.sym(s) for s in "abq")
     n = p.idx("n")
     q2 = q*q
-    return _div(qpoch_multi([a*q, b*q], q2, n),
-                qpoch_multi([q, a*b*q], q2, n))
+    return poch_ratio([a*q, b*q], [q, a*b*q], q2, n)
 
 
 # ---------------------------------------------------------------------------
 # the registry
 # ---------------------------------------------------------------------------
-
-def _anchor_guard(p: ParamPoint):
-    return [("1 - a", 1 - p.sym("a"))]
-
 
 def _distinct_x_guard(p: ParamPoint):
     r = p.idx("r")
@@ -723,37 +689,32 @@ def _build_registry() -> Dict[str, IdentityDescriptor]:
         symbols=("a", "b", "c", "d"),
         index_names=("n",),
         lhs=_total("jackson_row"), rhs=_jackson_rhs, derive=_jackson_derive,
-        guards=_anchor_guard,
         notes="balanced very-well-poised summation; e := a^2 q^{n+1}/(bcd)"))
 
     add(IdentityDescriptor(
         id="jackson_6phi5",
         symbols=("a", "b", "c"),
         index_names=("n",),
-        lhs=_6phi5_lhs, rhs=_6phi5_rhs,
-        guards=_anchor_guard))
+        lhs=_6phi5_lhs, rhs=_6phi5_rhs))
 
     add(IdentityDescriptor(
         id="watson_transform",
         symbols=("a", "b", "c", "d", "e"),
         index_names=("n",),
-        lhs=_total("watson_row"), rhs=_total("watson_rhs_row"),
-        guards=_anchor_guard))
+        lhs=_total("watson_row"), rhs=_total("watson_rhs_row")))
 
     add(IdentityDescriptor(
         id="vwp_transform",
         symbols=("a", "b", "c", "d", "e"),
         index_names=("n",),
         lhs=_total("watson_row"), rhs=_vwp_rhs, derive=_vwp_derive,
-        guards=_anchor_guard,
         notes="lam := a^2 q/(bcd); both sides share the Watson-shaped left side"))
 
     add(IdentityDescriptor(
         id="bailey_10phi9",
         symbols=("a", "b", "c", "d", "e", "f"),
         index_names=("n",),
-        lhs=_total("bailey_row"), rhs=_total("bailey_rhs_row"), derive=_vwp_derive,
-        guards=_anchor_guard))
+        lhs=_total("bailey_row"), rhs=_total("bailey_rhs_row"), derive=_vwp_derive))
 
     add(IdentityDescriptor(
         id="singh_quadratic",

@@ -281,3 +281,41 @@ def test_replay_cap_is_noted_on_stderr(capsys):
     status, _, err = run_main(capsys, argv + ["--n-max", "5"])
     assert status == 0
     assert "capped" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--proof", "schlosser", "--max-abs", "2", "--r-max", "2"],
+    ["certify", "--proof", "all", "--max-abs", "2", "--r-max", "3"],
+    ["all", "--max-abs", "2"],
+])
+def test_multi_index_certificate_at_max_abs_2_is_refused(capsys, argv):
+    # the x-vector would have to avoid up to 5 of the 6 rationals of size
+    # <= 2; the check is made while the config is built, before any sampling
+    args = cli.build_parser(1, 1).parse_args(argv)
+    with pytest.raises(cli.ConfigError, match="--max-abs 2"):
+        cli.config_from_args(args)
+    status, out, err = run_main(capsys, argv)
+    assert status == 2 and out == ""
+    assert err.startswith("error: --max-abs 2") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--proof", "jackson", "--max-abs", "2"],
+    ["certify", "--proof", "schlosser", "--max-abs", "2", "--r-max", "1"],
+    ["verify", "--id", "schlosser_cr", "--max-abs", "2", "--r-max", "4"],
+])
+def test_max_abs_2_is_kept_where_samples_fit(argv):
+    args = cli.build_parser(1, 1).parse_args(argv)
+    assert cli.config_from_args(args).max_abs == 2
+
+
+def test_identity_ranges_follow_the_index_names():
+    config = cli.RunConfig(command="verify", n_max=6, m_max=4, r_max=2)
+    ranges = {i: cli._identity_ranges(i, config) for i in ident.identity_ids()}
+    assert ranges["schlosser_cr"] == {"n": (0, ident.MULTISUM_MAX_N),
+                                      "r": (1, 2)}
+    assert ranges["schlosser_lemma_n1"] == {"r": (1, 2)}
+    assert ranges["jacobi_prefactor_relation"] == {"n": (0, 6), "m": (0, 4)}
+    assert ranges["jackson_8phi7"] == {"n": (0, 6)}
+    for identity_id, got in ranges.items():
+        assert set(got) <= set(ident.get_identity(identity_id).index_names)

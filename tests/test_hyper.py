@@ -111,6 +111,33 @@ def test_poch_ratio_terms_match_pochhammers(nums, dens, q, z, n):
     assert got == expected
 
 
+@settings(max_examples=100, deadline=None)
+@given(params, params, small_rats.filter(lambda v: v not in (0, 1, -1)),
+       small_rats, small_rats.filter(lambda v: v != 0), st.integers(0, 8))
+def test_poch_ratio_terms_pair_z_is_quadratic(nums, dens, q, z, p, n):
+    # z given as (z, p) reads z^k p^{k(k-1)/2}
+    def entries(ps):
+        return [a if e == 1 else (a, q**e) for a, e in ps]
+
+    def poch(ps, k):
+        out = Fraction(1)
+        for a, e in ps:
+            out *= qpoch(a, q**e, k)
+        return out
+
+    got = []
+    try:
+        for t in poch_ratio_terms(entries(nums), entries(dens), q, (z, p),
+                                  n + 1):
+            got.append(t)
+    except PoleError:
+        assert poch(dens, len(got)) == 0
+    else:
+        assert len(got) == n + 1
+    for k, t in enumerate(got):
+        assert t == poch(nums, k) * z**k * p**(k*(k-1)//2) / poch(dens, k)
+
+
 def test_poch_ratio_terms_pole_at_known_k():
     # (1/8;2)_k vanishes from k = 4 on: 1 - (1/8) 2^3 = 0
     q = Fraction(2)

@@ -1,10 +1,11 @@
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from qident.qcore import ParamPoint, PoleError, qpoch, qpoch_multi
+from qident.qcore import ParamPoint, PoleError, qbinom, qpoch, qpoch_multi
 from qident import identities as ident
 from qident.identities import (CounterexampleFound, RetryExhausted,
                                eval_sides, get_identity, identity_ids,
@@ -299,3 +300,135 @@ def test_cr_xcheck_draws_within_the_size_bound(monkeypatch, identity_id):
         for i in range(1, point.idx("r") + 1):
             x = point.sym("x%d" % i)
             assert abs(x.numerator) <= 3 and x.denominator <= 3, x
+
+
+# ---------------------------------------------------------------------------
+# the per-k loops that four one-sided sums used before they moved onto the
+# hyper kernel, and the lemma's closed form before it shared the C_r
+# per-axis product: the references for the kernel forms
+# ---------------------------------------------------------------------------
+
+_div, _xs, pair_product = ident._div, ident._xs, ident.pair_product
+
+
+def reference_sch_special_lhs(p):
+    a, b, c, d, q = (p.sym(s) for s in "abcdq")
+    n = p.idx("n")
+    total = Fraction(0)
+    for k in range(n + 1):
+        t = Fraction(-1)**k * q**(k*(k+1)//2 - k*n) * qbinom(n, k, q)
+        t *= _div(1 - a*q**(2*k), qpoch(a*q**k, q, n + 1))
+        t *= qpoch_multi([a*q/b, a*q/c, a*q/d, b*c*d*q**(n-2)/a], q, k)
+        t = _div(t, qpoch_multi([b, c, d, a*a*q**(3-n)/(b*c*d)], q, k))
+        total += t
+    return total
+
+
+def reference_andrews_jain_lhs(p):
+    a, b, q = (p.sym(s) for s in "abq")
+    n = p.idx("n")
+    q2 = q*q
+    total = Fraction(0)
+    for k in range(n + 1):
+        t = qpoch_multi([a, b], q, k) * qpoch(q**(-2*n), q2, k) * q**k
+        den = qpoch(q, q, k) * qpoch(a*b*q, q2, k) * qpoch(q**(-2*n), q, k)
+        total += _div(t, den)
+    return total
+
+
+def reference_quintuple_ccg_lhs(p):
+    z, q = p.sym("z"), p.sym("q")
+    n = p.idx("n")
+    total = Fraction(0)
+    for k in range(n + 1):
+        t = (1 + z*q**k) * qbinom(n, k, q) * qpoch(z, q, n + 1)
+        t = _div(t, qpoch(z*z*q**k, q, n + 1))
+        total += t * z**k * q**(k*k)
+    return total
+
+
+def reference_schlosser_lemma_lhs(p):
+    a, b, c, d, q = (p.sym(s) for s in "abcdq")
+    r = p.idx("r")
+    xs = _xs(p, r)
+    pair_den = pair_product(a*q, q, xs, [0] * r)
+    total = Fraction(0)
+    for ss in itertools.product((0, 1), repeat=r):
+        t = _div(pair_product(a, q, xs, ss), pair_den, "lemma pair denominator")
+        for i in range(r):
+            xi, si = xs[i], ss[i]
+            t *= Fraction(-1) ** si
+            t *= qpoch_multi([b*xi, c*xi, d*xi, a*a*xi*q**(3-r)/(b*c*d)], q, si)
+            t = _div(t, qpoch_multi([a*xi*q/b, a*xi*q/c, a*xi*q/d,
+                                     b*c*d*xi*q**(r-2)/a], q, si))
+        total += t
+    return total
+
+
+def reference_schlosser_lemma_rhs(p):
+    a, b, c, d, q = (p.sym(s) for s in "abcdq")
+    r = p.idx("r")
+    xs = _xs(p, r)
+    t = Fraction(1)
+    for i in range(1, r + 1):
+        xi = xs[i - 1]
+        t *= _div(qpoch_multi([a*xi*xi*q, a*q**(2-i)/(b*c),
+                               a*q**(2-i)/(b*d), a*q**(2-i)/(c*d)], q, 1),
+                  qpoch_multi([a*q**(2-r)/(b*c*d*xi), a*xi*q/b,
+                               a*xi*q/c, a*xi*q/d], q, 1))
+    return t
+
+
+def _value_or_pole(fn, p):
+    try:
+        return fn(p)
+    except PoleError:
+        return PoleError
+
+
+# (identity, side, reference)
+KERNEL_FORMS = [
+    ("sch_8phi7_special", "lhs", reference_sch_special_lhs),
+    ("andrews_jain", "lhs", reference_andrews_jain_lhs),
+    ("quintuple_ccg", "lhs", reference_quintuple_ccg_lhs),
+    ("schlosser_lemma_n1", "lhs", reference_schlosser_lemma_lhs),
+    ("schlosser_lemma_n1", "rhs", reference_schlosser_lemma_rhs),
+]
+
+
+@pytest.mark.parametrize("bound", [2, 3, 1000])
+@pytest.mark.parametrize("identity_id,side,reference", KERNEL_FORMS)
+def test_kernel_forms_match_the_per_k_loops(identity_id, side, reference,
+                                            bound):
+    desc = get_identity(identity_id)
+    rng = random.Random(bound)
+    poles = 0
+    for _ in range(300):
+        p = sample_point(desc, rng, {}, bound)
+        expected = _value_or_pole(reference, p)
+        assert _value_or_pole(getattr(desc, side), p) == expected, p
+        poles += expected is PoleError
+    if bound == 2 and side == "lhs":
+        assert poles > 0
+
+
+def test_lebesgue_finite_2_matches_the_per_k_loop():
+    desc = get_identity("lebesgue_finite_2")
+    rng = random.Random(7)
+    for _ in range(100):
+        p = desc.derive(sample_point(desc, rng, {}, 3))
+        assert (_value_or_pole(desc.lhs, p)
+                == _value_or_pole(reference_andrews_jain_lhs, p)), p
+
+
+@pytest.mark.parametrize("identity_id", [
+    "jackson_8phi7", "jackson_6phi5", "watson_transform", "vwp_transform",
+    "bailey_10phi9"])
+def test_very_well_poised_anchor_1_is_a_pole(identity_id):
+    # no guard names a = 1: the well-poised factor (1 - a q^{2k})/(1 - a)
+    # raises there, and a trial counts that as one rejection
+    rng = random.Random(11)
+    desc = get_identity(identity_id)
+    p = sample_point(desc, rng, {"n": (2, 2)}).with_symbols(a=1)
+    with pytest.raises(PoleError, match="anchor"):
+        eval_sides(identity_id, p)
