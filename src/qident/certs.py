@@ -296,8 +296,13 @@ def _pair_ratio(a, q, xs: Sequence, shifts: Sequence[int]) -> Fraction:
                 _ident.pair_product(a, q, xs, [0] * len(xs)))
 
 
-def schlosser_split_coeff(p: ParamPoint, n: int, ss: Sequence[int]) -> Fraction:
-    """Per-s coefficient of the 2^r-fold split (product form), at lower level n."""
+@_ident._memo_rows
+def schlosser_split_coeff(p: ParamPoint, n: int, ss: Tuple[int, ...]) -> Fraction:
+    """Per-s coefficient of the 2^r-fold split (product form), at lower level n.
+
+    Memoized with the rows: the replay's coefficient residual reads the value
+    the term-recurrence sweep evaluated at the same (point, n, ss).  At r <= 3
+    and n <= 3 one point needs at most 24 of them."""
     r = p.idx("r")
     a, b, c, d, q = _sym(p, "abcdq")
     xs = _xs(p, r)

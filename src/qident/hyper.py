@@ -3,9 +3,12 @@
 ``poch_ratio_terms`` is the package's one term-ratio loop: every one-sided
 terminating sum and same-index Pochhammer quotient in ``identities``, and so
 every certificate row, is built on it; z may be a pair (z, p), read as
-z^k p^{k(k-1)/2}.  The bilateral ``jacobi_finite`` and ``quintuple_finite_mn``
-stay on ``qcore``: their negative-index Pochhammers raise PoleError where the
-term merely vanishes, and a kernel form would move those rejections.
+z^k p^{k(k-1)/2}.  The kernel carries an unreduced int numerator/denominator
+pair through each term ratio, and every term it yields, and so every value
+compared, is a normalized ``Fraction``.  The bilateral ``jacobi_finite`` and
+``quintuple_finite_mn`` stay on ``qcore``: their negative-index Pochhammers
+raise PoleError where the term merely vanishes, and a kernel form would move
+those rejections.
 
 The two contiguous relations implemented here connect the k-th term of a
 well-poised series whose last two parameters differ by a factor of q (first
@@ -55,36 +58,54 @@ def poch_ratio_terms(nums: Sequence, dens: Sequence, q, z,
     z^k p^{k(k-1)/2}.  ``dens`` must already include q itself when the
     usual (q;q)_k factor is wanted.  When a denominator factor vanishes, every
     term before it has been yielded and PoleError is raised.
+
+    Each run [num, den, base num, base den] holds a q^k and its base as
+    unreduced ints, and the ratio is an int pair; only the terms are reduced.
     """
-    q = Fraction(q)
-    z, zp = (Fraction(v) for v in (z if isinstance(z, tuple) else (z, 1)))
-    num_runs = _runs(nums, q)
-    den_runs = _runs(dens, q)
+    qn, qd = _ints(q)
+    zn, zd, zpn, zpd = _run(z if isinstance(z, tuple) else (z, 1), qn, qd)
+    num_runs = [_run(a, qn, qd) for a in nums]
+    den_runs = [_run(b, qn, qd) for b in dens]
     term = Fraction(1)
     for k in range(terms):
         yield term
         if k == terms - 1:
             return
-        ratio = z
-        z *= zp
+        rn, rd = zn, zd
+        zn *= zpn
+        zd *= zpd
         for run in num_runs:
-            ratio *= 1 - run[0]
-            run[0] *= run[1]
+            cn, cd, pn, pd = run
+            rn *= cd - cn
+            rd *= cd
+            run[0] = cn * pn
+            run[1] = cd * pd
         for run, b in zip(den_runs, dens):
-            factor = 1 - run[0]
-            if factor == 0:
+            cn, cd, pn, pd = run
+            if cn == cd:
                 raise PoleError(
                     "denominator factor 1 - (%s) q^%d vanished at k=%d"
                     % (b, k, k + 1))
-            ratio /= factor
-            run[0] *= run[1]
-        term *= ratio
+            rn *= cd
+            rd *= cd - cn
+            run[0] = cn * pn
+            run[1] = cd * pd
+        term = Fraction(term.numerator * rn, term.denominator * rd)
 
 
-def _runs(params: Sequence, q: Fraction) -> list:
-    """[current factor, base] for each Pochhammer parameter."""
-    return [[Fraction(a[0]), Fraction(a[1])] if isinstance(a, tuple)
-            else [Fraction(a), q] for a in params]
+def _run(a, qn: int, qd: int) -> list:
+    """[num, den, base num, base den] of a Pochhammer parameter a, read with
+    base q = qn/qd, or of a pair (a, p)."""
+    if isinstance(a, tuple):
+        return [*_ints(a[0]), *_ints(a[1])]
+    return [*_ints(a), qn, qd]
+
+
+def _ints(v) -> Tuple[int, int]:
+    """Numerator and denominator of a rational value."""
+    if not isinstance(v, (int, Fraction)):
+        v = Fraction(v)
+    return v.numerator, v.denominator
 
 
 def poch_ratio(nums: Sequence, dens: Sequence, q, n: int, z=1) -> Fraction:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+import math
 import random
 import time
 from dataclasses import dataclass, field, replace
@@ -58,8 +59,14 @@ def _well_poised(a, q, terms: Iterable[Fraction]) -> Iterator[Fraction]:
     (1 - a q^{2k})/(1 - a)."""
     if a == 1:
         raise PoleError("very-well-poised anchor must differ from 1")
-    for k, t in enumerate(terms):
-        yield t * (1 - a * q**(2*k)) / (1 - a)
+    an, ad = a.numerator, a.denominator
+    q2n, q2d = q.numerator ** 2, q.denominator ** 2
+    pn, pd = an, ad                                 # a q^{2k}
+    for t in terms:
+        yield Fraction(t.numerator * (pd - pn) * ad,
+                       t.denominator * pd * (ad - an))
+        pn *= q2n
+        pd *= q2d
 
 
 def _vwp_terms(a1, middles: Sequence, q, n: int, z) -> Iterator[Fraction]:
@@ -85,9 +92,10 @@ def vwp_sum(a1, middles: Sequence, q, n: int, z) -> Fraction:
 _ROW_MEMOS: Dict[str, Callable] = {}
 
 
-def _memo_rows(build: Callable[[ParamPoint], "TermRow | CrRow"]
-               ) -> Callable[[ParamPoint], "TermRow | CrRow"]:
-    """Memoize a summand-row builder on the point's symbol and index values.
+def _memo_rows(build: Callable[..., "TermRow | CrRow"]
+               ) -> Callable[..., "TermRow | CrRow"]:
+    """Memoize a summand-row builder on the point's symbol and index values,
+    and on any further (hashable) arguments.
 
     At n <= 6 one certificate point's checks read each builder's rows at 23
     (point, n) keys: the sweeps read levels 1..6 at the point and 0..5 at its
@@ -96,26 +104,27 @@ def _memo_rows(build: Callable[[ParamPoint], "TermRow | CrRow"]
     not cached.
     """
     @functools.lru_cache(maxsize=32)
-    def cached(symbols, indices):
-        return build(ParamPoint(dict(symbols), dict(indices)))
+    def cached(symbols, indices, *args):
+        return build(ParamPoint(dict(symbols), dict(indices)), *args)
 
     @functools.wraps(build)
-    def row(point: ParamPoint):
+    def row(point: ParamPoint, *args):
         return cached(tuple(sorted(point.symbols.items())),
-                      tuple(sorted(point.indices.items())))
+                      tuple(sorted(point.indices.items())), *args)
     _ROW_MEMOS[build.__name__] = cached
     return row
 
 
 def clear_row_memo() -> None:
-    """Forget every memoized row and reset the memo counts."""
+    """Forget every memoized row (and C_r split coefficient) and reset the
+    memo counts."""
     for cached in _ROW_MEMOS.values():
         cached.cache_clear()
 
 
 def row_memo_info() -> Dict[str, Tuple[int, int, int, int]]:
-    """Per row builder: (hits, misses, maxsize, currsize) since the last clear;
-    a miss is one row build."""
+    """Per memoized builder: (hits, misses, maxsize, currsize) since the last
+    clear; a miss is one build."""
     return {name: tuple(cached.cache_info())
             for name, cached in _ROW_MEMOS.items()}
 
@@ -125,12 +134,51 @@ def pair_product(a, q, xs: Sequence, shifts: Sequence[int]) -> Fraction:
 
         prod_{i<j} (x_i q^{s_i} - x_j q^{s_j})(1 - a x_i x_j q^{s_i+s_j}).
     """
-    ys = [x * q**s for x, s in zip(xs, shifts)]
-    t = Fraction(1)
-    for i in range(len(ys)):
-        for j in range(i + 1, len(ys)):
-            t *= (ys[i] - ys[j]) * (1 - a * ys[i] * ys[j])
-    return t
+    a, q = Fraction(a), Fraction(q)
+    ys = [Fraction(x) * q**s for x, s in zip(xs, shifts)]
+    num = den = 1
+    for i, yi in enumerate(ys):
+        for yj in ys[i + 1:]:
+            ei, ej = yi.denominator, yj.denominator
+            num *= _pair_factor(a, yi.numerator, ei, yj.numerator, ej)
+            den *= a.denominator * (ei*ej)**2
+    return Fraction(num, den)
+
+
+def _pair_factor(a: Fraction, yi: int, ei: int, yj: int, ej: int) -> int:
+    """(y_i - y_j)(1 - a y_i y_j) at y_i = yi/ei, y_j = yj/ej, times
+    a's denominator (ei ej)^2."""
+    return (yi*ej - yj*ei) * (a.denominator*ei*ej - a.numerator*yi*yj)
+
+
+def _pair_table(a: Fraction, q: Fraction, xs: Sequence[Fraction], n: int):
+    """The pair-interaction product at every k-vector ks in [0, n]^r, as a
+    list of (ks, numerator) in ``itertools.product`` order, and the one
+    denominator they share.
+
+    Each x_i q^s is an int over x_i's denominator times q's to the n, and
+    each pair factor is built once per pair of shifts; per k-vector only int
+    numerators are multiplied.
+    """
+    qn, qd = q.numerator, q.denominator
+    es = [x.denominator * qd**n for x in xs]
+    ys = [[x.numerator * qn**s * qd**(n - s) for s in range(n + 1)]
+          for x in xs]
+    r = len(xs)
+    pairs = []
+    den = 1
+    for i in range(r):
+        for j in range(i + 1, r):
+            pairs.append((i, j, [[_pair_factor(a, yi, es[i], yj, es[j])
+                                  for yj in ys[j]] for yi in ys[i]]))
+            den *= a.denominator * (es[i]*es[j])**2
+    out = []
+    for ks in itertools.product(range(n + 1), repeat=r):
+        t = 1
+        for i, j, table in pairs:
+            t *= table[ks[i]][ks[j]]
+        out.append((ks, t))
+    return out, den
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +299,21 @@ def _sample_symbols(rng: random.Random, names: Sequence[str], indices: Mapping,
 
 def _sample_x_vector(rng: random.Random, r: int, bound: int,
                      seen: Iterable[Fraction] = ()) -> Dict[str, Fraction]:
-    """x_1..x_r, distinct from each other and from the values in seen."""
+    """x_1..x_r, distinct from each other and from the values in seen.
+
+    Raises ValueError, before drawing, when fewer than r values of size at
+    most bound lie outside seen."""
     xs: Dict[str, Fraction] = {}
     seen = set(seen)
+    # random_rational returns at least the 2 bound integers +-1..+-bound
+    if r + len(seen) > 2 * bound:
+        admissible = _rational_count(bound) - sum(
+            1 for v in map(Fraction, seen)
+            if v and abs(v.numerator) <= bound and v.denominator <= bound)
+        if admissible < r:
+            raise ValueError(
+                "cannot draw r=%d distinct x values of size at most %d "
+                "(admissible values: %d)" % (r, bound, admissible))
     for i in range(1, r + 1):
         while True:
             v = random_rational(rng, bound)
@@ -262,6 +322,12 @@ def _sample_x_vector(rng: random.Random, r: int, bound: int,
                 xs["x%d" % i] = v
                 break
     return xs
+
+
+def _rational_count(bound: int) -> int:
+    """How many distinct values random_rational returns at this bound."""
+    return 2 * sum(1 for p in range(1, bound + 1) for d in range(1, bound + 1)
+                   if math.gcd(p, d) == 1)
 
 
 def _xs(point: ParamPoint, r: int) -> list:
@@ -393,17 +459,23 @@ class CrRow:
     """Level n of the schlosser_cr summand at one point, read by k-vector:
     the pair-interaction product at shifts k over its value at no shift,
     times one entry of each axis row.  Axis row i holds, for k_i = 0..n, the
-    factors that depend on x_i and k_i alone.  The pair denominator is
-    evaluated once, and a vanished one raises PoleError on read, as a
-    TermRow's pole does.  A plain class: generating a dataclass's methods is
-    a measurable share of import time."""
+    factors that depend on x_i and k_i alone.  The pair products are int
+    numerators over one shared denominator, which cancels in every read, and
+    a vanished one at no shift raises PoleError on read, as a TermRow's pole
+    does.  A plain class: generating a dataclass's methods is a measurable
+    share of import time."""
 
-    __slots__ = ("n", "a", "q", "xs", "axes", "pair_den")
+    __slots__ = ("n", "xs", "axes", "pairs", "pair_den")
 
     def __init__(self, n: int, a: Fraction, q: Fraction,
                  xs: Tuple[Fraction, ...], axes: Tuple[TermRow, ...]):
-        self.n, self.a, self.q, self.xs, self.axes = n, a, q, xs, axes
-        self.pair_den = pair_product(a, q, xs, [0] * len(xs))
+        self.n, self.xs, self.axes = n, xs, axes
+        self.pairs = dict(_pair_table(a, q, xs, n)[0])
+        self.pair_den = self.pairs[(0,) * len(xs)]
+
+    def _check_pair_den(self) -> None:
+        if self.pair_den == 0:
+            raise PoleError("pair-interaction denominator vanished")
 
     def term(self, ks) -> Fraction:
         ks = (ks,) if isinstance(ks, int) else tuple(ks)
@@ -411,23 +483,30 @@ class CrRow:
             raise ValueError("need a k-vector of length r=%d" % len(self.xs))
         if any(k < 0 or k > self.n for k in ks):
             return Fraction(0)
-        t = _div(pair_product(self.a, self.q, self.xs, ks), self.pair_den,
-                 "pair-interaction denominator")
+        self._check_pair_den()
+        num, den = self.pairs[ks], self.pair_den
         for row, k in zip(self.axes, ks):
-            t *= row.term(k)
-        return t
+            t = row.term(k)
+            num *= t.numerator
+            den *= t.denominator
+        return Fraction(num, den)
 
     def total(self) -> Fraction:
-        if self.pair_den == 0:
-            raise PoleError("pair-interaction denominator vanished")
-        tables = [[row.term(k) for k in range(self.n + 1)] for row in self.axes]
-        total = Fraction(0)
-        for ks in itertools.product(range(self.n + 1), repeat=len(self.xs)):
-            t = pair_product(self.a, self.q, self.xs, ks)
+        self._check_pair_den()
+        den = self.pair_den
+        tables = []                 # each axis row's terms over one denominator
+        for row in self.axes:
+            terms = [row.term(k) for k in range(self.n + 1)]
+            common = math.lcm(*(t.denominator for t in terms))
+            den *= common
+            tables.append([t.numerator * (common // t.denominator)
+                           for t in terms])
+        total = 0
+        for ks, t in self.pairs.items():
             for table, k in zip(tables, ks):
                 t *= table[k]
             total += t
-        return total / self.pair_den
+        return Fraction(total, den)
 
 
 @_memo_rows
@@ -514,15 +593,15 @@ def _cr_lhs(p: ParamPoint, signed: bool) -> Fraction:
     pair_den = pair_product(a*q**n, q, xs, [0] * r)
     if pair_den == 0:
         raise PoleError("pair-interaction denominator vanished")
-    total = Fraction(0)
-    for ss in itertools.product(range(n + 1), repeat=r):
-        t = pair_product(a, q, xs, ss)
-        s_tot = sum(ss)
-        w = q ** (-(r - 1) * s_tot)
-        if signed and s_tot % 2 == 1:
-            w = -w
-        total += t * w
-    return total / pair_den
+    pairs, den = _pair_table(a, q, xs, n)
+    # the weight (-1)^s q^{-(r-1) s} of total shift s, over q's numerator
+    # to the (r-1) r n
+    qn, qd, e, top = q.numerator, q.denominator, r - 1, r * n
+    weights = [(-1 if signed and s % 2 else 1) * qd**(e*s) * qn**(e*(top - s))
+               for s in range(top + 1)]
+    total = sum(t * weights[sum(ks)] for ks, t in pairs)
+    return Fraction(total * pair_den.denominator,
+                    den * qn**(e*top) * pair_den.numerator)
 
 
 def _cr1_rhs(p: ParamPoint) -> Fraction:

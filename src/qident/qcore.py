@@ -1,10 +1,12 @@
 """Exact rational scalars, parameter points, and q-Pochhammer primitives.
 
-Every scalar in this package is a ``fractions.Fraction`` and every operation
-is exact; nothing here touches floating point.  The q-shifted factorial
-``qpoch`` is defined for any integer index, with negative indices handled by
-the reciprocal identity (a;q)_{-m} = 1 / (a q^{-m};q)_m so that evaluation
-stays finite.
+Every scalar this package passes between functions is a
+``fractions.Fraction`` and every operation is exact; nothing here touches
+floating point.  The inner loops carry an unreduced int numerator/denominator
+pair, and every value they return, and so every value compared, is a
+normalized ``Fraction``.  The q-shifted factorial ``qpoch`` is defined for
+any integer index, with negative indices handled by the reciprocal identity
+(a;q)_{-m} = 1 / (a q^{-m};q)_m so that evaluation stays finite.
 """
 
 from __future__ import annotations
@@ -107,24 +109,27 @@ def qpoch(a, q, n: int) -> Fraction:
     """
     a = Fraction(a)
     q = Fraction(q)
+    qn, qd = q.numerator, q.denominator
+    num = den = 1
     if n >= 0:
-        result = Fraction(1)
-        p = a
+        pn, pd = a.numerator, a.denominator         # a q^k
         for _ in range(n):
-            result *= 1 - p
-            p *= q
-        return result
-    m = -n
-    result = Fraction(1)
+            num *= pd - pn
+            den *= pd
+            pn *= qn
+            pd *= qd
+        return Fraction(num, den)
     p = a / q
-    for j in range(1, m + 1):
-        factor = 1 - p
-        if factor == 0:
+    pn, pd = p.numerator, p.denominator             # a q^{-j}
+    for j in range(1, -n + 1):
+        if pn == pd:
             raise PoleError("(a;q)_{%d} hit a vanishing factor 1 - a q^{-%d} "
                             "at a=%s, q=%s" % (n, j, a, q))
-        result *= factor
-        p /= q
-    return 1 / result
+        num *= pd - pn
+        den *= pd
+        pn *= qd
+        pd *= qn
+    return Fraction(den, num)
 
 
 def qpoch_multi(avals: Sequence, q, n: int) -> Fraction:
@@ -152,11 +157,18 @@ def qbinom(n: int, k: int, q) -> Fraction:
     if k < 0 or k > n:
         return Fraction(0)
     k = min(k, n - k)
-    result = Fraction(1)
+    qn, qd = q.numerator, q.denominator
+    tn, td = qn ** (n - k), qd ** (n - k)           # q^{n-k+i}
+    bn = bd = 1                                     # q^i
+    num = den = 1
     for i in range(1, k + 1):
-        den = 1 - q ** i
-        if den == 0:
+        tn *= qn
+        td *= qd
+        bn *= qn
+        bd *= qd
+        if bn == bd:
             raise PoleError("qbinom denominator factor 1 - q^%d vanished at q=%s"
                             % (i, q))
-        result *= (1 - q ** (n - k + i)) / den
-    return result
+        num *= (td - tn) * bd
+        den *= td * (bd - bn)
+    return Fraction(num, den)

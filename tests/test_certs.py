@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qident.qcore import ParamPoint, PoleError, qpoch, qpoch_multi
-from qident.hyper import (contiguous_alpha, contiguous_beta,
-                          poch_ratio_terms, term_row)
+from qident.hyper import contiguous_alpha, contiguous_beta, term_row
 from qident import certs, cli
 from qident import identities as ident
 from qident.certs import (bailey_alpha, boundary_check, certificate_ids,
@@ -17,6 +16,7 @@ from qident.certs import (bailey_alpha, boundary_check, certificate_ids,
                           singh_first_order_residual, telescoping_residual,
                           term_recurrence_residual, watson_beta)
 from qident.identities import random_q, random_rational
+import reference_loops as ref
 
 SINGLE_CERTS = ("jackson", "watson", "bailey", "singh", "lebesgue", "quintuple")
 TELESCOPING_CERTS = ("watson", "bailey", "singh")
@@ -433,8 +433,8 @@ def reference_axis_rows(p):
         nums = [a*xi*xi, b*xi, c*xi, d*xi, a*a*xi*q**(n-r+2)/(b*c*d), q**(-n)]
         dens = [q, a*xi*q/b, a*xi*q/c, a*xi*q/d,
                 b*c*d*xi*q**(r-n-1)/a, a*xi*xi*q**(n+1)]
-        rows.append(term_row(ident._well_poised(
-            a*xi*xi, q, poch_ratio_terms(nums, dens, q, q, n + 1)), n))
+        rows.append(term_row(ref._well_poised(
+            a*xi*xi, q, ref.poch_ratio_terms(nums, dens, q, q, n + 1)), n))
     return tuple(rows)
 
 
@@ -443,14 +443,14 @@ def reference_schlosser_lhs(p):
     n, r = p.idx("n"), p.idx("r")
     ident._require_multisum_budget(n, r)
     xs = ident._xs(p, r)
-    pair_den = ident.pair_product(a, q, xs, [0] * r)
+    pair_den = ref.pair_product(a, q, xs, [0] * r)
     if pair_den == 0:
         raise PoleError("pair-interaction denominator vanished")
     tables = [[row.term(k) for k in range(n + 1)]
               for row in reference_axis_rows(p)]
     total = Fraction(0)
     for ks in itertools.product(range(n + 1), repeat=r):
-        t = ident.pair_product(a, q, xs, ks)
+        t = ref.pair_product(a, q, xs, ks)
         for i in range(r):
             t *= tables[i][ks[i]]
         total += t
@@ -460,8 +460,8 @@ def reference_schlosser_lhs(p):
 def _pair_ratio(a, q, xs, shifts):
     """The pair-interaction product at the given shifts over its value at
     no shift."""
-    return _div(ident.pair_product(a, q, xs, shifts),
-                ident.pair_product(a, q, xs, [0] * len(xs)))
+    return _div(ref.pair_product(a, q, xs, shifts),
+                ref.pair_product(a, q, xs, [0] * len(xs)))
 
 
 def reference_cr_term(p, axes, ks):

@@ -10,6 +10,7 @@ from qident.hyper import (PhiSpec, WellPoisedTerm, contiguous_alpha,
                           contiguous_residual_2, phi_sum, poch_ratio_sum,
                           poch_ratio_terms, term_row,
                           trivial_identity_residuals, wp_term)
+import reference_loops as ref
 
 small_rats = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
 # a parameter and the power of q that is its base
@@ -93,7 +94,7 @@ def test_poch_ratio_terms_match_pochhammers(nums, dens, q, z, n):
     def poch(ps, k):
         out = Fraction(1)
         for a, e in ps:
-            out *= qpoch(a, q**e, k)
+            out *= ref.qpoch(a, q**e, k)
         return out
 
     expected = []
@@ -111,6 +112,45 @@ def test_poch_ratio_terms_match_pochhammers(nums, dens, q, z, n):
     assert got == expected
 
 
+@settings(max_examples=300, deadline=None)
+@given(params, params, small_rats, small_rats,
+       st.one_of(st.none(), small_rats), st.integers(0, 9))
+def test_poch_ratio_terms_matches_the_fraction_loop(nums, dens, q, z, zp,
+                                                    terms):
+    # any q, zero and negative parameters, pair entries and a pair z: the
+    # same terms, and a pole at the same k with the same message
+    nums = [a if e == 1 else (a, q**e) for a, e in nums]
+    dens = [b if e == 1 else (b, q**e) for b, e in dens]
+    z = z if zp is None else (z, zp)
+    assert (ref.drain(poch_ratio_terms(nums, dens, q, z, terms))
+            == ref.drain(ref.poch_ratio_terms(nums, dens, q, z, terms)))
+
+
+@pytest.mark.parametrize("bound", [2, 3, 1000])
+def test_poch_ratio_terms_matches_the_fraction_loop_at_bound(bound):
+    rng = random.Random(bound)
+
+    def draw():
+        return rng.choice((0, 1, -1)) if rng.random() < 0.1 else \
+            rand_rational(rng, bound)
+
+    def entry():
+        return draw() if rng.random() < 0.7 else (draw(), draw())
+
+    poles = 0
+    for _ in range(400):
+        q = draw()
+        nums = [entry() for _ in range(rng.randint(0, 4))]
+        dens = [q] + [entry() for _ in range(rng.randint(0, 4))]
+        z = draw() if rng.random() < 0.7 else (draw(), draw())
+        terms = rng.randint(0, 8)
+        expected = ref.drain(ref.poch_ratio_terms(nums, dens, q, z, terms))
+        assert ref.drain(poch_ratio_terms(nums, dens, q, z, terms)) == expected
+        poles += expected[1] is not None
+    if bound <= 3:
+        assert poles > 0
+
+
 @settings(max_examples=100, deadline=None)
 @given(params, params, small_rats.filter(lambda v: v not in (0, 1, -1)),
        small_rats, small_rats.filter(lambda v: v != 0), st.integers(0, 8))
@@ -122,7 +162,7 @@ def test_poch_ratio_terms_pair_z_is_quadratic(nums, dens, q, z, p, n):
     def poch(ps, k):
         out = Fraction(1)
         for a, e in ps:
-            out *= qpoch(a, q**e, k)
+            out *= ref.qpoch(a, q**e, k)
         return out
 
     got = []

@@ -1,15 +1,18 @@
 import itertools
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from qident.qcore import ParamPoint, PoleError, qbinom, qpoch, qpoch_multi
+from qident import certs
 from qident import identities as ident
 from qident.identities import (CounterexampleFound, RetryExhausted,
                                eval_sides, get_identity, identity_ids,
                                list_identities, sample_point, verify)
+import reference_loops as ref
 
 EXPECTED_IDS = (
     "jackson_8phi7", "jackson_6phi5", "watson_transform", "vwp_transform",
@@ -308,7 +311,7 @@ def test_cr_xcheck_draws_within_the_size_bound(monkeypatch, identity_id):
 # per-axis product: the references for the kernel forms
 # ---------------------------------------------------------------------------
 
-_div, _xs, pair_product = ident._div, ident._xs, ident.pair_product
+_div, _xs, pair_product = ident._div, ident._xs, ref.pair_product
 
 
 def reference_sch_special_lhs(p):
@@ -432,3 +435,99 @@ def test_very_well_poised_anchor_1_is_a_pole(identity_id):
     p = sample_point(desc, rng, {"n": (2, 2)}).with_symbols(a=1)
     with pytest.raises(PoleError, match="anchor"):
         eval_sides(identity_id, p)
+
+
+# ---------------------------------------------------------------------------
+# the int-pair loops against the per-operation Fraction loops they replaced
+# ---------------------------------------------------------------------------
+
+def _draw(rng, bound, nonzero=False):
+    """A rational of size at most bound, or one of 0 (unless nonzero), 1
+    and -1."""
+    if rng.random() < 0.2:
+        return Fraction(rng.choice((1, -1) if nonzero else (0, 1, -1)))
+    return rand_rational(rng, bound)
+
+
+@pytest.mark.parametrize("bound", [2, 3, 1000])
+def test_well_poised_matches_the_fraction_loop(bound):
+    rng = random.Random(bound)
+    poles = 0
+    for _ in range(400):
+        a, q = _draw(rng, bound), _draw(rng, bound)
+        terms = [_draw(rng, bound) for _ in range(rng.randint(0, 7))]
+        expected = ref.drain(ref._well_poised(a, q, iter(terms)))
+        assert ref.drain(ident._well_poised(a, q, iter(terms))) == expected
+        poles += expected[1] is not None
+    assert poles > 0                        # the anchor a = 1
+
+
+@pytest.mark.parametrize("bound", [2, 3, 1000])
+def test_pair_product_matches_the_fraction_loop(bound):
+    rng = random.Random(bound)
+    zeros = 0
+    for _ in range(400):
+        r = rng.randint(0, 4)
+        a, q = _draw(rng, bound), _draw(rng, bound, nonzero=True)
+        xs = [_draw(rng, bound) for _ in range(r)]
+        shifts = [rng.randint(-2, 4) for _ in range(r)]
+        expected = ref.pair_product(a, q, xs, shifts)
+        assert ident.pair_product(a, q, xs, shifts) == expected
+        zeros += expected == 0
+    assert zeros > 0
+
+
+@pytest.mark.parametrize("bound", [2, 3, 1000])
+def test_pair_table_matches_the_fraction_loop(bound):
+    rng = random.Random(bound)
+    for _ in range(60):
+        r, n = rng.randint(0, 4), rng.randint(0, 3)
+        a, q = _draw(rng, bound), _draw(rng, bound, nonzero=True)
+        xs = [_draw(rng, bound) for _ in range(r)]
+        table, den = ident._pair_table(a, q, xs, n)
+        assert ([ks for ks, _ in table]
+                == list(itertools.product(range(n + 1), repeat=r)))
+        for ks, num in table:
+            assert Fraction(num, den) == ref.pair_product(a, q, xs, ks)
+
+
+@pytest.mark.parametrize("bound", [2, 3, 1000])
+@pytest.mark.parametrize("identity_id", ["cr_prop_1", "cr_prop_2"])
+def test_cr_lhs_matches_the_fraction_loop(identity_id, bound):
+    signed = identity_id == "cr_prop_2"
+    desc = get_identity(identity_id)
+    rng = random.Random(bound)
+    poles = 0
+    for _ in range(80):
+        p = sample_point(desc, rng, {"n": (0, 3), "r": (1, 4)}, bound)
+        expected = ref.outcome(ref._cr_lhs, p, signed)
+        assert ref.outcome(ident._cr_lhs, p, signed) == expected, p
+        poles += isinstance(expected, tuple)
+    if bound == 2:
+        assert poles > 0
+
+
+# the x-vectors drawn at size 2 where three values are left: the same as
+# before the draw was bounded
+SIZE_2_X_VECTORS = {1: ["-2", "-1", "2"], 4: ["2", "-1", "-2"],
+                    5: ["2", "-1", "-1/2"]}
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_certificate_x_vector_that_cannot_fit_is_refused(seed):
+    # at size 2 only six values exist, and a, b, c, d and q take up to five
+    # of them: where fewer than three are left the draw raises instead of
+    # looping
+    cert = certs.get_certificate("schlosser")
+    start = time.monotonic()
+    try:
+        point = certs.sample_certificate_point(cert, random.Random(seed), 2,
+                                               (3, 3))
+    except ValueError as exc:
+        assert seed not in SIZE_2_X_VECTORS
+        assert str(exc).startswith("cannot draw r=3 distinct x values of "
+                                   "size at most 2 (admissible values: ")
+    else:
+        xs = [str(x) for x in _xs(point, 3)]
+        assert xs == SIZE_2_X_VECTORS[seed]
+    assert time.monotonic() - start < 1

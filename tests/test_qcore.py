@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qident.identities import random_rational
 from qident.qcore import (DegenerateQ, MissingSymbol, ParamPoint, PoleError,
                           qbinom, qpoch, qpoch_multi, qrat)
+import reference_loops as ref
 
 nonzero = st.integers(-60, 60).filter(lambda v: v != 0)
 rationals = st.builds(Fraction, nonzero, nonzero)
@@ -132,6 +134,57 @@ def test_qbinom_recurrence_with_free_parameter():
                 rhs = (qbinom(n - 1, k, q) * (1 - a * q**(n + k))
                        + qbinom(n - 1, k - 1, q) * (1 - a * q**k) * q**(n - k))
                 assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# the int-pair loops against the per-operation Fraction loops they replaced
+# ---------------------------------------------------------------------------
+
+def _draw(rng, bound):
+    """A rational of size at most bound, or one of 0, 1 and -1."""
+    return rng.choice((0, 1, -1)) if rng.random() < 0.2 else \
+        random_rational(rng, bound)
+
+
+@pytest.mark.parametrize("bound", [2, 3, 1000])
+def test_qpoch_matches_the_fraction_loop(bound):
+    rng = random.Random(bound)
+    poles = 0
+    for _ in range(500):
+        a, q, n = _draw(rng, bound), _draw(rng, bound), rng.randint(-7, 8)
+        expected = ref.outcome(ref.qpoch, a, q, n)
+        assert ref.outcome(qpoch, a, q, n) == expected, (a, q, n)
+        poles += isinstance(expected, tuple)
+    if bound <= 3:
+        assert poles > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.just(Fraction(0)), rationals),
+       st.one_of(st.sampled_from((Fraction(-1), Fraction(1))), rationals),
+       st.integers(-8, 8))
+def test_qpoch_matches_the_fraction_loop_anywhere(a, q, n):
+    assert ref.outcome(qpoch, a, q, n) == ref.outcome(ref.qpoch, a, q, n)
+
+
+def test_qpoch_negative_index_pole_message_is_unchanged():
+    a, q = Fraction(1, 4), Fraction(1, 2)   # a q^{-2} = 1
+    got = ref.outcome(qpoch, a, q, -3)
+    assert got == ref.outcome(ref.qpoch, a, q, -3)
+    assert got == (PoleError, "(a;q)_{-3} hit a vanishing factor "
+                              "1 - a q^{-2} at a=1/4, q=1/2")
+
+
+@pytest.mark.parametrize("bound", [2, 3, 1000])
+def test_qbinom_matches_the_fraction_loop(bound):
+    rng = random.Random(bound)
+    poles = 0
+    for _ in range(500):
+        n, k, q = rng.randint(-2, 12), rng.randint(-2, 12), _draw(rng, bound)
+        expected = ref.outcome(ref.qbinom, n, k, q)
+        assert ref.outcome(qbinom, n, k, q) == expected, (n, k, q)
+        poles += isinstance(expected, tuple) and expected[0] is PoleError
+    assert poles > 0                        # q = -1 with 2 <= k <= n - 2
 
 
 def test_param_point_validates_q():
