@@ -60,7 +60,8 @@ class ParamPoint:
     indices: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        syms = {name: Fraction(v) for name, v in self.symbols.items()}
+        syms = {name: v if isinstance(v, Fraction) else Fraction(v)
+                for name, v in self.symbols.items()}
         idxs = {name: int(v) for name, v in self.indices.items()}
         object.__setattr__(self, "symbols", syms)
         object.__setattr__(self, "indices", idxs)

@@ -11,6 +11,7 @@ from qident.psers import (NonTerminatingExponent, QSeries, SERIES_IDENTITIES,
                           geometric_inverse, infinite_identity_residual,
                           jacobi_product_relation_residual, poch_inf,
                           quintuple_product_relation_residual, series_product)
+import reference_loops as ref
 
 small_rats = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
 coeff_lists = st.lists(small_rats, min_size=1, max_size=9)
@@ -35,6 +36,11 @@ def test_series_basic_algebra():
     assert (a * 2).coeffs == (2, 4, 6)
     assert a.shift(1).coeffs == (0, 1, 2)
     assert QSeries.monomial(5, 7, 3).is_zero()
+    half = Fraction(1, 2)
+    kept = QSeries((half, 2, "1/3"))
+    assert kept.coeffs[0] is half
+    assert kept.coeffs[1:] == (2, Fraction(1, 3))
+    assert all(type(c) is Fraction for c in kept.coeffs)
     with pytest.raises(ValueError):
         a + QSeries((1, 2))
     with pytest.raises(ValueError):
@@ -174,27 +180,112 @@ def dense_poch_inf(c, start, step, order):
     return result
 
 
+def values(s):
+    """The coefficients of an int working series, as Fractions."""
+    assert s.den > 0
+    return [Fraction(x, s.den) for x in s.nums]
+
+
+# A working series built from Fractions; ``extra`` puts a common factor in
+# every numerator and in the denominator, as the kernels leave behind, and
+# ``keep`` truncates it to its first ``keep`` coefficients, as
+# ``Coeffs.truncate`` does in the sum builders.
+extras = st.sampled_from((1, 2, 3, 6, 7, 36, 5040))
+factor_coeffs = st.one_of(st.integers(-9, 9).map(Fraction), small_rats)
+
+
+def working(xs, extra, keep):
+    s = psers.Coeffs.of_fractions(xs)
+    s.nums = [extra * x for x in s.nums]
+    s.den *= extra
+    s.truncate(keep - 1)
+    return s
+
+
 @settings(max_examples=80)
 @given(coeff_lists, small_rats, st.integers(0, 10))
 def test_mul_kernel_matches_dense_product(xs, c, e):
     n = len(xs) - 1
-    out = list(xs)
+    out = psers.Coeffs.of_fractions(xs)
     psers._mul_binomial(out, c, e)
     factor = QSeries.one(n) - QSeries.monomial(c, e, n)
-    assert QSeries(tuple(out)) == QSeries(tuple(xs)) * factor
+    assert out.series() == QSeries(tuple(xs)) * factor
 
 
 @settings(max_examples=80)
 @given(coeff_lists, small_rats, st.integers(1, 10))
 def test_div_kernel_matches_inverses(xs, c, e):
     n = len(xs) - 1
-    out = list(xs)
+    out = psers.Coeffs.of_fractions(xs)
     psers._div_binomial(out, c, e)
-    quotient = QSeries(tuple(out))
+    quotient = out.series()
     assert quotient == QSeries(tuple(xs)) * geometric_inverse(c, e, n)
     factor = QSeries.one(n) - QSeries.monomial(c, e, n)
     assert quotient == QSeries(tuple(xs)) * factor.invert()
     assert quotient * factor == QSeries(tuple(xs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeff_lists, extras, st.integers(1, 9), factor_coeffs,
+       st.integers(0, 12))
+def test_mul_kernel_matches_the_fraction_loop(xs, extra, keep, c, e):
+    out = working(xs, extra, keep)
+    expected = xs[:keep]
+    ref._mul_binomial(expected, c, e)
+    psers._mul_binomial(out, c, e)
+    assert values(out) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeff_lists, extras, st.integers(1, 9), factor_coeffs,
+       st.integers(1, 12))
+def test_div_kernel_matches_the_fraction_loop(xs, extra, keep, c, e):
+    out = working(xs, extra, keep)
+    expected = xs[:keep]
+    ref._div_binomial(expected, c, e)
+    psers._div_binomial(out, c, e)
+    assert values(out) == expected
+
+
+def test_div_kernel_scales_only_on_demand():
+    # 1/(1 - q/2) needs 2^i at q^i: the first step scales by 2^{floor(N/e)}
+    out = psers._one(6)
+    psers._div_binomial(out, Fraction(1, 2), 1)
+    assert out.den == 2 ** 6
+    assert values(out) == [Fraction(1, 2 ** i) for i in range(7)]
+    # every step of 1/(1 - q^2/2) on 2^6 (1, 1/2, ..., 1/64) stays integral
+    psers._div_binomial(out, Fraction(1, 2), 2)
+    assert out.den == 2 ** 6
+    expected = [Fraction(1, 2 ** i) for i in range(7)]
+    ref._div_binomial(expected, Fraction(1, 2), 2)
+    assert values(out) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeff_lists, extras, coeff_lists, extras, st.integers(0, 8),
+       small_rats.filter(lambda c: c.denominator != 1 or abs(c) > 1))
+def test_add_shifted_matches_the_fraction_loop(acc_xs, acc_extra, term_xs,
+                                               term_extra, shift, scale):
+    shift = min(shift, len(acc_xs) - 1)
+    keep = min(len(term_xs), len(acc_xs) - shift)
+    acc = working(acc_xs, acc_extra, len(acc_xs))
+    term = working(term_xs, term_extra, keep)
+    expected = list(acc_xs)
+    ref._add_shifted(expected, term_xs[:keep], shift, scale)
+    psers._add_shifted(acc, term, shift, scale)
+    assert values(acc) == expected
+    assert values(term) == term_xs[:keep]
+
+
+poch_factors = st.lists(st.tuples(factor_coeffs, st.integers(0, 4),
+                                  st.integers(1, 4)), max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 30), poch_factors)
+def test_poch_products_match_the_fraction_loop(order, factors):
+    assert (values(psers._poch_products(order, *factors))
+            == ref._poch_products(order, *factors))
 
 
 @settings(max_examples=40, deadline=None)
@@ -242,32 +333,45 @@ def test_one_perturbed_series_factor_is_caught(identity_id, monkeypatch):
 
     The perturbed factors are the first and the last that reach the working
     truncation, and every scalar (e = 0) factor.  A rewrite that dropped any
-    of them would leave the residual unchanged under the perturbation.
+    of them would leave the residual unchanged under the perturbation.  The
+    perturbed residual must equal, coefficient by coefficient, the one the
+    Fraction reference loops give under the same perturbation: a FAIL report
+    prints those coefficients, and every golden series item is a PASS.
     """
-    kernel = psers._mul_binomial
+    kernels = {psers: psers._mul_binomial, ref: ref._mul_binomial}
     params, order = FIXED_POINTS[identity_id], 40
-    calls = []          # exponent of every factor, in call order
+    calls = {psers: [], ref: []}    # (c, e) of every factor, in call order
     effective = []      # call indices of the factors that reach the truncation
 
-    def record(out, c, e):
-        if e < len(out):
-            effective.append(len(calls))
-        calls.append(e)
-        kernel(out, c, e)
+    def recorder(module):
+        def record(out, c, e):
+            if module is psers and e < len(out):
+                effective.append(len(calls[module]))
+            calls[module].append((c, e))
+            kernels[module](out, c, e)
+        return record
 
-    monkeypatch.setattr(psers, "_mul_binomial", record)
+    for module in kernels:
+        monkeypatch.setattr(module, "_mul_binomial", recorder(module))
     assert infinite_identity_residual(identity_id, params, order).is_zero()
+    assert ref.infinite_identity_residual(identity_id, params, order).is_zero()
+    assert calls[psers] == calls[ref]
     targets = {effective[0], effective[-1]}
-    targets.update(i for i in effective if calls[i] == 0)
+    targets.update(i for i in effective if calls[psers][i][1] == 0)
 
     for target in sorted(targets):
-        count = itertools.count()
+        def perturber(module):
+            count = itertools.count()
 
-        def perturb(out, c, e):
-            if next(count) == target:
-                c = c * Fraction(102, 101)
-            kernel(out, c, e)
+            def perturb(out, c, e):
+                if next(count) == target:
+                    c = c * Fraction(102, 101)
+                kernels[module](out, c, e)
+            return perturb
 
-        monkeypatch.setattr(psers, "_mul_binomial", perturb)
+        for module in kernels:
+            monkeypatch.setattr(module, "_mul_binomial", perturber(module))
         res = infinite_identity_residual(identity_id, params, order)
-        assert not res.is_zero(), (identity_id, target, calls[target])
+        assert not res.is_zero(), (identity_id, target, calls[psers][target])
+        expected = ref.infinite_identity_residual(identity_id, params, order)
+        assert res.coeffs == expected.coeffs, (identity_id, target)

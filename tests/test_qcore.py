@@ -213,3 +213,17 @@ def test_param_point_updates_leave_original_alone():
     assert p2.sym("a") == 7
     assert p3.sym("a") == 1
     assert p2.idx("n") == p.idx("n") == 1
+
+
+def test_param_point_keeps_fractions_and_converts_the_rest():
+    half = Fraction(1, 2)
+    given_symbols = {"a": half, "b": 3, "c": "2/6", "q": Fraction(-1, 3)}
+    p = ParamPoint(given_symbols, {"n": 2})
+    assert p.sym("a") is half
+    assert type(p.sym("b")) is Fraction and p.sym("b") == 3
+    assert type(p.sym("c")) is Fraction and p.sym("c") == Fraction(1, 3)
+    assert p.symbols is not given_symbols
+    given_symbols["a"] = 7
+    assert p.sym("a") == half
+    with pytest.raises(DegenerateQ):
+        ParamPoint({"q": Fraction(1)}, {})
