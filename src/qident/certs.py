@@ -33,7 +33,8 @@ per level it evaluates each coefficient once, shifts the point once per step
 and fetches each row once, then yields the residuals in k order.  The term
 recurrence, the telescoped right-side combination and the boundary sum all
 run on it, the per-k checks as one-k levels; the replay's propagation reads
-the same steps.
+the same steps.  The coefficients that cost more to evaluate than to look
+up (jackson's, watson's and bailey's c_move, singh's gamma) are memoized.
 
 The anti-differences are rows on the term kernel, memoized like the
 summands.  Each (x;q)_{k+1} of the printed form is taken as (1 - x)(xq;q)_k,
@@ -139,6 +140,7 @@ def _sym(point: ParamPoint, names: str):
 # balanced very-well-poised summation (four free parameters)
 # ---------------------------------------------------------------------------
 
+@_ident._memo_rows
 def jackson_gamma(p: ParamPoint, n: int) -> Fraction:
     a, b, c, d, q = _sym(p, "abcdq")
     num = ((a*a*q**n/(b*c*d) - q**(-n)) * (1 - b*c*d/a) * (1 - a*q)
@@ -152,6 +154,7 @@ def jackson_gamma(p: ParamPoint, n: int) -> Fraction:
 # q-Whipple transformation (five free parameters)
 # ---------------------------------------------------------------------------
 
+@_ident._memo_rows
 def watson_beta(p: ParamPoint, n: int) -> Fraction:
     a, b, c, d, e, q = _sym(p, "abcdeq")
     num = -(1 - a*q) * (1 - a*q*q) * (1 - b) * (1 - c) * (1 - d) * (1 - e) \
@@ -178,6 +181,7 @@ def watson_anti_diff_row(p: ParamPoint) -> TermRow:
 # two-level very-well-poised transformation (six free parameters)
 # ---------------------------------------------------------------------------
 
+@_ident._memo_rows
 def bailey_alpha(p: ParamPoint, n: int) -> Fraction:
     a, b, c, d, e, f, q = _sym(p, "abcdefq")
     lam = a*a*q / (b*c*d)
@@ -219,6 +223,7 @@ def singh_beta(p: ParamPoint, n: int) -> Fraction:
     return _div(1 + c*q**(2-n), q * (1 + c*q**(-n)))
 
 
+@_ident._memo_rows
 def singh_gamma(p: ParamPoint, n: int) -> Fraction:
     A, B, c, q = _sym(p, "ABcq")
     num = ((1 - A) * (1 - B) * (1 - c*c) * (1 - A*q) * (1 - B*q)

@@ -6,9 +6,8 @@ every certificate row, is built on it; z may be a pair (z, p), read as
 z^k p^{k(k-1)/2}.  The kernel carries an unreduced int numerator/denominator
 pair through each term ratio, and every term it yields, and so every value
 compared, is a normalized ``Fraction``.  The bilateral ``jacobi_finite`` and
-``quintuple_finite_mn`` stay on ``qcore``: their negative-index Pochhammers
-raise PoleError where the term merely vanishes, and a kernel form would move
-those rejections.
+``quintuple_finite_mn`` run on it too, after a pole check that refuses
+exactly the points where their per-k Pochhammers of any index vanish.
 
 The two contiguous relations implemented here connect the k-th term of a
 well-poised series whose last two parameters differ by a factor of q (first

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import (Callable, Dict, Iterable, Iterator, Mapping, Optional,
                     Sequence, Tuple)
 
-from .qcore import ParamPoint, PoleError, QIdentityError, qbinom, qpoch
+from .qcore import ParamPoint, PoleError, QIdentityError, qpoch
 from .hyper import (TermRow, poch_ratio, poch_ratio_sum, poch_ratio_terms,
                     term_row, wp_terms)
 
@@ -94,8 +94,8 @@ _ROW_MEMOS: Dict[str, Callable] = {}
 
 def _memo_rows(build: Callable[..., "TermRow | CrRow"]
                ) -> Callable[..., "TermRow | CrRow"]:
-    """Memoize a summand-row builder on the point's symbol and index values,
-    and on any further (hashable) arguments.
+    """Memoize a summand-row builder, or a certificate coefficient, on the
+    point's symbol and index values and on any further (hashable) arguments.
 
     At n <= 6 one certificate point's checks read each builder's rows at 23
     (point, n) keys: the sweeps read levels 1..6 at the point and 0..5 at its
@@ -116,7 +116,7 @@ def _memo_rows(build: Callable[..., "TermRow | CrRow"]
 
 
 def clear_row_memo() -> None:
-    """Forget every memoized row (and C_r split coefficient) and reset the
+    """Forget every memoized row and certificate coefficient and reset the
     memo counts."""
     for cached in _ROW_MEMOS.values():
         cached.cache_clear()
@@ -551,19 +551,24 @@ def schlosser_rhs(p: ParamPoint) -> Fraction:
 
 
 def schlosser_lemma_lhs(p: ParamPoint) -> Fraction:
+    """The 2^r terms over one denominator, their pairs from one pair table."""
     a, b, c, d, q = (p.sym(s) for s in "abcdq")
     r = p.idx("r")
     xs = _xs(p, r)
     pair_den = pair_product(a*q, q, xs, [0] * r)
-    total = Fraction(0)
-    for ss in itertools.product((0, 1), repeat=r):
-        t = _div(pair_product(a, q, xs, ss), pair_den, "lemma pair denominator")
-        for xi, si in zip(xs, ss):
-            t *= poch_ratio([b*xi, c*xi, d*xi, a*a*xi*q**(3-r)/(b*c*d)],
-                            [a*xi*q/b, a*xi*q/c, a*xi*q/d,
-                             b*c*d*xi*q**(r-2)/a], q, si, -1)
+    if pair_den == 0:
+        raise PoleError("lemma pair denominator vanished")
+    axes = [poch_ratio([b*xi, c*xi, d*xi, a*a*xi*q**(3-r)/(b*c*d)],
+                       [a*xi*q/b, a*xi*q/c, a*xi*q/d, b*c*d*xi*q**(r-2)/a],
+                       q, 1, -1) for xi in xs]
+    pairs, den = _pair_table(a, q, xs, 1)
+    total = 0
+    for ks, t in pairs:
+        for v, k in zip(axes, ks):
+            t *= v.numerator if k else v.denominator
         total += t
-    return total
+    den *= math.prod(v.denominator for v in axes) * pair_den.numerator
+    return Fraction(total * pair_den.denominator, den)
 
 
 def schlosser_lemma_rhs(p: ParamPoint) -> Fraction:
@@ -647,17 +652,51 @@ def _lebesgue_rhs(p: ParamPoint) -> Fraction:
 
 
 def _jacobi_summand(z, q, n: int, m: int, k: int) -> Fraction:
-    """(-q^2/z;q^2)_m (-z;q^2)_{n+1} q^{k^2} z^k / ((-q/z;q)_{m-k} (-z;q)_{n+k+1})."""
+    """(-q^2/z;q^2)_m (-z;q^2)_{n+1} q^{k^2} z^k / ((-q/z;q)_{m-k} (-z;q)_{n+k+1}),
+    the k-th summand of jacobi_finite over its q-binomial, at one k."""
     t = qpoch(-q*q/z, q*q, m) * qpoch(-z, q*q, n + 1)
     t = _div(t, qpoch(-q/z, q, m - k) * qpoch(-z, q, n + k + 1))
     return t * q**(k*k) * z**k
 
 
+def _bilateral_sum(q: Fraction, n: int, m: int, b: Fraction, top: Fraction,
+                   z, w=Fraction(0)) -> Fraction:
+    """sum_{k=-m}^{n} [m+n, m+k]_q top Z_k (1 - w q^{2m+2k})
+    / ((b;q)_{m-k} (q/b;q)_{n+k+1}), where Z_{-m} = 1 and Z_{k+1}/Z_k is the
+    kernel's z read at j = m + k.
+
+    A per-k evaluation raises PoleError where a factor of those denominators
+    vanishes, negative indices included, or where a q-binomial divides by
+    1 - q^2 = 0 (q = -1, m + n >= 4).  As 1 - b q^{-i} is a nonzero multiple
+    of 1 - (q/b) q^{i-1}, those are the zeros of (b;q)_{2m} (q/b;q)_{2n+1};
+    past them no factor of the kernel's ratio vanishes.  The q-binomials come
+    from the q-Pascal row, which divides nowhere, so q = -1 gives their values.
+    """
+    c, head = q / b, qpoch(b, q, 2*m)
+    if head * qpoch(c, q, 2*n + 1) == 0 or (q == -1 and m + n >= 4):
+        raise PoleError("bilateral sum denominator vanished")
+    qn, qd, big_n = q.numerator, q.denominator, m + n
+    binom = [1]             # [N, j]_q as an int over qd^{j(N-j)}, N = 0, 1, ...
+    for row in range(1, big_n + 1):
+        binom = [(binom[j - 1] * qd**(row - j) if j else 0)
+                 + (binom[j] * qn**j if j < row else 0) for j in range(row + 1)]
+    nums, dens = [], []
+    for j, t in enumerate(poch_ratio_terms([(b*q**(2*m-1), 1/q)],
+                                           [c*q**(n-m+1)], q, z, big_n + 1)):
+        wn, wd = w.numerator * qn**(2*j), w.denominator * qd**(2*j)
+        nums.append(binom[j] * (wd - wn) * t.numerator)
+        dens.append(qd**(j*(big_n - j)) * wd * t.denominator)
+    common = math.lcm(*dens)
+    total = sum(t * (common // d) for t, d in zip(nums, dens))
+    first = top / (head * qpoch(c, q, n - m + 1))
+    return Fraction(total * first.numerator, common * first.denominator)
+
+
 def _jacobi_finite_lhs(p: ParamPoint) -> Fraction:
     z, q = p.sym("z"), p.sym("q")
     n, m = p.idx("n"), p.idx("m")
-    return sum((qbinom(m + n, m + k, q) * _jacobi_summand(z, q, n, m, k)
-                for k in range(-m, n + 1)), Fraction(0))
+    top = qpoch(-q*q/z, q*q, m) * qpoch(-z, q*q, n + 1) * q**(m*m) / z**m
+    return _bilateral_sum(q, n, m, -q/z, top, (z*q**(1-2*m), q*q))
 
 
 def _jacobi_finite_rhs(p: ParamPoint) -> Fraction:
@@ -694,13 +733,10 @@ def quintuple_row(p: ParamPoint) -> TermRow:
 def _quintuple_mn_lhs(p: ParamPoint) -> Fraction:
     z, q = p.sym("z"), p.sym("q")
     n, m = p.idx("n"), p.idx("m")
-    total = Fraction(0)
-    for k in range(-m, n + 1):
-        t = (1 - z*z*q**(2*k+1)) * qbinom(m + n, m + k, q)
-        t *= qpoch(-q/z, q, m - 1) * qpoch(-z, q, n + 1)
-        t = _div(t, qpoch(1/(z*z), q, m - k) * qpoch(z*z*q, q, n + k + 1))
-        total += t * z**(3*k-1) * q**(k*(3*k+1)//2)
-    return total
+    top = (qpoch(-q/z, q, m - 1) * qpoch(-z, q, n + 1)
+           * q**(m*(3*m-1)//2) / z**(3*m+1))
+    return _bilateral_sum(q, n, m, 1/(z*z), top, (z**3*q**(2-3*m), q**3),
+                          z*z*q**(1-2*m))
 
 
 def _quintuple_ccg_lhs(p: ParamPoint) -> Fraction:

@@ -3,6 +3,10 @@
 loops in ``qident`` against these references, with ``outcome`` and
 ``drain``: a value, or the error raised, with its message.
 
+The two bilateral sums ``_jacobi_finite_lhs`` and ``_quintuple_mn_lhs``
+are the per-k loops as they stood before they moved onto the term-ratio
+kernel, verbatim: one q-binomial and two to four Pochhammers per k.
+
 The series kernels below work on plain lists of ``Fraction`` coefficients,
 and ``infinite_identity_residual`` is the one in ``psers``, built on
 them."""
@@ -11,7 +15,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
 
-from qident.identities import _require_multisum_budget, _xs
+from qident.identities import _div, _require_multisum_budget, _xs
 from qident.psers import (QSeries, SERIES_IDENTITIES, _need, _params_of,
                           _quintuple_exponents)
 from qident.qcore import DegenerateQ, ParamPoint, PoleError, QIdentityError
@@ -171,6 +175,32 @@ def _cr_lhs(p: ParamPoint, signed: bool) -> Fraction:
         total += t * w
     return total / pair_den
 
+
+
+def _jacobi_summand(z, q, n: int, m: int, k: int) -> Fraction:
+    """(-q^2/z;q^2)_m (-z;q^2)_{n+1} q^{k^2} z^k / ((-q/z;q)_{m-k} (-z;q)_{n+k+1})."""
+    t = qpoch(-q*q/z, q*q, m) * qpoch(-z, q*q, n + 1)
+    t = _div(t, qpoch(-q/z, q, m - k) * qpoch(-z, q, n + k + 1))
+    return t * q**(k*k) * z**k
+
+
+def _jacobi_finite_lhs(p: ParamPoint) -> Fraction:
+    z, q = p.sym("z"), p.sym("q")
+    n, m = p.idx("n"), p.idx("m")
+    return sum((qbinom(m + n, m + k, q) * _jacobi_summand(z, q, n, m, k)
+                for k in range(-m, n + 1)), Fraction(0))
+
+
+def _quintuple_mn_lhs(p: ParamPoint) -> Fraction:
+    z, q = p.sym("z"), p.sym("q")
+    n, m = p.idx("n"), p.idx("m")
+    total = Fraction(0)
+    for k in range(-m, n + 1):
+        t = (1 - z*z*q**(2*k+1)) * qbinom(m + n, m + k, q)
+        t *= qpoch(-q/z, q, m - 1) * qpoch(-z, q, n + 1)
+        t = _div(t, qpoch(1/(z*z), q, m - k) * qpoch(z*z*q, q, n + k + 1))
+        total += t * z**(3*k-1) * q**(k*(3*k+1)//2)
+    return total
 
 # -- truncated power series on Fraction lists ---------------------------------
 

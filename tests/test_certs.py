@@ -379,6 +379,11 @@ def test_level_residuals_match_per_k(cert_id, bound):
         assert poles > 0
 
 
+MEMOIZED_COEFFICIENTS = {"jackson": "jackson_gamma", "watson": "watson_beta",
+                         "bailey": "bailey_alpha", "singh": "singh_gamma",
+                         "schlosser": "schlosser_split_coeff"}
+
+
 @pytest.mark.parametrize("cert_id", certificate_ids())
 def test_one_point_builds_each_row_once(cert_id):
     cert = get_certificate(cert_id)
@@ -399,6 +404,11 @@ def test_one_point_builds_each_row_once(cert_id):
     for name, (hits, misses, maxsize, currsize) in built.items():
         # every miss built a row that is still held: no key was built twice
         assert misses == currsize < maxsize, (name, misses, currsize)
+    # the costly step coefficients are read again by the later checks and
+    # evaluated once per (point, n), like the rows
+    coefficient = MEMOIZED_COEFFICIENTS.get(cert_id)
+    if coefficient is not None:
+        assert built[coefficient][0] > 0, built[coefficient]
 
 
 def test_level_yields_each_k_before_a_later_pole():

@@ -396,7 +396,13 @@ KERNEL_FORMS = [
     ("quintuple_ccg", "lhs", reference_quintuple_ccg_lhs),
     ("schlosser_lemma_n1", "lhs", reference_schlosser_lemma_lhs),
     ("schlosser_lemma_n1", "rhs", reference_schlosser_lemma_rhs),
+    ("jacobi_finite", "lhs", ref._jacobi_finite_lhs),
+    ("quintuple_finite_mn", "lhs", ref._quintuple_mn_lhs),
 ]
+
+# the bilateral sums past their default ranges: m > n + 1 makes the index
+# n + k + 1 negative, as k > m does m - k
+BILATERAL_RANGES = {"n": (0, 7), "m": (0, 6)}
 
 
 @pytest.mark.parametrize("bound", [2, 3, 1000])
@@ -404,15 +410,64 @@ KERNEL_FORMS = [
 def test_kernel_forms_match_the_per_k_loops(identity_id, side, reference,
                                             bound):
     desc = get_identity(identity_id)
+    bilateral = "m" in desc.index_names
     rng = random.Random(bound)
-    poles = 0
+    poles = negative = 0
     for _ in range(300):
-        p = sample_point(desc, rng, {}, bound)
+        p = sample_point(desc, rng, BILATERAL_RANGES if bilateral else {},
+                         bound)
         expected = _value_or_pole(reference, p)
         assert _value_or_pole(getattr(desc, side), p) == expected, p
         poles += expected is PoleError
+        negative += bilateral and p.idx("m") > p.idx("n") + 1
     if bound == 2 and side == "lhs":
         assert poles > 0
+    assert negative > 0 or not bilateral
+
+
+BILATERAL_FORMS = [("jacobi_finite", ref._jacobi_finite_lhs),
+                   ("quintuple_finite_mn", ref._quintuple_mn_lhs)]
+
+
+@pytest.mark.parametrize("identity_id,reference", BILATERAL_FORMS)
+def test_bilateral_sums_on_their_pole_set_match_the_per_k_loops(identity_id,
+                                                                reference):
+    # z = +-t^e puts every factor 1 + z q^i, 1 + q^i/z, 1 - z^2 q^i and
+    # 1 - q^i/z^2 of the denominators on its zero, also where the size
+    # bounded draws cannot reach it; t^2 = q, or t = -q
+    desc = get_identity(identity_id)
+    t = Fraction(2, 3)
+    outcomes = set()
+    for q in (t*t, -t):
+        for n in range(5):
+            for m in range(5):
+                for e in range(-10, 11):
+                    for z in (t**e, -t**e):
+                        p = ParamPoint({"z": z, "q": q}, {"n": n, "m": m})
+                        expected = _value_or_pole(reference, p)
+                        assert _value_or_pole(desc.lhs, p) == expected, p
+                        outcomes.add(expected is PoleError)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("identity_id,reference", BILATERAL_FORMS)
+def test_bilateral_sums_at_q_minus_1_match_the_per_k_loops(identity_id,
+                                                           reference):
+    # random_q never draws q = -1, but a point may hold it: there the
+    # q-binomial [m+n, j] is 0 at some j for m + n = 2, and the per-k loop
+    # divides by 1 - q^2 = 0 for m + n >= 4
+    desc = get_identity(identity_id)
+    rng = random.Random(1)
+    outcomes = set()
+    for n in range(5):
+        for m in range(4):
+            for _ in range(12):
+                z = _draw(rng, rng.choice((2, 3, 1000)), nonzero=True)
+                p = ParamPoint({"z": z, "q": -1}, {"n": n, "m": m})
+                expected = _value_or_pole(reference, p)
+                assert _value_or_pole(desc.lhs, p) == expected, p
+                outcomes.add(expected is PoleError)
+    assert outcomes == {True, False}
 
 
 def test_lebesgue_finite_2_matches_the_per_k_loop():
