@@ -295,10 +295,10 @@ def quintuple_move(p: ParamPoint, n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def _pair_ratio(a, q, xs: Sequence, shifts: Sequence[int]) -> Fraction:
-    """The pair-interaction product at the given shifts over its value at
-    no shift."""
-    return _div(_ident.pair_product(a, q, xs, shifts),
-                _ident.pair_product(a, q, xs, [0] * len(xs)))
+    """The pair-interaction product at the given shifts, each 0 or 1, over
+    its value at no shift."""
+    pairs = dict(_ident._pair_table(a, q, xs, 1)[0])
+    return _div(Fraction(pairs[tuple(shifts)]), pairs[(0,) * len(xs)])
 
 
 @_ident._memo_rows

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .qcore import PoleError
 from . import identities as ident
 from . import certs
 from . import psers
@@ -30,6 +29,7 @@ SERIES_DEFAULT_TRIALS = 5
 SERIES_DEFAULT_ORDER = 60
 CERT_DEFAULT_TRIALS = 10
 CERT_REPLAY_N_MAX = 5
+CERT_CHECKS = ("term_recurrence", "telescoping", "boundary", "replay")
 
 
 @dataclass
@@ -101,34 +101,60 @@ def _identity_ranges(identity_id: str, config: RunConfig) -> Dict[str, Tuple[int
     return {name: ranges[name] for name in names if name in ranges}
 
 
+def _new_item(kind: str, item_id: str, trials: int, **extra) -> Dict:
+    """An item's report before its first trial.  Every kind counts in
+    ``rejected`` the trials that used up their pole retries (all of them
+    make an ERROR) and in ``point_rejections`` the points redrawn."""
+    item = {"kind": kind, "id": item_id, "status": "PASS", "trials": trials,
+            "succeeded": 0, "rejected": 0, "point_rejections": 0,
+            "first_failure": None, "elapsed_s": 0.0}
+    item.update(extra)
+    return item
+
+
 def _verify_item(identity_id: str, config: RunConfig) -> Dict:
     ranges = _identity_ranges(identity_id, config)
     if "n" in ranges:
         _note_n_cap(identity_id, ranges["n"][1], config)
-    noisy = _is_multisum(identity_id) and config.r_max >= 3
-    if noisy:
+    if _is_multisum(identity_id) and config.r_max >= 3:
         _progress("# %s: multi-sum verification up to r=%d"
                   % (identity_id, config.r_max))
-    item = {"kind": "identity", "id": identity_id, "status": "PASS",
-            "trials": config.trials, "succeeded": 0, "rejected": 0,
-            "point_rejections": 0, "first_failure": None, "elapsed_s": 0.0}
-    start = time.monotonic()
+    item = _new_item("identity", identity_id, config.trials)
     try:
         report = ident.verify(identity_id, config.trials, config.seed, ranges,
                               size_bound=config.max_abs)
-    except ident.CounterexampleFound as exc:
-        rep = exc.report
-        item.update(status="FAIL", succeeded=rep.succeeded,
-                    rejected=rep.rejected,
-                    point_rejections=rep.point_rejections,
-                    first_failure=rep.counterexample)
-    except ident.RetryExhausted as exc:
-        item.update(status="ERROR", first_failure={"error": str(exc)})
-    else:
-        item.update(succeeded=report.succeeded, rejected=report.rejected,
-                    point_rejections=report.point_rejections)
-    item["elapsed_s"] = round(time.monotonic() - start, 6)
+    except (ident.CounterexampleFound, ident.RetryExhausted) as exc:
+        report = exc.report
+        item["first_failure"] = report.counterexample or {"error": str(exc)}
+    item.update(status=report.status, succeeded=report.succeeded,
+                rejected=report.rejected,
+                point_rejections=report.point_rejections)
     return item
+
+
+def _run_trials(item: Dict, seed_key: str, config: RunConfig,
+                draw, check, judge) -> None:
+    """The item's trials, each one ``ident.run_trial`` with an RNG of its
+    own; ``judge(point, result)`` returns a failure, which ends the item, or
+    None."""
+    for trial in range(item["trials"]):
+        rng = random.Random(ident.derive_trial_seed(config.seed, seed_key,
+                                                    trial))
+        point, result, rejections = ident.run_trial(
+            rng, draw, check, ident.DEFAULT_RETRY_CAP)
+        item["point_rejections"] += rejections
+        if point is None:
+            item["rejected"] += 1
+            continue
+        failure = judge(point, result)
+        if failure is not None:
+            item.update(status="FAIL", first_failure=failure)
+            return
+        item["succeeded"] += 1
+    if item["rejected"] == item["trials"]:
+        item.update(status="ERROR", first_failure={
+            "error": "all %d trials exhausted %d pole retries each"
+                     % (item["trials"], ident.DEFAULT_RETRY_CAP)})
 
 
 def _sweep_n_max(cert: certs.ProofCertificate, config: RunConfig) -> int:
@@ -146,7 +172,7 @@ def _replay_n_max(config: RunConfig) -> int:
 def _certificate_checks(cert: certs.ProofCertificate, point, config: RunConfig
                         ) -> Tuple[Dict[str, int], Optional[Dict]]:
     """Run every check for one sampled point; returns (counts, failure)."""
-    counts = {"term_recurrence": 0, "telescoping": 0, "boundary": 0, "replay": 0}
+    counts = dict.fromkeys(CERT_CHECKS, 0)
 
     def fail(check: str, **extra) -> Dict:
         info = {"check": check, "point": ident.serialize_point(point)}
@@ -176,43 +202,24 @@ def _certificate_checks(cert: certs.ProofCertificate, point, config: RunConfig
 
 def _certify_item(proof_id: str, config: RunConfig) -> Dict:
     cert = certs.get_certificate(proof_id)
-    item = {"kind": "certificate", "id": proof_id, "status": "PASS",
-            "trials": config.cert_trials, "succeeded": 0, "rejected": 0,
-            "checks": {"term_recurrence": 0, "telescoping": 0,
-                       "boundary": 0, "replay": 0},
-            "first_failure": None, "elapsed_s": 0.0}
-    start = time.monotonic()
+    item = _new_item("certificate", proof_id, config.cert_trials,
+                     checks=dict.fromkeys(CERT_CHECKS, 0))
     if cert.multi and config.r_max >= 3:
         _progress("# %s: certificate sweep up to r=%d" % (proof_id, config.r_max))
     _note_n_cap(proof_id, _sweep_n_max(cert, config), config)
     if not cert.multi:
         _note_n_cap(proof_id, _replay_n_max(config), config, "replay n")
-    for trial in range(config.cert_trials):
-        rng = random.Random(ident.derive_trial_seed(
-            config.seed, "cert:%s" % proof_id, trial))
-        done = False
-        for _ in range(ident.DEFAULT_RETRY_CAP):
-            point = certs.sample_certificate_point(
-                cert, rng, config.max_abs, (1, config.r_max))
-            try:
-                counts, failure = _certificate_checks(cert, point, config)
-            except PoleError:
-                item["rejected"] += 1
-                continue
-            for key, value in counts.items():
-                item["checks"][key] += value
-            if failure is not None:
-                item["status"] = "FAIL"
-                item["first_failure"] = failure
-                item["elapsed_s"] = round(time.monotonic() - start, 6)
-                return item
-            item["succeeded"] += 1
-            done = True
-            break
-        if not done and item["succeeded"] == 0 and trial == config.cert_trials - 1:
-            item["status"] = "ERROR"
-            item["first_failure"] = {"error": "pole retries exhausted"}
-    item["elapsed_s"] = round(time.monotonic() - start, 6)
+
+    def judge(point, result) -> Optional[Dict]:
+        counts, failure = result
+        for key, value in counts.items():
+            item["checks"][key] += value
+        return failure
+
+    _run_trials(item, "cert:%s" % proof_id, config,
+                lambda rng: certs.sample_certificate_point(
+                    cert, rng, config.max_abs, (1, config.r_max)),
+                lambda point: _certificate_checks(cert, point, config), judge)
     return item
 
 
@@ -227,32 +234,21 @@ def _series_symbols(series_id: str, rng: random.Random, bound: int
 
 
 def _series_item(series_id: str, config: RunConfig) -> Dict:
-    item = {"kind": "series", "id": series_id, "status": "PASS",
-            "order": config.order, "trials": config.series_trials,
-            "succeeded": 0, "first_failure": None, "elapsed_s": 0.0}
-    start = time.monotonic()
-    for trial in range(config.series_trials):
-        rng = random.Random(ident.derive_trial_seed(
-            config.seed, "series:%s" % series_id, trial))
-        symbols = _series_symbols(series_id, rng, config.max_abs)
-        try:
-            residual = psers.infinite_identity_residual(
-                series_id, symbols, config.order)
-        except PoleError as exc:
-            item["status"] = "ERROR"
-            item["first_failure"] = {"error": str(exc)}
-            break
-        if not residual.is_zero():
-            first_bad = next(i for i, c in enumerate(residual.coeffs) if c != 0)
-            item["status"] = "FAIL"
-            item["first_failure"] = {
-                "symbols": {k: str(v) for k, v in sorted(symbols.items())},
+    item = _new_item("series", series_id, config.series_trials,
+                     order=config.order)
+
+    def judge(symbols, residual) -> Optional[Dict]:
+        if residual.is_zero():
+            return None
+        first_bad = next(i for i, c in enumerate(residual.coeffs) if c != 0)
+        return {"symbols": {k: str(v) for k, v in sorted(symbols.items())},
                 "first_nonzero_order": first_bad,
-                "coefficient": str(residual.coeffs[first_bad]),
-            }
-            break
-        item["succeeded"] += 1
-    item["elapsed_s"] = round(time.monotonic() - start, 6)
+                "coefficient": str(residual.coeffs[first_bad])}
+
+    _run_trials(item, "series:%s" % series_id, config,
+                lambda rng: _series_symbols(series_id, rng, config.max_abs),
+                lambda symbols: psers.infinite_identity_residual(
+                    series_id, symbols, config.order), judge)
     return item
 
 
@@ -281,15 +277,16 @@ def run(config: RunConfig) -> Tuple[int, Dict]:
     what ran before it in the same process."""
     ident.clear_row_memo()
     items: List[Dict] = []
-    if config.command in ("verify", "all"):
-        for identity_id in config.identity_ids:
-            items.append(_verify_item(identity_id, config))
-    if config.command in ("certify", "all"):
-        for proof_id in config.proof_ids:
-            items.append(_certify_item(proof_id, config))
-    if config.command in ("series", "all"):
-        for series_id in config.series_ids:
-            items.append(_series_item(series_id, config))
+    for command, item_ids, run_item in (
+            ("verify", config.identity_ids, _verify_item),
+            ("certify", config.proof_ids, _certify_item),
+            ("series", config.series_ids, _series_item)):
+        if config.command not in (command, "all"):
+            continue
+        for item_id in item_ids:
+            start = time.monotonic()
+            items.append(run_item(item_id, config))
+            items[-1]["elapsed_s"] = round(time.monotonic() - start, 6)
     summary = {
         "total": len(items),
         "passed": sum(1 for i in items if i["status"] == "PASS"),
@@ -308,8 +305,7 @@ def format_report(report: Dict, fmt: str) -> str:
     for item in report["items"]:
         label = "%s %s" % (item["kind"], item["id"])
         if item["kind"] == "identity":
-            detail = "trials=%d/%d rejects=%d" % (
-                item["succeeded"], item["trials"], item["point_rejections"])
+            detail = "trials=%d/%d" % (item["succeeded"], item["trials"])
         elif item["kind"] == "certificate":
             detail = ("points=%d/%d residuals=%d" % (
                 item["succeeded"], item["trials"],
@@ -317,6 +313,7 @@ def format_report(report: Dict, fmt: str) -> str:
         else:
             detail = "order=%d specializations=%d/%d" % (
                 item["order"], item["succeeded"], item["trials"])
+        detail += " rejects=%d" % item["point_rejections"]
         lines.append("%-4s %-42s %s (%.2fs)" % (
             item["status"], label, detail, item["elapsed_s"]))
         if item["first_failure"]:

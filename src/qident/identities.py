@@ -35,16 +35,21 @@ DEFAULT_SIZE_BOUND = 1000
 DEFAULT_RETRY_CAP = 100
 
 
-class RetryExhausted(QIdentityError):
-    """Every trial was lost to pole rejections: the guards look mis-specified."""
-
-
 class CounterexampleFound(QIdentityError):
     """Exact LHS != RHS at a sampled point; carries the point and report."""
 
     def __init__(self, message, point=None, report=None):
         super().__init__(message)
         self.point = point
+        self.report = report
+
+
+class RetryExhausted(QIdentityError):
+    """Every trial was lost to pole rejections: the guards look mis-specified.
+    Carries the report."""
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
         self.report = report
 
 
@@ -129,22 +134,6 @@ def row_memo_info() -> Dict[str, Tuple[int, int, int, int]]:
             for name, cached in _ROW_MEMOS.items()}
 
 
-def pair_product(a, q, xs: Sequence, shifts: Sequence[int]) -> Fraction:
-    """The pair-interaction product of the C_r sums,
-
-        prod_{i<j} (x_i q^{s_i} - x_j q^{s_j})(1 - a x_i x_j q^{s_i+s_j}).
-    """
-    a, q = Fraction(a), Fraction(q)
-    ys = [Fraction(x) * q**s for x, s in zip(xs, shifts)]
-    num = den = 1
-    for i, yi in enumerate(ys):
-        for yj in ys[i + 1:]:
-            ei, ej = yi.denominator, yj.denominator
-            num *= _pair_factor(a, yi.numerator, ei, yj.numerator, ej)
-            den *= a.denominator * (ei*ej)**2
-    return Fraction(num, den)
-
-
 def _pair_factor(a: Fraction, yi: int, ei: int, yj: int, ej: int) -> int:
     """(y_i - y_j)(1 - a y_i y_j) at y_i = yi/ei, y_j = yj/ej, times
     a's denominator (ei ej)^2."""
@@ -152,9 +141,10 @@ def _pair_factor(a: Fraction, yi: int, ei: int, yj: int, ej: int) -> int:
 
 
 def _pair_table(a: Fraction, q: Fraction, xs: Sequence[Fraction], n: int):
-    """The pair-interaction product at every k-vector ks in [0, n]^r, as a
-    list of (ks, numerator) in ``itertools.product`` order, and the one
-    denominator they share.
+    """The pair-interaction product of the C_r sums, prod_{i<j}
+    (x_i q^{k_i} - x_j q^{k_j})(1 - a x_i x_j q^{k_i+k_j}), at every k-vector
+    ks in [0, n]^r, as a list of (ks, numerator) in ``itertools.product``
+    order, and the one denominator they share.
 
     Each x_i q^s is an int over x_i's denominator times q's to the n, and
     each pair factor is built once per pair of shifts; per k-vector only int
@@ -211,11 +201,11 @@ class VerificationReport:
     """Outcome of one verify() run."""
 
     identity: str
-    status: str = "PASS"
+    status: str = "PASS"         # FAIL, or ERROR: every trial rejected
     attempted: int = 0
-    succeeded: int = 0
-    rejected: int = 0            # trials lost entirely to pole rejections
-    point_rejections: int = 0    # individual resample events
+    succeeded: int = 0           # trials whose point passed every check
+    rejected: int = 0            # trials that used up their pole retries
+    point_rejections: int = 0    # points redrawn, cross-check poles too
     seed: int = 0
     index_ranges: Dict[str, Tuple[int, int]] = field(default_factory=dict)
     elapsed_s: float = 0.0
@@ -555,20 +545,23 @@ def schlosser_lemma_lhs(p: ParamPoint) -> Fraction:
     a, b, c, d, q = (p.sym(s) for s in "abcdq")
     r = p.idx("r")
     xs = _xs(p, r)
-    pair_den = pair_product(a*q, q, xs, [0] * r)
-    if pair_den == 0:
+    [(_, pair_num)], pair_den = _pair_table(a*q, q, xs, 0)
+    if pair_num == 0:
         raise PoleError("lemma pair denominator vanished")
-    axes = [poch_ratio([b*xi, c*xi, d*xi, a*a*xi*q**(3-r)/(b*c*d)],
-                       [a*xi*q/b, a*xi*q/c, a*xi*q/d, b*c*d*xi*q**(r-2)/a],
-                       q, 1, -1) for xi in xs]
+    # the parameters over x_i, which do not depend on the axis
+    bcd, aq = b*c*d, a*q
+    nums = [b, c, d, a*a*q**(3-r)/bcd]
+    dens = [aq/b, aq/c, aq/d, bcd*q**(r-2)/a]
+    axes = [poch_ratio([t*xi for t in nums], [t*xi for t in dens], q, 1, -1)
+            for xi in xs]
     pairs, den = _pair_table(a, q, xs, 1)
     total = 0
     for ks, t in pairs:
         for v, k in zip(axes, ks):
             t *= v.numerator if k else v.denominator
         total += t
-    den *= math.prod(v.denominator for v in axes) * pair_den.numerator
-    return Fraction(total * pair_den.denominator, den)
+    den *= math.prod(v.denominator for v in axes) * pair_num
+    return Fraction(total * pair_den, den)
 
 
 def schlosser_lemma_rhs(p: ParamPoint) -> Fraction:
@@ -595,8 +588,8 @@ def _cr_lhs(p: ParamPoint, signed: bool) -> Fraction:
     n, r = p.idx("n"), p.idx("r")
     _require_multisum_budget(n, r)
     xs = _xs(p, r)
-    pair_den = pair_product(a*q**n, q, xs, [0] * r)
-    if pair_den == 0:
+    [(_, pair_num)], pair_den = _pair_table(a*q**n, q, xs, 0)
+    if pair_num == 0:
         raise PoleError("pair-interaction denominator vanished")
     pairs, den = _pair_table(a, q, xs, n)
     # the weight (-1)^s q^{-(r-1) s} of total shift s, over q's numerator
@@ -605,8 +598,7 @@ def _cr_lhs(p: ParamPoint, signed: bool) -> Fraction:
     weights = [(-1 if signed and s % 2 else 1) * qd**(e*s) * qn**(e*(top - s))
                for s in range(top + 1)]
     total = sum(t * weights[sum(ks)] for ks, t in pairs)
-    return Fraction(total * pair_den.denominator,
-                    den * qn**(e*top) * pair_den.numerator)
+    return Fraction(total * pair_den, den * qn**(e*top) * pair_num)
 
 
 def _cr1_rhs(p: ParamPoint) -> Fraction:
@@ -774,13 +766,9 @@ def _andrews_jain_rhs(p: ParamPoint) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def _distinct_x_guard(p: ParamPoint):
-    r = p.idx("r")
-    xs = _xs(p, r)
-    out = []
-    for i in range(r):
-        for j in range(i + 1, r):
-            out.append(("x%d - x%d" % (i + 1, j + 1), xs[i] - xs[j]))
-    return out
+    xs = _xs(p, p.idx("r"))
+    return [("x%d - x%d" % (i + 1, j + 1), xs[i] - xs[j])
+            for i, j in itertools.combinations(range(len(xs)), 2)]
 
 
 def _pref_sample_indices(rng: random.Random, ranges: Mapping) -> Dict[str, int]:
@@ -966,15 +954,21 @@ def get_identity(identity_id: str) -> IdentityDescriptor:
                        % (identity_id, ", ".join(_REGISTRY))) from None
 
 
+def _derive_and_guard(desc: IdentityDescriptor, point: ParamPoint) -> ParamPoint:
+    """The point with its derived symbols; PoleError, naming the guard, where
+    a pole guard vanishes."""
+    if desc.derive is not None:
+        point = desc.derive(point)
+    for label, value in desc.guards(point) if desc.guards else ():
+        if value == 0:
+            raise PoleError("pole guard %s = 0 for %s" % (label, desc.id))
+    return point
+
+
 def eval_sides(identity_id: str, point: ParamPoint) -> Tuple[Fraction, Fraction]:
     """Exact (LHS, RHS) after applying derived symbols and pole guards."""
     desc = get_identity(identity_id)
-    if desc.derive is not None:
-        point = desc.derive(point)
-    if desc.guards is not None:
-        for label, value in desc.guards(point):
-            if value == 0:
-                raise PoleError("pole guard %s = 0 for %s" % (label, desc.id))
+    point = _derive_and_guard(desc, point)
     return desc.lhs(point), desc.rhs(point)
 
 
@@ -993,40 +987,22 @@ def sample_point(desc: IdentityDescriptor, rng: random.Random,
                       indices)
 
 
-def _run_trial(desc: IdentityDescriptor, seed: int, trial: int,
-               index_ranges: Mapping, size_bound: int, retry_cap: int,
-               mutate_rhs: bool):
-    rng = random.Random(derive_trial_seed(seed, desc.id, trial))
+def run_trial(rng: random.Random, draw: Callable[[random.Random], object],
+              check: Callable[[object], object],
+              retry_cap: int = DEFAULT_RETRY_CAP) -> Tuple[object, object, int]:
+    """One trial: draw a point from rng and check it, drawing again whenever
+    either step raises PoleError, at most retry_cap draws in all.
+
+    Returns (point, check result, points redrawn); the point is None when
+    every draw hit a pole."""
     rejections = 0
     for _ in range(retry_cap):
-        point = sample_point(desc, rng, index_ranges, size_bound)
         try:
-            if desc.derive is not None:
-                point = desc.derive(point)
-            if desc.guards is not None:
-                bad = [lab for lab, v in desc.guards(point) if v == 0]
-                if bad:
-                    rejections += 1
-                    continue
-            lhs = desc.lhs(point)
-            rhs = desc.rhs(point)
+            point = draw(rng)
+            return point, check(point), rejections
         except PoleError:
             rejections += 1
-            continue
-        if mutate_rhs:
-            rhs = rhs * point.sym("q")
-        if lhs != rhs:
-            return ("fail", point, rejections)
-        if desc.xcheck is not None:
-            try:
-                first, second = desc.xcheck(point, rng, size_bound)
-            except PoleError:
-                pass
-            else:
-                if first != second:
-                    return ("fail", point, rejections)
-        return ("ok", None, rejections)
-    return ("exhausted", None, rejections)
+    return None, None, rejections
 
 
 def verify(identity_id: str, trials: int, seed: int,
@@ -1037,8 +1013,8 @@ def verify(identity_id: str, trials: int, seed: int,
 
     Each trial derives its own RNG from (seed, identity id, trial index), so
     reports are reproducible.  Raises CounterexampleFound on the first exact
-    mismatch (the report rides on the exception) and RetryExhausted if every
-    trial drowned in pole rejections.
+    mismatch and RetryExhausted if every trial drowned in pole rejections;
+    the report rides on either exception.
     With ``mutate_rhs`` the right side is multiplied by q, which a healthy
     harness must catch.
     """
@@ -1050,27 +1026,44 @@ def verify(identity_id: str, trials: int, seed: int,
         ranges.update({k: tuple(v) for k, v in index_ranges.items()})
     report = VerificationReport(identity=desc.id, seed=seed,
                                 index_ranges=ranges, mutated=mutate_rhs)
+
+    def draw(rng: random.Random) -> ParamPoint:
+        return _derive_and_guard(desc, sample_point(desc, rng, ranges, size_bound))
+
+    def agrees(point: ParamPoint, rng: random.Random) -> bool:
+        """Both sides agree, and the cross-check if any; its poles redraw."""
+        lhs, rhs = desc.lhs(point), desc.rhs(point)
+        if mutate_rhs:
+            rhs = rhs * point.sym("q")
+        if lhs != rhs:
+            return False
+        if desc.xcheck is None:
+            return True
+        first, second = desc.xcheck(point, rng, size_bound)
+        return first == second
+
     start = time.monotonic()
     for trial in range(trials):
-        status, point, rejections = _run_trial(
-            desc, seed, trial, ranges, size_bound, retry_cap, mutate_rhs)
+        rng = random.Random(derive_trial_seed(seed, desc.id, trial))
+        point, ok, rejections = run_trial(
+            rng, draw, lambda point: agrees(point, rng), retry_cap)
         report.attempted += 1
         report.point_rejections += rejections
-        if status == "ok":
-            report.succeeded += 1
-        elif status == "exhausted":
+        if point is None:
             report.rejected += 1
+        elif ok:
+            report.succeeded += 1
         else:
             report.status = "FAIL"
             report.counterexample = serialize_point(point)
             report.elapsed_s = time.monotonic() - start
             raise CounterexampleFound(
-                "identity %s failed at %s" % (desc.id, serialize_point(point)),
+                "identity %s failed at %s" % (desc.id, report.counterexample),
                 point=point, report=report)
     report.elapsed_s = time.monotonic() - start
-    if report.succeeded == 0 and report.rejected == report.attempted:
-        report.status = "FAIL"
+    if report.rejected == trials:
+        report.status = "ERROR"
         raise RetryExhausted(
             "identity %s: all %d trials exhausted %d pole retries each"
-            % (desc.id, trials, retry_cap))
+            % (desc.id, trials, retry_cap), report=report)
     return report

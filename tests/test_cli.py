@@ -8,6 +8,7 @@ import pytest
 
 from qident import cli
 from qident import identities as ident
+from qident.qcore import PoleError
 
 
 def run_main(capsys, argv):
@@ -172,6 +173,59 @@ def test_failure_reported_with_exact_point(capsys, monkeypatch):
     assert "/" in point["symbols"]["z"] or point["symbols"]["z"].lstrip("-").isdigit()
     Fraction(point["symbols"]["z"])  # exact fraction, never a decimal
     assert report["summary"]["failed"] == 1
+
+
+def _poles_first(healthy, count):
+    """healthy, except that its first count calls raise PoleError."""
+    calls = []
+
+    def planted(*args):
+        calls.append(args)
+        if len(calls) <= count:
+            raise PoleError("planted pole")
+        return healthy(*args)
+    return planted
+
+
+def _plant_poles(monkeypatch, kind, count):
+    """Plant count poles in the check of one item of the kind, none of whose
+    points at seed 42 is a pole; returns the command line that runs it."""
+    if kind == "identity":
+        desc = ident.get_identity("quintuple_finite")
+        monkeypatch.setitem(ident._REGISTRY, "quintuple_finite", replace(
+            desc, lhs=_poles_first(desc.lhs, count)))
+        return ["verify", "--id", "quintuple_finite"]
+    if kind == "certificate":
+        monkeypatch.setattr(cli, "_certificate_checks", _poles_first(
+            cli._certificate_checks, count))
+        return ["certify", "--proof", "lebesgue", "--n-max", "3"]
+    monkeypatch.setattr(cli.psers, "infinite_identity_residual", _poles_first(
+        cli.psers.infinite_identity_residual, count))
+    return ["series", "--id", "quintuple", "--order", "10"]
+
+
+CAP = ident.DEFAULT_RETRY_CAP
+
+
+@pytest.mark.parametrize("kind", ["identity", "certificate", "series"])
+@pytest.mark.parametrize("poles, status, expected", [
+    (1, 0, ("PASS", 3, 0, 1)),                  # the first point is redrawn
+    (CAP, 0, ("PASS", 2, 1, CAP)),              # the first trial is used up
+    (3 * CAP, 1, ("ERROR", 0, 3, 3 * CAP)),     # every trial is used up
+], ids=["redrawn", "one_exhausted", "all_exhausted"])
+def test_every_kind_counts_poles_the_same_way(capsys, monkeypatch, kind,
+                                              poles, status, expected):
+    argv = _plant_poles(monkeypatch, kind, poles)
+    got_status, out, _ = run_main(capsys, argv + [
+        "--trials", "3", "--seed", "42", "--format", "json"])
+    item = json.loads(out)["items"][0]
+    assert got_status == status
+    assert (item["status"], item["succeeded"], item["rejected"],
+            item["point_rejections"]) == expected
+    if item["status"] == "ERROR":
+        assert "exhausted" in item["first_failure"]["error"]
+    else:
+        assert item["first_failure"] is None
 
 
 def test_schlosser_progress_to_stderr(capsys):

@@ -166,8 +166,11 @@ def test_retry_exhaustion_signals(monkeypatch):
     desc = get_identity("quintuple_finite")
     hopeless = replace(desc, guards=lambda p: [("always", Fraction(0))])
     monkeypatch.setitem(ident._REGISTRY, "quintuple_finite", hopeless)
-    with pytest.raises(RetryExhausted):
+    with pytest.raises(RetryExhausted) as info:
         verify("quintuple_finite", 3, 7, retry_cap=5)
+    report = info.value.report
+    assert (report.status, report.succeeded, report.rejected,
+            report.point_rejections) == ("ERROR", 0, 3, 15)
 
 
 def test_schlosser_r1_degenerates_to_jackson():
@@ -303,6 +306,28 @@ def test_cr_xcheck_draws_within_the_size_bound(monkeypatch, identity_id):
         for i in range(1, point.idx("r") + 1):
             x = point.sym("x%d" % i)
             assert abs(x.numerator) <= 3 and x.denominator <= 3, x
+
+
+def test_cr_xcheck_pole_redraws_the_point(monkeypatch):
+    desc = get_identity("cr_prop_1")
+    outcomes = []
+
+    def recording(point, rng, size_bound):
+        try:
+            sides = desc.xcheck(point, rng, size_bound)
+        except PoleError:
+            outcomes.append("pole")
+            raise
+        outcomes.append("ran")
+        return sides
+
+    monkeypatch.setitem(ident._REGISTRY, "cr_prop_1",
+                        replace(desc, xcheck=recording))
+    report = verify("cr_prop_1", 50, 1, size_bound=3)
+    # every passing trial ran its cross-check; each pole there was a redraw
+    assert report.succeeded == outcomes.count("ran") == 50
+    assert report.point_rejections == outcomes.count("pole") == 2
+    assert report.rejected == 0
 
 
 # ---------------------------------------------------------------------------
@@ -519,15 +544,23 @@ def test_well_poised_matches_the_fraction_loop(bound):
 
 @pytest.mark.parametrize("bound", [2, 3, 1000])
 def test_pair_product_matches_the_fraction_loop(bound):
+    """The pair product's two readers: the no-shift normalizer of the C_r
+    sums and the lemma, a one-entry pair table, and the certificate's ratio
+    at shifts in {0, 1}^r over it, which raises PoleError where the
+    normalizer vanishes."""
     rng = random.Random(bound)
     zeros = 0
     for _ in range(400):
         r = rng.randint(0, 4)
         a, q = _draw(rng, bound), _draw(rng, bound, nonzero=True)
         xs = [_draw(rng, bound) for _ in range(r)]
-        shifts = [rng.randint(-2, 4) for _ in range(r)]
-        expected = ref.pair_product(a, q, xs, shifts)
-        assert ident.pair_product(a, q, xs, shifts) == expected
+        shifts = [rng.randint(0, 1) for _ in range(r)]
+        expected = ref.pair_product(a, q, xs, [0] * r)
+        [(ks, num)], den = ident._pair_table(a, q, xs, 0)
+        assert (ks, Fraction(num, den)) == ((0,) * r, expected)
+        ratio = ref.outcome(lambda: ident._div(
+            ref.pair_product(a, q, xs, shifts), expected))
+        assert ref.outcome(certs._pair_ratio, a, q, xs, shifts) == ratio
         zeros += expected == 0
     assert zeros > 0
 
