@@ -61,7 +61,7 @@ from fractions import Fraction
 from typing import (Callable, Dict, Iterable, Iterator, Optional, Sequence,
                     Tuple, Union)
 
-from .hyper import TermRow, poch_ratio, poch_ratio_terms, term_row
+from .hyper import Pairs, TermRow, pair_row, poch_ratio, poch_ratio_pairs
 from .qcore import ParamPoint, PoleError, qpoch, qpoch_multi
 from . import identities as _ident
 from .identities import _div, _xs
@@ -128,7 +128,7 @@ def _row_level(identity_id: str,
         try:
             return build(_identity_point(identity_id, point, n))
         except PoleError as exc:
-            return TermRow((), n, str(exc))
+            return TermRow([], 1, n, str(exc))
     return level
 
 
@@ -172,9 +172,9 @@ def watson_anti_diff_row(p: ParamPoint) -> TermRow:
     pre = _div(poch_ratio([a*q], [], q, n - 1)
                * poch_ratio([a*q/(d*e)], [a*q/d, a*q/e], q, n)
                * (1 - d) * (1 - e), 1 - x)
-    ser = poch_ratio_terms([a*q/(b*c), q**(1-n), d*q, e*q],
+    ser = poch_ratio_pairs([a*q/(b*c), q**(1-n), d*q, e*q],
                            [q, a*q/b, a*q/c, x*q], q, 1, n + 1)
-    return term_row((pre * t for t in ser), n)
+    return pair_row(ser, n, pre)
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +203,18 @@ def bailey_anti_diff_row(p: ParamPoint) -> TermRow:
                * poch_ratio([a*q, lam*q/e, lam*q/f], [], q, n - 1)
                * poch_ratio([a*q/(e*f)], [a*q/e, a*q/f, lam*q/(e*f), lam], q, n)
                * (1 - lam) * (1 - e) * (1 - f), (1 - x) * (1 - y))
-    ser = poch_ratio_terms(
+    ser = poch_ratio_pairs(
         [lam*b/a, lam*c/a, lam*d/a, g, q**(1-n), lam*q, e*q, f*q],
         [q, a*q/b, a*q/c, a*q/d, lam*q/e, lam*q/f, x*q, y*q], q, 1, n + 1)
-    return term_row((pre * t * (1 - lam*q**k/a) for k, t in enumerate(ser)), n)
+
+    def terms() -> Pairs:
+        ratio = lam / a
+        pn, pd = ratio.numerator, ratio.denominator  # lam q^k / a
+        for num, den in ser:
+            yield num * (pd - pn), den * pd
+            pn *= q.numerator
+            pd *= q.denominator
+    return pair_row(terms(), n, pre)
 
 
 # ---------------------------------------------------------------------------
@@ -251,19 +259,23 @@ def singh_anti_diff_row(p: ParamPoint) -> TermRow:
     n = p.idx("n")
     q2 = q*q
 
-    def terms() -> Iterator[Fraction]:
+    def terms() -> Pairs:
         # the printed H_{n,0} carries (q^2;q^2)_{-1}, a vanishing reciprocal,
         # so the entry is 0 and the prefactor only starts at k = 1
-        yield Fraction(0)
+        yield 0, 1
         pre = _div(-(1 - A) * (1 - B) * (1 - c*c) * (1 - c*c*q2) * q**(2 - 2*n),
                    (1 - A*B*q) * (1 + c*q**(-n)) * (1 + c*q**(1-n))
                    * (1 + c*q**(2-n)) * (1 + c*q**(3-n)))
-        ser = poch_ratio_terms([A*q2, B*q2, q**(4-2*n), c*c*q2*q2],
+        ser = poch_ratio_pairs([A*q2, B*q2, q**(4-2*n), c*c*q2*q2],
                                [q2, A*B*q**3, -c*q**(4-n), -c*q**(5-n)],
                                q2, 1, n)
-        for j, t in enumerate(ser):
-            yield pre * t * (1 - q**(2*j + 1))
-    return term_row(terms(), n)
+        prn, prd = pre.numerator, pre.denominator
+        pn, pd = q.numerator, q.denominator         # q^{2j+1}
+        for num, den in ser:
+            yield prn * num * (pd - pn), prd * den * pd
+            pn *= q2.numerator
+            pd *= q2.denominator
+    return pair_row(terms(), n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,18 @@
 """Terminating basic hypergeometric sums and the well-poised contiguous relations.
 
-``poch_ratio_terms`` is the package's one term-ratio loop: every one-sided
+``poch_ratio_pairs`` is the package's one term-ratio loop: every one-sided
 terminating sum and same-index Pochhammer quotient in ``identities``, and so
 every certificate row, is built on it; z may be a pair (z, p), read as
-z^k p^{k(k-1)/2}.  The kernel carries an unreduced int numerator/denominator
-pair through each term ratio, and every term it yields, and so every value
-compared, is a normalized ``Fraction``.  The bilateral ``jacobi_finite`` and
-``quintuple_finite_mn`` run on it too, after a pole check that refuses
-exactly the points where their per-k Pochhammers of any index vanish.
+z^k p^{k(k-1)/2}.  The kernel yields each term as an unreduced int
+numerator/denominator pair, each denominator dividing the next, so a sum or
+a row of terms is brought over the last denominator with exact int
+quotients (Knuth, TAOCP vol. 2, section 4.5.1).  Reduction happens once per
+value: ``poch_ratio`` builds one ``Fraction`` from the last pair,
+``pair_sum`` one from the sum, and a ``TermRow`` one for its total and one
+per term on its first read.  So every value compared is still a normalized
+``Fraction``.  The bilateral ``jacobi_finite`` and ``quintuple_finite_mn``
+run on the kernel too, after a pole check that refuses exactly the points
+where their per-k Pochhammers of any index vanish.
 
 The two contiguous relations implemented here connect the k-th term of a
 well-poised series whose last two parameters differ by a factor of q (first
@@ -20,9 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 from .qcore import PoleError
+
+# Terms as unreduced int pairs (num_k, den_k), each den_k dividing den_{k+1}.
+Pairs = Iterator[Tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -46,9 +54,11 @@ class PhiSpec:
             raise ValueError("term_count must be >= 0")
 
 
-def poch_ratio_terms(nums: Sequence, dens: Sequence, q, z,
-                     terms: int) -> Iterator[Fraction]:
-    """Yield T_0 = 1, T_1, ..., T_{terms-1} of T_k = (nums;q)_k z^k / (dens;q)_k.
+def poch_ratio_pairs(nums: Sequence, dens: Sequence, q, z,
+                     terms: int) -> Pairs:
+    """Yield T_0 = 1, T_1, ..., T_{terms-1} of T_k = (nums;q)_k z^k / (dens;q)_k
+    as unreduced int pairs (num_k, den_k); each den_k is nonzero and divides
+    den_{k+1}.
 
     Each term is the one before times the term ratio
     z prod(1 - a q^k) / prod(1 - b q^k), so no Pochhammer is recomputed.  An
@@ -59,15 +69,15 @@ def poch_ratio_terms(nums: Sequence, dens: Sequence, q, z,
     term before it has been yielded and PoleError is raised.
 
     Each run [num, den, base num, base den] holds a q^k and its base as
-    unreduced ints, and the ratio is an int pair; only the terms are reduced.
+    unreduced ints, and the ratio is an int pair; nothing is reduced.
     """
     qn, qd = _ints(q)
     zn, zd, zpn, zpd = _run(z if isinstance(z, tuple) else (z, 1), qn, qd)
     num_runs = [_run(a, qn, qd) for a in nums]
     den_runs = [_run(b, qn, qd) for b in dens]
-    term = Fraction(1)
+    tn = td = 1
     for k in range(terms):
-        yield term
+        yield tn, td
         if k == terms - 1:
             return
         rn, rd = zn, zd
@@ -89,7 +99,8 @@ def poch_ratio_terms(nums: Sequence, dens: Sequence, q, z,
             rd *= cd - cn
             run[0] = cn * pn
             run[1] = cd * pd
-        term = Fraction(term.numerator * rn, term.denominator * rd)
+        tn *= rn
+        td *= rd
 
 
 def _run(a, qn: int, qd: int) -> list:
@@ -107,57 +118,96 @@ def _ints(v) -> Tuple[int, int]:
     return v.numerator, v.denominator
 
 
+def poch_ratio_terms(nums: Sequence, dens: Sequence, q, z,
+                     terms: int) -> Iterator[Fraction]:
+    """The terms of ``poch_ratio_pairs``, each a reduced ``Fraction``."""
+    for num, den in poch_ratio_pairs(nums, dens, q, z, terms):
+        yield Fraction(num, den)
+
+
 def poch_ratio(nums: Sequence, dens: Sequence, q, n: int, z=1) -> Fraction:
     """The single term T_n = (nums;q)_n z^n / (dens;q)_n of
-    ``poch_ratio_terms``; PoleError when (dens;q)_n vanishes."""
+    ``poch_ratio_pairs``; PoleError when (dens;q)_n vanishes."""
     if n < 0:
         raise ValueError("poch_ratio needs n >= 0, got %d" % n)
-    for term in poch_ratio_terms(nums, dens, q, z, n + 1):
+    for num, den in poch_ratio_pairs(nums, dens, q, z, n + 1):
         pass
-    return term
+    return Fraction(num, den)
+
+
+def pair_sum(pairs: Iterable[Tuple[int, int]],
+             pre: Fraction = Fraction(1)) -> Fraction:
+    """pre times the sum of the terms num/den of int pairs each of whose den
+    divides the next, as one ``Fraction``: the running numerator is brought
+    over each new den by the exact quotient of the dens."""
+    num, den = 0, 1
+    for n, d in pairs:
+        num = num * (d // den) + n
+        den = d
+    return Fraction(num * pre.numerator, den * pre.denominator)
 
 
 def poch_ratio_sum(nums: Sequence, dens: Sequence, q, z, terms: int) -> Fraction:
     """Exact sum_{k=0}^{terms-1} (nums;q)_k z^k / (dens;q)_k (see
-    ``poch_ratio_terms``)."""
-    return sum(poch_ratio_terms(nums, dens, q, z, terms), Fraction(0))
+    ``poch_ratio_pairs``)."""
+    return pair_sum(poch_ratio_pairs(nums, dens, q, z, terms))
 
 
-@dataclass(frozen=True)
 class TermRow:
-    """The terms F_0, ..., F_n of one terminating sum, as far as defined.
+    """The terms F_0, ..., F_n of one terminating sum, as far as defined: int
+    numerators ``nums`` over the one nonzero int denominator ``den``.
 
-    ``terms`` stops short of n + 1 entries where a denominator factor
-    vanished; reading a term from there on, or the total, raises PoleError.
-    Terms outside [0, n] are 0.
+    ``nums`` stops short of n + 1 entries where a denominator factor
+    vanished; reading a term from there on, or the total, raises PoleError
+    with the message ``pole``.  Terms outside [0, n] are 0.  The first read
+    of a term reduces every term once; the total is one ``Fraction``.  A
+    plain class, like ``identities.CrRow``.
     """
 
-    terms: Tuple[Fraction, ...]
-    n: int
-    pole: str = ""
+    __slots__ = ("nums", "den", "n", "pole", "_terms")
+
+    def __init__(self, nums: Sequence[int], den: int, n: int, pole: str = ""):
+        self.nums, self.den, self.n, self.pole = nums, den, n, pole
+        self._terms: Optional[Tuple[Fraction, ...]] = None
+
+    @property
+    def terms(self) -> Tuple[Fraction, ...]:
+        """The reduced terms F_0, F_1, ..., as far as defined."""
+        if self._terms is None:
+            den = self.den
+            self._terms = tuple(Fraction(x, den) for x in self.nums)
+        return self._terms
 
     def term(self, k: int) -> Fraction:
         if k < 0 or k > self.n:
             return Fraction(0)
-        if k >= len(self.terms):
+        if k >= len(self.nums):
             raise PoleError(self.pole)
         return self.terms[k]
 
     def total(self) -> Fraction:
-        if len(self.terms) <= self.n:
+        if len(self.nums) <= self.n:
             raise PoleError(self.pole)
-        return sum(self.terms, Fraction(0))
+        return Fraction(sum(self.nums), self.den)
 
 
-def term_row(terms: Iterable[Fraction], n: int) -> TermRow:
-    """Collect the terms k = 0..n; a PoleError ends the row where it arose."""
+def pair_row(pairs: Iterable[Tuple[int, int]], n: int,
+             pre: Fraction = Fraction(1)) -> TermRow:
+    """The row of the terms k = 0..n, given as int pairs each of whose den
+    divides the next, each times pre; a PoleError ends the row where it
+    arose.  The numerators are brought over the last den by the exact
+    quotient of the dens."""
     out = []
+    pole = ""
     try:
-        for t in terms:
-            out.append(t)
+        for pair in pairs:
+            out.append(pair)
     except PoleError as exc:
-        return TermRow(tuple(out), n, str(exc))
-    return TermRow(tuple(out), n)
+        pole = str(exc)
+    last = out[-1][1] if out else 1
+    pn = pre.numerator
+    return TermRow([num * pn * (last // den) for num, den in out],
+                   last * pre.denominator, n, pole)
 
 
 def phi_sum(spec: PhiSpec) -> Fraction:
@@ -186,23 +236,24 @@ class WellPoisedTerm:
             raise ValueError("well-poised term needs at least two parameters")
 
 
-def wp_terms(a_list: Sequence, q, z, terms: int) -> Iterator[Fraction]:
+def wp_pairs(a_list: Sequence, q, z, terms: int) -> Pairs:
     """The terms k = 0..terms-1 of the well-poised series
-    (a_1, ..., a_{r+1};q)_k z^k / (q, a_1 q/a_2, ..., a_1 q/a_{r+1};q)_k; a
-    zero a_2, ..., a_{r+1} raises PoleError before any term is read."""
+    (a_1, ..., a_{r+1};q)_k z^k / (q, a_1 q/a_2, ..., a_1 q/a_{r+1};q)_k, as
+    the int pairs of ``poch_ratio_pairs``; a zero a_2, ..., a_{r+1} raises
+    PoleError before any term is read."""
     q = Fraction(q)
     a_list = [Fraction(a) for a in a_list]
     if any(a == 0 for a in a_list[1:]):
         raise PoleError("well-poised parameter must be nonzero")
     dens = [q] + [a_list[0] * q / a for a in a_list[1:]]
-    return poch_ratio_terms(a_list, dens, q, z, terms)
+    return poch_ratio_pairs(a_list, dens, q, z, terms)
 
 
 def _wp_value(a_list: Sequence[Fraction], q: Fraction, z: Fraction, k: int) -> Fraction:
     if k < 0:
         return Fraction(0)
-    *_, term = wp_terms(a_list, q, z, k + 1)
-    return term
+    *_, (num, den) = wp_pairs(a_list, q, z, k + 1)
+    return Fraction(num, den)
 
 
 def wp_term(t: WellPoisedTerm, k: int) -> Fraction:

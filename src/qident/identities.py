@@ -18,12 +18,12 @@ import random
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import (Callable, Dict, Iterable, Iterator, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (Callable, Dict, Iterable, Mapping, Optional, Sequence,
+                    Tuple)
 
 from .qcore import ParamPoint, PoleError, QIdentityError, qpoch
-from .hyper import (TermRow, poch_ratio, poch_ratio_sum, poch_ratio_terms,
-                    term_row, wp_terms)
+from .hyper import (Pairs, TermRow, pair_row, pair_sum, poch_ratio,
+                    poch_ratio_pairs, poch_ratio_sum, wp_pairs)
 
 # Cost guard for the r-fold multi-sums (exact bignum arithmetic grows fast).
 MULTISUM_MAX_R = 4
@@ -59,25 +59,25 @@ def _div(num: Fraction, den: Fraction, what: str = "denominator") -> Fraction:
     return num / den
 
 
-def _well_poised(a, q, terms: Iterable[Fraction]) -> Iterator[Fraction]:
-    """The given terms, the k-th times the well-poised factor
-    (1 - a q^{2k})/(1 - a)."""
+def _well_poised(a, q, pairs: Iterable[Tuple[int, int]]) -> Pairs:
+    """The given int pairs, the k-th times the well-poised factor
+    (1 - a q^{2k})/(1 - a); if each den divides the next, so does each den
+    yielded."""
     if a == 1:
         raise PoleError("very-well-poised anchor must differ from 1")
     an, ad = a.numerator, a.denominator
     q2n, q2d = q.numerator ** 2, q.denominator ** 2
     pn, pd = an, ad                                 # a q^{2k}
-    for t in terms:
-        yield Fraction(t.numerator * (pd - pn) * ad,
-                       t.denominator * pd * (ad - an))
+    for num, den in pairs:
+        yield num * (pd - pn) * ad, den * pd * (ad - an)
         pn *= q2n
         pd *= q2d
 
 
-def _vwp_terms(a1, middles: Sequence, q, n: int, z) -> Iterator[Fraction]:
-    """The terms k = 0..n of ``vwp_sum``."""
+def _vwp_pairs(a1, middles: Sequence, q, n: int, z) -> Pairs:
+    """The terms k = 0..n of ``vwp_sum``, as int pairs."""
     a1, q = Fraction(a1), Fraction(q)
-    return _well_poised(a1, q, wp_terms([a1, *middles, q**(-n)], q, z, n + 1))
+    return _well_poised(a1, q, wp_pairs([a1, *middles, q**(-n)], q, z, n + 1))
 
 
 def vwp_sum(a1, middles: Sequence, q, n: int, z) -> Fraction:
@@ -91,10 +91,32 @@ def vwp_sum(a1, middles: Sequence, q, n: int, z) -> Fraction:
     The paired square-root parameters of the classical printing enter only
     through the ratio (1 - a1 q^{2k})/(1 - a1), so everything stays rational.
     """
-    return sum(_vwp_terms(a1, middles, q, n, z), Fraction(0))
+    return pair_sum(_vwp_pairs(a1, middles, q, n, z))
 
 
 _ROW_MEMOS: Dict[str, Callable] = {}
+
+
+class _RowKey:
+    """A memo key: the point's symbols as sorted (name, numerator,
+    denominator) ints, its sorted indices and any further arguments, hashed
+    once; ints hash without the modular inverse a ``Fraction`` hash takes.
+    It carries the caller's point, so that a miss builds from it."""
+
+    __slots__ = ("point", "args", "key", "hash")
+
+    def __init__(self, point: ParamPoint, args: tuple):
+        self.point, self.args = point, args
+        self.key = (tuple(sorted([(name, v.numerator, v.denominator)
+                                  for name, v in point.symbols.items()])),
+                    tuple(sorted(point.indices.items())), args)
+        self.hash = hash(self.key)
+
+    def __hash__(self) -> int:
+        return self.hash
+
+    def __eq__(self, other) -> bool:
+        return self.key == other.key
 
 
 def _memo_rows(build: Callable[..., "TermRow | CrRow"]
@@ -109,13 +131,12 @@ def _memo_rows(build: Callable[..., "TermRow | CrRow"]
     not cached.
     """
     @functools.lru_cache(maxsize=32)
-    def cached(symbols, indices, *args):
-        return build(ParamPoint(dict(symbols), dict(indices)), *args)
+    def cached(key: _RowKey):
+        return build(key.point, *key.args)
 
     @functools.wraps(build)
     def row(point: ParamPoint, *args):
-        return cached(tuple(sorted(point.symbols.items())),
-                      tuple(sorted(point.indices.items())), *args)
+        return cached(_RowKey(point, args))
     _ROW_MEMOS[build.__name__] = cached
     return row
 
@@ -344,7 +365,7 @@ def _total(row_name: str) -> Evaluator:
 def jackson_row(p: ParamPoint) -> TermRow:
     a, b, c, d, e, q = (p.sym(s) for s in "abcdeq")
     n = p.idx("n")
-    return term_row(_vwp_terms(a, [b, c, d, e], q, n, q), n)
+    return pair_row(_vwp_pairs(a, [b, c, d, e], q, n, q), n)
 
 
 def _jackson_rhs(p: ParamPoint) -> Fraction:
@@ -376,7 +397,7 @@ def watson_row(p: ParamPoint) -> TermRow:
     a, b, c, d, e, q = (p.sym(s) for s in "abcdeq")
     n = p.idx("n")
     z = a*a*q**(n+2)/(b*c*d*e)
-    return term_row(_vwp_terms(a, [b, c, d, e], q, n, z), n)
+    return pair_row(_vwp_pairs(a, [b, c, d, e], q, n, z), n)
 
 
 @_memo_rows
@@ -384,9 +405,9 @@ def watson_rhs_row(p: ParamPoint) -> TermRow:
     a, b, c, d, e, q = (p.sym(s) for s in "abcdeq")
     n = p.idx("n")
     pre = poch_ratio([a*q, a*q/(d*e)], [a*q/d, a*q/e], q, n)
-    ser = poch_ratio_terms([a*q/(b*c), d, e, q**(-n)],
+    ser = poch_ratio_pairs([a*q/(b*c), d, e, q**(-n)],
                            [q, a*q/b, a*q/c, d*e*q**(-n)/a], q, q, n + 1)
-    return term_row((pre * t for t in ser), n)
+    return pair_row(ser, n, pre)
 
 
 def _vwp_derive(p: ParamPoint) -> ParamPoint:
@@ -406,7 +427,7 @@ def bailey_row(p: ParamPoint) -> TermRow:
     a, b, c, d, e, f, q, lam = (p.sym(s) for s in ("a", "b", "c", "d", "e", "f", "q", "lam"))
     n = p.idx("n")
     g = lam*a*q**(n+1)/(e*f)
-    return term_row(_vwp_terms(a, [b, c, d, e, f, g], q, n, q), n)
+    return pair_row(_vwp_pairs(a, [b, c, d, e, f, g], q, n, q), n)
 
 
 @_memo_rows
@@ -416,15 +437,15 @@ def bailey_rhs_row(p: ParamPoint) -> TermRow:
     g = lam*a*q**(n+1)/(e*f)
     pre = poch_ratio([a*q, a*q/(e*f), lam*q/e, lam*q/f],
                      [a*q/e, a*q/f, lam*q/(e*f), lam*q], q, n)
-    ser = _vwp_terms(lam, [lam*b/a, lam*c/a, lam*d/a, e, f, g], q, n, q)
-    return term_row((pre * t for t in ser), n)
+    ser = _vwp_pairs(lam, [lam*b/a, lam*c/a, lam*d/a, e, f, g], q, n, q)
+    return pair_row(ser, n, pre)
 
 
 @_memo_rows
 def singh_lhs_row(p: ParamPoint) -> TermRow:
     A, B, c, q = (p.sym(s) for s in ("A", "B", "c", "q"))
     n = p.idx("n")
-    return term_row(poch_ratio_terms([A, B, c, q**(-n)],
+    return pair_row(poch_ratio_pairs([A, B, c, q**(-n)],
                                      [q, (A*B*q, q*q), -c*q**(-n)], q, q, n + 1), n)
 
 
@@ -434,7 +455,7 @@ def singh_rhs_row(p: ParamPoint) -> TermRow:
     n = p.idx("n")
     q2 = q * q
     # (-c q^{-n};q)_{2k} = (-c q^{-n}, -c q^{1-n};q^2)_k
-    return term_row(poch_ratio_terms([A, B, c*c, q**(-2*n)],
+    return pair_row(poch_ratio_pairs([A, B, c*c, q**(-2*n)],
                                      [q2, A*B*q, -c*q**(-n), -c*q**(1-n)],
                                      q2, q2, n + 1), n)
 
@@ -507,7 +528,7 @@ def schlosser_row(p: ParamPoint) -> CrRow:
     axes = []
     for xi in xs:
         middles = [b*xi, c*xi, d*xi, a*a*xi*q**(n-r+2)/(b*c*d)]
-        axes.append(term_row(_vwp_terms(a*xi*xi, middles, q, n, q), n))
+        axes.append(pair_row(_vwp_pairs(a*xi*xi, middles, q, n, q), n))
     return CrRow(n, a, q, xs, tuple(axes))
 
 
@@ -633,8 +654,8 @@ def lebesgue_row(p: ParamPoint) -> TermRow:
     a, q = p.sym("a"), p.sym("q")
     n = p.idx("n")
     pre = poch_ratio([], [a], q, n + 1)
-    ser = poch_ratio_terms([q**(-n), a], [q, a*q**(n+1)], q, -q**(n+1), n + 1)
-    return term_row((pre * t for t in ser), n)
+    ser = poch_ratio_pairs([q**(-n), a], [q, a*q**(n+1)], q, -q**(n+1), n + 1)
+    return pair_row(ser, n, pre)
 
 
 def _lebesgue_rhs(p: ParamPoint) -> Fraction:
@@ -672,16 +693,18 @@ def _bilateral_sum(q: Fraction, n: int, m: int, b: Fraction, top: Fraction,
     for row in range(1, big_n + 1):
         binom = [(binom[j - 1] * qd**(row - j) if j else 0)
                  + (binom[j] * qn**j if j < row else 0) for j in range(row + 1)]
-    nums, dens = [], []
-    for j, t in enumerate(poch_ratio_terms([(b*q**(2*m-1), 1/q)],
-                                           [c*q**(n-m+1)], q, z, big_n + 1)):
-        wn, wd = w.numerator * qn**(2*j), w.denominator * qd**(2*j)
-        nums.append(binom[j] * (wd - wn) * t.numerator)
-        dens.append(qd**(j*(big_n - j)) * wd * t.denominator)
-    common = math.lcm(*dens)
-    total = sum(t * (common // d) for t, d in zip(nums, dens))
+    top_e = big_n * big_n // 4              # the largest j(N - j)
+    ser = poch_ratio_pairs([(b*q**(2*m-1), 1/q)], [c*q**(n-m+1)], q, z,
+                           big_n + 1)
+
+    def terms() -> Pairs:
+        # each q-binomial over qd^top_e, so each den divides the next
+        for j, (num, den) in enumerate(ser):
+            wn, wd = w.numerator * qn**(2*j), w.denominator * qd**(2*j)
+            yield (binom[j] * qd**(top_e - j*(big_n - j)) * (wd - wn) * num,
+                   wd * den)
     first = top / (head * qpoch(c, q, n - m + 1))
-    return Fraction(total * first.numerator, common * first.denominator)
+    return pair_sum(terms(), first / qd**top_e)
 
 
 def _jacobi_finite_lhs(p: ParamPoint) -> Fraction:
@@ -717,9 +740,9 @@ def quintuple_row(p: ParamPoint) -> TermRow:
     n = p.idx("n")
     a = z*z*q
     pre = poch_ratio([z*q], [a*q], q, n)
-    ser = _well_poised(a, q, wp_terms([a, q**(-n)], q, (-z*q**(n+1), q),
+    ser = _well_poised(a, q, wp_pairs([a, q**(-n)], q, (-z*q**(n+1), q),
                                       n + 1))
-    return term_row((pre * t for t in ser), n)
+    return pair_row(ser, n, pre)
 
 
 def _quintuple_mn_lhs(p: ParamPoint) -> Fraction:
@@ -736,10 +759,16 @@ def _quintuple_ccg_lhs(p: ParamPoint) -> Fraction:
     stays per term, as (-zq;q)_k/(-z;q)_k would add poles at z = -q^{-j}."""
     z, q = p.sym("z"), p.sym("q")
     n = p.idx("n")
-    ser = poch_ratio_terms([q**(-n), z*z], [q, z*z*q**(n+1)], q,
+    ser = poch_ratio_pairs([q**(-n), z*z], [q, z*z*q**(n+1)], q,
                            (-z*q**(n+1), q), n + 1)
-    return poch_ratio([z], [z*z], q, n + 1) * sum(
-        ((1 + z*q**k) * t for k, t in enumerate(ser)), Fraction(0))
+
+    def terms() -> Pairs:
+        pn, pd = z.numerator, z.denominator         # z q^k
+        for num, den in ser:
+            yield num * (pd + pn), den * pd
+            pn *= q.numerator
+            pd *= q.denominator
+    return pair_sum(terms(), poch_ratio([z], [z*z], q, n + 1))
 
 
 def _one(p: ParamPoint) -> Fraction:

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from qident.qcore import PoleError
-from qident.hyper import (WellPoisedTerm, contiguous_residual_1,
+from qident.hyper import (TermRow, WellPoisedTerm, contiguous_residual_1,
                           contiguous_residual_2)
 from qident import certs
 from qident import cli
@@ -219,10 +219,12 @@ def test_mutation_sensitivity():
 SCALE = Fraction(102, 101)
 
 def _scaled_anti_diff(cert):
-    """The certificate with every entry of its anti-difference rows scaled."""
+    """The certificate with every entry of its anti-difference rows scaled:
+    each numerator times 102 over the denominator times 101."""
     def anti_diff(point, n):
         row = cert.anti_diff(point, n)
-        return replace(row, terms=tuple(t * SCALE for t in row.terms))
+        return TermRow([x * SCALE.numerator for x in row.nums],
+                       row.den * SCALE.denominator, row.n, row.pole)
     return replace(cert, anti_diff=anti_diff)
 
 
@@ -281,11 +283,14 @@ def test_shared_row_fault_fails_identity_and_proof(monkeypatch, row_name):
     healthy = getattr(identities, row_name)
 
     def faulty(point):
+        # F_{n,1} x 102/101: the other numerators times 101 keep their terms
+        # over the denominator times 101
         row = healthy(point)
-        if len(row.terms) < 2:
+        if len(row.nums) < 2:
             return row
-        return replace(row, terms=(row.terms[0], row.terms[1] * SCALE)
-                       + row.terms[2:])
+        nums = [x * SCALE.denominator for x in row.nums]
+        nums[1] = row.nums[1] * SCALE.numerator
+        return TermRow(nums, row.den * SCALE.denominator, row.n, row.pole)
 
     monkeypatch.setattr(identities, row_name, faulty)
     status, report = cli.run(config)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qident.qcore import ParamPoint, PoleError, qpoch, qpoch_multi
-from qident.hyper import contiguous_alpha, contiguous_beta, term_row
+from qident.hyper import contiguous_alpha, contiguous_beta
 from qident import certs, cli
 from qident import identities as ident
 from qident.certs import (bailey_alpha, boundary_check, certificate_ids,
@@ -435,7 +435,8 @@ def test_level_yields_each_k_before_a_later_pole():
 
 def reference_axis_rows(p):
     """Per-axis summand rows of schlosser_cr: row i holds, for k_i = 0..n,
-    the factors of the summand that depend on x_i and k_i alone."""
+    the factors of the summand that depend on x_i and k_i alone, as the
+    terms ``ref.drain`` collected and the error that ended them, if any."""
     a, b, c, d, q = (p.sym(s) for s in "abcdq")
     n, r = p.idx("n"), p.idx("r")
     rows = []
@@ -443,9 +444,20 @@ def reference_axis_rows(p):
         nums = [a*xi*xi, b*xi, c*xi, d*xi, a*a*xi*q**(n-r+2)/(b*c*d), q**(-n)]
         dens = [q, a*xi*q/b, a*xi*q/c, a*xi*q/d,
                 b*c*d*xi*q**(r-n-1)/a, a*xi*xi*q**(n+1)]
-        rows.append(term_row(ref._well_poised(
-            a*xi*xi, q, ref.poch_ratio_terms(nums, dens, q, q, n + 1)), n))
+        rows.append(ref.drain(ref._well_poised(
+            a*xi*xi, q, ref.poch_ratio_terms(nums, dens, q, q, n + 1))))
     return tuple(rows)
+
+
+def reference_axis_term(row, n, k):
+    """Entry k of a reference axis row: 0 outside [0, n], PoleError past
+    the terms a pole cut short."""
+    terms, error = row
+    if k < 0 or k > n:
+        return Fraction(0)
+    if k >= len(terms):
+        raise PoleError(error[1])
+    return terms[k]
 
 
 def reference_schlosser_lhs(p):
@@ -456,7 +468,7 @@ def reference_schlosser_lhs(p):
     pair_den = ref.pair_product(a, q, xs, [0] * r)
     if pair_den == 0:
         raise PoleError("pair-interaction denominator vanished")
-    tables = [[row.term(k) for k in range(n + 1)]
+    tables = [[reference_axis_term(row, n, k) for k in range(n + 1)]
               for row in reference_axis_rows(p)]
     total = Fraction(0)
     for ks in itertools.product(range(n + 1), repeat=r):
@@ -486,7 +498,7 @@ def reference_cr_term(p, axes, ks):
         return Fraction(0)
     t = _pair_ratio(p.sym("a"), p.sym("q"), xs, ks)
     for row, k in zip(axes, ks):
-        t *= row.term(k)
+        t *= reference_axis_term(row, n, k)
     return t
 
 

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from qident.qcore import PoleError, qpoch, qpoch_multi
 from qident.hyper import (PhiSpec, WellPoisedTerm, contiguous_alpha,
                           contiguous_beta, contiguous_residual_1,
-                          contiguous_residual_2, phi_sum, poch_ratio_sum,
-                          poch_ratio_terms, term_row,
-                          trivial_identity_residuals, wp_term)
+                          contiguous_residual_2, pair_row, phi_sum,
+                          poch_ratio, poch_ratio_pairs, poch_ratio_sum,
+                          poch_ratio_terms, trivial_identity_residuals,
+                          wp_term)
 import reference_loops as ref
 
 small_rats = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
@@ -112,11 +113,33 @@ def test_poch_ratio_terms_match_pochhammers(nums, dens, q, z, n):
     assert got == expected
 
 
+def _assert_pairs_match_the_fraction_loop(nums, dens, q, z, terms, pre):
+    """The kernel's int pairs against the Fraction loop: the same terms, each
+    den dividing the next, and a pole at the same k with the same message;
+    and the values reduced once from them, ``poch_ratio``, ``poch_ratio_sum``
+    and a row of the terms times pre, equal the reference's."""
+    expected, error = ref.drain(ref.poch_ratio_terms(nums, dens, q, z, terms))
+    pairs, pair_error = ref.drain(poch_ratio_pairs(nums, dens, q, z, terms))
+    assert [Fraction(num, den) for num, den in pairs] == expected
+    assert pair_error == error
+    assert all(den % prev == 0 for (_, prev), (_, den) in zip(pairs, pairs[1:]))
+    total = sum(expected, Fraction(0))
+    assert (ref.outcome(poch_ratio_sum, nums, dens, q, z, terms)
+            == (error if error else total))
+    if terms:
+        assert (ref.outcome(poch_ratio, nums, dens, q, terms - 1, z)
+                == (error if error else expected[-1]))
+    row = pair_row(poch_ratio_pairs(nums, dens, q, z, terms), terms - 1, pre)
+    assert list(row.terms) == [pre * t for t in expected]
+    assert (ref.outcome(row.total)
+            == ((PoleError, error[1]) if error else pre * total))
+
+
 @settings(max_examples=300, deadline=None)
 @given(params, params, small_rats, small_rats,
-       st.one_of(st.none(), small_rats), st.integers(0, 9))
+       st.one_of(st.none(), small_rats), st.integers(0, 9), small_rats)
 def test_poch_ratio_terms_matches_the_fraction_loop(nums, dens, q, z, zp,
-                                                    terms):
+                                                    terms, pre):
     # any q, zero and negative parameters, pair entries and a pair z: the
     # same terms, and a pole at the same k with the same message
     nums = [a if e == 1 else (a, q**e) for a, e in nums]
@@ -124,6 +147,7 @@ def test_poch_ratio_terms_matches_the_fraction_loop(nums, dens, q, z, zp,
     z = z if zp is None else (z, zp)
     assert (ref.drain(poch_ratio_terms(nums, dens, q, z, terms))
             == ref.drain(ref.poch_ratio_terms(nums, dens, q, z, terms)))
+    _assert_pairs_match_the_fraction_loop(nums, dens, q, z, terms, pre)
 
 
 @pytest.mark.parametrize("bound", [2, 3, 1000])
@@ -146,6 +170,7 @@ def test_poch_ratio_terms_matches_the_fraction_loop_at_bound(bound):
         terms = rng.randint(0, 8)
         expected = ref.drain(ref.poch_ratio_terms(nums, dens, q, z, terms))
         assert ref.drain(poch_ratio_terms(nums, dens, q, z, terms)) == expected
+        _assert_pairs_match_the_fraction_loop(nums, dens, q, z, terms, draw())
         poles += expected[1] is not None
     if bound <= 3:
         assert poles > 0
@@ -192,7 +217,7 @@ def test_poch_ratio_terms_pole_at_known_k():
         poch_ratio_sum(nums, dens, q, Fraction(5, 3), 7)
     assert poch_ratio_sum(nums, dens, q, Fraction(5, 3), 4) == sum(
         poch_ratio_terms(nums, dens, q, Fraction(5, 3), 4))
-    row = term_row(poch_ratio_terms(nums, dens, q, Fraction(5, 3), 7), 6)
+    row = pair_row(poch_ratio_pairs(nums, dens, q, Fraction(5, 3), 7), 6)
     assert len(row.terms) == 4
     assert row.term(3) != 0
     assert row.term(-1) == row.term(7) == 0

@@ -531,14 +531,23 @@ def _draw(rng, bound, nonzero=False):
 
 @pytest.mark.parametrize("bound", [2, 3, 1000])
 def test_well_poised_matches_the_fraction_loop(bound):
+    # the pair form on int pairs each of whose den divides the next: the
+    # terms of the Fraction loop, its pole, and each den yielded divides the
+    # next
     rng = random.Random(bound)
     poles = 0
     for _ in range(400):
         a, q = _draw(rng, bound), _draw(rng, bound)
-        terms = [_draw(rng, bound) for _ in range(rng.randint(0, 7))]
-        expected = ref.drain(ref._well_poised(a, q, iter(terms)))
-        assert ref.drain(ident._well_poised(a, q, iter(terms))) == expected
-        poles += expected[1] is not None
+        pairs, den = [], 1
+        for _ in range(rng.randint(0, 7)):
+            den *= _draw(rng, bound, nonzero=True).numerator
+            pairs.append((_draw(rng, bound).numerator, den))
+        expected = ref.drain(ref._well_poised(
+            a, q, (Fraction(num, den) for num, den in pairs)))
+        got, error = ref.drain(ident._well_poised(a, q, iter(pairs)))
+        assert ([Fraction(num, den) for num, den in got], error) == expected
+        assert all(d % c == 0 for (_, c), (_, d) in zip(got, got[1:]))
+        poles += error is not None
     assert poles > 0                        # the anchor a = 1
 
 
