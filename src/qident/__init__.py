@@ -19,7 +19,7 @@ The ``qident`` console script drives everything with reproducible seeds.
 
 from .qcore import (QIdentityError, PoleError, DegenerateQ, MissingSymbol,
                     QRational, ParamPoint, qrat, qpoch, qpoch_multi, qbinom)
-from .hyper import (PhiSpec, WellPoisedTerm, phi_sum, wp_term,
+from .hyper import (WellPoisedTerm, wp_term,
                     contiguous_alpha, contiguous_beta,
                     contiguous_residual_1, contiguous_residual_2,
                     trivial_identity_residuals, poch_ratio_sum)
@@ -44,7 +44,7 @@ __version__ = "0.1.0"
 __all__ = [
     "QIdentityError", "PoleError", "DegenerateQ", "MissingSymbol",
     "QRational", "ParamPoint", "qrat", "qpoch", "qpoch_multi", "qbinom",
-    "PhiSpec", "WellPoisedTerm", "phi_sum", "wp_term",
+    "WellPoisedTerm", "wp_term",
     "contiguous_alpha", "contiguous_beta",
     "contiguous_residual_1", "contiguous_residual_2",
     "trivial_identity_residuals", "poch_ratio_sum",

@@ -61,7 +61,7 @@ from fractions import Fraction
 from typing import (Callable, Dict, Iterable, Iterator, Optional, Sequence,
                     Tuple, Union)
 
-from .hyper import Pairs, TermRow, pair_row, poch_ratio, poch_ratio_pairs
+from .hyper import Pairs, TermRow, _ints, pair_row, poch_ratio, poch_ratio_pairs
 from .qcore import ParamPoint, PoleError, qpoch, qpoch_multi
 from . import identities as _ident
 from .identities import _div, _xs
@@ -132,17 +132,13 @@ def _row_level(identity_id: str,
     return level
 
 
-def _sym(point: ParamPoint, names: str):
-    return tuple(point.sym(s) for s in names)
-
-
 # ---------------------------------------------------------------------------
 # balanced very-well-poised summation (four free parameters)
 # ---------------------------------------------------------------------------
 
 @_ident._memo_rows
 def jackson_gamma(p: ParamPoint, n: int) -> Fraction:
-    a, b, c, d, q = _sym(p, "abcdq")
+    a, b, c, d, q = p.ratios("abcdq")
     num = ((a*a*q**n/(b*c*d) - q**(-n)) * (1 - b*c*d/a) * (1 - a*q)
            * (1 - a*q*q) * (1 - b) * (1 - c) * (1 - d) * q)
     den = ((1 - b*c*d*q**(-n)/a) * (1 - a*q**n) * (1 - a*q/b) * (1 - a*q/c)
@@ -156,7 +152,7 @@ def jackson_gamma(p: ParamPoint, n: int) -> Fraction:
 
 @_ident._memo_rows
 def watson_beta(p: ParamPoint, n: int) -> Fraction:
-    a, b, c, d, e, q = _sym(p, "abcdeq")
+    a, b, c, d, e, q = p.ratios("abcdeq")
     num = -(1 - a*q) * (1 - a*q*q) * (1 - b) * (1 - c) * (1 - d) * (1 - e) \
         * a*a*q**(n+1)
     den = ((1 - a*q/b) * (1 - a*q/c) * (1 - a*q/d) * (1 - a*q/e)
@@ -166,12 +162,11 @@ def watson_beta(p: ParamPoint, n: int) -> Fraction:
 
 @_ident._memo_rows
 def watson_anti_diff_row(p: ParamPoint) -> TermRow:
-    a, b, c, d, e, q = _sym(p, "abcdeq")
+    a, b, c, d, e, q = p.ratios("abcdeq")
     n = p.idx("n")
     x = d*e*q**(-n)/a
-    pre = _div(poch_ratio([a*q], [], q, n - 1)
-               * poch_ratio([a*q/(d*e)], [a*q/d, a*q/e], q, n)
-               * (1 - d) * (1 - e), 1 - x)
+    pre = _div((1 - d) * (1 - e) * poch_ratio([a*q], [], q, n - 1)
+               * poch_ratio([a*q/(d*e)], [a*q/d, a*q/e], q, n), 1 - x)
     ser = poch_ratio_pairs([a*q/(b*c), q**(1-n), d*q, e*q],
                            [q, a*q/b, a*q/c, x*q], q, 1, n + 1)
     return pair_row(ser, n, pre)
@@ -183,7 +178,7 @@ def watson_anti_diff_row(p: ParamPoint) -> TermRow:
 
 @_ident._memo_rows
 def bailey_alpha(p: ParamPoint, n: int) -> Fraction:
-    a, b, c, d, e, f, q = _sym(p, "abcdefq")
+    a, b, c, d, e, f, q = p.ratios("abcdefq")
     lam = a*a*q / (b*c*d)
     num = (-(1 - b) * (1 - c) * (1 - d) * (1 - e) * (1 - f)
            * (1 - a*q) * (1 - a*q*q) * (1 - e*f/lam) * (1 - lam*a*q**(2*n)/(e*f)))
@@ -195,8 +190,8 @@ def bailey_alpha(p: ParamPoint, n: int) -> Fraction:
 
 @_ident._memo_rows
 def bailey_anti_diff_row(p: ParamPoint) -> TermRow:
-    a, b, c, d, e, f, q = _sym(p, "abcdefq")
-    lam, n = p.sym("lam"), p.idx("n")
+    a, b, c, d, e, f, q, lam = p.ratios([*"abcdefq", "lam"])
+    n = p.idx("n")
     g = lam*a*q**(n+1) / (e*f)
     x, y = e*f*q**(-n)/a, lam*q**n
     pre = _div((1 - a*lam*q**(2*n)/(e*f))
@@ -208,8 +203,7 @@ def bailey_anti_diff_row(p: ParamPoint) -> TermRow:
         [q, a*q/b, a*q/c, a*q/d, lam*q/e, lam*q/f, x*q, y*q], q, 1, n + 1)
 
     def terms() -> Pairs:
-        ratio = lam / a
-        pn, pd = ratio.numerator, ratio.denominator  # lam q^k / a
+        pn, pd = _ints(lam / a)                     # lam q^k / a
         for num, den in ser:
             yield num * (pd - pn), den * pd
             pn *= q.numerator
@@ -222,18 +216,18 @@ def bailey_anti_diff_row(p: ParamPoint) -> TermRow:
 # ---------------------------------------------------------------------------
 
 def singh_alpha(p: ParamPoint, n: int) -> Fraction:
-    c, q = p.sym("c"), p.sym("q")
+    c, q = p.ratios("cq")
     return _div((1 + q) * (1 + c*q**(1-n)), q * (1 + c*q**(-n)))
 
 
 def singh_beta(p: ParamPoint, n: int) -> Fraction:
-    c, q = p.sym("c"), p.sym("q")
+    c, q = p.ratios("cq")
     return _div(1 + c*q**(2-n), q * (1 + c*q**(-n)))
 
 
 @_ident._memo_rows
 def singh_gamma(p: ParamPoint, n: int) -> Fraction:
-    A, B, c, q = _sym(p, "ABcq")
+    A, B, c, q = p.ratios("ABcq")
     num = ((1 - A) * (1 - B) * (1 - c*c) * (1 - A*q) * (1 - B*q)
            * (1 - c*c*q*q) * q**(3 - 2*n))
     den = ((1 - A*B*q) * (1 - A*B*q**3) * (1 + c*q**(-n)) * (1 + c*q**(1-n))
@@ -244,7 +238,7 @@ def singh_gamma(p: ParamPoint, n: int) -> Fraction:
 def singh_first_order_residual(p: ParamPoint, n: int, k: int) -> Fraction:
     """Residual of the first-order relation F_{n,k} - F_{n-1,k}
     = gamma'_n F_{n-1,k-1}(Aq, Bq, cq); always 0 for n >= 1."""
-    A, B, c, q = _sym(p, "ABcq")
+    A, B, c, q = map(p.sym, "ABcq")
     gamma1 = _div(-(1 - A) * (1 - B) * (1 - c*c) * q**(1-n),
                   (1 - A*B*q) * (1 + c*q**(-n)) * (1 + c*q**(1-n)))
     shifted = p.scaled(A=q, B=q, c=q)
@@ -255,7 +249,7 @@ def singh_first_order_residual(p: ParamPoint, n: int, k: int) -> Fraction:
 
 @_ident._memo_rows
 def singh_anti_diff_row(p: ParamPoint) -> TermRow:
-    A, B, c, q = _sym(p, "ABcq")
+    A, B, c, q = p.ratios("ABcq")
     n = p.idx("n")
     q2 = q*q
 
@@ -283,22 +277,22 @@ def singh_anti_diff_row(p: ParamPoint) -> TermRow:
 # ---------------------------------------------------------------------------
 
 def lebesgue_keep(p: ParamPoint, n: int) -> Fraction:
-    a, q = p.sym("a"), p.sym("q")
-    return _div(Fraction(1), 1 - a*q**n)
+    a, q = p.ratios("aq")
+    return _div(1, 1 - a*q**n)
 
 
 def lebesgue_move(p: ParamPoint, n: int) -> Fraction:
-    a, q = p.sym("a"), p.sym("q")
+    a, q = p.ratios("aq")
     return _div(q**n, 1 - a*q**n)
 
 
 def quintuple_keep(p: ParamPoint, n: int) -> Fraction:
-    z, q = p.sym("z"), p.sym("q")
+    z, q = p.ratios("zq")
     return _div(1 - z*q**n, 1 - z*z*q**(n+1))
 
 
 def quintuple_move(p: ParamPoint, n: int) -> Fraction:
-    z, q = p.sym("z"), p.sym("q")
+    z, q = p.ratios("zq")
     return _div((1 - z*q) * z * q**n, 1 - z*z*q**(n+1))
 
 
@@ -310,7 +304,7 @@ def _pair_ratio(a, q, xs: Sequence, shifts: Sequence[int]) -> Fraction:
     """The pair-interaction product at the given shifts, each 0 or 1, over
     its value at no shift."""
     pairs = dict(_ident._pair_table(a, q, xs, 1)[0])
-    return _div(Fraction(pairs[tuple(shifts)]), pairs[(0,) * len(xs)])
+    return _div(pairs[tuple(shifts)], pairs[(0,) * len(xs)])
 
 
 @_ident._memo_rows
@@ -321,7 +315,7 @@ def schlosser_split_coeff(p: ParamPoint, n: int, ss: Tuple[int, ...]) -> Fractio
     the term-recurrence sweep evaluated at the same (point, n, ss).  At r <= 3
     and n <= 3 one point needs at most 24 of them."""
     r = p.idx("r")
-    a, b, c, d, q = _sym(p, "abcdq")
+    a, b, c, d, q = map(p.sym, "abcdq")
     xs = _xs(p, r)
     t = _pair_ratio(a, q, xs, ss)
     for i in range(r):
@@ -352,7 +346,7 @@ def schlosser_split_residual(point: ParamPoint, n: int, r: int, i: int,
     (1 - q^{-n+k_i-1})(1 - a x_i^2 q^{n+k_i+1})(1 - q^{n+1})(1 - a x_i^2 q^{n+1}),
     which is defined everywhere and vanishes iff the split holds.
     """
-    a, b, c, d, q = _sym(point, "abcdq")
+    a, b, c, d, q = map(point.sym, "abcdq")
     xi = point.sym("x%d" % i)
     lhs_num = ((1 - a*a*xi*q**(n+k_i-r+2)/(b*c*d))
                * (1 - b*c*d*xi*q**(k_i+r-n-2)/a))
@@ -367,7 +361,7 @@ def schlosser_split_residual(point: ParamPoint, n: int, r: int, i: int,
 
 def _schlosser_alpha_s(point: ParamPoint, n: int, r: int,
                        ss: Sequence[int]) -> Fraction:
-    a, b, c, d, q = _sym(point, "abcdq")
+    a, b, c, d, q = map(point.sym, "abcdq")
     xs = _xs(point, r)
     t = _div(Fraction(1), (1 - q**(n+1)) ** r)
     for i in range(r):
@@ -388,7 +382,7 @@ def schlosser_coeff_residual(point: ParamPoint, n: int, r: int,
     ss = tuple(s_vector)
     if len(ss) != r or any(s not in (0, 1) for s in ss):
         raise ValueError("s_vector must lie in {0,1}^r")
-    a, b, c, d, q = _sym(point, "abcdq")
+    a, b, c, d, q = map(point.sym, "abcdq")
     xs = _xs(point, r)
     form1 = _schlosser_alpha_s(point, n, r, ss) * _pair_ratio(a, q, xs, ss)
     for i in range(r):

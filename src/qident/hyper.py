@@ -1,57 +1,35 @@
 """Terminating basic hypergeometric sums and the well-poised contiguous relations.
 
-``poch_ratio_pairs`` is the package's one term-ratio loop: every one-sided
-terminating sum and same-index Pochhammer quotient in ``identities``, and so
-every certificate row, is built on it; z may be a pair (z, p), read as
-z^k p^{k(k-1)/2}.  The kernel yields each term as an unreduced int
-numerator/denominator pair, each denominator dividing the next, so a sum or
-a row of terms is brought over the last denominator with exact int
-quotients (Knuth, TAOCP vol. 2, section 4.5.1).  Reduction happens once per
-value: ``poch_ratio`` builds one ``Fraction`` from the last pair,
-``pair_sum`` one from the sum, and a ``TermRow`` one for its total and one
-per term on its first read.  So every value compared is still a normalized
-``Fraction``.  The bilateral ``jacobi_finite`` and ``quintuple_finite_mn``
-run on the kernel too, after a pole check that refuses exactly the points
-where their per-k Pochhammers of any index vanish.
+``poch_ratio_pairs`` is the one term-ratio loop behind every one-sided
+terminating sum, same-index Pochhammer quotient and certificate row; z may
+be a pair (z, p), read as z^k p^{k(k-1)/2}.  Parameters arrive as reduced
+int pairs: ``Fraction``s, or ``Ratio``s built from a point's symbols and
+reduced with one gcd as the kernel reads them.  It yields each term as an
+unreduced int pair, each denominator dividing the next, so a sum or a row is
+brought over the last denominator with exact int quotients (Knuth, TAOCP
+vol. 2, section 4.5.1), and each side is reduced once: ``poch_ratio`` and
+``pair_sum`` build one ``Fraction``, a ``TermRow`` one for its total and one
+per term on its first read.  The bilateral ``jacobi_finite`` and
+``quintuple_finite_mn`` run on it too, after a pole check that refuses
+exactly the points where their per-k Pochhammers of any index vanish.
 
-The two contiguous relations implemented here connect the k-th term of a
-well-poised series whose last two parameters differ by a factor of q (first
-relation) or whose argument differs by a factor of q (second relation) to the
-(k-1)-th term at a uniformly q-shifted parameter list.  Both hold exactly for
-rational parameters and are exposed as zero-residual checks.
+The two contiguous relations connect the k-th term of a well-poised series
+whose last two parameters (first relation) or whose argument (second) differ
+by a factor of q to the (k-1)-th term at a uniformly q-shifted parameter
+list; both are exposed as zero-residual checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
-from .qcore import PoleError
+from .qcore import PoleError, Ratio
 
 # Terms as unreduced int pairs (num_k, den_k), each den_k dividing den_{k+1}.
 Pairs = Iterator[Tuple[int, int]]
-
-
-@dataclass(frozen=True)
-class PhiSpec:
-    """A terminating r+1_phi_r series: sum over the first term_count terms."""
-
-    numerator_params: Tuple[Fraction, ...]
-    denominator_params: Tuple[Fraction, ...]
-    q: Fraction
-    z: Fraction
-    term_count: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "numerator_params",
-                           tuple(Fraction(a) for a in self.numerator_params))
-        object.__setattr__(self, "denominator_params",
-                           tuple(Fraction(b) for b in self.denominator_params))
-        object.__setattr__(self, "q", Fraction(self.q))
-        object.__setattr__(self, "z", Fraction(self.z))
-        if self.term_count < 0:
-            raise ValueError("term_count must be >= 0")
 
 
 def poch_ratio_pairs(nums: Sequence, dens: Sequence, q, z,
@@ -112,27 +90,23 @@ def _run(a, qn: int, qd: int) -> list:
 
 
 def _ints(v) -> Tuple[int, int]:
-    """Numerator and denominator of a rational value."""
-    if not isinstance(v, (int, Fraction)):
+    """Numerator and denominator of a rational value, reduced with one gcd."""
+    if not isinstance(v, (Ratio, int, Fraction)):
         v = Fraction(v)
-    return v.numerator, v.denominator
+    num, den = v.numerator, v.denominator
+    g = gcd(num, den) * (-1 if den < 0 else 1)
+    return num // g, den // g
 
 
-def poch_ratio_terms(nums: Sequence, dens: Sequence, q, z,
-                     terms: int) -> Iterator[Fraction]:
-    """The terms of ``poch_ratio_pairs``, each a reduced ``Fraction``."""
-    for num, den in poch_ratio_pairs(nums, dens, q, z, terms):
-        yield Fraction(num, den)
-
-
-def poch_ratio(nums: Sequence, dens: Sequence, q, n: int, z=1) -> Fraction:
-    """The single term T_n = (nums;q)_n z^n / (dens;q)_n of
-    ``poch_ratio_pairs``; PoleError when (dens;q)_n vanishes."""
+def poch_ratio(nums: Sequence, dens: Sequence, q, n: int, z=1,
+               pre=1) -> Fraction:
+    """pre times the term T_n = (nums;q)_n z^n / (dens;q)_n of
+    ``poch_ratio_pairs``, one ``Fraction``; PoleError where (dens;q)_n is 0."""
     if n < 0:
         raise ValueError("poch_ratio needs n >= 0, got %d" % n)
     for num, den in poch_ratio_pairs(nums, dens, q, z, n + 1):
         pass
-    return Fraction(num, den)
+    return Fraction(num * pre.numerator, den * pre.denominator)
 
 
 def pair_sum(pairs: Iterable[Tuple[int, int]],
@@ -210,13 +184,6 @@ def pair_row(pairs: Iterable[Tuple[int, int]], n: int,
                    last * pre.denominator, n, pole)
 
 
-def phi_sum(spec: PhiSpec) -> Fraction:
-    """Exact value of the terminating basic hypergeometric series."""
-    return poch_ratio_sum(spec.numerator_params,
-                          (spec.q,) + spec.denominator_params,
-                          spec.q, spec.z, spec.term_count)
-
-
 @dataclass(frozen=True)
 class WellPoisedTerm:
     """Inputs for the k-th term of a well-poised series.
@@ -240,12 +207,11 @@ def wp_pairs(a_list: Sequence, q, z, terms: int) -> Pairs:
     """The terms k = 0..terms-1 of the well-poised series
     (a_1, ..., a_{r+1};q)_k z^k / (q, a_1 q/a_2, ..., a_1 q/a_{r+1};q)_k, as
     the int pairs of ``poch_ratio_pairs``; a zero a_2, ..., a_{r+1} raises
-    PoleError before any term is read."""
-    q = Fraction(q)
-    a_list = [Fraction(a) for a in a_list]
-    if any(a == 0 for a in a_list[1:]):
+    PoleError before any term is read.  Each a_1 q/a_i is one ``Ratio``."""
+    ((an, ad), *rest), (qn, qd) = map(_ints, a_list), _ints(q)
+    if any(n == 0 for n, _ in rest):
         raise PoleError("well-poised parameter must be nonzero")
-    dens = [q] + [a_list[0] * q / a for a in a_list[1:]]
+    dens = [q] + [Ratio(an * qn * d, ad * qd * n) for n, d in rest]
     return poch_ratio_pairs(a_list, dens, q, z, terms)
 
 

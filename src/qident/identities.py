@@ -6,6 +6,8 @@ fresh point, applies the identity's derived-symbol constraints (balancing
 conditions such as e = a^2 q^{n+1}/bcd), rejects points on pole guards, and
 asserts exact equality of the two sides.  Failure probability per trial is
 bounded by total degree over sample-space size and is negligible here.
+Every kernel parameter, derived symbol and closed-form factor is built from
+the point's ``Ratio`` int pairs, and each side is reduced once, to a Fraction.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from fractions import Fraction
 from typing import (Callable, Dict, Iterable, Mapping, Optional, Sequence,
                     Tuple)
 
-from .qcore import ParamPoint, PoleError, QIdentityError, qpoch
-from .hyper import (Pairs, TermRow, pair_row, pair_sum, poch_ratio,
+from .qcore import ParamPoint, PoleError, QIdentityError, Ratio, qpoch
+from .hyper import (Pairs, TermRow, _ints, pair_row, pair_sum, poch_ratio,
                     poch_ratio_pairs, poch_ratio_sum, wp_pairs)
 
 # Cost guard for the r-fold multi-sums (exact bignum arithmetic grows fast).
@@ -53,20 +55,22 @@ class RetryExhausted(QIdentityError):
         self.report = report
 
 
-def _div(num: Fraction, den: Fraction, what: str = "denominator") -> Fraction:
-    if den == 0:
+def _div(num, den, what: str = "denominator") -> Fraction:
+    """num/den as one Fraction; PoleError where den is 0."""
+    if den.numerator == 0:
         raise PoleError("%s vanished" % what)
-    return num / den
+    return Fraction(num.numerator * den.denominator,
+                    num.denominator * den.numerator)
 
 
 def _well_poised(a, q, pairs: Iterable[Tuple[int, int]]) -> Pairs:
     """The given int pairs, the k-th times the well-poised factor
     (1 - a q^{2k})/(1 - a); if each den divides the next, so does each den
     yielded."""
-    if a == 1:
+    an, ad = _ints(a)
+    if an == ad:
         raise PoleError("very-well-poised anchor must differ from 1")
-    an, ad = a.numerator, a.denominator
-    q2n, q2d = q.numerator ** 2, q.denominator ** 2
+    q2n, q2d = (v * v for v in _ints(q))
     pn, pd = an, ad                                 # a q^{2k}
     for num, den in pairs:
         yield num * (pd - pn) * ad, den * pd * (ad - an)
@@ -76,8 +80,8 @@ def _well_poised(a, q, pairs: Iterable[Tuple[int, int]]) -> Pairs:
 
 def _vwp_pairs(a1, middles: Sequence, q, n: int, z) -> Pairs:
     """The terms k = 0..n of ``vwp_sum``, as int pairs."""
-    a1, q = Fraction(a1), Fraction(q)
-    return _well_poised(a1, q, wp_pairs([a1, *middles, q**(-n)], q, z, n + 1))
+    return _well_poised(a1, q, wp_pairs([a1, *middles, Ratio(*_ints(q))**-n],
+                                        q, z, n + 1))
 
 
 def vwp_sum(a1, middles: Sequence, q, n: int, z) -> Fraction:
@@ -98,8 +102,8 @@ _ROW_MEMOS: Dict[str, Callable] = {}
 
 
 class _RowKey:
-    """A memo key: the point's symbols as sorted (name, numerator,
-    denominator) ints, its sorted indices and any further arguments, hashed
+    """A memo key: the sorted (name, numerator, denominator) ints of the
+    point's int view, its sorted indices and any further arguments, hashed
     once; ints hash without the modular inverse a ``Fraction`` hash takes.
     It carries the caller's point, so that a miss builds from it."""
 
@@ -107,8 +111,9 @@ class _RowKey:
 
     def __init__(self, point: ParamPoint, args: tuple):
         self.point, self.args = point, args
+        view = zip(point.symbols, point.ratios(point.symbols))
         self.key = (tuple(sorted([(name, v.numerator, v.denominator)
-                                  for name, v in point.symbols.items()])),
+                                  for name, v in view])),
                     tuple(sorted(point.indices.items())), args)
         self.hash = hash(self.key)
 
@@ -363,38 +368,38 @@ def _total(row_name: str) -> Evaluator:
 
 @_memo_rows
 def jackson_row(p: ParamPoint) -> TermRow:
-    a, b, c, d, e, q = (p.sym(s) for s in "abcdeq")
+    a, b, c, d, e, q = p.ratios("abcdeq")
     n = p.idx("n")
     return pair_row(_vwp_pairs(a, [b, c, d, e], q, n, q), n)
 
 
 def _jackson_rhs(p: ParamPoint) -> Fraction:
-    a, b, c, d, q = (p.sym(s) for s in "abcdq")
+    a, b, c, d, q = p.ratios("abcdq")
     n = p.idx("n")
     return poch_ratio([a*q, a*q/(b*c), a*q/(b*d), a*q/(c*d)],
                       [a*q/b, a*q/c, a*q/d, a*q/(b*c*d)], q, n)
 
 
 def _jackson_derive(p: ParamPoint) -> ParamPoint:
-    a, b, c, d, q = (p.sym(s) for s in "abcdq")
-    return p.with_symbols(e=a*a*q**(p.idx("n")+1) / (b*c*d))
+    a, b, c, d, q = p.ratios("abcdq")
+    return p.with_symbols(e=_div(a*a*q**(p.idx("n")+1), b*c*d))
 
 
 def _6phi5_lhs(p: ParamPoint) -> Fraction:
-    a, b, c, q = (p.sym(s) for s in "abcq")
+    a, b, c, q = p.ratios("abcq")
     n = p.idx("n")
     return vwp_sum(a, [b, c], q, n, a*q**(n+1)/(b*c))
 
 
 def _6phi5_rhs(p: ParamPoint) -> Fraction:
-    a, b, c, q = (p.sym(s) for s in "abcq")
+    a, b, c, q = p.ratios("abcq")
     n = p.idx("n")
     return poch_ratio([a*q, a*q/(b*c)], [a*q/b, a*q/c], q, n)
 
 
 @_memo_rows
 def watson_row(p: ParamPoint) -> TermRow:
-    a, b, c, d, e, q = (p.sym(s) for s in "abcdeq")
+    a, b, c, d, e, q = p.ratios("abcdeq")
     n = p.idx("n")
     z = a*a*q**(n+2)/(b*c*d*e)
     return pair_row(_vwp_pairs(a, [b, c, d, e], q, n, z), n)
@@ -402,7 +407,7 @@ def watson_row(p: ParamPoint) -> TermRow:
 
 @_memo_rows
 def watson_rhs_row(p: ParamPoint) -> TermRow:
-    a, b, c, d, e, q = (p.sym(s) for s in "abcdeq")
+    a, b, c, d, e, q = p.ratios("abcdeq")
     n = p.idx("n")
     pre = poch_ratio([a*q, a*q/(d*e)], [a*q/d, a*q/e], q, n)
     ser = poch_ratio_pairs([a*q/(b*c), d, e, q**(-n)],
@@ -411,20 +416,21 @@ def watson_rhs_row(p: ParamPoint) -> TermRow:
 
 
 def _vwp_derive(p: ParamPoint) -> ParamPoint:
-    a, b, c, d, q = (p.sym(s) for s in "abcdq")
-    return p.with_symbols(lam=a*a*q/(b*c*d))
+    a, b, c, d, q = p.ratios("abcdq")
+    return p.with_symbols(lam=_div(a*a*q, b*c*d))
 
 
 def _vwp_rhs(p: ParamPoint) -> Fraction:
-    a, b, c, d, e, q, lam = (p.sym(s) for s in ("a", "b", "c", "d", "e", "q", "lam"))
+    a, b, c, d, e, q, lam = p.ratios(("a", "b", "c", "d", "e", "q", "lam"))
     n = p.idx("n")
     pre = poch_ratio([a*q, lam*q/e], [a*q/e, lam*q], q, n)
-    return pre * vwp_sum(lam, [lam*b/a, lam*c/a, lam*d/a, e], q, n, a*q**(n+1)/e)
+    return pair_sum(_vwp_pairs(lam, [lam*b/a, lam*c/a, lam*d/a, e], q, n,
+                               a*q**(n+1)/e), pre)
 
 
 @_memo_rows
 def bailey_row(p: ParamPoint) -> TermRow:
-    a, b, c, d, e, f, q, lam = (p.sym(s) for s in ("a", "b", "c", "d", "e", "f", "q", "lam"))
+    a, b, c, d, e, f, q, lam = p.ratios(("a", "b", "c", "d", "e", "f", "q", "lam"))
     n = p.idx("n")
     g = lam*a*q**(n+1)/(e*f)
     return pair_row(_vwp_pairs(a, [b, c, d, e, f, g], q, n, q), n)
@@ -432,7 +438,7 @@ def bailey_row(p: ParamPoint) -> TermRow:
 
 @_memo_rows
 def bailey_rhs_row(p: ParamPoint) -> TermRow:
-    a, b, c, d, e, f, q, lam = (p.sym(s) for s in ("a", "b", "c", "d", "e", "f", "q", "lam"))
+    a, b, c, d, e, f, q, lam = p.ratios(("a", "b", "c", "d", "e", "f", "q", "lam"))
     n = p.idx("n")
     g = lam*a*q**(n+1)/(e*f)
     pre = poch_ratio([a*q, a*q/(e*f), lam*q/e, lam*q/f],
@@ -443,7 +449,7 @@ def bailey_rhs_row(p: ParamPoint) -> TermRow:
 
 @_memo_rows
 def singh_lhs_row(p: ParamPoint) -> TermRow:
-    A, B, c, q = (p.sym(s) for s in ("A", "B", "c", "q"))
+    A, B, c, q = p.ratios(("A", "B", "c", "q"))
     n = p.idx("n")
     return pair_row(poch_ratio_pairs([A, B, c, q**(-n)],
                                      [q, (A*B*q, q*q), -c*q**(-n)], q, q, n + 1), n)
@@ -451,7 +457,7 @@ def singh_lhs_row(p: ParamPoint) -> TermRow:
 
 @_memo_rows
 def singh_rhs_row(p: ParamPoint) -> TermRow:
-    A, B, c, q = (p.sym(s) for s in ("A", "B", "c", "q"))
+    A, B, c, q = p.ratios(("A", "B", "c", "q"))
     n = p.idx("n")
     q2 = q * q
     # (-c q^{-n};q)_{2k} = (-c q^{-n}, -c q^{1-n};q^2)_k
@@ -522,7 +528,7 @@ class CrRow:
 
 @_memo_rows
 def schlosser_row(p: ParamPoint) -> CrRow:
-    a, b, c, d, q = (p.sym(s) for s in "abcdq")
+    a, b, c, d, q = p.ratios("abcdq")
     n, r = p.idx("n"), p.idx("r")
     xs = tuple(_xs(p, r))
     axes = []
@@ -537,33 +543,32 @@ def schlosser_lhs(p: ParamPoint) -> Fraction:
     return schlosser_row(p).total()
 
 
-def _schlosser_axes_rhs(p: ParamPoint, n: int) -> Fraction:
-    """The per-axis closed-form product of the C_r sum at level n."""
-    a, b, c, d, q = (p.sym(s) for s in "abcdq")
+def _schlosser_axes_rhs(p: ParamPoint, n: int, t=Ratio(1)) -> Fraction:
+    """t times the per-axis closed-form product of the C_r sum at level n."""
+    a, b, c, d, q = p.ratios("abcdq")
     r = p.idx("r")
-    t = Fraction(1)
     for i, xi in enumerate(_xs(p, r), 1):
         t *= poch_ratio([a*xi*xi*q, a*q**(2-i)/(b*c),
                          a*q**(2-i)/(b*d), a*q**(2-i)/(c*d)],
                         [a*q**(2-r)/(b*c*d*xi), a*xi*q/b,
                          a*xi*q/c, a*xi*q/d], q, n)
-    return t
+    return _div(t, 1)
 
 
 def schlosser_rhs(p: ParamPoint) -> Fraction:
-    a, q = p.sym("a"), p.sym("q")
+    a, q = p.ratios("aq")
     n, r = p.idx("n"), p.idx("r")
     xs = _xs(p, r)
-    t = Fraction(1)
+    t = Ratio(1)
     for i in range(r):
         for j in range(i + 1, r):
             t *= _div(1 - a*xs[i]*xs[j]*q**n, 1 - a*xs[i]*xs[j])
-    return t * _schlosser_axes_rhs(p, n)
+    return _schlosser_axes_rhs(p, n, t)
 
 
 def schlosser_lemma_lhs(p: ParamPoint) -> Fraction:
     """The 2^r terms over one denominator, their pairs from one pair table."""
-    a, b, c, d, q = (p.sym(s) for s in "abcdq")
+    a, b, c, d, q = p.ratios("abcdq")
     r = p.idx("r")
     xs = _xs(p, r)
     [(_, pair_num)], pair_den = _pair_table(a*q, q, xs, 0)
@@ -590,22 +595,23 @@ def schlosser_lemma_rhs(p: ParamPoint) -> Fraction:
 
 
 def _sch_special_lhs(p: ParamPoint) -> Fraction:
-    a, b, c, d, q = (p.sym(s) for s in "abcdq")
+    a, b, c, d, q = p.ratios("abcdq")
     n = p.idx("n")
-    return poch_ratio([], [a*q], q, n) * vwp_sum(
-        a, [a*q/b, a*q/c, a*q/d, b*c*d*q**(n-2)/a], q, n, q)
+    pre = poch_ratio([], [a*q], q, n)
+    return pair_sum(_vwp_pairs(a, [a*q/b, a*q/c, a*q/d, b*c*d*q**(n-2)/a], q,
+                               n, q), pre)
 
 
 def _sch_special_rhs(p: ParamPoint) -> Fraction:
-    a, b, c, d, q = (p.sym(s) for s in "abcdq")
+    a, b, c, d, q = p.ratios("abcdq")
     n = p.idx("n")
-    return (b*c*d*q**(n-2)/a) ** n * poch_ratio(
+    return poch_ratio(
         [a*q**(2-n)/(b*c), a*q**(2-n)/(b*d), a*q**(2-n)/(c*d)],
-        [b, c, d, a*a*q**(3-n)/(b*c*d)], q, n)
+        [b, c, d, a*a*q**(3-n)/(b*c*d)], q, n, pre=(b*c*d*q**(n-2)/a) ** n)
 
 
 def _cr_lhs(p: ParamPoint, signed: bool) -> Fraction:
-    a, q = p.sym("a"), p.sym("q")
+    a, q = p.ratios("aq")
     n, r = p.idx("n"), p.idx("r")
     _require_multisum_budget(n, r)
     xs = _xs(p, r)
@@ -623,19 +629,19 @@ def _cr_lhs(p: ParamPoint, signed: bool) -> Fraction:
 
 
 def _cr1_rhs(p: ParamPoint) -> Fraction:
-    q = p.sym("q")
+    [q] = p.ratios("q")
     n, r = p.idx("n"), p.idx("r")
-    return ((n + 1) * poch_ratio([(q**(n+1), q**(n+1))], [q], q, r - 1)
-            / q**(n * (r*(r-1)//2)))
+    return poch_ratio([(q**(n+1), q**(n+1))], [q], q, r - 1,
+                      pre=(n + 1) * q**-(n * (r*(r-1)//2)))
 
 
 def _cr2_rhs(p: ParamPoint) -> Fraction:
-    q = p.sym("q")
+    [q] = p.ratios("q")
     n, r = p.idx("n"), p.idx("r")
     if n % 2 == 1:
         return Fraction(0)
-    return (poch_ratio([(-q**(n+1), q**(n+1))], [-q], q, r - 1)
-            / q**(n * (r*(r-1)//2)))
+    return poch_ratio([(-q**(n+1), q**(n+1))], [-q], q, r - 1,
+                      pre=q**-(n * (r*(r-1)//2)))
 
 
 def _cr_xcheck(signed: bool):
@@ -651,7 +657,7 @@ def _cr_xcheck(signed: bool):
 def lebesgue_row(p: ParamPoint) -> TermRow:
     """F_{n,k} = [n, k]_q q^{k(k+1)/2} / (a q^k;q)_{n+1}, which is
     (q^{-n}, a;q)_k (-q^{n+1})^k / (q, a q^{n+1};q)_k / (a;q)_{n+1}."""
-    a, q = p.sym("a"), p.sym("q")
+    a, q = p.ratios("aq")
     n = p.idx("n")
     pre = poch_ratio([], [a], q, n + 1)
     ser = poch_ratio_pairs([q**(-n), a], [q, a*q**(n+1)], q, -q**(n+1), n + 1)
@@ -659,21 +665,13 @@ def lebesgue_row(p: ParamPoint) -> TermRow:
 
 
 def _lebesgue_rhs(p: ParamPoint) -> Fraction:
-    a, q = p.sym("a"), p.sym("q")
+    a, q = p.ratios("aq")
     n = p.idx("n")
     return _div(qpoch(-q, q, n), qpoch(a, q*q, n + 1))
 
 
-def _jacobi_summand(z, q, n: int, m: int, k: int) -> Fraction:
-    """(-q^2/z;q^2)_m (-z;q^2)_{n+1} q^{k^2} z^k / ((-q/z;q)_{m-k} (-z;q)_{n+k+1}),
-    the k-th summand of jacobi_finite over its q-binomial, at one k."""
-    t = qpoch(-q*q/z, q*q, m) * qpoch(-z, q*q, n + 1)
-    t = _div(t, qpoch(-q/z, q, m - k) * qpoch(-z, q, n + k + 1))
-    return t * q**(k*k) * z**k
-
-
-def _bilateral_sum(q: Fraction, n: int, m: int, b: Fraction, top: Fraction,
-                   z, w=Fraction(0)) -> Fraction:
+def _bilateral_sum(q: Ratio, n: int, m: int, b: Ratio, top: Ratio, z,
+                   w=Ratio(0)) -> Fraction:
     """sum_{k=-m}^{n} [m+n, m+k]_q top Z_k (1 - w q^{2m+2k})
     / ((b;q)_{m-k} (q/b;q)_{n+k+1}), where Z_{-m} = 1 and Z_{k+1}/Z_k is the
     kernel's z read at j = m + k.
@@ -686,15 +684,16 @@ def _bilateral_sum(q: Fraction, n: int, m: int, b: Fraction, top: Fraction,
     from the q-Pascal row, which divides nowhere, so q = -1 gives their values.
     """
     c, head = q / b, qpoch(b, q, 2*m)
-    if head * qpoch(c, q, 2*n + 1) == 0 or (q == -1 and m + n >= 4):
-        raise PoleError("bilateral sum denominator vanished")
     qn, qd, big_n = q.numerator, q.denominator, m + n
+    if head.numerator * qpoch(c, q, 2*n + 1).numerator == 0 or (
+            qn == -qd and big_n >= 4):
+        raise PoleError("bilateral sum denominator vanished")
     binom = [1]             # [N, j]_q as an int over qd^{j(N-j)}, N = 0, 1, ...
     for row in range(1, big_n + 1):
         binom = [(binom[j - 1] * qd**(row - j) if j else 0)
                  + (binom[j] * qn**j if j < row else 0) for j in range(row + 1)]
     top_e = big_n * big_n // 4              # the largest j(N - j)
-    ser = poch_ratio_pairs([(b*q**(2*m-1), 1/q)], [c*q**(n-m+1)], q, z,
+    ser = poch_ratio_pairs([(b*q**(2*m-1), q**-1)], [c*q**(n-m+1)], q, z,
                            big_n + 1)
 
     def terms() -> Pairs:
@@ -703,31 +702,36 @@ def _bilateral_sum(q: Fraction, n: int, m: int, b: Fraction, top: Fraction,
             wn, wd = w.numerator * qn**(2*j), w.denominator * qd**(2*j)
             yield (binom[j] * qd**(top_e - j*(big_n - j)) * (wd - wn) * num,
                    wd * den)
-    first = top / (head * qpoch(c, q, n - m + 1))
+    first = top / head / qpoch(c, q, n - m + 1)
     return pair_sum(terms(), first / qd**top_e)
 
 
 def _jacobi_finite_lhs(p: ParamPoint) -> Fraction:
-    z, q = p.sym("z"), p.sym("q")
+    z, q = p.ratios("zq")
     n, m = p.idx("n"), p.idx("m")
-    top = qpoch(-q*q/z, q*q, m) * qpoch(-z, q*q, n + 1) * q**(m*m) / z**m
+    top = q**(m*m) / z**m * qpoch(-q*q/z, q*q, m) * qpoch(-z, q*q, n + 1)
     return _bilateral_sum(q, n, m, -q/z, top, (z*q**(1-2*m), q*q))
 
 
 def _jacobi_finite_rhs(p: ParamPoint) -> Fraction:
-    return qpoch(-p.sym("q"), p.sym("q"), p.idx("m") + p.idx("n"))
+    [q] = p.ratios("q")
+    return qpoch(-q, q, p.idx("m") + p.idx("n"))
 
 
 def _jacobi_pref_lhs(p: ParamPoint) -> Fraction:
-    z, q = p.sym("z"), p.sym("q")
+    z, q = p.ratios("zq")
     n, m, k = p.idx("n"), p.idx("m"), p.idx("k")
-    return (poch_ratio([(-z*q**(-2*m), q*q)], [-z*q**(k-m)], q, m + n + 1)
-            * q**((m+k+1)*(m+k)//2))
+    return poch_ratio([(-z*q**(-2*m), q*q)], [-z*q**(k-m)], q, m + n + 1,
+                      pre=q**((m+k+1)*(m+k)//2))
 
 
 def _jacobi_pref_rhs(p: ParamPoint) -> Fraction:
-    return _jacobi_summand(p.sym("z"), p.sym("q"), p.idx("n"), p.idx("m"),
-                           p.idx("k"))
+    """(-q^2/z;q^2)_m (-z;q^2)_{n+1} q^{k^2} z^k / ((-q/z;q)_{m-k} (-z;q)_{n+k+1}),
+    the k-th summand of jacobi_finite over its q-binomial, at one k."""
+    z, q = p.ratios("zq")
+    n, m, k = p.idx("n"), p.idx("m"), p.idx("k")
+    t = z**k * q**(k*k) * qpoch(-q*q/z, q*q, m) * qpoch(-z, q*q, n + 1)
+    return _div(t, qpoch(-q/z, q, m - k) * qpoch(-z, q, n + k + 1))
 
 
 @_memo_rows
@@ -736,7 +740,7 @@ def quintuple_row(p: ParamPoint) -> TermRow:
     / (z^2 q^{k+1};q)_{n+1}; with a = z^2 q that is (zq;q)_n / (aq;q)_n times
     the well-poised factor of a times
     (a, q^{-n};q)_k (-z q^{n+1})^k q^{k(k-1)/2} / (q, a q^{n+1};q)_k."""
-    z, q = p.sym("z"), p.sym("q")
+    z, q = p.ratios("zq")
     n = p.idx("n")
     a = z*z*q
     pre = poch_ratio([z*q], [a*q], q, n)
@@ -746,18 +750,18 @@ def quintuple_row(p: ParamPoint) -> TermRow:
 
 
 def _quintuple_mn_lhs(p: ParamPoint) -> Fraction:
-    z, q = p.sym("z"), p.sym("q")
+    z, q = p.ratios("zq")
     n, m = p.idx("n"), p.idx("m")
-    top = (qpoch(-q/z, q, m - 1) * qpoch(-z, q, n + 1)
-           * q**(m*(3*m-1)//2) / z**(3*m+1))
-    return _bilateral_sum(q, n, m, 1/(z*z), top, (z**3*q**(2-3*m), q**3),
+    top = (q**(m*(3*m-1)//2) / z**(3*m+1)
+           * qpoch(-q/z, q, m - 1) * qpoch(-z, q, n + 1))
+    return _bilateral_sum(q, n, m, z**-2, top, (z**3*q**(2-3*m), q**3),
                           z*z*q**(1-2*m))
 
 
 def _quintuple_ccg_lhs(p: ParamPoint) -> Fraction:
     """(z;q)_{n+1}/(z^2;q)_{n+1} sum_k (1 + z q^k) T_k; the factor 1 + z q^k
     stays per term, as (-zq;q)_k/(-z;q)_k would add poles at z = -q^{-j}."""
-    z, q = p.sym("z"), p.sym("q")
+    z, q = p.ratios("zq")
     n = p.idx("n")
     ser = poch_ratio_pairs([q**(-n), z*z], [q, z*z*q**(n+1)], q,
                            (-z*q**(n+1), q), n + 1)
@@ -776,7 +780,7 @@ def _one(p: ParamPoint) -> Fraction:
 
 
 def _andrews_jain_lhs(p: ParamPoint) -> Fraction:
-    a, b, q = (p.sym(s) for s in "abq")
+    a, b, q = p.ratios("abq")
     n = p.idx("n")
     q2 = q*q
     return poch_ratio_sum([a, b, (q**(-2*n), q2)], [q, (a*b*q, q2), q**(-2*n)],
@@ -784,7 +788,7 @@ def _andrews_jain_lhs(p: ParamPoint) -> Fraction:
 
 
 def _andrews_jain_rhs(p: ParamPoint) -> Fraction:
-    a, b, q = (p.sym(s) for s in "abq")
+    a, b, q = p.ratios("abq")
     n = p.idx("n")
     q2 = q*q
     return poch_ratio([a*q, b*q], [q, a*b*q], q2, n)

@@ -1,11 +1,10 @@
 """Exact rational scalars, parameter points, and q-Pochhammer primitives.
 
-Every scalar this package passes between functions is a
-``fractions.Fraction`` and every operation is exact; nothing here touches
-floating point.  The inner loops carry an unreduced int numerator/denominator
-pair, and every value they return, and so every value compared, is a
-normalized ``Fraction``.  The q-shifted factorial ``qpoch`` is defined for
-any integer index, with negative indices handled by the reciprocal identity
+Every operation is exact; nothing touches floating point.  Parameters are
+built as ``Ratio`` int pairs and inner loops carry unreduced int pairs, but
+every value returned, and so every value compared, is a normalized
+``Fraction``.  The q-shifted factorial ``qpoch`` is defined for any integer
+index, with negative indices handled by the reciprocal identity
 (a;q)_{-m} = 1 / (a q^{-m};q)_m so that evaluation stays finite.
 """
 
@@ -48,6 +47,55 @@ def qrat(num, den=None) -> Fraction:
         raise PoleError("division by zero in qrat(%r, %r)" % (num, den)) from None
 
 
+class Ratio:
+    """A parameter as an unreduced int pair: a*q/(b*c) is one product over
+    one product until the kernel reads it.  It prints as its Fraction."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, num: int, den: int = 1):
+        if not den:
+            raise ZeroDivisionError("Fraction(%s, 0)" % num)
+        self.numerator, self.denominator = num, den
+
+    def __mul__(self, o) -> "Ratio":
+        return Ratio(self.numerator * o.numerator,
+                     self.denominator * o.denominator)
+
+    def __truediv__(self, o) -> "Ratio":
+        return Ratio(self.numerator * o.denominator,
+                     self.denominator * o.numerator)
+
+    def __add__(self, o) -> "Ratio":
+        d = self.denominator
+        return Ratio(self.numerator * o.denominator + o.numerator * d,
+                     d * o.denominator)
+
+    def __rsub__(self, o) -> "Ratio":
+        return -self + o
+
+    def __sub__(self, o) -> "Ratio":
+        return self + -o
+
+    def __neg__(self) -> "Ratio":
+        return Ratio(-self.numerator, self.denominator)
+
+    def __pow__(self, e: int) -> "Ratio":
+        n, d = self.numerator, self.denominator
+        return Ratio(n ** e, d ** e) if e >= 0 else Ratio(d ** -e, n ** -e)
+
+    def __eq__(self, other):            # a zero test reads the ints
+        raise TypeError("a Ratio is not compared; read its ints")
+
+    def __str__(self) -> str:
+        return str(Fraction(self.numerator, self.denominator))
+
+    def __repr__(self) -> str:
+        return repr(Fraction(self.numerator, self.denominator))
+
+    __rmul__, __radd__ = __mul__, __add__
+
+
 @dataclass(frozen=True)
 class ParamPoint:
     """An exact parameter assignment: symbol values plus integer indices.
@@ -75,6 +123,14 @@ class ParamPoint:
         except KeyError:
             raise MissingSymbol("symbol %r not present (have %s)"
                                 % (name, sorted(self.symbols))) from None
+
+    def ratios(self, names) -> list:
+        """Each named symbol as a ``Ratio``, from the point's int view."""
+        view = self.__dict__.setdefault("_ratios", {})
+        if not view:
+            view.update((k, Ratio(v.numerator, v.denominator))
+                        for k, v in self.symbols.items())
+        return [view[k] if k in view else self.sym(k) for k in names]
 
     def idx(self, name: str) -> int:
         try:
@@ -108,8 +164,8 @@ def qpoch(a, q, n: int) -> Fraction:
     n < 0 it is 1 / (a q^n;q)_{-n}, which raises PoleError when a factor of
     that product vanishes.
     """
-    a = Fraction(a)
-    q = Fraction(q)
+    a = Fraction(a.numerator, a.denominator) if type(a) is Ratio else Fraction(a)
+    q = Fraction(q.numerator, q.denominator) if type(q) is Ratio else Fraction(q)
     qn, qd = q.numerator, q.denominator
     num = den = 1
     if n >= 0:

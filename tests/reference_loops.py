@@ -7,6 +7,12 @@ The two bilateral sums ``_jacobi_finite_lhs`` and ``_quintuple_mn_lhs``
 are the per-k loops as they stood before they moved onto the term-ratio
 kernel, verbatim: one q-binomial and two to four Pochhammers per k.
 
+``FRACTION_SIDES``, ``FRACTION_COEFFICIENTS`` and ``FRACTION_ANTI_DIFFS``
+hold the identity sides, step coefficients and anti-difference rows as they
+stood before their parameters were built from the point's ``Ratio`` int
+pairs: one reduced ``Fraction`` operation per product or quotient, verbatim,
+on the same term-ratio kernel.
+
 The series kernels below work on plain lists of ``Fraction`` coefficients,
 and ``infinite_identity_residual`` is the one in ``psers``, built on
 them."""
@@ -15,7 +21,10 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
 
-from qident.identities import _div, _require_multisum_budget, _xs
+from qident.hyper import (Pairs, TermRow, pair_row, pair_sum, poch_ratio,
+                         poch_ratio_pairs)
+from qident.identities import CrRow, _div, _require_multisum_budget, _xs
+from qident.identities import _well_poised as _well_poised_pairs
 from qident.psers import (QSeries, SERIES_IDENTITIES, _need, _params_of,
                           _quintuple_exponents)
 from qident.qcore import DegenerateQ, ParamPoint, PoleError, QIdentityError
@@ -201,6 +210,418 @@ def _quintuple_mn_lhs(p: ParamPoint) -> Fraction:
         t = _div(t, qpoch(1/(z*z), q, m - k) * qpoch(z*z*q, q, n + k + 1))
         total += t * z**(3*k-1) * q**(k*(3*k+1)//2)
     return total
+
+
+# -- the sides and certificate factors as they stood before their parameters
+# were built from the point's ints: one reduced Fraction operation per
+# product or quotient, verbatim, on the same kernel; rows are not memoized --
+
+def _sym(point: ParamPoint, names: str):
+    return tuple(point.sym(s) for s in names)
+
+
+def wp_pairs(a_list: Sequence, q, z, terms: int) -> Pairs:
+    """The terms k = 0..terms-1 of the well-poised series
+    (a_1, ..., a_{r+1};q)_k z^k / (q, a_1 q/a_2, ..., a_1 q/a_{r+1};q)_k, as
+    the int pairs of ``poch_ratio_pairs``; a zero a_2, ..., a_{r+1} raises
+    PoleError before any term is read."""
+    q = Fraction(q)
+    a_list = [Fraction(a) for a in a_list]
+    if any(a == 0 for a in a_list[1:]):
+        raise PoleError("well-poised parameter must be nonzero")
+    dens = [q] + [a_list[0] * q / a for a in a_list[1:]]
+    return poch_ratio_pairs(a_list, dens, q, z, terms)
+
+
+def _vwp_pairs(a1, middles: Sequence, q, n: int, z) -> Pairs:
+    """The terms k = 0..n of ``vwp_sum``, as int pairs."""
+    a1, q = Fraction(a1), Fraction(q)
+    return _well_poised_pairs(a1, q, wp_pairs([a1, *middles, q**(-n)], q, z, n + 1))
+
+
+def vwp_sum(a1, middles: Sequence, q, n: int, z) -> Fraction:
+    """Terminating very-well-poised sum with anchor a1 and the given middle
+    parameters: sum_{k=0}^{n} of
+
+        (1 - a1 q^{2k})/(1 - a1)
+        * (a1, middles..., q^{-n};q)_k z^k
+        / (q, a1 q/middles..., a1 q^{n+1};q)_k.
+
+    The paired square-root parameters of the classical printing enter only
+    through the ratio (1 - a1 q^{2k})/(1 - a1), so everything stays rational.
+    """
+    return pair_sum(_vwp_pairs(a1, middles, q, n, z))
+
+
+def jackson_row(p: ParamPoint) -> TermRow:
+    a, b, c, d, e, q = (p.sym(s) for s in "abcdeq")
+    n = p.idx("n")
+    return pair_row(_vwp_pairs(a, [b, c, d, e], q, n, q), n)
+
+
+def _jackson_rhs(p: ParamPoint) -> Fraction:
+    a, b, c, d, q = (p.sym(s) for s in "abcdq")
+    n = p.idx("n")
+    return poch_ratio([a*q, a*q/(b*c), a*q/(b*d), a*q/(c*d)],
+                      [a*q/b, a*q/c, a*q/d, a*q/(b*c*d)], q, n)
+
+
+def _jackson_derive(p: ParamPoint) -> ParamPoint:
+    a, b, c, d, q = (p.sym(s) for s in "abcdq")
+    return p.with_symbols(e=a*a*q**(p.idx("n")+1) / (b*c*d))
+
+
+def _6phi5_lhs(p: ParamPoint) -> Fraction:
+    a, b, c, q = (p.sym(s) for s in "abcq")
+    n = p.idx("n")
+    return vwp_sum(a, [b, c], q, n, a*q**(n+1)/(b*c))
+
+
+def _6phi5_rhs(p: ParamPoint) -> Fraction:
+    a, b, c, q = (p.sym(s) for s in "abcq")
+    n = p.idx("n")
+    return poch_ratio([a*q, a*q/(b*c)], [a*q/b, a*q/c], q, n)
+
+
+def watson_row(p: ParamPoint) -> TermRow:
+    a, b, c, d, e, q = (p.sym(s) for s in "abcdeq")
+    n = p.idx("n")
+    z = a*a*q**(n+2)/(b*c*d*e)
+    return pair_row(_vwp_pairs(a, [b, c, d, e], q, n, z), n)
+
+
+def watson_rhs_row(p: ParamPoint) -> TermRow:
+    a, b, c, d, e, q = (p.sym(s) for s in "abcdeq")
+    n = p.idx("n")
+    pre = poch_ratio([a*q, a*q/(d*e)], [a*q/d, a*q/e], q, n)
+    ser = poch_ratio_pairs([a*q/(b*c), d, e, q**(-n)],
+                           [q, a*q/b, a*q/c, d*e*q**(-n)/a], q, q, n + 1)
+    return pair_row(ser, n, pre)
+
+
+def _vwp_derive(p: ParamPoint) -> ParamPoint:
+    a, b, c, d, q = (p.sym(s) for s in "abcdq")
+    return p.with_symbols(lam=a*a*q/(b*c*d))
+
+
+def _vwp_rhs(p: ParamPoint) -> Fraction:
+    a, b, c, d, e, q, lam = (p.sym(s) for s in ("a", "b", "c", "d", "e", "q", "lam"))
+    n = p.idx("n")
+    pre = poch_ratio([a*q, lam*q/e], [a*q/e, lam*q], q, n)
+    return pre * vwp_sum(lam, [lam*b/a, lam*c/a, lam*d/a, e], q, n, a*q**(n+1)/e)
+
+
+def bailey_row(p: ParamPoint) -> TermRow:
+    a, b, c, d, e, f, q, lam = (p.sym(s) for s in ("a", "b", "c", "d", "e", "f", "q", "lam"))
+    n = p.idx("n")
+    g = lam*a*q**(n+1)/(e*f)
+    return pair_row(_vwp_pairs(a, [b, c, d, e, f, g], q, n, q), n)
+
+
+def bailey_rhs_row(p: ParamPoint) -> TermRow:
+    a, b, c, d, e, f, q, lam = (p.sym(s) for s in ("a", "b", "c", "d", "e", "f", "q", "lam"))
+    n = p.idx("n")
+    g = lam*a*q**(n+1)/(e*f)
+    pre = poch_ratio([a*q, a*q/(e*f), lam*q/e, lam*q/f],
+                     [a*q/e, a*q/f, lam*q/(e*f), lam*q], q, n)
+    ser = _vwp_pairs(lam, [lam*b/a, lam*c/a, lam*d/a, e, f, g], q, n, q)
+    return pair_row(ser, n, pre)
+
+
+def singh_lhs_row(p: ParamPoint) -> TermRow:
+    A, B, c, q = (p.sym(s) for s in ("A", "B", "c", "q"))
+    n = p.idx("n")
+    return pair_row(poch_ratio_pairs([A, B, c, q**(-n)],
+                                     [q, (A*B*q, q*q), -c*q**(-n)], q, q, n + 1), n)
+
+
+def singh_rhs_row(p: ParamPoint) -> TermRow:
+    A, B, c, q = (p.sym(s) for s in ("A", "B", "c", "q"))
+    n = p.idx("n")
+    q2 = q * q
+    # (-c q^{-n};q)_{2k} = (-c q^{-n}, -c q^{1-n};q^2)_k
+    return pair_row(poch_ratio_pairs([A, B, c*c, q**(-2*n)],
+                                     [q2, A*B*q, -c*q**(-n), -c*q**(1-n)],
+                                     q2, q2, n + 1), n)
+
+
+def schlosser_row(p: ParamPoint) -> CrRow:
+    a, b, c, d, q = (p.sym(s) for s in "abcdq")
+    n, r = p.idx("n"), p.idx("r")
+    xs = tuple(_xs(p, r))
+    axes = []
+    for xi in xs:
+        middles = [b*xi, c*xi, d*xi, a*a*xi*q**(n-r+2)/(b*c*d)]
+        axes.append(pair_row(_vwp_pairs(a*xi*xi, middles, q, n, q), n))
+    return CrRow(n, a, q, xs, tuple(axes))
+
+
+def schlosser_lhs(p: ParamPoint) -> Fraction:
+    _require_multisum_budget(p.idx("n"), p.idx("r"))
+    return schlosser_row(p).total()
+
+
+def _schlosser_axes_rhs(p: ParamPoint, n: int) -> Fraction:
+    """The per-axis closed-form product of the C_r sum at level n."""
+    a, b, c, d, q = (p.sym(s) for s in "abcdq")
+    r = p.idx("r")
+    t = Fraction(1)
+    for i, xi in enumerate(_xs(p, r), 1):
+        t *= poch_ratio([a*xi*xi*q, a*q**(2-i)/(b*c),
+                         a*q**(2-i)/(b*d), a*q**(2-i)/(c*d)],
+                        [a*q**(2-r)/(b*c*d*xi), a*xi*q/b,
+                         a*xi*q/c, a*xi*q/d], q, n)
+    return t
+
+
+def schlosser_rhs(p: ParamPoint) -> Fraction:
+    a, q = p.sym("a"), p.sym("q")
+    n, r = p.idx("n"), p.idx("r")
+    xs = _xs(p, r)
+    t = Fraction(1)
+    for i in range(r):
+        for j in range(i + 1, r):
+            t *= _div(1 - a*xs[i]*xs[j]*q**n, 1 - a*xs[i]*xs[j])
+    return t * _schlosser_axes_rhs(p, n)
+
+
+def _sch_special_rhs(p: ParamPoint) -> Fraction:
+    a, b, c, d, q = (p.sym(s) for s in "abcdq")
+    n = p.idx("n")
+    return (b*c*d*q**(n-2)/a) ** n * poch_ratio(
+        [a*q**(2-n)/(b*c), a*q**(2-n)/(b*d), a*q**(2-n)/(c*d)],
+        [b, c, d, a*a*q**(3-n)/(b*c*d)], q, n)
+
+
+def _cr1_rhs(p: ParamPoint) -> Fraction:
+    q = p.sym("q")
+    n, r = p.idx("n"), p.idx("r")
+    return ((n + 1) * poch_ratio([(q**(n+1), q**(n+1))], [q], q, r - 1)
+            / q**(n * (r*(r-1)//2)))
+
+
+def _cr2_rhs(p: ParamPoint) -> Fraction:
+    q = p.sym("q")
+    n, r = p.idx("n"), p.idx("r")
+    if n % 2 == 1:
+        return Fraction(0)
+    return (poch_ratio([(-q**(n+1), q**(n+1))], [-q], q, r - 1)
+            / q**(n * (r*(r-1)//2)))
+
+
+def _andrews_jain_rhs(p: ParamPoint) -> Fraction:
+    a, b, q = (p.sym(s) for s in "abq")
+    n = p.idx("n")
+    q2 = q*q
+    return poch_ratio([a*q, b*q], [q, a*b*q], q2, n)
+
+
+def lebesgue_row(p: ParamPoint) -> TermRow:
+    """F_{n,k} = [n, k]_q q^{k(k+1)/2} / (a q^k;q)_{n+1}, which is
+    (q^{-n}, a;q)_k (-q^{n+1})^k / (q, a q^{n+1};q)_k / (a;q)_{n+1}."""
+    a, q = p.sym("a"), p.sym("q")
+    n = p.idx("n")
+    pre = poch_ratio([], [a], q, n + 1)
+    ser = poch_ratio_pairs([q**(-n), a], [q, a*q**(n+1)], q, -q**(n+1), n + 1)
+    return pair_row(ser, n, pre)
+
+
+def _lebesgue_rhs(p: ParamPoint) -> Fraction:
+    a, q = p.sym("a"), p.sym("q")
+    n = p.idx("n")
+    return _div(qpoch(-q, q, n), qpoch(a, q*q, n + 1))
+
+
+def _jacobi_finite_rhs(p: ParamPoint) -> Fraction:
+    return qpoch(-p.sym("q"), p.sym("q"), p.idx("m") + p.idx("n"))
+
+
+def _jacobi_pref_lhs(p: ParamPoint) -> Fraction:
+    z, q = p.sym("z"), p.sym("q")
+    n, m, k = p.idx("n"), p.idx("m"), p.idx("k")
+    return (poch_ratio([(-z*q**(-2*m), q*q)], [-z*q**(k-m)], q, m + n + 1)
+            * q**((m+k+1)*(m+k)//2))
+
+
+def _jacobi_pref_rhs(p: ParamPoint) -> Fraction:
+    return _jacobi_summand(p.sym("z"), p.sym("q"), p.idx("n"), p.idx("m"),
+                           p.idx("k"))
+
+
+def quintuple_row(p: ParamPoint) -> TermRow:
+    """F_{n,k} = (1 - z^2 q^{2k+1}) [n, k]_q (zq;q)_n z^k q^{k^2}
+    / (z^2 q^{k+1};q)_{n+1}; with a = z^2 q that is (zq;q)_n / (aq;q)_n times
+    the well-poised factor of a times
+    (a, q^{-n};q)_k (-z q^{n+1})^k q^{k(k-1)/2} / (q, a q^{n+1};q)_k."""
+    z, q = p.sym("z"), p.sym("q")
+    n = p.idx("n")
+    a = z*z*q
+    pre = poch_ratio([z*q], [a*q], q, n)
+    ser = _well_poised_pairs(a, q, wp_pairs([a, q**(-n)], q, (-z*q**(n+1), q),
+                                      n + 1))
+    return pair_row(ser, n, pre)
+
+
+def jackson_gamma(p: ParamPoint, n: int) -> Fraction:
+    a, b, c, d, q = _sym(p, "abcdq")
+    num = ((a*a*q**n/(b*c*d) - q**(-n)) * (1 - b*c*d/a) * (1 - a*q)
+           * (1 - a*q*q) * (1 - b) * (1 - c) * (1 - d) * q)
+    den = ((1 - b*c*d*q**(-n)/a) * (1 - a*q**n) * (1 - a*q/b) * (1 - a*q/c)
+           * (1 - a*q/d) * (1 - b*c*d*q**(1-n)/a) * (1 - a*q**(n+1)))
+    return _div(num, den)
+
+
+def watson_beta(p: ParamPoint, n: int) -> Fraction:
+    a, b, c, d, e, q = _sym(p, "abcdeq")
+    num = -(1 - a*q) * (1 - a*q*q) * (1 - b) * (1 - c) * (1 - d) * (1 - e) \
+        * a*a*q**(n+1)
+    den = ((1 - a*q/b) * (1 - a*q/c) * (1 - a*q/d) * (1 - a*q/e)
+           * (1 - a*q**n) * (1 - a*q**(n+1)) * b*c*d*e)
+    return _div(num, den)
+
+
+def watson_anti_diff_row(p: ParamPoint) -> TermRow:
+    a, b, c, d, e, q = _sym(p, "abcdeq")
+    n = p.idx("n")
+    x = d*e*q**(-n)/a
+    pre = _div(poch_ratio([a*q], [], q, n - 1)
+               * poch_ratio([a*q/(d*e)], [a*q/d, a*q/e], q, n)
+               * (1 - d) * (1 - e), 1 - x)
+    ser = poch_ratio_pairs([a*q/(b*c), q**(1-n), d*q, e*q],
+                           [q, a*q/b, a*q/c, x*q], q, 1, n + 1)
+    return pair_row(ser, n, pre)
+
+
+def bailey_alpha(p: ParamPoint, n: int) -> Fraction:
+    a, b, c, d, e, f, q = _sym(p, "abcdefq")
+    lam = a*a*q / (b*c*d)
+    num = (-(1 - b) * (1 - c) * (1 - d) * (1 - e) * (1 - f)
+           * (1 - a*q) * (1 - a*q*q) * (1 - e*f/lam) * (1 - lam*a*q**(2*n)/(e*f)))
+    den = ((1 - a*q/b) * (1 - a*q/c) * (1 - a*q/d) * (1 - a*q/e) * (1 - a*q/f)
+           * (1 - a*q**n) * (1 - a*q**(n+1))
+           * (1 - e*f*q**(1-n)/lam) * (1 - e*f*q**(-n)/lam) * q**(n-1))
+    return _div(num, den)
+
+
+def bailey_anti_diff_row(p: ParamPoint) -> TermRow:
+    a, b, c, d, e, f, q = _sym(p, "abcdefq")
+    lam, n = p.sym("lam"), p.idx("n")
+    g = lam*a*q**(n+1) / (e*f)
+    x, y = e*f*q**(-n)/a, lam*q**n
+    pre = _div((1 - a*lam*q**(2*n)/(e*f))
+               * poch_ratio([a*q, lam*q/e, lam*q/f], [], q, n - 1)
+               * poch_ratio([a*q/(e*f)], [a*q/e, a*q/f, lam*q/(e*f), lam], q, n)
+               * (1 - lam) * (1 - e) * (1 - f), (1 - x) * (1 - y))
+    ser = poch_ratio_pairs(
+        [lam*b/a, lam*c/a, lam*d/a, g, q**(1-n), lam*q, e*q, f*q],
+        [q, a*q/b, a*q/c, a*q/d, lam*q/e, lam*q/f, x*q, y*q], q, 1, n + 1)
+
+    def terms() -> Pairs:
+        ratio = lam / a
+        pn, pd = ratio.numerator, ratio.denominator  # lam q^k / a
+        for num, den in ser:
+            yield num * (pd - pn), den * pd
+            pn *= q.numerator
+            pd *= q.denominator
+    return pair_row(terms(), n, pre)
+
+
+def singh_gamma(p: ParamPoint, n: int) -> Fraction:
+    A, B, c, q = _sym(p, "ABcq")
+    num = ((1 - A) * (1 - B) * (1 - c*c) * (1 - A*q) * (1 - B*q)
+           * (1 - c*c*q*q) * q**(3 - 2*n))
+    den = ((1 - A*B*q) * (1 - A*B*q**3) * (1 + c*q**(-n)) * (1 + c*q**(1-n))
+           * (1 + c*q**(2-n)) * (1 + c*q**(3-n)))
+    return _div(num, den)
+
+
+def singh_anti_diff_row(p: ParamPoint) -> TermRow:
+    A, B, c, q = _sym(p, "ABcq")
+    n = p.idx("n")
+    q2 = q*q
+
+    def terms() -> Pairs:
+        # the printed H_{n,0} carries (q^2;q^2)_{-1}, a vanishing reciprocal,
+        # so the entry is 0 and the prefactor only starts at k = 1
+        yield 0, 1
+        pre = _div(-(1 - A) * (1 - B) * (1 - c*c) * (1 - c*c*q2) * q**(2 - 2*n),
+                   (1 - A*B*q) * (1 + c*q**(-n)) * (1 + c*q**(1-n))
+                   * (1 + c*q**(2-n)) * (1 + c*q**(3-n)))
+        ser = poch_ratio_pairs([A*q2, B*q2, q**(4-2*n), c*c*q2*q2],
+                               [q2, A*B*q**3, -c*q**(4-n), -c*q**(5-n)],
+                               q2, 1, n)
+        prn, prd = pre.numerator, pre.denominator
+        pn, pd = q.numerator, q.denominator         # q^{2j+1}
+        for num, den in ser:
+            yield prn * num * (pd - pn), prd * den * pd
+            pn *= q2.numerator
+            pd *= q2.denominator
+    return pair_row(terms(), n)
+
+
+def _total(row):
+    """The side that is the total of the row."""
+    def total(p: ParamPoint) -> Fraction:
+        return row(p).total()
+    total.__name__ = row.__name__
+    return total
+
+
+def _cr1_lhs(p: ParamPoint) -> Fraction:
+    return _cr_lhs(p, False)
+
+
+def _cr2_lhs(p: ParamPoint) -> Fraction:
+    return _cr_lhs(p, True)
+
+
+def _one_side(p: ParamPoint) -> Fraction:
+    return Fraction(1)
+
+
+# (identity, side) -> the side as a Fraction expression; each side is
+# evaluated at the point derive() gives, with FRACTION_DERIVES for derive
+FRACTION_SIDES = {
+    ("jackson_8phi7", "lhs"): _total(jackson_row),
+    ("jackson_8phi7", "rhs"): _jackson_rhs,
+    ("jackson_6phi5", "lhs"): _6phi5_lhs,
+    ("jackson_6phi5", "rhs"): _6phi5_rhs,
+    ("watson_transform", "lhs"): _total(watson_row),
+    ("watson_transform", "rhs"): _total(watson_rhs_row),
+    ("vwp_transform", "lhs"): _total(watson_row),
+    ("vwp_transform", "rhs"): _vwp_rhs,
+    ("bailey_10phi9", "lhs"): _total(bailey_row),
+    ("bailey_10phi9", "rhs"): _total(bailey_rhs_row),
+    ("singh_quadratic", "lhs"): _total(singh_lhs_row),
+    ("singh_quadratic", "rhs"): _total(singh_rhs_row),
+    ("schlosser_cr", "lhs"): schlosser_lhs,
+    ("schlosser_cr", "rhs"): schlosser_rhs,
+    ("sch_8phi7_special", "rhs"): _sch_special_rhs,
+    ("cr_prop_1", "lhs"): _cr1_lhs,
+    ("cr_prop_1", "rhs"): _cr1_rhs,
+    ("cr_prop_2", "lhs"): _cr2_lhs,
+    ("cr_prop_2", "rhs"): _cr2_rhs,
+    ("lebesgue_finite", "lhs"): _total(lebesgue_row),
+    ("lebesgue_finite", "rhs"): _lebesgue_rhs,
+    ("jacobi_finite", "rhs"): _jacobi_finite_rhs,
+    ("jacobi_prefactor_relation", "lhs"): _jacobi_pref_lhs,
+    ("jacobi_prefactor_relation", "rhs"): _jacobi_pref_rhs,
+    ("quintuple_finite", "lhs"): _total(quintuple_row),
+    ("quintuple_finite", "rhs"): _one_side,
+    ("quintuple_finite_mn", "rhs"): _one_side,
+    ("quintuple_ccg", "rhs"): _one_side,
+    ("andrews_jain", "rhs"): _andrews_jain_rhs,
+}
+FRACTION_DERIVES = {"jackson_8phi7": _jackson_derive,
+                    "vwp_transform": _vwp_derive,
+                    "bailey_10phi9": _vwp_derive}
+# the step coefficients and anti-difference rows of the certificates
+FRACTION_COEFFICIENTS = {"jackson": jackson_gamma, "watson": watson_beta,
+                         "bailey": bailey_alpha, "singh": singh_gamma}
+FRACTION_ANTI_DIFFS = {"watson": watson_anti_diff_row,
+                       "bailey": bailey_anti_diff_row,
+                       "singh": singh_anti_diff_row}
+
 
 # -- truncated power series on Fraction lists ---------------------------------
 

@@ -341,6 +341,44 @@ def test_anti_diff_rows_match_products(cert_id, bound):
         assert poles > 0
 
 
+def _row_outcome(build, point):
+    """The row's terms, pole message and total, or the error raised before
+    the row existed."""
+    row = ref.outcome(build, point)
+    if isinstance(row, tuple):
+        return row
+    return row.n, list(row.terms), row.pole, ref.outcome(row.total)
+
+
+@pytest.mark.parametrize("bound", [2, 3, 1000])
+@pytest.mark.parametrize("cert_id", sorted(ref.FRACTION_COEFFICIENTS))
+def test_coefficients_and_anti_diffs_match_the_fraction_expressions(cert_id,
+                                                                    bound):
+    """The step coefficient and the anti-difference row built from the
+    point's ints against their Fraction expressions: the same value, or the
+    same PoleError with the same message."""
+    cert = get_certificate(cert_id)
+    coefficient = getattr(certs, MEMOIZED_COEFFICIENTS[cert_id])
+    anti_diff = ref.FRACTION_ANTI_DIFFS.get(cert_id)
+    rng = random.Random(200 + bound)
+    poles = 0
+    for _ in range(60):
+        point = sample_certificate_point(cert, rng, bound)
+        for n in range(7):
+            expected = ref.outcome(ref.FRACTION_COEFFICIENTS[cert_id], point, n)
+            assert ref.outcome(coefficient, point, n) == expected, (point, n)
+            poles += isinstance(expected, tuple)
+            if anti_diff is None or n < 1:
+                continue
+            ip = certs._identity_point(cert.identity, point, n)
+            expected = _row_outcome(anti_diff, ip)
+            build = getattr(certs, anti_diff.__name__)
+            assert _row_outcome(build, ip) == expected, (point, n)
+            poles += isinstance(expected, tuple) or bool(expected[2])
+    if bound == 2:
+        assert poles > 0
+
+
 @pytest.mark.parametrize("bound", [2, 3, 1000])
 @pytest.mark.parametrize("cert_id", certificate_ids())
 def test_level_residuals_match_per_k(cert_id, bound):

@@ -4,13 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qident.qcore import PoleError, qpoch, qpoch_multi
-from qident.hyper import (PhiSpec, WellPoisedTerm, contiguous_alpha,
+from qident.qcore import PoleError, Ratio, qpoch, qpoch_multi
+from qident.hyper import (WellPoisedTerm, contiguous_alpha,
                           contiguous_beta, contiguous_residual_1,
-                          contiguous_residual_2, pair_row, phi_sum,
-                          poch_ratio, poch_ratio_pairs, poch_ratio_sum,
-                          poch_ratio_terms, trivial_identity_residuals,
-                          wp_term)
+                          contiguous_residual_2, pair_row, poch_ratio,
+                          poch_ratio_pairs, poch_ratio_sum,
+                          trivial_identity_residuals, wp_pairs, wp_term)
 import reference_loops as ref
 
 small_rats = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
@@ -35,34 +34,35 @@ def rand_q(rng, bound=1000):
             return v
 
 
+# The phi sums: the terminating r+1_phi_r series sum_{k < terms} of
+# (nums;q)_k z^k / (q, dens;q)_k, as poch_ratio_sum with q put first in dens.
+
 def test_phi_sum_single_term():
-    spec = PhiSpec((2, 3), (5,), 2, 1, 1)
-    assert phi_sum(spec) == 1
+    assert poch_ratio_sum([2, 3], [2, 5], 2, 1, 1) == 1
 
 
 def test_phi_sum_two_terms_against_hand_sum():
-    spec = PhiSpec((2, 3), (5,), 2, 1, 2)
     # independent oracle: sum the k=0 and k=1 terms from raw Pochhammers
     q = Fraction(2)
     expected = 1 + (qpoch_multi([2, 3], q, 1) * 1
                     / (qpoch(q, q, 1) * qpoch(5, q, 1)))
     assert expected == Fraction(3, 2)
-    assert phi_sum(spec) == expected
+    assert poch_ratio_sum([2, 3], [q, 5], q, 1, 2) == expected
 
 
 def test_phi_sum_unit_numerator_param_collapses():
-    spec = PhiSpec((1, Fraction(3, 7), 5), (2, 11), Fraction(2, 3),
-                   Fraction(9, 4), 6)
-    assert phi_sum(spec) == 1
+    q = Fraction(2, 3)
+    assert poch_ratio_sum([1, Fraction(3, 7), 5], [q, 2, 11], q,
+                          Fraction(9, 4), 6) == 1
 
 
 def test_phi_sum_zero_argument():
     rng = random.Random(7)
     for _ in range(5):
-        spec = PhiSpec(tuple(rand_rational(rng) for _ in range(3)),
-                       tuple(rand_rational(rng) for _ in range(2)),
-                       rand_q(rng), 0, 5)
-        assert phi_sum(spec) == 1
+        q = rand_q(rng)
+        assert poch_ratio_sum([rand_rational(rng) for _ in range(3)],
+                              [q] + [rand_rational(rng) for _ in range(2)],
+                              q, 0, 5) == 1
 
 
 def test_phi_sum_parameter_permutation_invariance():
@@ -71,18 +71,17 @@ def test_phi_sum_parameter_permutation_invariance():
         nums = [rand_rational(rng) for _ in range(4)]
         dens = [rand_rational(rng) for _ in range(3)]
         q, z = rand_q(rng), rand_rational(rng)
-        base = phi_sum(PhiSpec(tuple(nums), tuple(dens), q, z, 5))
+        base = poch_ratio_sum(nums, [q] + dens, q, z, 5)
         for _ in range(3):
             rng.shuffle(nums)
             rng.shuffle(dens)
-            assert phi_sum(PhiSpec(tuple(nums), tuple(dens), q, z, 5)) == base
+            assert poch_ratio_sum(nums, [q] + dens, q, z, 5) == base
 
 
 def test_phi_sum_pole_reported_with_position():
     # denominator parameter q^{-1} makes (q^{-1};q)_k vanish from k=2 on
-    spec = PhiSpec((2, 3), (Fraction(1, 2),), 2, 1, 4)
     with pytest.raises(PoleError, match="k="):
-        phi_sum(spec)
+        poch_ratio_sum([2, 3], [2, Fraction(1, 2)], 2, 1, 4)
 
 
 @settings(max_examples=200, deadline=None)
@@ -104,13 +103,12 @@ def test_poch_ratio_terms_match_pochhammers(nums, dens, q, z, n):
         if den == 0:
             break
         expected.append(poch(nums, k) * z**k / den)
-    got = []
-    try:
-        for t in poch_ratio_terms(entries(nums), entries(dens), q, z, n + 1):
-            got.append(t)
-    except PoleError:
-        assert len(expected) <= n
+    got, error = ref.drain(ref.poch_ratio_terms(entries(nums), entries(dens),
+                                                q, z, n + 1))
     assert got == expected
+    assert error is None or len(expected) <= n
+    assert poch_ratio_sum(entries(nums), entries(dens), q, z,
+                          len(got)) == sum(expected)
 
 
 def _assert_pairs_match_the_fraction_loop(nums, dens, q, z, terms, pre):
@@ -145,8 +143,6 @@ def test_poch_ratio_terms_matches_the_fraction_loop(nums, dens, q, z, zp,
     nums = [a if e == 1 else (a, q**e) for a, e in nums]
     dens = [b if e == 1 else (b, q**e) for b, e in dens]
     z = z if zp is None else (z, zp)
-    assert (ref.drain(poch_ratio_terms(nums, dens, q, z, terms))
-            == ref.drain(ref.poch_ratio_terms(nums, dens, q, z, terms)))
     _assert_pairs_match_the_fraction_loop(nums, dens, q, z, terms, pre)
 
 
@@ -169,11 +165,52 @@ def test_poch_ratio_terms_matches_the_fraction_loop_at_bound(bound):
         z = draw() if rng.random() < 0.7 else (draw(), draw())
         terms = rng.randint(0, 8)
         expected = ref.drain(ref.poch_ratio_terms(nums, dens, q, z, terms))
-        assert ref.drain(poch_ratio_terms(nums, dens, q, z, terms)) == expected
         _assert_pairs_match_the_fraction_loop(nums, dens, q, z, terms, draw())
         poles += expected[1] is not None
     if bound <= 3:
         assert poles > 0
+
+
+def _as_ratios(v):
+    """v with every Fraction in it, pair entries too, as an unreduced Ratio,
+    numerator and denominator times -2."""
+    if isinstance(v, (list, tuple)):
+        return type(v)(_as_ratios(x) for x in v)
+    return Ratio(-2 * v.numerator, -2 * v.denominator)
+
+
+@settings(max_examples=300, deadline=None)
+@given(params, params, small_rats.filter(lambda v: v not in (0, 1, -1)),
+       small_rats, st.one_of(st.none(), small_rats), st.integers(0, 9),
+       st.integers(0, 4))
+def test_kernel_reads_ratio_parameters_as_fractions(nums, dens, q, z, zp,
+                                                    terms, j):
+    # the kernel, poch_ratio_sum and wp_pairs on unreduced Ratio parameters:
+    # each reduced as it is read, so the same pairs as on Fractions, and a
+    # pole with a byte-identical message; a denominator q^{-j} puts a pole at
+    # k = j + 1
+    nums = [a if e == 1 else (a, q**e) for a, e in nums]
+    dens = [q, q**-j] + [b if e == 1 else (b, q**e) for b, e in dens]
+    z = z if zp is None else (z, zp)
+    args = (nums, dens, q, z)
+    expected = ref.drain(poch_ratio_pairs(*args, terms))
+    assert ref.drain(poch_ratio_pairs(*_as_ratios(args), terms)) == expected
+    assert (ref.outcome(poch_ratio_sum, *_as_ratios(args), terms)
+            == ref.outcome(poch_ratio_sum, *args, terms))
+    wp = ([q * q] + [a for a in nums if not isinstance(a, tuple)], q, z)
+    assert (ref.outcome(lambda: ref.drain(wp_pairs(*_as_ratios(wp), terms)))
+            == ref.outcome(lambda: ref.drain(wp_pairs(*wp, terms))))
+
+
+def test_kernel_pole_message_names_a_ratio_as_its_fraction():
+    # (q^{-2};q)_k vanishes from k = 3 on, (q^{-2};q^2)_k from k = 2 on
+    q = Fraction(2, 3)
+    for b, k in ((q**-2, 3), ((q**-2, q*q), 2)):
+        pairs, error = ref.drain(poch_ratio_pairs([], [q, _as_ratios(b)],
+                                                  _as_ratios(q), 1, 5))
+        assert len(pairs) == k
+        assert error == (PoleError, "denominator factor 1 - (%s) q^%d "
+                                    "vanished at k=%d" % (b, k - 1, k))
 
 
 @settings(max_examples=100, deadline=None)
@@ -190,33 +227,33 @@ def test_poch_ratio_terms_pair_z_is_quadratic(nums, dens, q, z, p, n):
             out *= ref.qpoch(a, q**e, k)
         return out
 
-    got = []
-    try:
-        for t in poch_ratio_terms(entries(nums), entries(dens), q, (z, p),
-                                  n + 1):
-            got.append(t)
-    except PoleError:
+    got, error = ref.drain(ref.poch_ratio_terms(entries(nums), entries(dens),
+                                                q, (z, p), n + 1))
+    if error:
         assert poch(dens, len(got)) == 0
     else:
         assert len(got) == n + 1
     for k, t in enumerate(got):
         assert t == poch(nums, k) * z**k * p**(k*(k-1)//2) / poch(dens, k)
+    assert poch_ratio_sum(entries(nums), entries(dens), q, (z, p),
+                          len(got)) == sum(got)
 
 
 def test_poch_ratio_terms_pole_at_known_k():
     # (1/8;2)_k vanishes from k = 4 on: 1 - (1/8) 2^3 = 0
     q = Fraction(2)
     nums, dens = [Fraction(3, 5), Fraction(-7, 2)], [q, Fraction(1, 8)]
-    terms = poch_ratio_terms(nums, dens, q, Fraction(5, 3), 7)
+    pairs = poch_ratio_pairs(nums, dens, q, Fraction(5, 3), 7)
     for k in range(4):
-        assert next(terms) == (qpoch_multi(nums, q, k) * Fraction(5, 3)**k
-                               / qpoch_multi(dens, q, k))
+        assert Fraction(*next(pairs)) == (qpoch_multi(nums, q, k)
+                                          * Fraction(5, 3)**k
+                                          / qpoch_multi(dens, q, k))
     with pytest.raises(PoleError, match="k=4"):
-        next(terms)
+        next(pairs)
     with pytest.raises(PoleError):
         poch_ratio_sum(nums, dens, q, Fraction(5, 3), 7)
     assert poch_ratio_sum(nums, dens, q, Fraction(5, 3), 4) == sum(
-        poch_ratio_terms(nums, dens, q, Fraction(5, 3), 4))
+        ref.poch_ratio_terms(nums, dens, q, Fraction(5, 3), 4))
     row = pair_row(poch_ratio_pairs(nums, dens, q, Fraction(5, 3), 7), 6)
     assert len(row.terms) == 4
     assert row.term(3) != 0

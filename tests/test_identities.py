@@ -423,7 +423,8 @@ KERNEL_FORMS = [
     ("schlosser_lemma_n1", "rhs", reference_schlosser_lemma_rhs),
     ("jacobi_finite", "lhs", ref._jacobi_finite_lhs),
     ("quintuple_finite_mn", "lhs", ref._quintuple_mn_lhs),
-]
+] + [(identity_id, side, reference) for (identity_id, side), reference
+     in ref.FRACTION_SIDES.items()]
 
 # the bilateral sums past their default ranges: m > n + 1 makes the index
 # n + k + 1 negative, as k > m does m - k
@@ -434,16 +435,27 @@ BILATERAL_RANGES = {"n": (0, 7), "m": (0, 6)}
 @pytest.mark.parametrize("identity_id,side,reference", KERNEL_FORMS)
 def test_kernel_forms_match_the_per_k_loops(identity_id, side, reference,
                                             bound):
+    """Each side against its per-k loop, or against its Fraction expression
+    (``ref.FRACTION_SIDES``): the same value, or a PoleError at the same
+    point, with the same message where the reference is the Fraction
+    expression; the derived symbols are the same Fractions."""
     desc = get_identity(identity_id)
     bilateral = "m" in desc.index_names
+    exact = (identity_id, side) in ref.FRACTION_SIDES
+    same = ref.outcome if exact else _value_or_pole
+    derive = ref.FRACTION_DERIVES.get(identity_id, desc.derive)
     rng = random.Random(bound)
     poles = negative = 0
     for _ in range(300):
         p = sample_point(desc, rng, BILATERAL_RANGES if bilateral else {},
                          bound)
-        expected = _value_or_pole(reference, p)
-        assert _value_or_pole(getattr(desc, side), p) == expected, p
-        poles += expected is PoleError
+        expected_p = p if derive is None else derive(p)
+        got_p = p if desc.derive is None else desc.derive(p)
+        assert got_p.symbols == expected_p.symbols, p
+        assert all(type(v) is Fraction for v in got_p.symbols.values())
+        expected = same(reference, expected_p)
+        assert same(getattr(desc, side), got_p) == expected, p
+        poles += expected is PoleError or isinstance(expected, tuple)
         negative += bilateral and p.idx("m") > p.idx("n") + 1
     if bound == 2 and side == "lhs":
         assert poles > 0

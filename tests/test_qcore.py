@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qident.identities import random_rational
+from qident.hyper import _ints
+from qident.identities import _div, random_rational
 from qident.qcore import (DegenerateQ, MissingSymbol, ParamPoint, PoleError,
-                          qbinom, qpoch, qpoch_multi, qrat)
+                          Ratio, qbinom, qpoch, qpoch_multi, qrat)
 import reference_loops as ref
 
 nonzero = st.integers(-60, 60).filter(lambda v: v != 0)
@@ -134,6 +135,69 @@ def test_qbinom_recurrence_with_free_parameter():
                 rhs = (qbinom(n - 1, k, q) * (1 - a * q**(n + k))
                        + qbinom(n - 1, k - 1, q) * (1 - a * q**k) * q**(n - k))
                 assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# Ratio: a parameter as one product of numerators over one of denominators
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(rationals, st.integers(-5, 5), st.booleans()),
+                max_size=5),
+       st.sampled_from((1, -1)), st.booleans(), rationals)
+def test_ratio_matches_the_fraction_arithmetic(factors, sign, zero, x):
+    # sign * prod f^e or its quotients, e < 0 too, or 0: as one int pair and
+    # by Ratio arithmetic, the value the Fraction operations give, reduced by
+    # the kernel to the same pair and printed alike; so are its sums and
+    # differences with a Fraction and its negation
+    num, den = (0 if zero else sign), 1
+    expected, got = Fraction(num), Ratio(num)
+    for f, e, divide in factors:
+        fn, fd = (f.numerator, f.denominator)[::-1 if divide else 1]
+        num *= fn**e if e >= 0 else fd**-e
+        den *= fd**e if e >= 0 else fn**-e
+        expected = expected / f**e if divide else expected * f**e
+        r = Ratio(f.numerator, f.denominator)**e
+        got = got / r if divide else r * got
+    for ratio in (Ratio(num, den), got):
+        assert _ints(ratio) == (expected.numerator, expected.denominator)
+        assert _div(ratio, 1) == expected
+        assert str(ratio) == str(expected)
+        assert repr(ratio) == repr(expected)
+        assert "%s" % ((ratio, ratio),) == "%s" % ((expected, expected),)
+    for value, wanted in ((1 - got, 1 - expected), (got - x, expected - x),
+                          (x + got, x + expected), (got + 1, expected + 1),
+                          (-got, -expected), (x * got, x * expected),
+                          (got / x, expected / x)):
+        assert type(value) is Ratio and _div(value, 1) == wanted
+
+
+def test_ratio_refuses_comparison_and_conversion():
+    r = Ratio(6, -4)
+    assert (r.numerator, r.denominator) == (6, -4)
+    assert _ints(r) == (-3, 2)
+    for compare in (lambda: r == 0, lambda: 0 == r, lambda: r in (0, 1),
+                    lambda: Fraction(1) == r):
+        with pytest.raises(TypeError):
+            compare()
+    with pytest.raises(TypeError):
+        Fraction(r)
+    with pytest.raises(TypeError):
+        ParamPoint({"a": r})
+    for divide_by_zero in (lambda: Ratio(3, 0), lambda: r / Ratio(0, 5),
+                           lambda: Ratio(0, 2) ** -1):
+        with pytest.raises(ZeroDivisionError):
+            divide_by_zero()
+
+
+def test_point_ratio_view():
+    p = ParamPoint({"a": Fraction(-6, 4), "q": 3}, {"n": 2})
+    q, a = p.ratios("qa")
+    assert (q.numerator, q.denominator, a.numerator, a.denominator) == (
+        3, 1, -3, 2)
+    assert p.ratios("a")[0] is a
+    with pytest.raises(MissingSymbol):
+        p.ratios("ab")
 
 
 # ---------------------------------------------------------------------------
