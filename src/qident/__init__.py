@@ -18,7 +18,7 @@ The ``qident`` console script drives everything with reproducible seeds.
 """
 
 from .qcore import (QIdentityError, PoleError, DegenerateQ, MissingSymbol,
-                    QRational, ParamPoint, qrat, qpoch, qpoch_multi, qbinom)
+                    ParamPoint, qpoch, qpoch_multi, qbinom)
 from .hyper import (WellPoisedTerm, wp_term,
                     contiguous_alpha, contiguous_beta,
                     contiguous_residual_1, contiguous_residual_2,
@@ -27,15 +27,13 @@ from .identities import (IdentityDescriptor, VerificationReport,
                          RetryExhausted, CounterexampleFound,
                          list_identities, identity_ids, get_identity,
                          eval_sides, verify, sample_point, serialize_point,
-                         random_rational, random_q, derive_trial_seed,
-                         vwp_sum)
+                         random_rational, random_q, derive_trial_seed)
 from .certs import (ProofCertificate, list_certificates, certificate_ids,
                     get_certificate, term_recurrence_residual,
                     telescoping_residual, boundary_check, inductive_replay,
                     schlosser_split_residual, schlosser_coeff_residual,
                     sample_certificate_point)
-from .psers import (QSeries, NonTerminatingExponent, series_product, poch_inf,
-                    geometric_inverse, infinite_identity_residual,
+from .psers import (QSeries, poch_inf, infinite_identity_residual,
                     SERIES_IDENTITIES, jacobi_product_relation_residual,
                     quintuple_product_relation_residual)
 
@@ -43,7 +41,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "QIdentityError", "PoleError", "DegenerateQ", "MissingSymbol",
-    "QRational", "ParamPoint", "qrat", "qpoch", "qpoch_multi", "qbinom",
+    "ParamPoint", "qpoch", "qpoch_multi", "qbinom",
     "WellPoisedTerm", "wp_term",
     "contiguous_alpha", "contiguous_beta",
     "contiguous_residual_1", "contiguous_residual_2",
@@ -53,14 +51,12 @@ __all__ = [
     "list_identities", "identity_ids", "get_identity",
     "eval_sides", "verify", "sample_point", "serialize_point",
     "random_rational", "random_q", "derive_trial_seed",
-    "vwp_sum",
     "ProofCertificate", "list_certificates", "certificate_ids",
     "get_certificate", "term_recurrence_residual", "telescoping_residual",
     "boundary_check", "inductive_replay",
     "schlosser_split_residual", "schlosser_coeff_residual",
     "sample_certificate_point",
-    "QSeries", "NonTerminatingExponent", "series_product", "poch_inf",
-    "geometric_inverse", "infinite_identity_residual", "SERIES_IDENTITIES",
+    "QSeries", "poch_inf", "infinite_identity_residual", "SERIES_IDENTITIES",
     "jacobi_product_relation_residual", "quintuple_product_relation_residual",
     "__version__",
 ]

@@ -36,9 +36,11 @@ run on it, the per-k checks as one-k levels; the replay's propagation reads
 the same steps.  The coefficients that cost more to evaluate than to look
 up (jackson's, watson's and bailey's c_move, singh's gamma) are memoized.
 
-The anti-differences are rows on the term kernel, memoized like the
-summands.  Each (x;q)_{k+1} of the printed form is taken as (1 - x)(xq;q)_k,
-with 1 - x moved into the k-independent prefactor P:
+The anti-differences are rows on the term kernel, with any per-term factor
+1 - c p^k applied by ``hyper.linear``.  They are not memoized: the
+telescoping check reads each (point, n) once.  Each (x;q)_{k+1} of the
+printed form is taken as (1 - x)(xq;q)_k, with 1 - x moved into the
+k-independent prefactor P:
 
     watson   H_{n,k} = P (aq/bc, q^{1-n}, dq, eq;q)_k
                        / (q, aq/b, aq/c, de q^{1-n}/a;q)_k
@@ -61,7 +63,7 @@ from fractions import Fraction
 from typing import (Callable, Dict, Iterable, Iterator, Optional, Sequence,
                     Tuple, Union)
 
-from .hyper import Pairs, TermRow, _ints, pair_row, poch_ratio, poch_ratio_pairs
+from .hyper import Pairs, TermRow, linear, pair_row, poch_ratio, poch_ratio_pairs
 from .qcore import ParamPoint, PoleError, qpoch, qpoch_multi
 from . import identities as _ident
 from .identities import _div, _xs
@@ -160,7 +162,6 @@ def watson_beta(p: ParamPoint, n: int) -> Fraction:
     return _div(num, den)
 
 
-@_ident._memo_rows
 def watson_anti_diff_row(p: ParamPoint) -> TermRow:
     a, b, c, d, e, q = p.ratios("abcdeq")
     n = p.idx("n")
@@ -188,7 +189,6 @@ def bailey_alpha(p: ParamPoint, n: int) -> Fraction:
     return _div(num, den)
 
 
-@_ident._memo_rows
 def bailey_anti_diff_row(p: ParamPoint) -> TermRow:
     a, b, c, d, e, f, q, lam = p.ratios([*"abcdefq", "lam"])
     n = p.idx("n")
@@ -201,14 +201,7 @@ def bailey_anti_diff_row(p: ParamPoint) -> TermRow:
     ser = poch_ratio_pairs(
         [lam*b/a, lam*c/a, lam*d/a, g, q**(1-n), lam*q, e*q, f*q],
         [q, a*q/b, a*q/c, a*q/d, lam*q/e, lam*q/f, x*q, y*q], q, 1, n + 1)
-
-    def terms() -> Pairs:
-        pn, pd = _ints(lam / a)                     # lam q^k / a
-        for num, den in ser:
-            yield num * (pd - pn), den * pd
-            pn *= q.numerator
-            pd *= q.denominator
-    return pair_row(terms(), n, pre)
+    return pair_row(linear(ser, lam / a, q), n, pre)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +240,6 @@ def singh_first_order_residual(p: ParamPoint, n: int, k: int) -> Fraction:
             - gamma1 * level(shifted, n - 1).term(k - 1))
 
 
-@_ident._memo_rows
 def singh_anti_diff_row(p: ParamPoint) -> TermRow:
     A, B, c, q = p.ratios("ABcq")
     n = p.idx("n")
@@ -263,12 +255,8 @@ def singh_anti_diff_row(p: ParamPoint) -> TermRow:
         ser = poch_ratio_pairs([A*q2, B*q2, q**(4-2*n), c*c*q2*q2],
                                [q2, A*B*q**3, -c*q**(4-n), -c*q**(5-n)],
                                q2, 1, n)
-        prn, prd = pre.numerator, pre.denominator
-        pn, pd = q.numerator, q.denominator         # q^{2j+1}
-        for num, den in ser:
-            yield prn * num * (pd - pn), prd * den * pd
-            pn *= q2.numerator
-            pd *= q2.denominator
+        for num, den in linear(ser, q, q2):         # 1 - q^{2j+1}
+            yield pre.numerator * num, pre.denominator * den
     return pair_row(terms(), n)
 
 

@@ -9,7 +9,10 @@ unreduced int pair, each denominator dividing the next, so a sum or a row is
 brought over the last denominator with exact int quotients (Knuth, TAOCP
 vol. 2, section 4.5.1), and each side is reduced once: ``poch_ratio`` and
 ``pair_sum`` build one ``Fraction``, a ``TermRow`` one for its total and one
-per term on its first read.  The bilateral ``jacobi_finite`` and
+per term on its first read.  ``linear`` is the one loop for a per-term
+factor 1 - c p^k that no Pochhammer ratio holds: the well-poised factor, the
+1 + z q^k of ``quintuple_ccg``, the bilateral sums' 1 - w q^{2j} and the
+anti-differences' factors.  The bilateral ``jacobi_finite`` and
 ``quintuple_finite_mn`` run on it too, after a pole check that refuses
 exactly the points where their per-k Pochhammers of any index vanish.
 
@@ -107,6 +110,17 @@ def poch_ratio(nums: Sequence, dens: Sequence, q, n: int, z=1,
     for num, den in poch_ratio_pairs(nums, dens, q, z, n + 1):
         pass
     return Fraction(num * pre.numerator, den * pre.denominator)
+
+
+def linear(pairs: Iterable[Tuple[int, int]], c, p) -> Pairs:
+    """The given int pairs, the k-th times the per-term factor 1 - c p^k; if
+    each den divides the next, so does each den yielded."""
+    cn, cd = _ints(c)                               # c p^k
+    pn, pd = _ints(p)
+    for num, den in pairs:
+        yield num * (cd - cn), den * cd
+        cn *= pn
+        cd *= pd
 
 
 def pair_sum(pairs: Iterable[Tuple[int, int]],

@@ -24,8 +24,8 @@ from typing import (Callable, Dict, Iterable, Mapping, Optional, Sequence,
                     Tuple)
 
 from .qcore import ParamPoint, PoleError, QIdentityError, Ratio, qpoch
-from .hyper import (Pairs, TermRow, _ints, pair_row, pair_sum, poch_ratio,
-                    poch_ratio_pairs, poch_ratio_sum, wp_pairs)
+from .hyper import (Pairs, TermRow, _ints, linear, pair_row, pair_sum,
+                    poch_ratio, poch_ratio_pairs, poch_ratio_sum, wp_pairs)
 
 # Cost guard for the r-fold multi-sums (exact bignum arithmetic grows fast).
 MULTISUM_MAX_R = 4
@@ -70,23 +70,13 @@ def _well_poised(a, q, pairs: Iterable[Tuple[int, int]]) -> Pairs:
     an, ad = _ints(a)
     if an == ad:
         raise PoleError("very-well-poised anchor must differ from 1")
-    q2n, q2d = (v * v for v in _ints(q))
-    pn, pd = an, ad                                 # a q^{2k}
-    for num, den in pairs:
-        yield num * (pd - pn) * ad, den * pd * (ad - an)
-        pn *= q2n
-        pd *= q2d
+    for num, den in linear(pairs, a, q*q):
+        yield num * ad, den * (ad - an)
 
 
 def _vwp_pairs(a1, middles: Sequence, q, n: int, z) -> Pairs:
-    """The terms k = 0..n of ``vwp_sum``, as int pairs."""
-    return _well_poised(a1, q, wp_pairs([a1, *middles, Ratio(*_ints(q))**-n],
-                                        q, z, n + 1))
-
-
-def vwp_sum(a1, middles: Sequence, q, n: int, z) -> Fraction:
-    """Terminating very-well-poised sum with anchor a1 and the given middle
-    parameters: sum_{k=0}^{n} of
+    """The terms k = 0..n of the terminating very-well-poised sum with anchor
+    a1 and the given middle parameters, as int pairs: the k-th is
 
         (1 - a1 q^{2k})/(1 - a1)
         * (a1, middles..., q^{-n};q)_k z^k
@@ -95,39 +85,19 @@ def vwp_sum(a1, middles: Sequence, q, n: int, z) -> Fraction:
     The paired square-root parameters of the classical printing enter only
     through the ratio (1 - a1 q^{2k})/(1 - a1), so everything stays rational.
     """
-    return pair_sum(_vwp_pairs(a1, middles, q, n, z))
+    return _well_poised(a1, q, wp_pairs([a1, *middles, Ratio(*_ints(q))**-n],
+                                        q, z, n + 1))
 
 
 _ROW_MEMOS: Dict[str, Callable] = {}
 
 
-class _RowKey:
-    """A memo key: the sorted (name, numerator, denominator) ints of the
-    point's int view, its sorted indices and any further arguments, hashed
-    once; ints hash without the modular inverse a ``Fraction`` hash takes.
-    It carries the caller's point, so that a miss builds from it."""
-
-    __slots__ = ("point", "args", "key", "hash")
-
-    def __init__(self, point: ParamPoint, args: tuple):
-        self.point, self.args = point, args
-        view = zip(point.symbols, point.ratios(point.symbols))
-        self.key = (tuple(sorted([(name, v.numerator, v.denominator)
-                                  for name, v in view])),
-                    tuple(sorted(point.indices.items())), args)
-        self.hash = hash(self.key)
-
-    def __hash__(self) -> int:
-        return self.hash
-
-    def __eq__(self, other) -> bool:
-        return self.key == other.key
-
-
 def _memo_rows(build: Callable[..., "TermRow | CrRow"]
                ) -> Callable[..., "TermRow | CrRow"]:
     """Memoize a summand-row builder, or a certificate coefficient, on the
-    point's symbol and index values and on any further (hashable) arguments.
+    point and on any further (hashable) arguments.  A ``ParamPoint`` hashes
+    and compares by the ints of its symbol and index values, so equal points
+    built apart share an entry.
 
     At n <= 6 one certificate point's checks read each builder's rows at 23
     (point, n) keys: the sweeps read levels 1..6 at the point and 0..5 at its
@@ -135,15 +105,9 @@ def _memo_rows(build: Callable[..., "TermRow | CrRow"]
     32 rows, so each is built once.  A pole raised before the row exists is
     not cached.
     """
-    @functools.lru_cache(maxsize=32)
-    def cached(key: _RowKey):
-        return build(key.point, *key.args)
-
-    @functools.wraps(build)
-    def row(point: ParamPoint, *args):
-        return cached(_RowKey(point, args))
+    cached = functools.lru_cache(maxsize=32)(build)
     _ROW_MEMOS[build.__name__] = cached
-    return row
+    return cached
 
 
 def clear_row_memo() -> None:
@@ -388,7 +352,7 @@ def _jackson_derive(p: ParamPoint) -> ParamPoint:
 def _6phi5_lhs(p: ParamPoint) -> Fraction:
     a, b, c, q = p.ratios("abcq")
     n = p.idx("n")
-    return vwp_sum(a, [b, c], q, n, a*q**(n+1)/(b*c))
+    return pair_sum(_vwp_pairs(a, [b, c], q, n, a*q**(n+1)/(b*c)))
 
 
 def _6phi5_rhs(p: ParamPoint) -> Fraction:
@@ -695,15 +659,11 @@ def _bilateral_sum(q: Ratio, n: int, m: int, b: Ratio, top: Ratio, z,
     top_e = big_n * big_n // 4              # the largest j(N - j)
     ser = poch_ratio_pairs([(b*q**(2*m-1), q**-1)], [c*q**(n-m+1)], q, z,
                            big_n + 1)
-
-    def terms() -> Pairs:
-        # each q-binomial over qd^top_e, so each den divides the next
-        for j, (num, den) in enumerate(ser):
-            wn, wd = w.numerator * qn**(2*j), w.denominator * qd**(2*j)
-            yield (binom[j] * qd**(top_e - j*(big_n - j)) * (wd - wn) * num,
-                   wd * den)
+    # each q-binomial over qd^top_e, so each den divides the next
+    terms = ((binom[j] * qd**(top_e - j*(big_n - j)) * num, den)
+             for j, (num, den) in enumerate(ser))
     first = top / head / qpoch(c, q, n - m + 1)
-    return pair_sum(terms(), first / qd**top_e)
+    return pair_sum(linear(terms, w, q*q), first / qd**top_e)
 
 
 def _jacobi_finite_lhs(p: ParamPoint) -> Fraction:
@@ -765,14 +725,7 @@ def _quintuple_ccg_lhs(p: ParamPoint) -> Fraction:
     n = p.idx("n")
     ser = poch_ratio_pairs([q**(-n), z*z], [q, z*z*q**(n+1)], q,
                            (-z*q**(n+1), q), n + 1)
-
-    def terms() -> Pairs:
-        pn, pd = z.numerator, z.denominator         # z q^k
-        for num, den in ser:
-            yield num * (pd + pn), den * pd
-            pn *= q.numerator
-            pd *= q.denominator
-    return pair_sum(terms(), poch_ratio([z], [z*z], q, n + 1))
+    return pair_sum(linear(ser, -z, q), poch_ratio([z], [z*z], q, n + 1))
 
 
 def _one(p: ParamPoint) -> Fraction:

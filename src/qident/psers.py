@@ -26,13 +26,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, List, Mapping, Tuple, Union
+from typing import List, Mapping, Tuple, Union
 
-from .qcore import ParamPoint, PoleError, QIdentityError
-
-
-class NonTerminatingExponent(QIdentityError):
-    """A factor rule failed to push its exponent past the truncation order."""
+from .qcore import ParamPoint, PoleError
 
 
 @dataclass(frozen=True)
@@ -136,11 +132,6 @@ class QSeries:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-
-FactorRule = Iterable[Tuple[Fraction, int]]
-
-_FACTOR_CAP_SLACK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -291,33 +282,8 @@ def _residual(lhs: Coeffs, rhs: Coeffs) -> QSeries:
 
 
 # ---------------------------------------------------------------------------
-# public constructors
+# the public constructor
 # ---------------------------------------------------------------------------
-
-def series_product(factors: FactorRule, order: int) -> QSeries:
-    """Exact truncated product of factors (1 - c_k q^{e_k}).
-
-    The exponents must be strictly increasing and unbounded; iteration stops
-    at the first exponent beyond the order (the remaining factors are 1 mod
-    q^{order+1}).  NonTerminatingExponent is raised if the exponents fail to
-    pass the order within an iteration cap.  Each factor costs O(order).
-    """
-    out = _one(order)
-    cap = 4 * (order + 2) + _FACTOR_CAP_SLACK
-    count = 0
-    for coeff, exponent in factors:
-        if exponent > order:
-            break
-        if exponent < 0:
-            raise ValueError("negative q-exponent; specialize symbols instead")
-        count += 1
-        if count > cap:
-            raise NonTerminatingExponent(
-                "factor exponents failed to exceed order %d within %d factors"
-                % (order, cap))
-        _mul_binomial(out, Fraction(coeff), exponent)
-    return out.series()
-
 
 def poch_inf(coeff, start: int, step: int, order: int) -> QSeries:
     """(c q^{start}; q^{step})_infinity truncated: prod_j (1 - c q^{start + j step})."""
@@ -327,15 +293,6 @@ def poch_inf(coeff, start: int, step: int, order: int) -> QSeries:
         raise ValueError("negative q-exponent; specialize symbols instead")
     out = _one(order)
     _mul_poch_inf(out, Fraction(coeff), start, step)
-    return out.series()
-
-
-def geometric_inverse(coeff, exponent: int, order: int) -> QSeries:
-    """Inverse of (1 - c q^e) as the geometric series, for e >= 1."""
-    if exponent < 1:
-        raise ValueError("geometric_inverse needs exponent >= 1")
-    out = _one(order)
-    _div_binomial(out, Fraction(coeff), exponent)
     return out.series()
 
 

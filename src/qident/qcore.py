@@ -10,11 +10,10 @@ index, with negative indices handled by the reciprocal identity
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
-
-QRational = Fraction
 
 
 class QIdentityError(Exception):
@@ -31,20 +30,6 @@ class DegenerateQ(QIdentityError):
 
 class MissingSymbol(QIdentityError):
     """A ParamPoint lacks a symbol or index required by an evaluator."""
-
-
-def qrat(num, den=None) -> Fraction:
-    """Exact rational from ints, strings, or fractions.
-
-    Division by zero raises PoleError rather than propagating a bare
-    ZeroDivisionError.
-    """
-    try:
-        if den is None:
-            return Fraction(num)
-        return Fraction(num) / Fraction(den)
-    except ZeroDivisionError:
-        raise PoleError("division by zero in qrat(%r, %r)" % (num, den)) from None
 
 
 class Ratio:
@@ -96,12 +81,14 @@ class Ratio:
     __rmul__, __radd__ = __mul__, __add__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParamPoint:
     """An exact parameter assignment: symbol values plus integer indices.
 
     Immutable after construction.  If the symbol ``q`` is present it must not
-    be 0 or 1.
+    be 0 or 1.  Two points are equal, and hash alike, exactly when their
+    symbol values and indices are: both read the point's values as ints,
+    built once per point.
     """
 
     symbols: Mapping[str, Fraction]
@@ -131,6 +118,23 @@ class ParamPoint:
             view.update((k, Ratio(v.numerator, v.denominator))
                         for k, v in self.symbols.items())
         return [view[k] if k in view else self.sym(k) for k in names]
+
+    @functools.cached_property
+    def _key(self) -> tuple:
+        """The sorted (name, numerator, denominator) of the symbols and the
+        sorted indices; ints hash without the modular inverse a ``Fraction``
+        hash takes."""
+        return (tuple(sorted([(name, v.numerator, v.denominator)
+                              for name, v in self.symbols.items()])),
+                tuple(sorted(self.indices.items())))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ParamPoint):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     def idx(self, name: str) -> int:
         try:

@@ -11,7 +11,9 @@ kernel, verbatim: one q-binomial and two to four Pochhammers per k.
 hold the identity sides, step coefficients and anti-difference rows as they
 stood before their parameters were built from the point's ``Ratio`` int
 pairs: one reduced ``Fraction`` operation per product or quotient, verbatim,
-on the same term-ratio kernel.
+on the same term-ratio kernel.  Their well-poised factor is
+``_well_poised_pairs``, the int loop as it stood before it ran on
+``hyper.linear``, verbatim, so these rows do not follow the rewritten factor.
 
 The series kernels below work on plain lists of ``Fraction`` coefficients,
 and ``infinite_identity_residual`` is the one in ``psers``, built on
@@ -21,10 +23,9 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
 
-from qident.hyper import (Pairs, TermRow, pair_row, pair_sum, poch_ratio,
-                         poch_ratio_pairs)
+from qident.hyper import (Pairs, TermRow, _ints, pair_row, pair_sum,
+                         poch_ratio, poch_ratio_pairs)
 from qident.identities import CrRow, _div, _require_multisum_budget, _xs
-from qident.identities import _well_poised as _well_poised_pairs
 from qident.psers import (QSeries, SERIES_IDENTITIES, _need, _params_of,
                           _quintuple_exponents)
 from qident.qcore import DegenerateQ, ParamPoint, PoleError, QIdentityError
@@ -151,6 +152,21 @@ def _well_poised(a, q, terms: Iterable[Fraction]) -> Iterator[Fraction]:
         raise PoleError("very-well-poised anchor must differ from 1")
     for k, t in enumerate(terms):
         yield t * (1 - a * q**(2*k)) / (1 - a)
+
+
+def _well_poised_pairs(a, q, pairs: Iterable[Tuple[int, int]]) -> Pairs:
+    """The given int pairs, the k-th times the well-poised factor
+    (1 - a q^{2k})/(1 - a); if each den divides the next, so does each den
+    yielded."""
+    an, ad = _ints(a)
+    if an == ad:
+        raise PoleError("very-well-poised anchor must differ from 1")
+    q2n, q2d = (v * v for v in _ints(q))
+    pn, pd = an, ad                                 # a q^{2k}
+    for num, den in pairs:
+        yield num * (pd - pn) * ad, den * pd * (ad - an)
+        pn *= q2n
+        pd *= q2d
 
 
 def pair_product(a, q, xs: Sequence, shifts: Sequence[int]) -> Fraction:

@@ -449,6 +449,32 @@ def test_one_point_builds_each_row_once(cert_id):
         assert built[coefficient][0] > 0, built[coefficient]
 
 
+# hits and misses of each memoized builder after one certify run; a miss is
+# one build.  The anti-difference rows are not memoized: the telescoping
+# check reads each (point, n) once, so a memo would only miss.
+ROW_MEMO_COUNTS = {
+    "bailey_alpha": (51, 48), "bailey_row": (48, 69),
+    "bailey_rhs_row": (102, 69),
+    "jackson_gamma": (15, 48), "jackson_row": (48, 69),
+    "lebesgue_row": (48, 69), "quintuple_row": (48, 69),
+    "schlosser_row": (18, 21), "schlosser_split_coeff": (18, 18),
+    "singh_gamma": (42, 33), "singh_lhs_row": (57, 69),
+    "singh_rhs_row": (117, 69),
+    "watson_beta": (51, 48), "watson_row": (48, 69),
+    "watson_rhs_row": (102, 69)}
+
+
+def test_row_memo_counts_of_a_certify_run():
+    # certify --proof all --n-max 6 --r-max 1 --trials 3 --seed 7
+    ident.clear_row_memo()
+    status, _ = cli.run(cli.RunConfig(
+        command="certify", proof_ids=certificate_ids(), cert_trials=3,
+        seed=7, n_max=6, r_max=1))
+    assert status == 0
+    assert {name: info[:2] for name, info in ident.row_memo_info().items()
+            } == ROW_MEMO_COUNTS
+
+
 def test_level_yields_each_k_before_a_later_pole():
     # a = q^{-3}: at n = 2 the shifted row (a q^2, level 1) has the prefactor
     # 1/(a q^2;q)_2 = 1/((1 - q^{-1})(1 - 1)), a pole first read at k = 1

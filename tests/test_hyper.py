@@ -2,12 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qident.qcore import PoleError, Ratio, qpoch, qpoch_multi
 from qident.hyper import (WellPoisedTerm, contiguous_alpha,
                           contiguous_beta, contiguous_residual_1,
-                          contiguous_residual_2, pair_row, poch_ratio,
+                          contiguous_residual_2, linear, pair_row, poch_ratio,
                           poch_ratio_pairs, poch_ratio_sum,
                           trivial_identity_residuals, wp_pairs, wp_term)
 import reference_loops as ref
@@ -262,6 +262,33 @@ def test_poch_ratio_terms_pole_at_known_k():
         row.term(4)
     with pytest.raises(PoleError):
         row.total()
+
+
+# int pairs each of whose den divides the next: a list of (num, den step)
+# builds them as (num, den steps multiplied so far)
+pair_steps = st.lists(st.tuples(st.integers(-9, 9),
+                                st.integers(-6, 6).filter(bool)), max_size=7)
+STEPS = [(1, 1), (-2, 3), (5, -2), (4, 7), (-1, 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_steps, small_rats, small_rats)
+@example(STEPS, Fraction(0), Fraction(5, 2))                 # c = 0
+@example(STEPS, Fraction(2, 3), Fraction(-3, 4))             # p < 0
+@example(STEPS, Fraction(-4, 9) ** -2, Fraction(-4, 9))      # 0 at k = 2
+def test_linear_matches_the_per_term_fraction_product(steps, c, p):
+    pairs, den = [], 1
+    for num, step in steps:
+        den *= step
+        pairs.append((num, den))
+    got = list(linear(iter(pairs), c, p))
+    assert [Fraction(num, den) for num, den in got] == [
+        Fraction(num, den) * (1 - c * p**k)
+        for k, (num, den) in enumerate(pairs)]
+    assert all(d % e == 0 for (_, e), (_, d) in zip(got, got[1:]))
+    if len(pairs) > 2 and c * p**2 == 1:
+        # a vanished factor is a zero term over a nonzero den, never a pole
+        assert got[2][0] == 0 and got[2][1] != 0
 
 
 def test_wp_term_values():

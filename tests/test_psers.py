@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from qident import psers
 from qident.qcore import PoleError
-from qident.psers import (NonTerminatingExponent, QSeries, SERIES_IDENTITIES,
-                          geometric_inverse, infinite_identity_residual,
+from qident.psers import (QSeries, SERIES_IDENTITIES,
+                          infinite_identity_residual,
                           jacobi_product_relation_residual, poch_inf,
-                          quintuple_product_relation_residual, series_product)
+                          quintuple_product_relation_residual)
 import reference_loops as ref
 
 small_rats = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
@@ -65,9 +65,6 @@ def test_invert():
     inv = s.invert()
     assert inv.coeffs == (1, 1, 1, 1, 1)
     assert (s * inv) == QSeries.one(4)
-    g = geometric_inverse(Fraction(2, 3), 2, 6)
-    assert (QSeries.one(6) - QSeries.monomial(Fraction(2, 3), 2, 6)) * g \
-        == QSeries.one(6)
     with pytest.raises(PoleError):
         QSeries((0, 1)).invert()
     rng = random.Random(12)
@@ -81,8 +78,6 @@ def test_invert():
 
 
 def test_series_product_examples():
-    assert series_product([(Fraction(1), 1)], 3).coeffs == (1, -1, 0, 0)
-    assert series_product([], 4) == QSeries.one(4)
     euler = poch_inf(1, 1, 1, 5)
     assert euler.coeffs == (1, -1, -1, 0, 0, 1)   # pentagonal pattern
     # extended pentagonal check: exponents j(3j-1)/2 with sign (-1)^j
@@ -94,11 +89,6 @@ def test_series_product_examples():
             if e <= 40:
                 expected[e] = Fraction(-1) ** j
     assert big.coeffs == tuple(expected)
-
-
-def test_series_product_non_terminating():
-    with pytest.raises(NonTerminatingExponent):
-        series_product(itertools.repeat((Fraction(1), 0)), 5)
 
 
 def test_jacobi_triple_low_order_example():
@@ -219,7 +209,6 @@ def test_div_kernel_matches_inverses(xs, c, e):
     out = psers.Coeffs.of_fractions(xs)
     psers._div_binomial(out, c, e)
     quotient = out.series()
-    assert quotient == QSeries(tuple(xs)) * geometric_inverse(c, e, n)
     factor = QSeries.one(n) - QSeries.monomial(c, e, n)
     assert quotient == QSeries(tuple(xs)) * factor.invert()
     assert quotient * factor == QSeries(tuple(xs))
@@ -297,15 +286,13 @@ def test_poch_inf_matches_dense_reference(c, start, step, order):
 
 
 def test_geometric_inverse_powers_and_guards():
-    g = geometric_inverse(Fraction(-2, 3), 3, 10)
-    assert g.coeffs == tuple(Fraction(-2, 3) ** (i // 3) if i % 3 == 0 else 0
-                             for i in range(11))
-    with pytest.raises(ValueError):
-        geometric_inverse(1, 0, 5)
+    # 1/(1 - c q^3) by the division kernel: c^j at q^{3j}, 0 elsewhere
+    g = psers._one(10)
+    psers._div_binomial(g, Fraction(-2, 3), 3)
+    assert g.series().coeffs == tuple(
+        Fraction(-2, 3) ** (i // 3) if i % 3 == 0 else 0 for i in range(11))
     with pytest.raises(ValueError):
         poch_inf(1, -1, 1, 5)
-    with pytest.raises(ValueError):
-        series_product([(Fraction(1), -1)], 5)
 
 
 # One fixed specialization per series identity.

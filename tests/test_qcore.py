@@ -7,19 +7,12 @@ from hypothesis import given, settings, strategies as st
 from qident.hyper import _ints
 from qident.identities import _div, random_rational
 from qident.qcore import (DegenerateQ, MissingSymbol, ParamPoint, PoleError,
-                          Ratio, qbinom, qpoch, qpoch_multi, qrat)
+                          Ratio, qbinom, qpoch, qpoch_multi)
 import reference_loops as ref
 
 nonzero = st.integers(-60, 60).filter(lambda v: v != 0)
 rationals = st.builds(Fraction, nonzero, nonzero)
 qvals = rationals.filter(lambda v: v not in (1, -1))
-
-
-def test_qrat_basic():
-    assert qrat(2, 4) == Fraction(1, 2)
-    assert qrat("3/7") == Fraction(3, 7)
-    with pytest.raises(PoleError):
-        qrat(1, 0)
 
 
 def test_rational_normal_form():
@@ -198,6 +191,34 @@ def test_point_ratio_view():
     assert p.ratios("a")[0] is a
     with pytest.raises(MissingSymbol):
         p.ratios("ab")
+
+
+point_symbols = st.dictionaries(
+    st.sampled_from("abz"),
+    st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2)), max_size=3)
+point_indices = st.dictionaries(st.sampled_from("nm"), st.integers(0, 1),
+                                max_size=2)
+
+
+@settings(max_examples=300)
+@given(point_symbols, point_indices, point_symbols, point_indices)
+def test_points_are_equal_exactly_when_their_values_are(syms, idxs,
+                                                        other_syms,
+                                                        other_idxs):
+    # the row memo's key: equal points hash alike, built in any order, from
+    # ints or Fractions, or by with_symbols to the same values
+    p, other = ParamPoint(syms, idxs), ParamPoint(other_syms, other_idxs)
+    same = syms == other_syms and idxs == other_idxs
+    assert (p == other) == same and (p != other) == (not same)
+    if same:
+        assert hash(p) == hash(other)
+    as_ints = {k: int(v) if v.denominator == 1 else v for k, v in syms.items()}
+    for twin in (ParamPoint(dict(reversed(as_ints.items())),
+                            dict(reversed(idxs.items()))),
+                 p.with_symbols(**syms)):
+        assert twin == p and hash(twin) == hash(p)
+    assert ParamPoint(syms, {**idxs, "n": idxs.get("n", 0) + 1}) != p
+    assert p != syms
 
 
 # ---------------------------------------------------------------------------
