@@ -1,6 +1,6 @@
 """qident: exact-arithmetic verification of terminating q-series identities.
 
-Four layers:
+Five layers:
 
 * ``qcore`` — exact rational scalars, parameter points, q-shifted factorials
   and Gaussian binomials;
@@ -15,48 +15,15 @@ Four layers:
   limiting infinite-product identities.
 
 The ``qident`` console script drives everything with reproducible seeds.
+The package exports what the README's library example imports; everything
+else is read from its module.
 """
 
-from .qcore import (QIdentityError, PoleError, DegenerateQ, MissingSymbol,
-                    ParamPoint, qpoch, qpoch_multi, qbinom)
-from .hyper import (WellPoisedTerm, wp_term,
-                    contiguous_alpha, contiguous_beta,
-                    contiguous_residual_1, contiguous_residual_2,
-                    trivial_identity_residuals, poch_ratio_sum)
-from .identities import (IdentityDescriptor, VerificationReport,
-                         RetryExhausted, CounterexampleFound,
-                         list_identities, identity_ids, get_identity,
-                         eval_sides, verify, sample_point, serialize_point,
-                         random_rational, random_q, derive_trial_seed)
-from .certs import (ProofCertificate, list_certificates, certificate_ids,
-                    get_certificate, term_recurrence_residual,
-                    telescoping_residual, boundary_check, inductive_replay,
-                    schlosser_split_residual, schlosser_coeff_residual,
-                    sample_certificate_point)
-from .psers import (QSeries, poch_inf, infinite_identity_residual,
-                    SERIES_IDENTITIES, jacobi_product_relation_residual,
-                    quintuple_product_relation_residual)
+from .qcore import ParamPoint
+from .identities import eval_sides, verify
+from .certs import inductive_replay, sample_certificate_point
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "QIdentityError", "PoleError", "DegenerateQ", "MissingSymbol",
-    "ParamPoint", "qpoch", "qpoch_multi", "qbinom",
-    "WellPoisedTerm", "wp_term",
-    "contiguous_alpha", "contiguous_beta",
-    "contiguous_residual_1", "contiguous_residual_2",
-    "trivial_identity_residuals", "poch_ratio_sum",
-    "IdentityDescriptor", "VerificationReport",
-    "RetryExhausted", "CounterexampleFound",
-    "list_identities", "identity_ids", "get_identity",
-    "eval_sides", "verify", "sample_point", "serialize_point",
-    "random_rational", "random_q", "derive_trial_seed",
-    "ProofCertificate", "list_certificates", "certificate_ids",
-    "get_certificate", "term_recurrence_residual", "telescoping_residual",
-    "boundary_check", "inductive_replay",
-    "schlosser_split_residual", "schlosser_coeff_residual",
-    "sample_certificate_point",
-    "QSeries", "poch_inf", "infinite_identity_residual", "SERIES_IDENTITIES",
-    "jacobi_product_relation_residual", "quintuple_product_relation_residual",
-    "__version__",
-]
+__all__ = ["ParamPoint", "eval_sides", "verify", "inductive_replay",
+           "sample_certificate_point", "__version__"]

@@ -1,33 +1,28 @@
 """Command-line driver: identity verification, certificate replay, and
 truncated-series checks, with reproducible seeds and machine-readable reports.
 
-Exit status: 0 when every selected check passed, 1 on any failure, 2 on
-configuration errors.  Reports are deterministic for a fixed config modulo
-the elapsed_s timing fields.  Counterexample points are printed as exact
-fractions.
+Every setting is a command-line option, and ``SETTINGS`` gives each integer
+option its flag, ``RunConfig`` field and range.  Exit status: 0 when every
+selected check passed, 1 on any failure, 2 on configuration errors.  Reports
+are deterministic for a fixed config modulo the elapsed_s timing fields.
+Counterexample points are printed as exact fractions.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import identities as ident
 from . import certs
 from . import psers
 
-DEFAULT_TRIALS = 20
-DEFAULT_SEED = 42
-SERIES_DEFAULT_TRIALS = 5
-SERIES_DEFAULT_ORDER = 60
-CERT_DEFAULT_TRIALS = 10
 CERT_REPLAY_N_MAX = 5
 CERT_CHECKS = ("term_recurrence", "telescoping", "boundary", "replay")
 
@@ -38,34 +33,26 @@ class RunConfig:
     identity_ids: Tuple[str, ...] = ()
     proof_ids: Tuple[str, ...] = ()
     series_ids: Tuple[str, ...] = ()
-    trials: int = DEFAULT_TRIALS
-    seed: int = DEFAULT_SEED
+    trials: int = 20
+    seed: int = 42
     n_max: int = 6
     m_max: int = 4
     r_max: int = 3
-    order: int = SERIES_DEFAULT_ORDER
-    series_trials: int = SERIES_DEFAULT_TRIALS
-    cert_trials: int = CERT_DEFAULT_TRIALS
+    order: int = 60
+    series_trials: int = 5
+    cert_trials: int = 10
     max_abs: int = ident.DEFAULT_SIZE_BOUND
     fmt: str = "text"
     out: Optional[str] = None
 
     def echo(self) -> Dict:
-        return {
-            "command": self.command,
-            "identities": list(self.identity_ids),
-            "proofs": list(self.proof_ids),
-            "series": list(self.series_ids),
-            "trials": self.trials,
-            "cert_trials": self.cert_trials,
-            "series_trials": self.series_trials,
-            "seed": self.seed,
-            "n_max": self.n_max,
-            "m_max": self.m_max,
-            "r_max": self.r_max,
-            "order": self.order,
-            "max_abs": self.max_abs,
-        }
+        """The report's copy of the config, without where the report goes."""
+        echo = asdict(self)
+        del echo["fmt"], echo["out"]
+        for field, key in (("identity_ids", "identities"),
+                           ("proof_ids", "proofs"), ("series_ids", "series")):
+            echo[key] = list(echo.pop(field))
+        return echo
 
 
 class ConfigError(Exception):
@@ -338,128 +325,106 @@ def _emit(report: Dict, config: RunConfig) -> None:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _int_env(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError("environment variable %s=%r is not an integer"
-                          % (name, raw))
+class Setting(NamedTuple):
+    """A command's integer option: the ``RunConfig`` field it sets, its least
+    value (None: any), its most, and a default other than the field's."""
+    flag: str
+    field: str
+    floor: Optional[int]
+    most: Optional[int] = None
+    default: Optional[int] = None
+    help: Optional[str] = None
 
 
-def build_parser(default_seed: int, default_trials: int) -> argparse.ArgumentParser:
+_SEED = Setting("--seed", "seed", None)
+# q is drawn from the rationals of size <= max_abs other than 0 and +-1
+_MAX_ABS = Setting("--max-abs", "max_abs", 2,
+                   help="numerator/denominator size bound for samples")
+
+# every command's integer options, in --help order
+SETTINGS: Dict[str, Tuple[Setting, ...]] = {
+    "verify": (Setting("--trials", "trials", 1),
+               Setting("--n-max", "n_max", 0),
+               Setting("--m-max", "m_max", 0),
+               Setting("--r-max", "r_max", 1, ident.MULTISUM_MAX_R),
+               _SEED, _MAX_ABS),
+    # every proof must check at least one recurrence: the deepest has order 2
+    "certify": (Setting("--trials", "cert_trials", 1),
+                Setting("--n-max", "n_max", 2, default=CERT_REPLAY_N_MAX),
+                Setting("--r-max", "r_max", 1, certs.SCHLOSSER_REPLAY_MAX_R),
+                _SEED, _MAX_ABS),
+    "series": (Setting("--trials", "series_trials", 1),
+               Setting("--order", "order", 0),
+               _SEED, _MAX_ABS._replace(floor=1)),
+    "all": (Setting("--trials", "trials", 1),
+            Setting("--cert-trials", "cert_trials", 1),
+            Setting("--series-trials", "series_trials", 1),
+            Setting("--n-max", "n_max", 2),
+            Setting("--m-max", "m_max", 0),
+            Setting("--r-max", "r_max", 1, certs.SCHLOSSER_REPLAY_MAX_R),
+            Setting("--order", "order", 0),
+            _SEED, _MAX_ABS),
+}
+
+# the fields in the order their values are checked (of several bad values,
+# the first is reported), each with whether its message names the command
+_CHECKS = {"max_abs": True, "order": False, "trials": False,
+           "cert_trials": False, "series_trials": False,
+           "n_max": True, "m_max": True, "r_max": True}
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qident",
         description="Exact verification of terminating q-series identities, "
                     "proof-certificate replay, and truncated-series checks.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--seed", type=int, default=default_seed)
-        p.add_argument("--max-abs", type=int, default=ident.DEFAULT_SIZE_BOUND,
-                       help="numerator/denominator size bound for samples")
+    pv = sub.add_parser("verify", help="verify terminating identities")
+    pv.add_argument("--id", dest="identity_ids", metavar="ID",
+                    action="append", help="identity id or 'all' (repeatable)")
+    pc = sub.add_parser("certify", help="replay proof certificates")
+    pc.add_argument("--proof", dest="proof_ids", metavar="PROOF",
+                    action="append", help="proof id or 'all' (repeatable)")
+    ps = sub.add_parser("series", help="check limiting product identities")
+    ps.add_argument("--id", dest="series_ids", metavar="ID",
+                    action="append", help="series id or 'all' (repeatable)")
+    sub.add_parser("all", help="run every registered check")
+    for command, p in sub.choices.items():
+        for s in SETTINGS[command]:
+            p.add_argument(s.flag, dest=s.field, type=int, help=s.help,
+                           metavar=s.flag[2:].upper().replace("-", "_"),
+                           default=(getattr(RunConfig, s.field)
+                                    if s.default is None else s.default))
         p.add_argument("--format", dest="fmt", choices=("text", "json"),
                        default="text")
         p.add_argument("--out", default=None, help="write the report here "
                        "instead of standard output")
-
-    pv = sub.add_parser("verify", help="verify terminating identities")
-    pv.add_argument("--id", action="append", default=None,
-                    help="identity id or 'all' (repeatable)")
-    pv.add_argument("--trials", type=int, default=default_trials)
-    pv.add_argument("--n-max", type=int, default=6)
-    pv.add_argument("--m-max", type=int, default=4)
-    pv.add_argument("--r-max", type=int, default=3)
-    common(pv)
-
-    pc = sub.add_parser("certify", help="replay proof certificates")
-    pc.add_argument("--proof", action="append", default=None,
-                    help="proof id or 'all' (repeatable)")
-    pc.add_argument("--trials", type=int, default=CERT_DEFAULT_TRIALS)
-    pc.add_argument("--n-max", type=int, default=CERT_REPLAY_N_MAX)
-    pc.add_argument("--r-max", type=int, default=3)
-    common(pc)
-
-    ps = sub.add_parser("series", help="check limiting product identities")
-    ps.add_argument("--id", action="append", default=None,
-                    help="series id or 'all' (repeatable)")
-    ps.add_argument("--trials", type=int, default=SERIES_DEFAULT_TRIALS)
-    ps.add_argument("--order", type=int, default=SERIES_DEFAULT_ORDER)
-    common(ps)
-
-    pa = sub.add_parser("all", help="run every registered check")
-    pa.add_argument("--trials", type=int, default=default_trials)
-    pa.add_argument("--cert-trials", type=int, default=CERT_DEFAULT_TRIALS)
-    pa.add_argument("--series-trials", type=int, default=SERIES_DEFAULT_TRIALS)
-    pa.add_argument("--n-max", type=int, default=6)
-    pa.add_argument("--m-max", type=int, default=4)
-    pa.add_argument("--r-max", type=int, default=3)
-    pa.add_argument("--order", type=int, default=SERIES_DEFAULT_ORDER)
-    common(pa)
     return parser
 
 
-def _check_ranges(args: argparse.Namespace) -> None:
-    """Reject values that would hang, crash or run no trial at all."""
-    # q is drawn from the rationals of size <= max_abs other than 0 and +-1
-    least = 1 if args.command == "series" else 2
-    if args.max_abs < least:
-        raise ConfigError("--max-abs must be at least %d for %s, got %d"
-                          % (least, args.command, args.max_abs))
-    if getattr(args, "order", 0) < 0:
-        raise ConfigError("--order must be at least 0, got %d" % args.order)
-    for attr in ("trials", "cert_trials", "series_trials"):
-        value = getattr(args, attr, 1)
-        if value < 1:
-            raise ConfigError("--%s must be at least 1, got %d"
-                              % (attr.replace("_", "-"), value))
-    # every proof must check at least one recurrence: the deepest has order 2
-    least_n = 0 if args.command == "verify" else 2
-    for attr, least in (("n_max", least_n), ("m_max", 0), ("r_max", 1)):
-        value = getattr(args, attr, least)
-        if value < least:
-            raise ConfigError("--%s must be at least %d for %s, got %d"
-                              % (attr.replace("_", "-"), least, args.command,
-                                 value))
-    most_r = (ident.MULTISUM_MAX_R if args.command == "verify"
-              else certs.SCHLOSSER_REPLAY_MAX_R)
-    if getattr(args, "r_max", 1) > most_r:
-        raise ConfigError("--r-max must be at most %d for %s, got %d"
-                          % (most_r, args.command, args.r_max))
-
-
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    _check_ranges(args)
+    """The run's config; ConfigError for a value that would hang, crash or
+    run no trial at all."""
     command = args.command
-    config = RunConfig(command=command, seed=args.seed, max_abs=args.max_abs,
-                       fmt=args.fmt, out=args.out)
-    if command == "verify":
-        config.identity_ids = _resolve_selection(
-            args.id or (), ident.identity_ids(), "identity")
-        config.trials = args.trials
-        config.n_max, config.m_max, config.r_max = args.n_max, args.m_max, args.r_max
-    elif command == "certify":
-        config.proof_ids = _resolve_selection(
-            args.proof or (), certs.certificate_ids(), "proof")
-        config.cert_trials = args.trials
-        config.n_max = args.n_max
-        config.r_max = args.r_max
-    elif command == "series":
-        config.series_ids = _resolve_selection(
-            args.id or (), psers.SERIES_IDENTITIES, "series identity")
-        config.series_trials = args.trials
-        config.order = args.order
-    else:
-        config.identity_ids = tuple(ident.identity_ids())
-        config.proof_ids = tuple(certs.certificate_ids())
-        config.series_ids = tuple(psers.SERIES_IDENTITIES)
-        config.trials = args.trials
-        config.cert_trials = args.cert_trials
-        config.series_trials = args.series_trials
-        config.n_max, config.m_max, config.r_max = args.n_max, args.m_max, args.r_max
-        config.order = args.order
+    rows = {s.field: s for s in SETTINGS[command]}
+    values = {field: getattr(args, field) for field in rows}
+    for field in [field for field in _CHECKS if field in rows]:
+        s, value = rows[field], values[field]
+        where = " for %s" % command if _CHECKS[field] else ""
+        if value < s.floor:
+            raise ConfigError("%s must be at least %d%s, got %d"
+                              % (s.flag, s.floor, where, value))
+        if s.most is not None and value > s.most:
+            raise ConfigError("%s must be at most %d%s, got %d"
+                              % (s.flag, s.most, where, value))
+    for field, known, what in (
+            ("identity_ids", ident.identity_ids(), "identity"),
+            ("proof_ids", certs.certificate_ids(), "proof"),
+            ("series_ids", psers.SERIES_IDENTITIES, "series identity")):
+        if command == "all" or hasattr(args, field):
+            values[field] = _resolve_selection(
+                getattr(args, field, None) or (), known, what)
+    config = RunConfig(command=command, fmt=args.fmt, out=args.out, **values)
     # at --max-abs 2 only 6 rationals exist (+-1, +-2, +-1/2); a multi-index
     # certificate's x_1..x_r must avoid its symbols and q, up to 5 of them
     if (config.max_abs == 2 and config.r_max >= 2
@@ -470,14 +435,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    try:
-        default_seed = _int_env("QIDENT_SEED", DEFAULT_SEED)
-        default_trials = _int_env("QIDENT_TRIALS", DEFAULT_TRIALS)
-    except ConfigError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    parser = build_parser(default_seed, default_trials)
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = config_from_args(args)
     except ConfigError as exc:

@@ -26,10 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
-from .qcore import PoleError, Ratio
+from .qcore import PoleError, Ratio, _ints
 
 # Terms as unreduced int pairs (num_k, den_k), each den_k dividing den_{k+1}.
 Pairs = Iterator[Tuple[int, int]]
@@ -90,15 +89,6 @@ def _run(a, qn: int, qd: int) -> list:
     if isinstance(a, tuple):
         return [*_ints(a[0]), *_ints(a[1])]
     return [*_ints(a), qn, qd]
-
-
-def _ints(v) -> Tuple[int, int]:
-    """Numerator and denominator of a rational value, reduced with one gcd."""
-    if not isinstance(v, (Ratio, int, Fraction)):
-        v = Fraction(v)
-    num, den = v.numerator, v.denominator
-    g = gcd(num, den) * (-1 if den < 0 else 1)
-    return num // g, den // g
 
 
 def poch_ratio(nums: Sequence, dens: Sequence, q, n: int, z=1,

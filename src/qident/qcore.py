@@ -13,7 +13,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from math import gcd
+from typing import Mapping, Sequence, Tuple
 
 
 class QIdentityError(Exception):
@@ -79,6 +80,15 @@ class Ratio:
         return repr(Fraction(self.numerator, self.denominator))
 
     __rmul__, __radd__ = __mul__, __add__
+
+
+def _ints(v) -> Tuple[int, int]:
+    """Numerator and denominator of a rational value, reduced with one gcd."""
+    if not isinstance(v, (Ratio, int, Fraction)):
+        v = Fraction(v)
+    num, den = v.numerator, v.denominator
+    g = gcd(num, den) * (-1 if den < 0 else 1)
+    return num // g, den // g
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,18 +178,19 @@ def qpoch(a, q, n: int) -> Fraction:
     n < 0 it is 1 / (a q^n;q)_{-n}, which raises PoleError when a factor of
     that product vanishes.
     """
-    a = Fraction(a.numerator, a.denominator) if type(a) is Ratio else Fraction(a)
-    q = Fraction(q.numerator, q.denominator) if type(q) is Ratio else Fraction(q)
-    qn, qd = q.numerator, q.denominator
     num = den = 1
     if n >= 0:
-        pn, pd = a.numerator, a.denominator         # a q^k
+        pn, pd = _ints(a)                           # a q^k
+        qn, qd = _ints(q)
         for _ in range(n):
             num *= pd - pn
             den *= pd
             pn *= qn
             pd *= qd
         return Fraction(num, den)
+    a = Fraction(a.numerator, a.denominator) if type(a) is Ratio else Fraction(a)
+    q = Fraction(q.numerator, q.denominator) if type(q) is Ratio else Fraction(q)
+    qn, qd = q.numerator, q.denominator
     p = a / q
     pn, pd = p.numerator, p.denominator             # a q^{-j}
     for j in range(1, -n + 1):
