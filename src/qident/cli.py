@@ -16,8 +16,7 @@ import random
 import sys
 import time
 from dataclasses import asdict, dataclass
-from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import identities as ident
 from . import certs
@@ -75,19 +74,6 @@ def _note_n_cap(item_id: str, n_max: int, config: RunConfig,
 # per-item runners
 # ---------------------------------------------------------------------------
 
-def _is_multisum(identity_id: str) -> bool:
-    return {"n", "r"} <= set(ident.get_identity(identity_id).index_names)
-
-
-def _identity_ranges(identity_id: str, config: RunConfig) -> Dict[str, Tuple[int, int]]:
-    """The sampled range of each of the identity's indices n, m and r."""
-    n_max = (min(config.n_max, ident.MULTISUM_MAX_N)
-             if _is_multisum(identity_id) else config.n_max)
-    ranges = {"n": (0, n_max), "m": (0, config.m_max), "r": (1, config.r_max)}
-    names = ident.get_identity(identity_id).index_names
-    return {name: ranges[name] for name in names if name in ranges}
-
-
 def _new_item(kind: str, item_id: str, trials: int, **extra) -> Dict:
     """An item's report before its first trial.  Every kind counts in
     ``rejected`` the trials that used up their pole retries (all of them
@@ -100,10 +86,12 @@ def _new_item(kind: str, item_id: str, trials: int, **extra) -> Dict:
 
 
 def _verify_item(identity_id: str, config: RunConfig) -> Dict:
-    ranges = _identity_ranges(identity_id, config)
+    desc = ident.get_identity(identity_id)
+    ranges = ident.sampled_ranges(desc, config.n_max, config.m_max,
+                                  config.r_max)
     if "n" in ranges:
         _note_n_cap(identity_id, ranges["n"][1], config)
-    if _is_multisum(identity_id) and config.r_max >= 3:
+    if desc.multisum and config.r_max >= 3:
         _progress("# %s: multi-sum verification up to r=%d"
                   % (identity_id, config.r_max))
     item = _new_item("identity", identity_id, config.trials)
@@ -210,16 +198,6 @@ def _certify_item(proof_id: str, config: RunConfig) -> Dict:
     return item
 
 
-def _series_symbols(series_id: str, rng: random.Random, bound: int
-                    ) -> Dict[str, Fraction]:
-    if series_id == "lebesgue_inf":
-        return {"a": ident.random_rational(rng, bound)}
-    if series_id == "q_kummer":
-        return {"a": ident.random_rational(rng, bound),
-                "b": ident.random_rational(rng, bound)}
-    return {"z": ident.random_rational(rng, bound)}
-
-
 def _series_item(series_id: str, config: RunConfig) -> Dict:
     item = _new_item("series", series_id, config.series_trials,
                      order=config.order)
@@ -233,7 +211,8 @@ def _series_item(series_id: str, config: RunConfig) -> Dict:
                 "coefficient": str(residual.coeffs[first_bad])}
 
     _run_trials(item, "series:%s" % series_id, config,
-                lambda rng: _series_symbols(series_id, rng, config.max_abs),
+                lambda rng: {name: ident.random_rational(rng, config.max_abs)
+                             for name in psers.SERIES[series_id].symbols},
                 lambda symbols: psers.infinite_identity_residual(
                     series_id, symbols, config.order), judge)
     return item
@@ -244,17 +223,22 @@ def _series_item(series_id: str, config: RunConfig) -> Dict:
 # ---------------------------------------------------------------------------
 
 def _resolve_selection(requested: Sequence[str], known: Sequence[str],
-                       what: str) -> Tuple[str, ...]:
+                       lookup: Callable[[str], object], what: str
+                       ) -> Tuple[str, ...]:
+    """The requested ids, or every known one if 'all' is among them; a
+    ConfigError for an id that lookup does not know or that is repeated."""
+    for i, name in enumerate(requested):
+        if name in requested[:i]:
+            raise ConfigError("%s %r given more than once" % (what, name))
+        if name != "all":
+            try:
+                lookup(name)
+            except KeyError:
+                raise ConfigError("unknown %s %r (known: %s)"
+                                  % (what, name, ", ".join(known))) from None
     if not requested or "all" in requested:
         return tuple(known)
-    out = []
-    for name in requested:
-        if name not in known and not (what == "identity"
-                                      and name == "lebesgue_finite_2"):
-            raise ConfigError("unknown %s %r (known: %s)"
-                              % (what, name, ", ".join(known)))
-        out.append(name)
-    return tuple(out)
+    return tuple(requested)
 
 
 def run(config: RunConfig) -> Tuple[int, Dict]:
@@ -417,13 +401,16 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         if s.most is not None and value > s.most:
             raise ConfigError("%s must be at most %d%s, got %d"
                               % (s.flag, s.most, where, value))
-    for field, known, what in (
-            ("identity_ids", ident.identity_ids(), "identity"),
-            ("proof_ids", certs.certificate_ids(), "proof"),
-            ("series_ids", psers.SERIES_IDENTITIES, "series identity")):
+    for field, known, lookup, what in (
+            ("identity_ids", ident.identity_ids(), ident.get_identity,
+             "identity"),
+            ("proof_ids", certs.certificate_ids(), certs.get_certificate,
+             "proof"),
+            ("series_ids", psers.SERIES_IDENTITIES, psers.SERIES.__getitem__,
+             "series identity")):
         if command == "all" or hasattr(args, field):
             values[field] = _resolve_selection(
-                getattr(args, field, None) or (), known, what)
+                getattr(args, field, None) or (), known, lookup, what)
     config = RunConfig(command=command, fmt=args.fmt, out=args.out, **values)
     # at --max-abs 2 only 6 rationals exist (+-1, +-2, +-1/2); a multi-index
     # certificate's x_1..x_r must avoid its symbols and q, up to 5 of them

@@ -6,6 +6,8 @@ fresh point, applies the identity's derived-symbol constraints (balancing
 conditions such as e = a^2 q^{n+1}/bcd), rejects points on pole guards, and
 asserts exact equality of the two sides.  Failure probability per trial is
 bounded by total degree over sample-space size and is negligible here.
+``sampled_ranges`` is the one rule for the range of each index n, m and r,
+for ``verify`` and the CLI alike; ``sample_point`` draws k in [-m, n].
 Every kernel parameter, derived symbol and closed-form factor is built from
 the point's ``Ratio`` int pairs, and each side is reduced once, to a Fraction.
 """
@@ -29,7 +31,7 @@ from .hyper import (Pairs, TermRow, _ints, linear, pair_row, pair_sum,
 
 # Cost guard for the r-fold multi-sums (exact bignum arithmetic grows fast).
 MULTISUM_MAX_R = 4
-# Largest n the multi-sums are verified at by default and from the CLI.
+# Largest n the multi-sums are verified at (see sampled_ranges).
 MULTISUM_MAX_N = 3
 MULTISUM_MAX_TERMS = 2500
 
@@ -179,11 +181,14 @@ class IdentityDescriptor:
     rhs: Evaluator
     derive: Optional[Callable[[ParamPoint], ParamPoint]] = None
     guards: Optional[Callable[[ParamPoint], Iterable[Tuple[str, Fraction]]]] = None
-    sample_indices: Optional[Callable[[random.Random, Mapping], Dict[str, int]]] = None
     xcheck: Optional[Callable[[ParamPoint, random.Random, int],
                               Tuple[Fraction, Fraction]]] = None
-    default_ranges: Mapping[str, Tuple[int, int]] = field(default_factory=dict)
     notes: str = ""
+
+    @property
+    def multisum(self) -> bool:
+        """An r-fold sum over n; the n = 1 lemma, which has no n, is not."""
+        return {"n", "r"} <= set(self.index_names)
 
 
 @dataclass
@@ -256,15 +261,15 @@ def random_q(rng: random.Random, bound: int = DEFAULT_SIZE_BOUND) -> Fraction:
             return v
 
 
-def _default_sample_indices(names: Sequence[str], defaults: Mapping[str, Tuple[int, int]]
-                            ) -> Callable[[random.Random, Mapping], Dict[str, int]]:
-    def sample(rng: random.Random, ranges: Mapping) -> Dict[str, int]:
-        out = {}
-        for name in names:
-            lo, hi = ranges.get(name, defaults.get(name, (0, 6)))
-            out[name] = rng.randint(lo, hi)
-        return out
-    return sample
+def sampled_ranges(desc: IdentityDescriptor, n_max: int = 6, m_max: int = 4,
+                   r_max: int = 3) -> Dict[str, Tuple[int, int]]:
+    """The range each of the identity's indices n, m and r is drawn from:
+    n in [0, n_max], at most MULTISUM_MAX_N for the multi-sums, m in
+    [0, m_max] and r in [1, r_max]."""
+    if desc.multisum:
+        n_max = min(n_max, MULTISUM_MAX_N)
+    ranges = {"n": (0, n_max), "m": (0, m_max), "r": (1, r_max)}
+    return {name: ranges[name] for name in desc.index_names if name in ranges}
 
 
 def _sample_symbols(rng: random.Random, names: Sequence[str], indices: Mapping,
@@ -757,14 +762,6 @@ def _distinct_x_guard(p: ParamPoint):
             for i, j in itertools.combinations(range(len(xs)), 2)]
 
 
-def _pref_sample_indices(rng: random.Random, ranges: Mapping) -> Dict[str, int]:
-    n_lo, n_hi = ranges.get("n", (0, 6))
-    m_lo, m_hi = ranges.get("m", (0, 4))
-    n = rng.randint(n_lo, n_hi)
-    m = rng.randint(m_lo, m_hi)
-    return {"n": n, "m": m, "k": rng.randint(-m, n)}
-
-
 def _build_registry() -> Dict[str, IdentityDescriptor]:
     reg: Dict[str, IdentityDescriptor] = {}
 
@@ -818,16 +815,14 @@ def _build_registry() -> Dict[str, IdentityDescriptor]:
         symbols=("a", "b", "c", "d"),
         index_names=("n", "r"),
         lhs=schlosser_lhs, rhs=schlosser_rhs,
-        guards=_distinct_x_guard,
-        default_ranges={"n": (0, MULTISUM_MAX_N), "r": (1, 3)}))
+        guards=_distinct_x_guard))
 
     add(IdentityDescriptor(
         id="schlosser_lemma_n1",
         symbols=("a", "b", "c", "d"),
         index_names=("r",),
         lhs=schlosser_lemma_lhs, rhs=schlosser_lemma_rhs,
-        guards=_distinct_x_guard,
-        default_ranges={"r": (1, 3)}))
+        guards=_distinct_x_guard))
 
     add(IdentityDescriptor(
         id="sch_8phi7_special",
@@ -841,8 +836,7 @@ def _build_registry() -> Dict[str, IdentityDescriptor]:
         index_names=("n", "r"),
         lhs=lambda p: _cr_lhs(p, signed=False), rhs=_cr1_rhs,
         guards=_distinct_x_guard,
-        xcheck=_cr_xcheck(signed=False),
-        default_ranges={"n": (0, MULTISUM_MAX_N), "r": (1, 3)}))
+        xcheck=_cr_xcheck(signed=False)))
 
     add(IdentityDescriptor(
         id="cr_prop_2",
@@ -851,7 +845,6 @@ def _build_registry() -> Dict[str, IdentityDescriptor]:
         lhs=lambda p: _cr_lhs(p, signed=True), rhs=_cr2_rhs,
         guards=_distinct_x_guard,
         xcheck=_cr_xcheck(signed=True),
-        default_ranges={"n": (0, MULTISUM_MAX_N), "r": (1, 3)},
         notes="per-index weight (-1)^{s_i} q^{-(r-1) s_i}; right side vanishes "
               "for odd n"))
 
@@ -865,8 +858,7 @@ def _build_registry() -> Dict[str, IdentityDescriptor]:
         id="jacobi_finite",
         symbols=("z",),
         index_names=("n", "m"),
-        lhs=_jacobi_finite_lhs, rhs=_jacobi_finite_rhs,
-        default_ranges={"n": (0, 6), "m": (0, 4)}))
+        lhs=_jacobi_finite_lhs, rhs=_jacobi_finite_rhs))
 
     add(IdentityDescriptor(
         id="jacobi_prefactor_relation",
@@ -874,8 +866,6 @@ def _build_registry() -> Dict[str, IdentityDescriptor]:
         index_names=("n", "m", "k"),
         lhs=_jacobi_pref_lhs, rhs=_jacobi_pref_rhs,
         guards=lambda p: [("1 + z", 1 + p.sym("z"))],
-        sample_indices=_pref_sample_indices,
-        default_ranges={"n": (0, 6), "m": (0, 4)},
         notes="termwise change-of-variables relation; k ranges over [-m, n]; "
               "z = -1 is guarded, since both sides vanish there for k < -n"))
 
@@ -890,8 +880,7 @@ def _build_registry() -> Dict[str, IdentityDescriptor]:
         symbols=("z",),
         index_names=("n", "m"),
         lhs=_quintuple_mn_lhs, rhs=_one,
-        guards=lambda p: [("1 - z^2", 1 - p.sym("z")**2)],
-        default_ranges={"n": (0, 6), "m": (0, 4)}))
+        guards=lambda p: [("1 - z^2", 1 - p.sym("z")**2)]))
 
     add(IdentityDescriptor(
         id="quintuple_ccg",
@@ -965,10 +954,14 @@ def eval_sides(identity_id: str, point: ParamPoint) -> Tuple[Fraction, Fraction]
 def sample_point(desc: IdentityDescriptor, rng: random.Random,
                  index_ranges: Mapping, size_bound: int = DEFAULT_SIZE_BOUND
                  ) -> ParamPoint:
-    """One random rational point for the descriptor (before derive/guards)."""
-    idx_sampler = desc.sample_indices or _default_sample_indices(
-        desc.index_names, desc.default_ranges)
-    indices = idx_sampler(rng, index_ranges)
+    """One random rational point for the descriptor (before derive/guards):
+    the indices in ``index_names`` order, each from index_ranges or else
+    ``sampled_ranges(desc)``, k last, in [-m, n], and then the symbols."""
+    indices = {name: rng.randint(*(index_ranges.get(name)
+                                   or sampled_ranges(desc)[name]))
+               for name in desc.index_names if name != "k"}
+    if "k" in desc.index_names:
+        indices["k"] = rng.randint(-indices["m"], indices["n"])
     return ParamPoint(_sample_symbols(rng, desc.symbols, indices, size_bound),
                       indices)
 
@@ -1001,13 +994,15 @@ def verify(identity_id: str, trials: int, seed: int,
     reports are reproducible.  Raises CounterexampleFound on the first exact
     mismatch and RetryExhausted if every trial drowned in pole rejections;
     the report rides on either exception.
+    index_ranges overrides ``sampled_ranges(desc)`` index by index, and the
+    report lists the ranges in effect.
     With ``mutate_rhs`` the right side is multiplied by q, which a healthy
     harness must catch.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     desc = get_identity(identity_id)
-    ranges = dict(desc.default_ranges)
+    ranges = sampled_ranges(desc)
     if index_ranges:
         ranges.update({k: tuple(v) for k, v in index_ranges.items()})
     report = VerificationReport(identity=desc.id, seed=seed,

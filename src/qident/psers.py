@@ -6,7 +6,8 @@ truncating after an operation equals operating on truncated inputs.  These
 series verify the limiting product identities (triple product, quintuple
 product, and allied sums) to a prescribed order: the non-q symbols are
 specialized to random nonzero rationals, so every q-coefficient comparison
-is a rational-function identity check in its own right.
+is a rational-function identity check in its own right.  ``SERIES`` names
+each identity's symbols, in the order they are drawn, and its residual.
 
 The products are built from factors (1 - c q^e)^{+-1} (Gasper & Rahman,
 *Basic Hypergeometric Series*, 2nd ed., section 1.2).  Each factor is applied
@@ -26,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import List, Mapping, Tuple, Union
+from typing import Callable, Dict, List, Mapping, NamedTuple, Tuple, Union
 
 from .qcore import ParamPoint, PoleError
 
@@ -296,10 +297,6 @@ def poch_inf(coeff, start: int, step: int, order: int) -> QSeries:
     return out.series()
 
 
-SERIES_IDENTITIES = ("jacobi_triple", "quintuple", "lebesgue_inf",
-                     "ab11", "ab00", "q_kummer")
-
-
 def _params_of(params: Union[ParamPoint, Mapping]) -> Mapping[str, Fraction]:
     if isinstance(params, ParamPoint):
         return params.symbols
@@ -448,29 +445,37 @@ def _q_kummer_residual(a: Fraction, b: Fraction, order: int) -> QSeries:
     return _residual(lhs, rhs)
 
 
+class Series(NamedTuple):
+    """A limiting identity's symbols, in the order they are drawn, and its
+    residual, called with their values and the order."""
+    symbols: Tuple[str, ...]
+    residual: Callable[..., QSeries]
+
+
+SERIES: Dict[str, Series] = {
+    "jacobi_triple": Series(("z",), _jacobi_triple_residual),
+    "quintuple": Series(("z",), _quintuple_residual),
+    "lebesgue_inf": Series(("a",), _lebesgue_inf_residual),
+    "ab11": Series(("z",), _ab11_residual),
+    "ab00": Series(("z",), _ab00_residual),
+    "q_kummer": Series(("a", "b"), _q_kummer_residual),
+}
+SERIES_IDENTITIES = tuple(SERIES)
+
+
 def infinite_identity_residual(identity_id: str,
                                params: Union[ParamPoint, Mapping],
                                order: int) -> QSeries:
     """LHS-series minus RHS-series of a limiting identity; the zero series."""
+    if identity_id not in SERIES:
+        raise KeyError("unknown series identity %r (known: %s)"
+                       % (identity_id, ", ".join(SERIES_IDENTITIES)))
     symbols = _params_of(params)
-    if identity_id in ("jacobi_triple", "quintuple", "ab11", "ab00"):
-        z = _need(symbols, "z")
-        if z == 0:
-            raise PoleError("z must be nonzero")
-    if identity_id == "jacobi_triple":
-        return _jacobi_triple_residual(symbols["z"], order)
-    if identity_id == "quintuple":
-        return _quintuple_residual(symbols["z"], order)
-    if identity_id == "lebesgue_inf":
-        return _lebesgue_inf_residual(_need(symbols, "a"), order)
-    if identity_id == "ab11":
-        return _ab11_residual(symbols["z"], order)
-    if identity_id == "ab00":
-        return _ab00_residual(symbols["z"], order)
-    if identity_id == "q_kummer":
-        return _q_kummer_residual(_need(symbols, "a"), _need(symbols, "b"), order)
-    raise KeyError("unknown series identity %r (known: %s)"
-                   % (identity_id, ", ".join(SERIES_IDENTITIES)))
+    series = SERIES[identity_id]
+    values = [_need(symbols, name) for name in series.symbols]
+    if "z" in series.symbols and symbols["z"] == 0:
+        raise PoleError("z must be nonzero")
+    return series.residual(*values, order)
 
 
 def jacobi_product_relation_residual(z, order: int) -> QSeries:

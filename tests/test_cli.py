@@ -66,6 +66,81 @@ def test_unknown_identity_exits_2(capsys):
     assert "unknown identity" in err
 
 
+@pytest.mark.parametrize("argv, what, known", [
+    (["verify", "--id", "all", "--id", "bogus"], "identity",
+     ident.identity_ids()),
+    (["series", "--id", "all", "--id", "bogus"], "series identity",
+     cli.psers.SERIES_IDENTITIES),
+    (["certify", "--proof", "all", "--proof", "bogus"], "proof",
+     cli.certs.certificate_ids()),
+], ids=["verify", "series", "certify"])
+def test_unknown_id_next_to_all_exits_2(capsys, argv, what, known):
+    status, out, err = run_main(capsys, argv + ["--trials", "1"])
+    assert (status, out) == (2, "")
+    assert err.splitlines() == ["error: unknown %s 'bogus' (known: %s)"
+                                % (what, ", ".join(known))]
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["verify", "--id", "lebesgue_finite", "--id", "lebesgue_finite"],
+     "error: identity 'lebesgue_finite' given more than once"),
+    (["verify", "--id", "all", "--id", "jackson_8phi7", "--id", "all"],
+     "error: identity 'all' given more than once"),
+    (["series", "--id", "quintuple", "--id", "ab00", "--id", "quintuple"],
+     "error: series identity 'quintuple' given more than once"),
+    (["certify", "--proof", "singh", "--proof", "singh"],
+     "error: proof 'singh' given more than once"),
+], ids=["verify", "verify_all", "series", "certify"])
+def test_repeated_id_exits_2(capsys, argv, line):
+    status, out, err = run_main(capsys, argv + ["--trials", "1"])
+    assert (status, out) == (2, "")
+    assert err.splitlines() == [line]
+
+
+def test_verify_draws_the_points_the_cli_draws(monkeypatch):
+    """``verify`` with no ranges samples what the CLI samples at its default
+    config: one range rule serves both."""
+    drawn = {}
+    healthy = ident.sample_point
+
+    def recording(desc, *args):
+        point = healthy(desc, *args)
+        drawn.setdefault(desc.id, []).append(ident.serialize_point(point))
+        return point
+
+    monkeypatch.setattr(ident, "sample_point", recording)
+    config = cli.RunConfig(command="verify",
+                           identity_ids=ident.identity_ids())
+    _, report = cli.run(config)
+    by_cli, drawn = drawn, {}   # recording fills the new dict from here
+    for item in report["items"]:
+        got = ident.verify(item["id"], config.trials, config.seed)
+        assert (got.succeeded, got.point_rejections) == \
+            (item["succeeded"], item["point_rejections"])
+    assert len(by_cli) == 18
+    assert drawn == by_cli
+
+
+def test_series_draws_each_entrys_symbols(capsys, monkeypatch):
+    """The CLI draws exactly the symbols ``psers.SERIES`` lists for each
+    series identity, in its order, and the residual there is zero."""
+    calls = []
+    healthy = cli.psers.infinite_identity_residual
+
+    def recording(series_id, symbols, order):
+        residual = healthy(series_id, symbols, order)
+        calls.append((series_id, tuple(symbols), residual.is_zero()))
+        return residual
+
+    monkeypatch.setattr(cli.psers, "infinite_identity_residual", recording)
+    status, _, _ = run_main(capsys, ["series", "--id", "all", "--trials", "2",
+                                     "--order", "12", "--seed", "8"])
+    assert status == 0
+    assert calls == [(series_id, series.symbols, True)
+                     for series_id, series in cli.psers.SERIES.items()
+                     for _ in range(2)]
+
+
 def test_determinism_modulo_timing(capsys):
     argv = ["verify", "--id", "jackson_8phi7", "--id", "cr_prop_2",
             "--trials", "4", "--seed", "11", "--format", "json"]
@@ -407,7 +482,9 @@ def test_max_abs_2_is_kept_where_samples_fit(argv):
 
 def test_identity_ranges_follow_the_index_names():
     config = cli.RunConfig(command="verify", n_max=6, m_max=4, r_max=2)
-    ranges = {i: cli._identity_ranges(i, config) for i in ident.identity_ids()}
+    ranges = {i: ident.sampled_ranges(ident.get_identity(i), config.n_max,
+                                      config.m_max, config.r_max)
+              for i in ident.identity_ids()}
     assert ranges["schlosser_cr"] == {"n": (0, ident.MULTISUM_MAX_N),
                                       "r": (1, 2)}
     assert ranges["schlosser_lemma_n1"] == {"r": (1, 2)}

@@ -308,6 +308,20 @@ def test_cr_xcheck_draws_within_the_size_bound(monkeypatch, identity_id):
             assert abs(x.numerator) <= 3 and x.denominator <= 3, x
 
 
+def test_jacobi_prefactor_draws_k_between_minus_m_and_n():
+    desc = get_identity("jacobi_prefactor_relation")
+    rng = random.Random(12)
+    seen = set()
+    for _ in range(400):
+        indices = sample_point(desc, rng, {"n": (0, 3), "m": (0, 2)}).indices
+        assert list(indices) == ["n", "m", "k"]
+        assert -indices["m"] <= indices["k"] <= indices["n"]
+        seen.add((indices["n"], indices["m"], indices["k"]))
+    # every (n, m, k) with k in [-m, n] occurs
+    assert seen == {(n, m, k) for n in range(4) for m in range(3)
+                    for k in range(-m, n + 1)}
+
+
 def test_cr_xcheck_pole_redraws_the_point(monkeypatch):
     desc = get_identity("cr_prop_1")
     outcomes = []
