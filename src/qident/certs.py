@@ -9,6 +9,9 @@ checks; ``inductive_replay`` then re-derives each identity from its base
 case by propagating the recurrence over the shift orbit and comparing every
 node against direct evaluation of both sides.
 
+``check_ranges`` is the one rule for how far each check runs, and
+``check_point`` runs and counts every check of one sampled point within it.
+
 F, G and H are read a level at a time: ``term``, ``rhs_term`` and
 ``anti_diff`` map (point, n) to the row of level n, whose ``term(k)`` is the
 entry at k (0 outside [0, n]; PoleError from a vanished denominator on).
@@ -60,8 +63,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import (Callable, Dict, Iterable, Iterator, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Callable, Dict, Iterable, Iterator, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 from .hyper import Pairs, TermRow, linear, pair_row, poch_ratio, poch_ratio_pairs
 from .qcore import ParamPoint, PoleError, qpoch, qpoch_multi
@@ -493,6 +496,58 @@ def _resolve(cert: CertOrId) -> ProofCertificate:
     return cert if isinstance(cert, ProofCertificate) else get_certificate(cert)
 
 
+REPLAY_N_MAX = 5
+SCHLOSSER_REPLAY_MAX_R = 3
+SCHLOSSER_REPLAY_MAX_N = 3
+CHECKS = ("term_recurrence", "telescoping", "boundary", "replay")
+# the largest n of the term recurrence, telescoping and boundary checks, the
+# largest n of the replay, and the range r is drawn from (None: no index r)
+CheckRanges = NamedTuple("CheckRanges", [
+    ("sweep_n", int), ("replay_n", int), ("r", Optional[Tuple[int, int]])])
+
+
+def check_ranges(cert: ProofCertificate, n_max: int, r_max: int) -> CheckRanges:
+    """How far each check runs: a single-index proof sweeps to n_max and
+    replays to at most REPLAY_N_MAX; the C_r proof does both to at most
+    SCHLOSSER_REPLAY_MAX_N, with r from its identity's ``sampled_ranges``."""
+    if not cert.multi:
+        return CheckRanges(n_max, min(n_max, REPLAY_N_MAX), None)
+    n = min(n_max, SCHLOSSER_REPLAY_MAX_N)
+    return CheckRanges(n, n, _ident.sampled_ranges(
+        _ident.get_identity(cert.identity), r_max=r_max)["r"])
+
+
+def check_point(cert: ProofCertificate, point: ParamPoint, ranges: CheckRanges
+                ) -> Tuple[Dict[str, int], Optional[Dict]]:
+    """Run every check for one sampled point; returns (counts, failure)."""
+    counts = dict.fromkeys(CHECKS, 0)
+
+    def fail(check: str, **extra) -> Dict:
+        info = {"check": check, "point": _ident.serialize_point(point)}
+        info.update(extra)
+        return info
+
+    for n in range(cert.order, ranges.sweep_n + 1):
+        for k, residual in term_recurrence_residuals(cert, point, n):
+            if residual != 0:
+                return counts, fail("term_recurrence", n=n, k=(
+                    list(k) if cert.multi else k))
+            counts["term_recurrence"] += 1
+    if cert.anti_diff is not None:
+        for n in range(cert.order, ranges.sweep_n + 1):
+            for k, residual in telescoping_residuals(cert, point, n):
+                if residual != 0:
+                    return counts, fail("telescoping", n=n, k=k)
+                counts["telescoping"] += 1
+            if not boundary_check(cert, point, n):
+                return counts, fail("boundary", n=n)
+            counts["boundary"] += 1
+    if not inductive_replay(cert, point, ranges.replay_n):
+        return counts, fail("inductive_replay")
+    counts["replay"] += 1
+    return counts, None
+
+
 # ---------------------------------------------------------------------------
 # residual operations
 # ---------------------------------------------------------------------------
@@ -643,22 +698,21 @@ def inductive_replay(proof: CertOrId, point: ParamPoint, n_max: int) -> bool:
 
 
 def sample_certificate_point(cert: CertOrId, rng, size_bound: int = 1000,
-                             r_range: Tuple[int, int] = (1, 3)) -> ParamPoint:
+                             r_range: Optional[Tuple[int, int]] = None
+                             ) -> ParamPoint:
     """Random rational point carrying the certificate's symbols (plus q, and
-    the x-vector with index r for the multi-index certificate)."""
+    the x-vector with index r for the multi-index certificate).  r is drawn
+    from r_range, by default from the identity's ``sampled_ranges``."""
     cert = _resolve(cert)
     symbols = {s: _ident.random_rational(rng, size_bound) for s in cert.symbols}
     symbols["q"] = _ident.random_q(rng, size_bound)
     indices: Dict[str, int] = {}
     if cert.multi:
-        indices["r"] = rng.randint(*r_range)
+        indices["r"] = rng.randint(*(r_range or _ident.sampled_ranges(
+            _ident.get_identity(cert.identity))["r"]))
         symbols.update(_ident._sample_x_vector(rng, indices["r"], size_bound,
                                                symbols.values()))
     return ParamPoint(symbols, indices)
-
-
-SCHLOSSER_REPLAY_MAX_R = 3
-SCHLOSSER_REPLAY_MAX_N = 3
 
 
 def _schlosser_replay(cert: ProofCertificate, point: ParamPoint,
@@ -667,7 +721,8 @@ def _schlosser_replay(cert: ProofCertificate, point: ParamPoint,
     a -> a q^{level-1}, the split residuals, the coefficient residuals, and a
     direct two-sided evaluation must all hold."""
     r = point.idx("r")
-    n_max = min(n_max, SCHLOSSER_REPLAY_MAX_N)
+    if n_max > SCHLOSSER_REPLAY_MAX_N:
+        raise ValueError("replay cost guard: n <= %d" % SCHLOSSER_REPLAY_MAX_N)
     if r > SCHLOSSER_REPLAY_MAX_R:
         raise ValueError("replay cost guard: r <= %d" % SCHLOSSER_REPLAY_MAX_R)
     a = point.sym("a")

@@ -22,9 +22,6 @@ from . import identities as ident
 from . import certs
 from . import psers
 
-CERT_REPLAY_N_MAX = 5
-CERT_CHECKS = ("term_recurrence", "telescoping", "boundary", "replay")
-
 
 @dataclass
 class RunConfig:
@@ -132,58 +129,16 @@ def _run_trials(item: Dict, seed_key: str, config: RunConfig,
                      % (item["trials"], ident.DEFAULT_RETRY_CAP)})
 
 
-def _sweep_n_max(cert: certs.ProofCertificate, config: RunConfig) -> int:
-    """The largest n of the term-recurrence sweep."""
-    if cert.multi:
-        return min(config.n_max, certs.SCHLOSSER_REPLAY_MAX_N)
-    return config.n_max
-
-
-def _replay_n_max(config: RunConfig) -> int:
-    """The largest n of a single-index replay."""
-    return min(config.n_max, CERT_REPLAY_N_MAX)
-
-
-def _certificate_checks(cert: certs.ProofCertificate, point, config: RunConfig
-                        ) -> Tuple[Dict[str, int], Optional[Dict]]:
-    """Run every check for one sampled point; returns (counts, failure)."""
-    counts = dict.fromkeys(CERT_CHECKS, 0)
-
-    def fail(check: str, **extra) -> Dict:
-        info = {"check": check, "point": ident.serialize_point(point)}
-        info.update(extra)
-        return info
-
-    for n in range(cert.order, _sweep_n_max(cert, config) + 1):
-        for k, residual in certs.term_recurrence_residuals(cert, point, n):
-            if residual != 0:
-                return counts, fail("term_recurrence", n=n, k=(
-                    list(k) if cert.multi else k))
-            counts["term_recurrence"] += 1
-    if cert.anti_diff is not None:
-        for n in range(cert.order, config.n_max + 1):
-            for k, residual in certs.telescoping_residuals(cert, point, n):
-                if residual != 0:
-                    return counts, fail("telescoping", n=n, k=k)
-                counts["telescoping"] += 1
-            if not certs.boundary_check(cert, point, n):
-                return counts, fail("boundary", n=n)
-            counts["boundary"] += 1
-    if not certs.inductive_replay(cert, point, _replay_n_max(config)):
-        return counts, fail("inductive_replay")
-    counts["replay"] += 1
-    return counts, None
-
-
 def _certify_item(proof_id: str, config: RunConfig) -> Dict:
     cert = certs.get_certificate(proof_id)
+    ranges = certs.check_ranges(cert, config.n_max, config.r_max)
     item = _new_item("certificate", proof_id, config.cert_trials,
-                     checks=dict.fromkeys(CERT_CHECKS, 0))
+                     checks=dict.fromkeys(certs.CHECKS, 0))
     if cert.multi and config.r_max >= 3:
         _progress("# %s: certificate sweep up to r=%d" % (proof_id, config.r_max))
-    _note_n_cap(proof_id, _sweep_n_max(cert, config), config)
-    if not cert.multi:
-        _note_n_cap(proof_id, _replay_n_max(config), config, "replay n")
+    _note_n_cap(proof_id, ranges.sweep_n, config)
+    if ranges.replay_n < ranges.sweep_n:
+        _note_n_cap(proof_id, ranges.replay_n, config, "replay n")
 
     def judge(point, result) -> Optional[Dict]:
         counts, failure = result
@@ -193,8 +148,8 @@ def _certify_item(proof_id: str, config: RunConfig) -> Dict:
 
     _run_trials(item, "cert:%s" % proof_id, config,
                 lambda rng: certs.sample_certificate_point(
-                    cert, rng, config.max_abs, (1, config.r_max)),
-                lambda point: _certificate_checks(cert, point, config), judge)
+                    cert, rng, config.max_abs, ranges.r),
+                lambda point: certs.check_point(cert, point, ranges), judge)
     return item
 
 
@@ -334,7 +289,7 @@ SETTINGS: Dict[str, Tuple[Setting, ...]] = {
                _SEED, _MAX_ABS),
     # every proof must check at least one recurrence: the deepest has order 2
     "certify": (Setting("--trials", "cert_trials", 1),
-                Setting("--n-max", "n_max", 2, default=CERT_REPLAY_N_MAX),
+                Setting("--n-max", "n_max", 2, default=certs.REPLAY_N_MAX),
                 Setting("--r-max", "r_max", 1, certs.SCHLOSSER_REPLAY_MAX_R),
                 _SEED, _MAX_ABS),
     "series": (Setting("--trials", "series_trials", 1),

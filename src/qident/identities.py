@@ -994,7 +994,8 @@ def verify(identity_id: str, trials: int, seed: int,
     reports are reproducible.  Raises CounterexampleFound on the first exact
     mismatch and RetryExhausted if every trial drowned in pole rejections;
     the report rides on either exception.
-    index_ranges overrides ``sampled_ranges(desc)`` index by index, and the
+    index_ranges overrides ``sampled_ranges(desc)`` index by index, each
+    nonempty and from no lower than its default (else ValueError), and the
     report lists the ranges in effect.
     With ``mutate_rhs`` the right side is multiplied by q, which a healthy
     harness must catch.
@@ -1003,8 +1004,11 @@ def verify(identity_id: str, trials: int, seed: int,
         raise ValueError("trials must be >= 1")
     desc = get_identity(identity_id)
     ranges = sampled_ranges(desc)
-    if index_ranges:
-        ranges.update({k: tuple(v) for k, v in index_ranges.items()})
+    for name, (low, high) in (index_ranges or {}).items():
+        if name not in ranges or not ranges[name][0] <= low <= high:
+            raise ValueError("identity %s cannot draw %s from (%d, %d): it "
+                             "draws %s" % (desc.id, name, low, high, ranges))
+        ranges[name] = (low, high)
     report = VerificationReport(identity=desc.id, seed=seed,
                                 index_ranges=ranges, mutated=mutate_rhs)
 

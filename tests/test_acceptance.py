@@ -137,7 +137,8 @@ def test_certificate_suite():
                         if cert.anti_diff is not None and \
                                 not certs.boundary_check(cert, point, n):
                             bad.append((cert.id, "boundary", n))
-                if not certs.inductive_replay(cert, point, 5):
+                replay_n = certs.check_ranges(cert, 5, 3).replay_n
+                if not certs.inductive_replay(cert, point, replay_n):
                     bad.append((cert.id, "replay"))
             except PoleError as exc:
                 bad.append((cert.id, "pole", str(exc)))
@@ -247,10 +248,10 @@ def test_certificate_fault_matrix(fault):
     proof_id, plant, check = CERT_FAULTS[fault]
     cert = certs.get_certificate(proof_id)
     point = _certificate_point(cert, 0)
-    config = cli.RunConfig(command="certify", n_max=4)
-    _, failure = cli._certificate_checks(cert, point, config)
+    ranges = certs.check_ranges(cert, 4, 3)
+    _, failure = certs.check_point(cert, point, ranges)
     assert failure is None
-    _, failure = cli._certificate_checks(plant(cert), point, config)
+    _, failure = certs.check_point(plant(cert), point, ranges)
     caught = failure is not None and failure["check"] == check
     _line("cert-fault-%s" % fault, caught,
           "planted fault reported by the %s check" % check)

@@ -145,6 +145,13 @@ def test_inductive_replay_schlosser():
         assert inductive_replay("schlosser", point, 3)
 
 
+def test_schlosser_replay_refuses_n_above_its_cap():
+    point = sample_certificate_point("schlosser", random.Random(74),
+                                     r_range=(1, 1))
+    with pytest.raises(ValueError, match="^replay cost guard: n <= 3$"):
+        inductive_replay("schlosser", point, certs.SCHLOSSER_REPLAY_MAX_N + 1)
+
+
 def test_replay_rejects_corrupt_closed_form(monkeypatch):
     rng = random.Random(75)
     cert = get_certificate("jackson")
@@ -417,6 +424,34 @@ def test_level_residuals_match_per_k(cert_id, bound):
         assert poles > 0
 
 
+@pytest.mark.parametrize("n_max", [2, 5, 6, 9])
+@pytest.mark.parametrize("cert_id", certificate_ids())
+def test_check_ranges_and_counts(cert_id, n_max):
+    cert = get_certificate(cert_id)
+    ranges = certs.check_ranges(cert, n_max, 1)
+    if cert.multi:
+        n = min(n_max, certs.SCHLOSSER_REPLAY_MAX_N)
+        assert ranges == (n, n, (1, 1))
+    else:
+        assert ranges == (n_max, min(n_max, certs.REPLAY_N_MAX), None)
+    rng = random.Random(n_max)
+    while True:
+        point = sample_certificate_point(cert, rng, r_range=ranges.r)
+        try:
+            counts, failure = certs.check_point(cert, point, ranges)
+        except PoleError:
+            continue
+        break
+    assert failure is None
+    r = point.idx("r") if cert.multi else 1
+    sweep = sum((n + 1) ** r for n in range(cert.order, ranges.sweep_n + 1))
+    telescoped = cert.anti_diff is not None
+    assert counts == {
+        "term_recurrence": sweep, "telescoping": sweep if telescoped else 0,
+        "boundary": ranges.sweep_n - cert.order + 1 if telescoped else 0,
+        "replay": 1}
+
+
 MEMOIZED_COEFFICIENTS = {"jackson": "jackson_gamma", "watson": "watson_beta",
                          "bailey": "bailey_alpha", "singh": "singh_gamma",
                          "schlosser": "schlosser_split_coeff"}
@@ -426,12 +461,12 @@ MEMOIZED_COEFFICIENTS = {"jackson": "jackson_gamma", "watson": "watson_beta",
 def test_one_point_builds_each_row_once(cert_id):
     cert = get_certificate(cert_id)
     rng = random.Random(12)
-    config = cli.RunConfig(command="certify", n_max=6, r_max=1)
+    ranges = certs.check_ranges(cert, 6, 1)
     while True:
         point = sample_certificate_point(cert, rng, r_range=(1, 1))
         ident.clear_row_memo()
         try:
-            counts, failure = cli._certificate_checks(cert, point, config)
+            counts, failure = certs.check_point(cert, point, ranges)
         except PoleError:
             continue
         break

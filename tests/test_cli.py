@@ -256,8 +256,8 @@ def _plant_poles(monkeypatch, kind, count):
             desc, lhs=_poles_first(desc.lhs, count)))
         return ["verify", "--id", "quintuple_finite"]
     if kind == "certificate":
-        monkeypatch.setattr(cli, "_certificate_checks", _poles_first(
-            cli._certificate_checks, count))
+        monkeypatch.setattr(cli.certs, "check_point", _poles_first(
+            cli.certs.check_point, count))
         return ["certify", "--proof", "lebesgue", "--n-max", "3"]
     monkeypatch.setattr(cli.psers, "infinite_identity_residual", _poles_first(
         cli.psers.infinite_identity_residual, count))

@@ -145,6 +145,21 @@ def test_verify_cr_prop_2_with_ranges():
     assert desc.rhs(p) == 0
 
 
+@pytest.mark.parametrize("identity_id, index_ranges, index", [
+    ("jackson_8phi7", {"q": (5, 1)}, "q"),          # not a sampled index
+    ("jackson_8phi7", {"n": (3, 1)}, "n"),          # empty
+    ("schlosser_cr", {"r": (0, 0)}, "r"),           # below r >= 1
+    ("schlosser_cr", {"n": (-2, -1)}, "n"),         # below n >= 0
+], ids=["unknown_index", "empty", "r_below_1", "n_below_0"])
+def test_verify_refuses_a_bad_index_range(identity_id, index_ranges, index):
+    with pytest.raises(ValueError) as info:
+        verify(identity_id, 2, 0, index_ranges)
+    message = str(info.value)
+    assert "\n" not in message
+    assert message.startswith("identity %s cannot draw %s from "
+                              % (identity_id, index)), message
+
+
 def test_verify_rejects_bad_trials():
     with pytest.raises(ValueError):
         verify("jackson_8phi7", 0, 1)
