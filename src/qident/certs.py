@@ -498,7 +498,6 @@ def _resolve(cert: CertOrId) -> ProofCertificate:
 
 REPLAY_N_MAX = 5
 SCHLOSSER_REPLAY_MAX_R = 3
-SCHLOSSER_REPLAY_MAX_N = 3
 CHECKS = ("term_recurrence", "telescoping", "boundary", "replay")
 # the largest n of the term recurrence, telescoping and boundary checks, the
 # largest n of the replay, and the range r is drawn from (None: no index r)
@@ -508,13 +507,13 @@ CheckRanges = NamedTuple("CheckRanges", [
 
 def check_ranges(cert: ProofCertificate, n_max: int, r_max: int) -> CheckRanges:
     """How far each check runs: a single-index proof sweeps to n_max and
-    replays to at most REPLAY_N_MAX; the C_r proof does both to at most
-    SCHLOSSER_REPLAY_MAX_N, with r from its identity's ``sampled_ranges``."""
+    replays to at most REPLAY_N_MAX; the C_r proof does both to the n, and
+    draws r from the range, of its identity's ``sampled_ranges``."""
     if not cert.multi:
         return CheckRanges(n_max, min(n_max, REPLAY_N_MAX), None)
-    n = min(n_max, SCHLOSSER_REPLAY_MAX_N)
-    return CheckRanges(n, n, _ident.sampled_ranges(
-        _ident.get_identity(cert.identity), r_max=r_max)["r"])
+    ranges = _ident.sampled_ranges(_ident.get_identity(cert.identity), n_max,
+                                   r_max=r_max)
+    return CheckRanges(ranges["n"][1], ranges["n"][1], ranges["r"])
 
 
 def check_point(cert: ProofCertificate, point: ParamPoint, ranges: CheckRanges
@@ -721,8 +720,8 @@ def _schlosser_replay(cert: ProofCertificate, point: ParamPoint,
     a -> a q^{level-1}, the split residuals, the coefficient residuals, and a
     direct two-sided evaluation must all hold."""
     r = point.idx("r")
-    if n_max > SCHLOSSER_REPLAY_MAX_N:
-        raise ValueError("replay cost guard: n <= %d" % SCHLOSSER_REPLAY_MAX_N)
+    if n_max > _ident.MULTISUM_MAX_N:
+        raise ValueError("replay cost guard: n <= %d" % _ident.MULTISUM_MAX_N)
     if r > SCHLOSSER_REPLAY_MAX_R:
         raise ValueError("replay cost guard: r <= %d" % SCHLOSSER_REPLAY_MAX_R)
     a = point.sym("a")

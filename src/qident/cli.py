@@ -11,8 +11,8 @@ Counterexample points are printed as exact fractions.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
-import random
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -72,14 +72,9 @@ def _note_n_cap(item_id: str, n_max: int, config: RunConfig,
 # ---------------------------------------------------------------------------
 
 def _new_item(kind: str, item_id: str, trials: int, **extra) -> Dict:
-    """An item's report before its first trial.  Every kind counts in
-    ``rejected`` the trials that used up their pole retries (all of them
-    make an ERROR) and in ``point_rejections`` the points redrawn."""
-    item = {"kind": kind, "id": item_id, "status": "PASS", "trials": trials,
-            "succeeded": 0, "rejected": 0, "point_rejections": 0,
-            "first_failure": None, "elapsed_s": 0.0}
-    item.update(extra)
-    return item
+    """An item's report before its trials: ``ident.run_trials`` gives every
+    kind its status, counts and first failure, and ``run`` its elapsed_s."""
+    return dict(kind=kind, id=item_id, trials=trials, **extra)
 
 
 def _verify_item(identity_id: str, config: RunConfig) -> Dict:
@@ -91,42 +86,18 @@ def _verify_item(identity_id: str, config: RunConfig) -> Dict:
     if desc.multisum and config.r_max >= 3:
         _progress("# %s: multi-sum verification up to r=%d"
                   % (identity_id, config.r_max))
-    item = _new_item("identity", identity_id, config.trials)
+    failure = None
     try:
         report = ident.verify(identity_id, config.trials, config.seed, ranges,
                               size_bound=config.max_abs)
     except (ident.CounterexampleFound, ident.RetryExhausted) as exc:
         report = exc.report
-        item["first_failure"] = report.counterexample or {"error": str(exc)}
-    item.update(status=report.status, succeeded=report.succeeded,
-                rejected=report.rejected,
-                point_rejections=report.point_rejections)
-    return item
-
-
-def _run_trials(item: Dict, seed_key: str, config: RunConfig,
-                draw, check, judge) -> None:
-    """The item's trials, each one ``ident.run_trial`` with an RNG of its
-    own; ``judge(point, result)`` returns a failure, which ends the item, or
-    None."""
-    for trial in range(item["trials"]):
-        rng = random.Random(ident.derive_trial_seed(config.seed, seed_key,
-                                                    trial))
-        point, result, rejections = ident.run_trial(
-            rng, draw, check, ident.DEFAULT_RETRY_CAP)
-        item["point_rejections"] += rejections
-        if point is None:
-            item["rejected"] += 1
-            continue
-        failure = judge(point, result)
-        if failure is not None:
-            item.update(status="FAIL", first_failure=failure)
-            return
-        item["succeeded"] += 1
-    if item["rejected"] == item["trials"]:
-        item.update(status="ERROR", first_failure={
-            "error": "all %d trials exhausted %d pole retries each"
-                     % (item["trials"], ident.DEFAULT_RETRY_CAP)})
+        failure = report.counterexample or {"error": str(exc)}
+    return _new_item("identity", identity_id, config.trials,
+                     status=report.status, succeeded=report.succeeded,
+                     rejected=report.rejected,
+                     point_rejections=report.point_rejections,
+                     first_failure=failure)
 
 
 def _certify_item(proof_id: str, config: RunConfig) -> Dict:
@@ -146,10 +117,11 @@ def _certify_item(proof_id: str, config: RunConfig) -> Dict:
             item["checks"][key] += value
         return failure
 
-    _run_trials(item, "cert:%s" % proof_id, config,
-                lambda rng: certs.sample_certificate_point(
-                    cert, rng, config.max_abs, ranges.r),
-                lambda point: certs.check_point(cert, point, ranges), judge)
+    item.update(ident.run_trials(
+        item["trials"], config.seed, "cert:%s" % proof_id,
+        lambda rng: certs.sample_certificate_point(
+            cert, rng, config.max_abs, ranges.r),
+        lambda point, rng: certs.check_point(cert, point, ranges), judge))
     return item
 
 
@@ -165,11 +137,12 @@ def _series_item(series_id: str, config: RunConfig) -> Dict:
                 "first_nonzero_order": first_bad,
                 "coefficient": str(residual.coeffs[first_bad])}
 
-    _run_trials(item, "series:%s" % series_id, config,
-                lambda rng: {name: ident.random_rational(rng, config.max_abs)
-                             for name in psers.SERIES[series_id].symbols},
-                lambda symbols: psers.infinite_identity_residual(
-                    series_id, symbols, config.order), judge)
+    item.update(ident.run_trials(
+        item["trials"], config.seed, "series:%s" % series_id,
+        lambda rng: {name: ident.random_rational(rng, config.max_abs)
+                     for name in psers.SERIES[series_id].symbols},
+        lambda symbols, rng: psers.infinite_identity_residual(
+            series_id, symbols, config.order), judge))
     return item
 
 
@@ -249,15 +222,6 @@ def format_report(report: Dict, fmt: str) -> str:
     lines.append("summary: %d total, %d passed, %d failed, %d errors"
                  % (s["total"], s["passed"], s["failed"], s["errors"]))
     return "\n".join(lines) + "\n"
-
-
-def _emit(report: Dict, config: RunConfig) -> None:
-    text = format_report(report, config.fmt)
-    if config.out:
-        with open(config.out, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +347,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    status, report = run(config)
-    _emit(report, config)
+    try:
+        # opened before any item runs, so that a bad --out costs no work
+        out = (open(config.out, "w") if config.out
+               else contextlib.nullcontext(sys.stdout))
+    except OSError as exc:
+        print("error: cannot write --out %s: %s" % (args.out, exc.strerror),
+              file=sys.stderr)
+        return 2
+    with out as handle:
+        status, report = run(config)
+        handle.write(format_report(report, config.fmt))
     return status
 
 

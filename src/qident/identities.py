@@ -4,8 +4,11 @@ Each identity carries exact left/right evaluators over rational parameter
 points and is certified by random-rational evaluation: every trial samples a
 fresh point, applies the identity's derived-symbol constraints (balancing
 conditions such as e = a^2 q^{n+1}/bcd), rejects points on pole guards, and
-asserts exact equality of the two sides.  Failure probability per trial is
-bounded by total degree over sample-space size and is negligible here.
+asserts exact equality of the two sides.  The chance that a trial misses
+a false identity is bounded by total degree over sample-space size; no code
+computes that bound, and at --max-abs 2 or 3 it is not small.
+``run_trials`` is the trial loop of every item kind, certificates and series
+included: it seeds each trial, redraws a point on a pole, counts and stops.
 ``sampled_ranges`` is the one rule for the range of each index n, m and r,
 for ``verify`` and the CLI alike; ``sample_point`` draws k in [-m, n].
 Every kernel parameter, derived symbol and closed-form factor is built from
@@ -966,22 +969,45 @@ def sample_point(desc: IdentityDescriptor, rng: random.Random,
                       indices)
 
 
-def run_trial(rng: random.Random, draw: Callable[[random.Random], object],
-              check: Callable[[object], object],
-              retry_cap: int = DEFAULT_RETRY_CAP) -> Tuple[object, object, int]:
-    """One trial: draw a point from rng and check it, drawing again whenever
-    either step raises PoleError, at most retry_cap draws in all.
+def run_trials(trials: int, seed: int, key: str,
+               draw: Callable[[random.Random], object],
+               check: Callable[[object, random.Random], object],
+               judge: Callable[[object, object], object],
+               retry_cap: int = DEFAULT_RETRY_CAP) -> Dict:
+    """The one trial loop of every item kind.
 
-    Returns (point, check result, points redrawn); the point is None when
-    every draw hit a pole."""
-    rejections = 0
-    for _ in range(retry_cap):
-        try:
-            point = draw(rng)
-            return point, check(point), rejections
-        except PoleError:
-            rejections += 1
-    return None, None, rejections
+    Trial t draws from an RNG of its own, seeded from (seed, key, t), and
+    checks the point with ``check(point, rng)``; where either step raises
+    PoleError it draws again, at most retry_cap draws in all, and a trial
+    whose every draw hit a pole is rejected.  ``judge(point, result)``
+    returns a failure, which ends the loop, or None.  Returns the item's
+    ``status`` (FAIL, or ERROR when every trial was rejected), ``succeeded``,
+    ``rejected``, ``point_rejections`` (the points redrawn) and
+    ``first_failure``."""
+    out = {"status": "PASS", "succeeded": 0, "rejected": 0,
+           "point_rejections": 0, "first_failure": None}
+    for trial in range(trials):
+        rng = random.Random(derive_trial_seed(seed, key, trial))
+        for _ in range(retry_cap):
+            try:
+                point = draw(rng)
+                result = check(point, rng)
+                break
+            except PoleError:
+                out["point_rejections"] += 1
+        else:
+            out["rejected"] += 1
+            continue
+        failure = judge(point, result)
+        if failure is not None:
+            out.update(status="FAIL", first_failure=failure)
+            return out
+        out["succeeded"] += 1
+    if out["rejected"] == trials:
+        out.update(status="ERROR", first_failure={
+            "error": "all %d trials exhausted %d pole retries each"
+                     % (trials, retry_cap)})
+    return out
 
 
 def verify(identity_id: str, trials: int, seed: int,
@@ -1028,27 +1054,21 @@ def verify(identity_id: str, trials: int, seed: int,
         return first == second
 
     start = time.monotonic()
-    for trial in range(trials):
-        rng = random.Random(derive_trial_seed(seed, desc.id, trial))
-        point, ok, rejections = run_trial(
-            rng, draw, lambda point: agrees(point, rng), retry_cap)
-        report.attempted += 1
-        report.point_rejections += rejections
-        if point is None:
-            report.rejected += 1
-        elif ok:
-            report.succeeded += 1
-        else:
-            report.status = "FAIL"
-            report.counterexample = serialize_point(point)
-            report.elapsed_s = time.monotonic() - start
-            raise CounterexampleFound(
-                "identity %s failed at %s" % (desc.id, report.counterexample),
-                point=point, report=report)
+    out = run_trials(trials, seed, desc.id, draw, agrees,
+                     lambda point, ok: None if ok else point, retry_cap)
     report.elapsed_s = time.monotonic() - start
-    if report.rejected == trials:
-        report.status = "ERROR"
-        raise RetryExhausted(
-            "identity %s: all %d trials exhausted %d pole retries each"
-            % (desc.id, trials, retry_cap), report=report)
+    for name in ("status", "succeeded", "rejected", "point_rejections"):
+        setattr(report, name, out[name])
+    # every trial run, the failing one last
+    report.attempted = (report.succeeded + report.rejected
+                        + (report.status == "FAIL"))
+    if report.status == "FAIL":
+        point = out["first_failure"]
+        report.counterexample = serialize_point(point)
+        raise CounterexampleFound(
+            "identity %s failed at %s" % (desc.id, report.counterexample),
+            point=point, report=report)
+    if report.status == "ERROR":
+        raise RetryExhausted("identity %s: %s" % (
+            desc.id, out["first_failure"]["error"]), report=report)
     return report

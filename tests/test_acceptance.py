@@ -122,7 +122,7 @@ def test_certificate_suite():
             try:
                 if cert.multi:
                     r = point.idx("r")
-                    for n in range(1, certs.SCHLOSSER_REPLAY_MAX_N + 1):
+                    for n in range(1, identities.MULTISUM_MAX_N + 1):
                         for ks in itertools.product(range(n + 1), repeat=r):
                             if certs.term_recurrence_residual(cert, point, n, ks) != 0:
                                 bad.append((cert.id, "term", n, ks))

@@ -149,7 +149,7 @@ def test_schlosser_replay_refuses_n_above_its_cap():
     point = sample_certificate_point("schlosser", random.Random(74),
                                      r_range=(1, 1))
     with pytest.raises(ValueError, match="^replay cost guard: n <= 3$"):
-        inductive_replay("schlosser", point, certs.SCHLOSSER_REPLAY_MAX_N + 1)
+        inductive_replay("schlosser", point, ident.MULTISUM_MAX_N + 1)
 
 
 def test_replay_rejects_corrupt_closed_form(monkeypatch):
@@ -430,7 +430,7 @@ def test_check_ranges_and_counts(cert_id, n_max):
     cert = get_certificate(cert_id)
     ranges = certs.check_ranges(cert, n_max, 1)
     if cert.multi:
-        n = min(n_max, certs.SCHLOSSER_REPLAY_MAX_N)
+        n = min(n_max, ident.MULTISUM_MAX_N)
         assert ranges == (n, n, (1, 1))
     else:
         assert ranges == (n_max, min(n_max, certs.REPLAY_N_MAX), None)

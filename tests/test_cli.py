@@ -164,6 +164,24 @@ def test_out_file(tmp_path, capsys):
     assert report["items"][0]["status"] == "PASS"
 
 
+@pytest.mark.parametrize("where, reason", [
+    (lambda tmp: tmp / "missing" / "report.json", "No such file or directory"),
+    (lambda tmp: tmp, "Is a directory"),
+], ids=["missing_directory", "directory"])
+def test_unwritable_out_exits_2_before_any_item(tmp_path, capsys, monkeypatch,
+                                                 where, reason):
+    def no_run(config):
+        raise AssertionError("an item ran despite the unwritable --out")
+    monkeypatch.setattr(cli, "run", no_run)
+    out_path = where(tmp_path)
+    status, out, err = run_main(capsys, [
+        "series", "--id", "jacobi_triple", "--order", "5", "--trials", "1",
+        "--out", str(out_path)])
+    assert (status, out) == (2, "")
+    assert err.splitlines() == [
+        "error: cannot write --out %s: %s" % (out_path, reason)]
+
+
 def test_certify_command(capsys):
     status, out, _ = run_main(capsys, [
         "certify", "--proof", "lebesgue", "--proof", "quintuple",
@@ -235,32 +253,57 @@ def test_failure_reported_with_exact_point(capsys, monkeypatch):
     assert report["summary"]["failed"] == 1
 
 
-def _poles_first(healthy, count):
-    """healthy, except that its first count calls raise PoleError."""
-    calls = []
+def _poles_first(count):
+    """A plant: the healthy check, except that its first count calls raise
+    PoleError."""
+    def plant(healthy, kind):
+        calls = []
 
-    def planted(*args):
-        calls.append(args)
-        if len(calls) <= count:
-            raise PoleError("planted pole")
-        return healthy(*args)
-    return planted
+        def planted(*args):
+            calls.append(args)
+            if len(calls) <= count:
+                raise PoleError("planted pole")
+            return healthy(*args)
+        return planted
+    return plant
 
 
-def _plant_poles(monkeypatch, kind, count):
-    """Plant count poles in the check of one item of the kind, none of whose
-    points at seed 42 is a pole; returns the command line that runs it."""
+# a wrong result of each kind's check, from its healthy result
+_SPOIL = {"identity": lambda lhs: lhs + 1,
+          "certificate": lambda result: (result[0], {"check": "planted"}),
+          "series": lambda residual: cli.psers.QSeries(
+              (1,) + residual.coeffs[1:])}
+
+
+def _wrong_at(call):
+    """A plant: the healthy check, except that its call-th call returns a
+    wrong result."""
+    def plant(healthy, kind):
+        calls = []
+
+        def planted(*args):
+            calls.append(args)
+            result = healthy(*args)
+            return _SPOIL[kind](result) if len(calls) == call else result
+        return planted
+    return plant
+
+
+def _plant(monkeypatch, kind, plant):
+    """Replace the check of one item of the kind, none of whose points at
+    seed 42 is a pole, by plant(healthy check, kind); returns the command
+    line that runs the item."""
     if kind == "identity":
         desc = ident.get_identity("quintuple_finite")
         monkeypatch.setitem(ident._REGISTRY, "quintuple_finite", replace(
-            desc, lhs=_poles_first(desc.lhs, count)))
+            desc, lhs=plant(desc.lhs, kind)))
         return ["verify", "--id", "quintuple_finite"]
     if kind == "certificate":
-        monkeypatch.setattr(cli.certs, "check_point", _poles_first(
-            cli.certs.check_point, count))
+        monkeypatch.setattr(cli.certs, "check_point", plant(
+            cli.certs.check_point, kind))
         return ["certify", "--proof", "lebesgue", "--n-max", "3"]
-    monkeypatch.setattr(cli.psers, "infinite_identity_residual", _poles_first(
-        cli.psers.infinite_identity_residual, count))
+    monkeypatch.setattr(cli.psers, "infinite_identity_residual", plant(
+        cli.psers.infinite_identity_residual, kind))
     return ["series", "--id", "quintuple", "--order", "10"]
 
 
@@ -268,14 +311,15 @@ CAP = ident.DEFAULT_RETRY_CAP
 
 
 @pytest.mark.parametrize("kind", ["identity", "certificate", "series"])
-@pytest.mark.parametrize("poles, status, expected", [
-    (1, 0, ("PASS", 3, 0, 1)),                  # the first point is redrawn
-    (CAP, 0, ("PASS", 2, 1, CAP)),              # the first trial is used up
-    (3 * CAP, 1, ("ERROR", 0, 3, 3 * CAP)),     # every trial is used up
-], ids=["redrawn", "one_exhausted", "all_exhausted"])
+@pytest.mark.parametrize("plant, status, expected", [
+    (_poles_first(1), 0, ("PASS", 3, 0, 1)),     # the first point is redrawn
+    (_poles_first(CAP), 0, ("PASS", 2, 1, CAP)),  # the first trial is used up
+    (_poles_first(3 * CAP), 1, ("ERROR", 0, 3, 3 * CAP)),  # every trial is
+    (_wrong_at(2), 1, ("FAIL", 1, 0, 0)),      # the second trial fails
+], ids=["redrawn", "one_exhausted", "all_exhausted", "second_fails"])
 def test_every_kind_counts_poles_the_same_way(capsys, monkeypatch, kind,
-                                              poles, status, expected):
-    argv = _plant_poles(monkeypatch, kind, poles)
+                                              plant, status, expected):
+    argv = _plant(monkeypatch, kind, plant)
     got_status, out, _ = run_main(capsys, argv + [
         "--trials", "3", "--seed", "42", "--format", "json"])
     item = json.loads(out)["items"][0]
@@ -284,6 +328,8 @@ def test_every_kind_counts_poles_the_same_way(capsys, monkeypatch, kind,
             item["point_rejections"]) == expected
     if item["status"] == "ERROR":
         assert "exhausted" in item["first_failure"]["error"]
+    elif item["status"] == "FAIL":
+        assert item["first_failure"] is not None
     else:
         assert item["first_failure"] is None
 

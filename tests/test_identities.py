@@ -1,8 +1,10 @@
 import itertools
 import random
+import re
 import time
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -160,6 +162,13 @@ def test_verify_refuses_a_bad_index_range(identity_id, index_ranges, index):
                               % (identity_id, index)), message
 
 
+def test_readme_library_example():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+
+
 def test_verify_rejects_bad_trials():
     with pytest.raises(ValueError):
         verify("jackson_8phi7", 0, 1)
@@ -183,9 +192,33 @@ def test_retry_exhaustion_signals(monkeypatch):
     monkeypatch.setitem(ident._REGISTRY, "quintuple_finite", hopeless)
     with pytest.raises(RetryExhausted) as info:
         verify("quintuple_finite", 3, 7, retry_cap=5)
+    assert str(info.value) == ("identity quintuple_finite: all 3 trials "
+                               "exhausted 5 pole retries each")
     report = info.value.report
-    assert (report.status, report.succeeded, report.rejected,
-            report.point_rejections) == ("ERROR", 0, 3, 15)
+    assert (report.status, report.attempted, report.succeeded,
+            report.rejected, report.point_rejections) == ("ERROR", 3, 0, 3, 15)
+
+
+def test_failing_trial_is_the_last_attempted(monkeypatch):
+    """Trial 0 uses up its 5 draws on poles, trial 1 passes and trial 2
+    fails: 3 trials were attempted, and the ones after the failure are not."""
+    desc = get_identity("quintuple_finite")
+    calls = []
+
+    def planted(p):
+        calls.append(p)
+        if len(calls) <= 5:
+            raise PoleError("planted pole")
+        return desc.lhs(p) + (len(calls) >= 7)
+    monkeypatch.setitem(ident._REGISTRY, "quintuple_finite",
+                        replace(desc, lhs=planted))
+    with pytest.raises(CounterexampleFound) as info:
+        verify("quintuple_finite", 10, 42, retry_cap=5)
+    report = info.value.report
+    assert (report.status, report.attempted, report.succeeded,
+            report.rejected, report.point_rejections) == ("FAIL", 3, 1, 1, 5)
+    assert info.value.point is calls[-1]
+    assert report.counterexample == ident.serialize_point(calls[-1])
 
 
 def test_schlosser_r1_degenerates_to_jackson():
