@@ -291,24 +291,18 @@ def quintuple_move(p: ParamPoint, n: int) -> Fraction:
 # C_r certificate (multi-index)
 # ---------------------------------------------------------------------------
 
-def _pair_ratio(a, q, xs: Sequence, shifts: Sequence[int]) -> Fraction:
-    """The pair-interaction product at the given shifts, each 0 or 1, over
-    its value at no shift."""
-    pairs = dict(_ident._pair_table(a, q, xs, 1)[0])
-    return _div(pairs[tuple(shifts)], pairs[(0,) * len(xs)])
-
-
 @_ident._memo_rows
 def schlosser_split_coeff(p: ParamPoint, n: int, ss: Tuple[int, ...]) -> Fraction:
     """Per-s coefficient of the 2^r-fold split (product form), at lower level n.
 
     Memoized with the rows: the replay's coefficient residual reads the value
-    the term-recurrence sweep evaluated at the same (point, n, ss).  At r <= 3
-    and n <= 3 one point needs at most 24 of them."""
+    the term-recurrence sweep evaluated at the same (point, n, ss).  At n <= 3
+    one point needs 2^r at each of 3 levels: 24 at r = 3, which the memo's 32
+    hold, and 48 at r = 4, so there some are evaluated twice."""
     r = p.idx("r")
     a, b, c, d, q = map(p.sym, "abcdq")
     xs = _xs(p, r)
-    t = _pair_ratio(a, q, xs, ss)
+    t = _ident.CrRow(1, a, q, xs, ()).term(ss)
     for i in range(r):
         xi, si = xs[i], ss[i]
         num = (Fraction(-1)**si * qpoch(a*xi*xi*q, q, 2*si)
@@ -327,7 +321,7 @@ def _schlosser_shift_s(p: ParamPoint, ss: Sequence[int]) -> ParamPoint:
     return p.scaled(**updates) if updates else p
 
 
-def schlosser_split_residual(point: ParamPoint, n: int, r: int, i: int,
+def schlosser_split_residual(point: ParamPoint, n: int, i: int,
                              k_i: int) -> Fraction:
     """Denominator-cleared residual of the two-term partial-fraction split
     used in the C_r induction step; always 0.
@@ -338,7 +332,7 @@ def schlosser_split_residual(point: ParamPoint, n: int, r: int, i: int,
     which is defined everywhere and vanishes iff the split holds.
     """
     a, b, c, d, q = map(point.sym, "abcdq")
-    xi = point.sym("x%d" % i)
+    r, xi = point.idx("r"), point.sym("x%d" % i)
     lhs_num = ((1 - a*a*xi*q**(n+k_i-r+2)/(b*c*d))
                * (1 - b*c*d*xi*q**(k_i+r-n-2)/a))
     lhs_den = (1 - q**(-n+k_i-1)) * (1 - a*xi*xi*q**(n+k_i+1))
@@ -350,9 +344,10 @@ def schlosser_split_residual(point: ParamPoint, n: int, r: int, i: int,
     return lhs_num * common - t1_num * lhs_den - t2_num
 
 
-def _schlosser_alpha_s(point: ParamPoint, n: int, r: int,
+def _schlosser_alpha_s(point: ParamPoint, n: int,
                        ss: Sequence[int]) -> Fraction:
     a, b, c, d, q = map(point.sym, "abcdq")
+    r = point.idx("r")
     xs = _xs(point, r)
     t = _div(Fraction(1), (1 - q**(n+1)) ** r)
     for i in range(r):
@@ -365,17 +360,18 @@ def _schlosser_alpha_s(point: ParamPoint, n: int, r: int,
     return t
 
 
-def schlosser_coeff_residual(point: ParamPoint, n: int, r: int,
+def schlosser_coeff_residual(point: ParamPoint, n: int,
                              s_vector: Sequence[int]) -> Fraction:
     """Residual between the two displayed forms of the split coefficient
     beta_{s_1..s_r} (the alpha-based expansion vs. the product form); always 0.
     """
-    ss = tuple(s_vector)
+    ss, r = tuple(s_vector), point.idx("r")
     if len(ss) != r or any(s not in (0, 1) for s in ss):
         raise ValueError("s_vector must lie in {0,1}^r")
     a, b, c, d, q = map(point.sym, "abcdq")
     xs = _xs(point, r)
-    form1 = _schlosser_alpha_s(point, n, r, ss) * _pair_ratio(a, q, xs, ss)
+    form1 = (_schlosser_alpha_s(point, n, ss)
+             * _ident.CrRow(1, a, q, xs, ()).term(ss))
     for i in range(r):
         xi, si = xs[i], ss[i]
         form1 *= _div(1 - a*xi*xi*q**(2*si), 1 - a*xi*xi)
@@ -386,14 +382,7 @@ def schlosser_coeff_residual(point: ParamPoint, n: int, r: int,
                * qpoch(b*c*d*xi*q**(r-n-2)/a, q, si + 1)
                * qpoch(a*a*xi*q**(n-r+2)/(b*c*d), q, 1 - si))
         form1 *= _div(num, den)
-    form2 = schlosser_split_coeff(_with_r(point, r), n, ss)
-    return form1 - form2
-
-
-def _with_r(point: ParamPoint, r: int) -> ParamPoint:
-    if point.indices.get("r") == r:
-        return point
-    return ParamPoint(dict(point.symbols), {**dict(point.indices), "r": r})
+    return form1 - schlosser_split_coeff(point, n, ss)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +486,6 @@ def _resolve(cert: CertOrId) -> ProofCertificate:
 
 
 REPLAY_N_MAX = 5
-SCHLOSSER_REPLAY_MAX_R = 3
 CHECKS = ("term_recurrence", "telescoping", "boundary", "replay")
 # the largest n of the term recurrence, telescoping and boundary checks, the
 # largest n of the replay, and the range r is drawn from (None: no index r)
@@ -696,7 +684,8 @@ def inductive_replay(proof: CertOrId, point: ParamPoint, n_max: int) -> bool:
     return True
 
 
-def sample_certificate_point(cert: CertOrId, rng, size_bound: int = 1000,
+def sample_certificate_point(cert: CertOrId, rng,
+                             size_bound: int = _ident.DEFAULT_SIZE_BOUND,
                              r_range: Optional[Tuple[int, int]] = None
                              ) -> ParamPoint:
     """Random rational point carrying the certificate's symbols (plus q, and
@@ -722,8 +711,8 @@ def _schlosser_replay(cert: ProofCertificate, point: ParamPoint,
     r = point.idx("r")
     if n_max > _ident.MULTISUM_MAX_N:
         raise ValueError("replay cost guard: n <= %d" % _ident.MULTISUM_MAX_N)
-    if r > SCHLOSSER_REPLAY_MAX_R:
-        raise ValueError("replay cost guard: r <= %d" % SCHLOSSER_REPLAY_MAX_R)
+    if r > _ident.MULTISUM_MAX_R:
+        raise ValueError("replay cost guard: r <= %d" % _ident.MULTISUM_MAX_R)
     a = point.sym("a")
     q = point.sym("q")
     if cert.lhs_value(point, 0) != cert.rhs_value(point, 0):
@@ -735,10 +724,10 @@ def _schlosser_replay(cert: ProofCertificate, point: ParamPoint,
             return False
         for i in range(1, r + 1):
             for k_i in range(level + 1):
-                if schlosser_split_residual(point, level - 1, r, i, k_i) != 0:
+                if schlosser_split_residual(point, level - 1, i, k_i) != 0:
                     return False
         for ss in itertools.product((0, 1), repeat=r):
-            if schlosser_coeff_residual(point, level - 1, r, ss) != 0:
+            if schlosser_coeff_residual(point, level - 1, ss) != 0:
                 return False
         if cert.lhs_value(point, level) != cert.rhs_value(point, level):
             return False

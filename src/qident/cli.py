@@ -90,9 +90,10 @@ def _verify_item(identity_id: str, config: RunConfig) -> Dict:
     try:
         report = ident.verify(identity_id, config.trials, config.seed, ranges,
                               size_bound=config.max_abs)
-    except (ident.CounterexampleFound, ident.RetryExhausted) as exc:
-        report = exc.report
-        failure = report.counterexample or {"error": str(exc)}
+    except ident.CounterexampleFound as exc:
+        report, failure = exc.report, exc.report.counterexample
+    except ident.RetryExhausted as exc:
+        report, failure = exc.report, exc.failure
     return _new_item("identity", identity_id, config.trials,
                      status=report.status, succeeded=report.succeeded,
                      rejected=report.rejected,
@@ -254,7 +255,7 @@ SETTINGS: Dict[str, Tuple[Setting, ...]] = {
     # every proof must check at least one recurrence: the deepest has order 2
     "certify": (Setting("--trials", "cert_trials", 1),
                 Setting("--n-max", "n_max", 2, default=certs.REPLAY_N_MAX),
-                Setting("--r-max", "r_max", 1, certs.SCHLOSSER_REPLAY_MAX_R),
+                Setting("--r-max", "r_max", 1, ident.MULTISUM_MAX_R),
                 _SEED, _MAX_ABS),
     "series": (Setting("--trials", "series_trials", 1),
                Setting("--order", "order", 0),
@@ -264,7 +265,7 @@ SETTINGS: Dict[str, Tuple[Setting, ...]] = {
             Setting("--series-trials", "series_trials", 1),
             Setting("--n-max", "n_max", 2),
             Setting("--m-max", "m_max", 0),
-            Setting("--r-max", "r_max", 1, certs.SCHLOSSER_REPLAY_MAX_R),
+            Setting("--r-max", "r_max", 1, ident.MULTISUM_MAX_R),
             Setting("--order", "order", 0),
             _SEED, _MAX_ABS),
 }

@@ -21,6 +21,7 @@ import functools
 import hashlib
 import itertools
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass, field, replace
@@ -53,11 +54,12 @@ class CounterexampleFound(QIdentityError):
 
 class RetryExhausted(QIdentityError):
     """Every trial was lost to pole rejections: the guards look mis-specified.
-    Carries the report."""
+    Carries the report and ``run_trials``' failure."""
 
-    def __init__(self, message, report=None):
+    def __init__(self, message, report=None, failure=None):
         super().__init__(message)
         self.report = report
+        self.failure = failure
 
 
 def _div(num, den, what: str = "denominator") -> Fraction:
@@ -445,25 +447,31 @@ def _require_multisum_budget(n: int, r: int) -> None:
 
 
 class CrRow:
-    """Level n of the schlosser_cr summand at one point, read by k-vector:
-    the pair-interaction product at shifts k over its value at no shift,
-    times one entry of each axis row.  Axis row i holds, for k_i = 0..n, the
-    factors that depend on x_i and k_i alone.  The pair products are int
-    numerators over one shared denominator, which cancels in every read, and
-    a vanished one at no shift raises PoleError on read, as a TermRow's pole
-    does.  A plain class: generating a dataclass's methods is a measurable
-    share of import time."""
+    """Level n of an r-fold sum over k in [0, n]^r at one point, read by
+    k-vector: the pair-interaction product at parameter a and shifts k over
+    its value at norm_a (default a) and no shift, times one entry of each
+    axis row, whose entry k_i holds the factors of x_i and k_i alone.  It is
+    every r-fold sum: the C_r sum (``schlosser_row``), the C_r propositions
+    (norm_a = a q^n, each axis the weight row), the n = 1 lemma (norm_a =
+    a q) and, with no axes, the certificate's pair ratios.  ``scale`` brings
+    the pair table's int numerators over the normalizer; a vanished one
+    raises PoleError on read, as a TermRow's pole does.  A plain class:
+    generating a dataclass's methods is a measurable share of import time."""
 
-    __slots__ = ("n", "xs", "axes", "pairs", "pair_den")
+    __slots__ = ("n", "xs", "axes", "pairs", "scale")
 
     def __init__(self, n: int, a: Fraction, q: Fraction,
-                 xs: Tuple[Fraction, ...], axes: Tuple[TermRow, ...]):
+                 xs: Sequence[Fraction], axes: Tuple[TermRow, ...],
+                 norm_a: Optional[Fraction] = None):
         self.n, self.xs, self.axes = n, xs, axes
-        self.pairs = dict(_pair_table(a, q, xs, n)[0])
-        self.pair_den = self.pairs[(0,) * len(xs)]
+        table, den = _pair_table(a, q, xs, n)
+        [(_, norm)], norm_den = _pair_table(a if norm_a is None else norm_a,
+                                            q, xs, 0)
+        self.pairs = dict(table)
+        self.scale = (norm_den, den * norm)
 
-    def _check_pair_den(self) -> None:
-        if self.pair_den == 0:
+    def _check_scale(self) -> None:
+        if self.scale[1] == 0:
             raise PoleError("pair-interaction denominator vanished")
 
     def term(self, ks) -> Fraction:
@@ -472,8 +480,9 @@ class CrRow:
             raise ValueError("need a k-vector of length r=%d" % len(self.xs))
         if any(k < 0 or k > self.n for k in ks):
             return Fraction(0)
-        self._check_pair_den()
-        num, den = self.pairs[ks], self.pair_den
+        self._check_scale()
+        num, den = self.scale
+        num *= self.pairs[ks]
         for row, k in zip(self.axes, ks):
             t = row.term(k)
             num *= t.numerator
@@ -481,21 +490,17 @@ class CrRow:
         return Fraction(num, den)
 
     def total(self) -> Fraction:
-        self._check_pair_den()
-        den = self.pair_den
-        tables = []                 # each axis row's terms over one denominator
+        """Each axis row's int numerators over its den, per k-vector."""
+        self._check_scale()
+        num, den = self.scale
+        weights = [1]
         for row in self.axes:
-            terms = [row.term(k) for k in range(self.n + 1)]
-            common = math.lcm(*(t.denominator for t in terms))
-            den *= common
-            tables.append([t.numerator * (common // t.denominator)
-                           for t in terms])
-        total = 0
-        for ks, t in self.pairs.items():
-            for table, k in zip(tables, ks):
-                t *= table[k]
-            total += t
-        return Fraction(total, den)
+            if len(row.nums) <= self.n:
+                raise PoleError(row.pole)
+            den *= row.den
+            weights = [w * v for w in weights for v in row.nums]
+        return Fraction(num * sum(map(operator.mul, self.pairs.values(),
+                                      weights)), den)
 
 
 @_memo_rows
@@ -539,27 +544,18 @@ def schlosser_rhs(p: ParamPoint) -> Fraction:
 
 
 def schlosser_lemma_lhs(p: ParamPoint) -> Fraction:
-    """The 2^r terms over one denominator, their pairs from one pair table."""
+    """The r-fold sum over {0, 1}^r; axis row i is [1, v_i]."""
     a, b, c, d, q = p.ratios("abcdq")
     r = p.idx("r")
     xs = _xs(p, r)
-    [(_, pair_num)], pair_den = _pair_table(a*q, q, xs, 0)
-    if pair_num == 0:
-        raise PoleError("lemma pair denominator vanished")
     # the parameters over x_i, which do not depend on the axis
     bcd, aq = b*c*d, a*q
     nums = [b, c, d, a*a*q**(3-r)/bcd]
     dens = [aq/b, aq/c, aq/d, bcd*q**(r-2)/a]
-    axes = [poch_ratio([t*xi for t in nums], [t*xi for t in dens], q, 1, -1)
-            for xi in xs]
-    pairs, den = _pair_table(a, q, xs, 1)
-    total = 0
-    for ks, t in pairs:
-        for v, k in zip(axes, ks):
-            t *= v.numerator if k else v.denominator
-        total += t
-    den *= math.prod(v.denominator for v in axes) * pair_num
-    return Fraction(total * pair_den, den)
+    axes = tuple(pair_row(poch_ratio_pairs([t*xi for t in nums],
+                                           [t*xi for t in dens], q, -1, 2), 1)
+                 for xi in xs)
+    return CrRow(1, a, q, xs, axes, aq).total()
 
 
 def schlosser_lemma_rhs(p: ParamPoint) -> Fraction:
@@ -586,18 +582,12 @@ def _cr_lhs(p: ParamPoint, signed: bool) -> Fraction:
     a, q = p.ratios("aq")
     n, r = p.idx("n"), p.idx("r")
     _require_multisum_budget(n, r)
-    xs = _xs(p, r)
-    [(_, pair_num)], pair_den = _pair_table(a*q**n, q, xs, 0)
-    if pair_num == 0:
-        raise PoleError("pair-interaction denominator vanished")
-    pairs, den = _pair_table(a, q, xs, n)
-    # the weight (-1)^s q^{-(r-1) s} of total shift s, over q's numerator
-    # to the (r-1) r n
-    qn, qd, e, top = q.numerator, q.denominator, r - 1, r * n
-    weights = [(-1 if signed and s % 2 else 1) * qd**(e*s) * qn**(e*(top - s))
-               for s in range(top + 1)]
-    total = sum(t * weights[sum(ks)] for ks, t in pairs)
-    return Fraction(total * pair_den, den * qn**(e*top) * pair_num)
+    # every axis weighs k by (-1)^k q^{-(r-1) k}, over q's numerator to the
+    # (r-1) n
+    qn, qd, e = q.numerator, q.denominator, r - 1
+    weight = TermRow([(-1 if signed and k % 2 else 1) * qd**(e*k)
+                      * qn**(e*(n - k)) for k in range(n + 1)], qn**(e*n), n)
+    return CrRow(n, a, q, _xs(p, r), (weight,) * r, a*q**n).total()
 
 
 def _cr1_rhs(p: ParamPoint) -> Fraction:
@@ -759,12 +749,6 @@ def _andrews_jain_rhs(p: ParamPoint) -> Fraction:
 # the registry
 # ---------------------------------------------------------------------------
 
-def _distinct_x_guard(p: ParamPoint):
-    xs = _xs(p, p.idx("r"))
-    return [("x%d - x%d" % (i + 1, j + 1), xs[i] - xs[j])
-            for i, j in itertools.combinations(range(len(xs)), 2)]
-
-
 def _build_registry() -> Dict[str, IdentityDescriptor]:
     reg: Dict[str, IdentityDescriptor] = {}
 
@@ -817,15 +801,13 @@ def _build_registry() -> Dict[str, IdentityDescriptor]:
         id="schlosser_cr",
         symbols=("a", "b", "c", "d"),
         index_names=("n", "r"),
-        lhs=schlosser_lhs, rhs=schlosser_rhs,
-        guards=_distinct_x_guard))
+        lhs=schlosser_lhs, rhs=schlosser_rhs))
 
     add(IdentityDescriptor(
         id="schlosser_lemma_n1",
         symbols=("a", "b", "c", "d"),
         index_names=("r",),
-        lhs=schlosser_lemma_lhs, rhs=schlosser_lemma_rhs,
-        guards=_distinct_x_guard))
+        lhs=schlosser_lemma_lhs, rhs=schlosser_lemma_rhs))
 
     add(IdentityDescriptor(
         id="sch_8phi7_special",
@@ -838,7 +820,6 @@ def _build_registry() -> Dict[str, IdentityDescriptor]:
         symbols=("a",),
         index_names=("n", "r"),
         lhs=lambda p: _cr_lhs(p, signed=False), rhs=_cr1_rhs,
-        guards=_distinct_x_guard,
         xcheck=_cr_xcheck(signed=False)))
 
     add(IdentityDescriptor(
@@ -846,7 +827,6 @@ def _build_registry() -> Dict[str, IdentityDescriptor]:
         symbols=("a",),
         index_names=("n", "r"),
         lhs=lambda p: _cr_lhs(p, signed=True), rhs=_cr2_rhs,
-        guards=_distinct_x_guard,
         xcheck=_cr_xcheck(signed=True),
         notes="per-index weight (-1)^{s_i} q^{-(r-1) s_i}; right side vanishes "
               "for odd n"))
@@ -1070,5 +1050,6 @@ def verify(identity_id: str, trials: int, seed: int,
             point=point, report=report)
     if report.status == "ERROR":
         raise RetryExhausted("identity %s: %s" % (
-            desc.id, out["first_failure"]["error"]), report=report)
+            desc.id, out["first_failure"]["error"]), report=report,
+            failure=out["first_failure"])
     return report

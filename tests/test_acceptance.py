@@ -160,10 +160,10 @@ def test_schlosser_internals():
             for n in (0, 1, 2, 3):
                 for i in range(1, r + 1):
                     for k_i in range(n + 2):
-                        if certs.schlosser_split_residual(point, n, r, i, k_i) != 0:
+                        if certs.schlosser_split_residual(point, n, i, k_i) != 0:
                             bad.append(("split", r, n, i, k_i))
                 for ss in itertools.product((0, 1), repeat=r):
-                    if certs.schlosser_coeff_residual(point, n, r, ss) != 0:
+                    if certs.schlosser_coeff_residual(point, n, ss) != 0:
                         bad.append(("coeff", r, n, ss))
     elapsed = time.monotonic() - start
     ok = not bad

@@ -183,7 +183,7 @@ def test_schlosser_split_residual():
         for n in (0, 1, 2):
             for i in range(1, r + 1):
                 for k_i in range(n + 2):   # includes the k_i = n + 1 edge
-                    assert schlosser_split_residual(point, n, r, i, k_i) == 0
+                    assert schlosser_split_residual(point, n, i, k_i) == 0
 
 
 def test_schlosser_coeff_residual():
@@ -192,9 +192,9 @@ def test_schlosser_coeff_residual():
         point = sample_certificate_point("schlosser", rng, r_range=(r, r))
         for n in (0, 1, 2):
             for ss in itertools.product((0, 1), repeat=r):
-                assert schlosser_coeff_residual(point, n, r, ss) == 0
+                assert schlosser_coeff_residual(point, n, ss) == 0
     with pytest.raises(ValueError):
-        schlosser_coeff_residual(point, 1, 3, (0, 2, 0))
+        schlosser_coeff_residual(point, 1, (0, 2, 0))
 
 
 def test_jackson_coefficient_matches_generic_alpha():

@@ -327,7 +327,8 @@ def test_every_kind_counts_poles_the_same_way(capsys, monkeypatch, kind,
     assert (item["status"], item["succeeded"], item["rejected"],
             item["point_rejections"]) == expected
     if item["status"] == "ERROR":
-        assert "exhausted" in item["first_failure"]["error"]
+        assert item["first_failure"] == {
+            "error": "all 3 trials exhausted %d pole retries each" % CAP}
     elif item["status"] == "FAIL":
         assert item["first_failure"] is not None
     else:
@@ -429,10 +430,10 @@ def test_bad_values_exit_2(capsys, argv, message):
     (["verify", "--id", "cr_prop_1", "--r-max", "6"],
      "--r-max must be at most 4 for verify, got 6"),
     (["certify", "--proof", "schlosser", "--r-max", "9"],
-     "--r-max must be at most 3 for certify, got 9"),
-    (["all", "--r-max", "4"], "--r-max must be at most 3 for all, got 4"),
+     "--r-max must be at most 4 for certify, got 9"),
+    (["all", "--r-max", "5"], "--r-max must be at most 4 for all, got 5"),
     # a floor is checked before the ceiling
-    (["all", "--r-max", "4", "--m-max", "-1"],
+    (["all", "--r-max", "5", "--m-max", "-1"],
      "--m-max must be at least 0 for all, got -1"),
 ])
 def test_too_large_values_exit_2(capsys, argv, message):

@@ -294,11 +294,21 @@ def test_multisum_cost_guard():
         eval_sides("cr_prop_1", p)
 
 
-def test_guard_violation_raises_pole():
-    p = ParamPoint({"a": 2, "x1": 3, "x2": 3, "q": Fraction(1, 2)},
-                   {"n": 1, "r": 2})
-    with pytest.raises(PoleError):
-        eval_sides("cr_prop_1", p)
+@pytest.mark.parametrize("identity_id, indices", [
+    ("schlosser_cr", {"n": 0, "r": 3}), ("schlosser_cr", {"n": 2, "r": 3}),
+    ("schlosser_lemma_n1", {"r": 3}), ("cr_prop_1", {"n": 2, "r": 3}),
+    ("cr_prop_2", {"n": 2, "r": 3})],
+    ids=["schlosser_cr_n0", "schlosser_cr_n2", "lemma", "cr_prop_1", "cr_prop_2"])
+def test_equal_x_values_are_a_pole(identity_id, indices):
+    # no guard names x_i = x_j: the factor x_1 - x_2 of the no-shift pair
+    # product, which every C_r left side divides by, vanishes there
+    p = ParamPoint({"a": 2, "b": 3, "c": 5, "d": 7, "q": Fraction(1, 2),
+                    "x1": Fraction(3, 4), "x2": Fraction(3, 4), "x3": 11},
+                   indices)
+    with pytest.raises(PoleError, match="pair-interaction"):
+        eval_sides(identity_id, p)
+    lhs, rhs = eval_sides(identity_id, p.with_symbols(x2=Fraction(5, 4)))
+    assert lhs == rhs
 
 
 def test_sch_special_small_cases():
@@ -642,8 +652,9 @@ def test_pair_product_matches_the_fraction_loop(bound):
         [(ks, num)], den = ident._pair_table(a, q, xs, 0)
         assert (ks, Fraction(num, den)) == ((0,) * r, expected)
         ratio = ref.outcome(lambda: ident._div(
-            ref.pair_product(a, q, xs, shifts), expected))
-        assert ref.outcome(certs._pair_ratio, a, q, xs, shifts) == ratio
+            ref.pair_product(a, q, xs, shifts), expected,
+            "pair-interaction denominator"))
+        assert ref.outcome(ident.CrRow(1, a, q, xs, ()).term, shifts) == ratio
         zeros += expected == 0
     assert zeros > 0
 
