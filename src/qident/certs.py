@@ -32,12 +32,14 @@ Every recurrence is one tuple of steps (c, dn, s), read as
 The multi-index certificate (the C_r sum) has no steps: its recurrence is a
 2^r-fold split over s in {0,1}^r with per-s coefficients beta_s and per-axis
 shifts x_i -> x_i q^{s_i}.  ``_level_residuals`` is the one residual loop:
-per level it evaluates each coefficient once, shifts the point once per step
-and fetches each row once, then yields the residuals in k order.  The term
-recurrence, the telescoped right-side combination and the boundary sum all
-run on it, the per-k checks as one-k levels; the replay's propagation reads
-the same steps.  The coefficients that cost more to evaluate than to look
-up (jackson's, watson's and bailey's c_move, singh's gamma) are memoized.
+per level it evaluates each coefficient once and fetches each row once, then
+yields the residuals in k order.  The term recurrence and the telescoped
+right-side combination run on it, the per-k checks as one-k levels;
+``check_point`` sums the combinations for the boundary check in its
+telescoping pass, and the replay's propagation reads the same steps.  A point
+keeps its shifts, its identity point per level and its C_r split
+coefficients (``ParamPoint.derived``); the other costly coefficients
+(jackson's, watson's and bailey's c_move, singh's gamma) are memoized.
 
 The anti-differences are rows on the term kernel, with any per-term factor
 1 - c p^k applied by ``hyper.linear``.  They are not memoized: the
@@ -115,8 +117,11 @@ class ProofCertificate:
 
 def _identity_point(identity_id: str, point: ParamPoint, n: int) -> ParamPoint:
     """The identity's own point at level n: index n set, derived symbols
-    (e for jackson, lam for bailey) applied."""
-    derive = _ident.get_identity(identity_id).derive
+    (e for jackson, lam for bailey) applied; made once per point."""
+    return point.derived(_at_level, n, _ident.get_identity(identity_id).derive)
+
+
+def _at_level(point: ParamPoint, n: int, derive) -> ParamPoint:
     point = ParamPoint(point.symbols, {**point.indices, "n": n})
     return derive(point) if derive is not None else point
 
@@ -291,18 +296,20 @@ def quintuple_move(p: ParamPoint, n: int) -> Fraction:
 # C_r certificate (multi-index)
 # ---------------------------------------------------------------------------
 
-@_ident._memo_rows
+def _pair_ratios(p: ParamPoint) -> "_ident.CrRow":
+    """The pair products at shifts s over their value at no shift, by s."""
+    return _ident.CrRow(1, p.sym("a"), p.sym("q"), _xs(p, p.idx("r")), ())
+
+
 def schlosser_split_coeff(p: ParamPoint, n: int, ss: Tuple[int, ...]) -> Fraction:
     """Per-s coefficient of the 2^r-fold split (product form), at lower level n.
 
-    Memoized with the rows: the replay's coefficient residual reads the value
-    the term-recurrence sweep evaluated at the same (point, n, ss).  At n <= 3
-    one point needs 2^r at each of 3 levels: 24 at r = 3, which the memo's 32
-    hold, and 48 at r = 4, so there some are evaluated twice."""
+    The checks read it through ``p.derived``, once per point, n and s: the
+    replay's coefficient residual reads the value the sweep evaluated."""
     r = p.idx("r")
     a, b, c, d, q = map(p.sym, "abcdq")
     xs = _xs(p, r)
-    t = _ident.CrRow(1, a, q, xs, ()).term(ss)
+    t = p.derived(_pair_ratios).term(ss)
     for i in range(r):
         xi, si = xs[i], ss[i]
         num = (Fraction(-1)**si * qpoch(a*xi*xi*q, q, 2*si)
@@ -371,7 +378,7 @@ def schlosser_coeff_residual(point: ParamPoint, n: int,
     a, b, c, d, q = map(point.sym, "abcdq")
     xs = _xs(point, r)
     form1 = (_schlosser_alpha_s(point, n, ss)
-             * _ident.CrRow(1, a, q, xs, ()).term(ss))
+             * point.derived(_pair_ratios).term(ss))
     for i in range(r):
         xi, si = xs[i], ss[i]
         form1 *= _div(1 - a*xi*xi*q**(2*si), 1 - a*xi*xi)
@@ -382,7 +389,7 @@ def schlosser_coeff_residual(point: ParamPoint, n: int,
                * qpoch(b*c*d*xi*q**(r-n-2)/a, q, si + 1)
                * qpoch(a*a*xi*q**(n-r+2)/(b*c*d), q, 1 - si))
         form1 *= _div(num, den)
-    return form1 - schlosser_split_coeff(point, n, ss)
+    return form1 - point.derived(schlosser_split_coeff, n, ss)
 
 
 # ---------------------------------------------------------------------------
@@ -521,12 +528,15 @@ def check_point(cert: ProofCertificate, point: ParamPoint, ranges: CheckRanges
                     list(k) if cert.multi else k))
             counts["term_recurrence"] += 1
     if cert.anti_diff is not None:
+        # the boundary sum is taken in the telescoping pass
         for n in range(cert.order, ranges.sweep_n + 1):
-            for k, residual in telescoping_residuals(cert, point, n):
+            boundary = Fraction(0)
+            for k, combo, residual in _telescoped(cert, point, n, range(n + 1)):
                 if residual != 0:
                     return counts, fail("telescoping", n=n, k=k)
                 counts["telescoping"] += 1
-            if not boundary_check(cert, point, n):
+                boundary += combo
+            if boundary != 0:
                 return counts, fail("boundary", n=n)
             counts["boundary"] += 1
     if not inductive_replay(cert, point, ranges.replay_n):
@@ -559,13 +569,14 @@ def _level_residuals(cert: ProofCertificate, read: LevelFn, point: ParamPoint,
     lower = []                      # (coefficient value, row, k-shift)
     if cert.multi:
         for ss in itertools.product((0, 1), repeat=point.idx("r")):
-            lower.append((schlosser_split_coeff(point, n - 1, ss),
-                          read(_schlosser_shift_s(point, ss), n - 1), ss))
+            lower.append((point.derived(schlosser_split_coeff, n - 1, ss),
+                          read(point.derived(_schlosser_shift_s, ss), n - 1),
+                          ss))
     else:
         shifted = [point]
         for coeff, dn, s in cert.steps:
             while len(shifted) <= s:
-                shifted.append(cert.shift(shifted[-1]))
+                shifted.append(shifted[-1].derived(cert.shift))
             lower.append((coeff(point, n), read(shifted[s], n - dn),
                           s * cert.k_shift))
     for k in ks:
@@ -615,17 +626,21 @@ def _right_side_levels(cert: ProofCertificate, point: ParamPoint, n: int,
     return _level_residuals(cert, cert.rhs_term, point, n, ks)
 
 
+def _telescoped(cert: ProofCertificate, point: ParamPoint, n: int,
+                ks: Iterable[int]) -> Iterator[Tuple[int, Fraction, Fraction]]:
+    """(k, combination, telescoping residual) for each k of ks."""
+    combos = _right_side_levels(cert, point, n, ks, "telescoping")
+    h = cert.anti_diff(point, n)
+    return ((k, c, c - (h.term(k) - h.term(k - 1))) for k, c in combos)
+
+
 def telescoping_residuals(cert: CertOrId, point: ParamPoint, n: int,
                           ks: Optional[Iterable[int]] = None
                           ) -> Iterator[Tuple[int, Fraction]]:
     """(k, telescoped right-side combination minus (H_{n,k} - H_{n,k-1}))
     for each k of ks, by default 0..n; every residual is exactly 0."""
-    cert = _resolve(cert)
-    combos = _right_side_levels(cert, point, n,
-                                range(n + 1) if ks is None else ks,
-                                "telescoping")
-    h = cert.anti_diff(point, n)
-    return ((k, c - (h.term(k) - h.term(k - 1))) for k, c in combos)
+    return ((k, residual) for k, _, residual in _telescoped(
+        _resolve(cert), point, n, range(n + 1) if ks is None else ks))
 
 
 def telescoping_residual(cert: CertOrId, point: ParamPoint, n: int,
@@ -636,7 +651,8 @@ def telescoping_residual(cert: CertOrId, point: ParamPoint, n: int,
 
 def boundary_check(cert: CertOrId, point: ParamPoint, n: int) -> bool:
     """True iff the summed telescoping collapses exactly:
-    sum_{k=0}^{n} of the telescoped right-side combination is 0."""
+    sum_{k=0}^{n} of the telescoped right-side combination is 0.
+    ``check_point`` takes this sum from its telescoping pass."""
     cert = _resolve(cert)
     combos = _right_side_levels(cert, point, n, range(n + 1), "boundary check")
     return sum((c for _, c in combos), Fraction(0)) == 0
@@ -661,7 +677,7 @@ def inductive_replay(proof: CertOrId, point: ParamPoint, n_max: int) -> bool:
         return _schlosser_replay(cert, point, n_max)
     pts = [point]
     for _ in range(n_max):
-        pts.append(cert.shift(pts[-1]))
+        pts.append(pts[-1].derived(cert.shift))
 
     values: Dict[Tuple[int, int], Fraction] = {}
     for m in range(cert.order):

@@ -187,7 +187,7 @@ class IdentityDescriptor:
     derive: Optional[Callable[[ParamPoint], ParamPoint]] = None
     guards: Optional[Callable[[ParamPoint], Iterable[Tuple[str, Fraction]]]] = None
     xcheck: Optional[Callable[[ParamPoint, random.Random, int],
-                              Tuple[Fraction, Fraction]]] = None
+                              Fraction]] = None
     notes: str = ""
 
     @property
@@ -607,11 +607,13 @@ def _cr2_rhs(p: ParamPoint) -> Fraction:
 
 
 def _cr_xcheck(signed: bool):
+    """The left side at a fresh x-vector, which the caller compares with the
+    left side at the point: neither right side reads x."""
     def check(point: ParamPoint, rng: random.Random,
-              size_bound: int) -> Tuple[Fraction, Fraction]:
+              size_bound: int) -> Fraction:
         r = point.idx("r")
         other = point.with_symbols(**_sample_x_vector(rng, r, size_bound))
-        return _cr_lhs(point, signed), _cr_lhs(other, signed)
+        return _cr_lhs(other, signed)
     return check
 
 
@@ -1030,8 +1032,7 @@ def verify(identity_id: str, trials: int, seed: int,
             return False
         if desc.xcheck is None:
             return True
-        first, second = desc.xcheck(point, rng, size_bound)
-        return first == second
+        return desc.xcheck(point, rng, size_bound) == lhs
 
     start = time.monotonic()
     out = run_trials(trials, seed, desc.id, draw, agrees,

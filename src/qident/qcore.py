@@ -129,6 +129,14 @@ class ParamPoint:
                         for k, v in self.symbols.items())
         return [view[k] if k in view else self.sym(k) for k in names]
 
+    def derived(self, fn, *args):
+        """``fn(self, *args)``, made once and kept on the point, as the
+        ``Ratio`` view is; a call that raises keeps nothing."""
+        cache = self.__dict__.setdefault("_derived", {})
+        if (fn, args) not in cache:
+            cache[fn, args] = fn(self, *args)
+        return cache[fn, args]
+
     @functools.cached_property
     def _key(self) -> tuple:
         """The sorted (name, numerator, denominator) of the symbols and the

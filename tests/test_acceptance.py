@@ -7,6 +7,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines live.
 import copy
 import itertools
 import json
+import math
 import random
 import time
 from dataclasses import replace
@@ -229,6 +230,31 @@ def _scaled_anti_diff(cert):
     return replace(cert, anti_diff=anti_diff)
 
 
+def _boundary_only(cert):
+    """The certificate with G_{n,n} x 102/101 in its right-side rows and, as
+    its anti-difference, the running sum of the planted telescoped
+    combination: every telescoping residual is 0 by construction, and only
+    the boundary sum, which is that running sum at k = n, sees the fault."""
+    def rhs_term(point, n):
+        row = cert.rhs_term(point, n)
+        nums = [x * SCALE.denominator for x in row.nums]
+        if len(nums) > n:
+            nums[n] = row.nums[n] * SCALE.numerator
+        return TermRow(nums, row.den * SCALE.denominator, row.n, row.pole)
+    planted = replace(cert, rhs_term=rhs_term)
+    # against a zero anti-difference each residual is the combination itself
+    combos = replace(planted,
+                     anti_diff=lambda point, n: TermRow([0] * (n + 1), 1, n))
+
+    def anti_diff(point, n):
+        sums = list(itertools.accumulate(
+            c for _, c in certs.telescoping_residuals(combos, point, n)))
+        den = math.lcm(*(h.denominator for h in sums))
+        return TermRow([h.numerator * (den // h.denominator) for h in sums],
+                       den, n)
+    return replace(planted, anti_diff=anti_diff)
+
+
 # fault -> (proof, planted fault, the check that must report it)
 CERT_FAULTS = {
     "jackson": ("jackson", lambda cert: replace(cert, steps=(
@@ -240,6 +266,9 @@ CERT_FAULTS = {
         "term_recurrence"),
     "bailey_anti_diff": ("bailey", _scaled_anti_diff, "telescoping"),
     "singh_anti_diff": ("singh", _scaled_anti_diff, "telescoping"),
+    "watson_boundary": ("watson", _boundary_only, "boundary"),
+    "bailey_boundary": ("bailey", _boundary_only, "boundary"),
+    "singh_boundary": ("singh", _boundary_only, "boundary"),
 }
 
 

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from dataclasses import replace
@@ -453,8 +454,7 @@ def test_check_ranges_and_counts(cert_id, n_max):
 
 
 MEMOIZED_COEFFICIENTS = {"jackson": "jackson_gamma", "watson": "watson_beta",
-                         "bailey": "bailey_alpha", "singh": "singh_gamma",
-                         "schlosser": "schlosser_split_coeff"}
+                         "bailey": "bailey_alpha", "singh": "singh_gamma"}
 
 
 @pytest.mark.parametrize("cert_id", certificate_ids())
@@ -486,17 +486,18 @@ def test_one_point_builds_each_row_once(cert_id):
 
 # hits and misses of each memoized builder after one certify run; a miss is
 # one build.  The anti-difference rows are not memoized: the telescoping
-# check reads each (point, n) once, so a memo would only miss.
+# check reads each (point, n) once, so a memo would only miss.  The boundary
+# sum is taken in the telescoping pass, so it reads no row or coefficient.
 ROW_MEMO_COUNTS = {
-    "bailey_alpha": (51, 48), "bailey_row": (48, 69),
-    "bailey_rhs_row": (102, 69),
+    "bailey_alpha": (33, 48), "bailey_row": (48, 69),
+    "bailey_rhs_row": (48, 69),
     "jackson_gamma": (15, 48), "jackson_row": (48, 69),
     "lebesgue_row": (48, 69), "quintuple_row": (48, 69),
-    "schlosser_row": (18, 21), "schlosser_split_coeff": (18, 18),
-    "singh_gamma": (42, 33), "singh_lhs_row": (57, 69),
-    "singh_rhs_row": (117, 69),
-    "watson_beta": (51, 48), "watson_row": (48, 69),
-    "watson_rhs_row": (102, 69)}
+    "schlosser_row": (18, 21),
+    "singh_gamma": (27, 33), "singh_lhs_row": (57, 69),
+    "singh_rhs_row": (57, 69),
+    "watson_beta": (33, 48), "watson_row": (48, 69),
+    "watson_rhs_row": (48, 69)}
 
 
 def test_row_memo_counts_of_a_certify_run():
@@ -508,6 +509,24 @@ def test_row_memo_counts_of_a_certify_run():
     assert status == 0
     assert {name: info[:2] for name, info in ident.row_memo_info().items()
             } == ROW_MEMO_COUNTS
+
+
+def test_split_coefficients_are_evaluated_once_per_point_n_and_s(monkeypatch):
+    # certify --proof schlosser --r-max 4 --n-max 3 --trials 3 --seed 3 draws
+    # r = 4, 4 and 3; the sweep and the replay both read the 2^r coefficients
+    # of each lower level 0..2, and every point has one pair-ratio table
+    calls = collections.Counter()
+    for name in ("schlosser_split_coeff", "_pair_ratios"):
+        def counting(*args, healthy=getattr(certs, name), name=name):
+            calls[name] += 1
+            return healthy(*args)
+        monkeypatch.setattr(certs, name, counting)
+    status, report = cli.run(cli.RunConfig(
+        command="certify", proof_ids=("schlosser",), cert_trials=3, seed=3,
+        n_max=3, r_max=4))
+    assert status == 0 and report["items"][0]["point_rejections"] == 0
+    assert calls == {"schlosser_split_coeff": 3 * (16 + 16 + 8),
+                     "_pair_ratios": 3}
 
 
 def test_level_yields_each_k_before_a_later_pole():
