@@ -13,8 +13,9 @@ node against direct evaluation of both sides.
 ``check_point`` runs and counts every check of one sampled point within it.
 
 F, G and H are read a level at a time: ``term``, ``rhs_term`` and
-``anti_diff`` map (point, n) to the row of level n, whose ``term(k)`` is the
-entry at k (0 outside [0, n]; PoleError from a vanished denominator on).
+``anti_diff`` map (point, n) to the row of level n, whose ``pair(k)`` is the
+entry at k as an unreduced int pair ((0, 1) outside [0, n]; PoleError from a
+vanished denominator on) and ``term(k)`` the same entry reduced.
 F_{n,k} and G_{n,k} are entries of the proved identity's summand rows in
 ``identities`` (the C_r row, ``schlosser_row``, is read by k-vector).  The
 symbols, the index r of a multi-index proof and both sides at level n are
@@ -36,7 +37,11 @@ per level it evaluates each coefficient once and fetches each row once, then
 yields the residuals in k order.  The term recurrence and the telescoped
 right-side combination run on it, the per-k checks as one-k levels;
 ``check_point`` sums the combinations for the boundary check in its
-telescoping pass, and the replay's propagation reads the same steps.  A point
+telescoping pass, and the replay's propagation reads the same steps.  A
+residual is one unreduced int pair, combined from the rows' own int pairs
+(``pair``) and the coefficients' ints, so ``check_point``'s zero tests read
+one int each; the public residual functions build one ``Fraction`` per
+residual, which costs nothing where the numerator is 0.  A point
 keeps its shifts, its identity point per level and its C_r split
 coefficients (``ParamPoint.derived``); the other costly coefficients
 (jackson's, watson's and bailey's c_move, singh's gamma) are memoized.
@@ -65,6 +70,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import (Callable, Dict, Iterable, Iterator, NamedTuple, Optional,
                     Sequence, Tuple, Union)
 
@@ -76,6 +82,7 @@ from .identities import _div, _xs
 LevelFn = Callable[[ParamPoint, int], "TermRow | _ident.CrRow"]
 CoeffFn = Callable[[ParamPoint, int], Fraction]
 Step = Tuple[CoeffFn, int, int]     # (coefficient, levels down, shifts)
+Pair = Tuple[int, int]              # an unreduced value num/den, den nonzero
 
 
 @dataclass(frozen=True)
@@ -138,7 +145,7 @@ def _row_level(identity_id: str,
         try:
             return build(_identity_point(identity_id, point, n))
         except PoleError as exc:
-            return TermRow([], 1, n, str(exc))
+            return TermRow([], n, str(exc))
     return level
 
 
@@ -521,22 +528,24 @@ def check_point(cert: ProofCertificate, point: ParamPoint, ranges: CheckRanges
         info.update(extra)
         return info
 
+    # each residual is an unreduced int pair, zero exactly when its num is
     for n in range(cert.order, ranges.sweep_n + 1):
-        for k, residual in term_recurrence_residuals(cert, point, n):
-            if residual != 0:
+        for k, (residual, _) in _term_residuals(cert, point, n):
+            if residual:
                 return counts, fail("term_recurrence", n=n, k=(
                     list(k) if cert.multi else k))
             counts["term_recurrence"] += 1
     if cert.anti_diff is not None:
         # the boundary sum is taken in the telescoping pass
         for n in range(cert.order, ranges.sweep_n + 1):
-            boundary = Fraction(0)
-            for k, combo, residual in _telescoped(cert, point, n, range(n + 1)):
-                if residual != 0:
+            boundary = 0, 1
+            for k, combo, (residual, _) in _telescoped(cert, point, n,
+                                                       range(n + 1)):
+                if residual:
                     return counts, fail("telescoping", n=n, k=k)
                 counts["telescoping"] += 1
-                boundary += combo
-            if boundary != 0:
+                boundary = _plus(boundary, combo)
+            if boundary[0]:
                 return counts, fail("boundary", n=n)
             counts["boundary"] += 1
     if not inductive_replay(cert, point, ranges.replay_n):
@@ -557,19 +566,21 @@ def _back(k, back):
 
 
 def _level_residuals(cert: ProofCertificate, read: LevelFn, point: ParamPoint,
-                     n: int, ks: Iterable) -> Iterator[Tuple[object, Fraction]]:
+                     n: int, ks: Iterable) -> Iterator[Tuple[object, Pair]]:
     """(k, residual) for each k of ks in order: read's entry at (point, n, k)
-    minus the recurrence's right side read off read's lower rows.
+    minus the recurrence's right side read off read's lower rows, as one
+    unreduced int pair.
 
     Coefficients, shifted points and rows are fixed per level and are made
-    here, once; per k only row entries are read, so a nonzero residual at k
-    is yielded before any entry past k is read.
+    here, once; per k only row entries are read, as the rows' own int pairs,
+    so a nonzero residual at k is yielded before any entry past k is read.
     """
     top = read(point, n)
-    lower = []                      # (coefficient value, row, k-shift)
+    lower = []              # (coefficient num, den, row, k-shift)
     if cert.multi:
         for ss in itertools.product((0, 1), repeat=point.idx("r")):
-            lower.append((point.derived(schlosser_split_coeff, n - 1, ss),
+            c = point.derived(schlosser_split_coeff, n - 1, ss)
+            lower.append((c.numerator, c.denominator,
                           read(point.derived(_schlosser_shift_s, ss), n - 1),
                           ss))
     else:
@@ -577,13 +588,18 @@ def _level_residuals(cert: ProofCertificate, read: LevelFn, point: ParamPoint,
         for coeff, dn, s in cert.steps:
             while len(shifted) <= s:
                 shifted.append(shifted[-1].derived(cert.shift))
-            lower.append((coeff(point, n), read(shifted[s], n - dn),
-                          s * cert.k_shift))
+            c = coeff(point, n)
+            lower.append((c.numerator, c.denominator,
+                          read(shifted[s], n - dn), s * cert.k_shift))
     for k in ks:
-        total = top.term(k)
-        for c, row, back in lower:
-            total -= c * row.term(_back(k, back))
-        yield k, total
+        num, den = top.pair(k)
+        for cn, cd, row, back in lower:
+            rn, rd = row.pair(_back(k, back))
+            if rn:
+                rd *= cd
+                num = num * rd - cn * rn * den
+                den *= rd
+        yield k, (num, den)
 
 
 def term_recurrence_residuals(cert: CertOrId, point: ParamPoint, n: int,
@@ -592,7 +608,15 @@ def term_recurrence_residuals(cert: CertOrId, point: ParamPoint, n: int,
     """(k, F_{n,k} minus its recurrence right side) for each k of ks, by
     default every k of level n (k-vectors for the multi-index certificate);
     every residual is exactly 0."""
-    cert = _resolve(cert)
+    return ((k, Fraction(*residual))
+            for k, residual in _term_residuals(_resolve(cert), point, n, ks))
+
+
+def _term_residuals(cert: ProofCertificate, point: ParamPoint, n: int,
+                    ks: Optional[Iterable] = None
+                    ) -> Iterator[Tuple[object, Pair]]:
+    """The residuals of ``term_recurrence_residuals`` as unreduced int pairs;
+    an n below the proof's order is refused at the call."""
     if n < cert.order:
         raise ValueError("term recurrence needs n >= %d" % cert.order)
     if ks is None:
@@ -616,7 +640,7 @@ def term_recurrence_residual(cert: CertOrId, point: ParamPoint, n: int,
 
 def _right_side_levels(cert: ProofCertificate, point: ParamPoint, n: int,
                        ks: Iterable, check: str
-                       ) -> Iterator[Tuple[int, Fraction]]:
+                       ) -> Iterator[Tuple[int, Pair]]:
     """The recurrence's residual on the right-side terms G: the telescoped
     right-side combination at each k of ks."""
     if cert.rhs_term is None or cert.anti_diff is None:
@@ -627,11 +651,31 @@ def _right_side_levels(cert: ProofCertificate, point: ParamPoint, n: int,
 
 
 def _telescoped(cert: ProofCertificate, point: ParamPoint, n: int,
-                ks: Iterable[int]) -> Iterator[Tuple[int, Fraction, Fraction]]:
-    """(k, combination, telescoping residual) for each k of ks."""
+                ks: Iterable[int]) -> Iterator[Tuple[int, Pair, Pair]]:
+    """(k, combination, telescoping residual) for each k of ks, both as
+    unreduced int pairs."""
     combos = _right_side_levels(cert, point, n, ks, "telescoping")
     h = cert.anti_diff(point, n)
-    return ((k, c, c - (h.term(k) - h.term(k - 1))) for k, c in combos)
+    return ((k, c, _minus(c, _minus(h.pair(k), h.pair(k - 1))))
+            for k, c in combos)
+
+
+def _minus(x: Pair, y: Pair) -> Pair:
+    """x - y as an unreduced int pair: over x's den where y's den divides
+    it, as it does within a row, else over the product of the dens."""
+    (xn, xd), (yn, yd) = x, y
+    quot, rem = divmod(xd, yd)
+    if rem:
+        return xn * yd - yn * xd, xd * yd
+    return xn - yn * quot, xd
+
+
+def _plus(x: Pair, y: Pair) -> Pair:
+    """x + y as an unreduced int pair over the lcm of the dens, so that a
+    running sum does not carry every den it has met."""
+    (xn, xd), (yn, yd) = x, y
+    g = gcd(xd, yd)
+    return xn * (yd // g) + yn * (xd // g), xd // g * yd
 
 
 def telescoping_residuals(cert: CertOrId, point: ParamPoint, n: int,
@@ -639,7 +683,7 @@ def telescoping_residuals(cert: CertOrId, point: ParamPoint, n: int,
                           ) -> Iterator[Tuple[int, Fraction]]:
     """(k, telescoped right-side combination minus (H_{n,k} - H_{n,k-1}))
     for each k of ks, by default 0..n; every residual is exactly 0."""
-    return ((k, residual) for k, _, residual in _telescoped(
+    return ((k, Fraction(*residual)) for k, _, residual in _telescoped(
         _resolve(cert), point, n, range(n + 1) if ks is None else ks))
 
 
@@ -654,8 +698,11 @@ def boundary_check(cert: CertOrId, point: ParamPoint, n: int) -> bool:
     sum_{k=0}^{n} of the telescoped right-side combination is 0.
     ``check_point`` takes this sum from its telescoping pass."""
     cert = _resolve(cert)
-    combos = _right_side_levels(cert, point, n, range(n + 1), "boundary check")
-    return sum((c for _, c in combos), Fraction(0)) == 0
+    total = 0, 1
+    for _, c in _right_side_levels(cert, point, n, range(n + 1),
+                                   "boundary check"):
+        total = _plus(total, c)
+    return total[0] == 0
 
 
 # ---------------------------------------------------------------------------

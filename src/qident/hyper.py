@@ -5,11 +5,14 @@ terminating sum, same-index Pochhammer quotient and certificate row; z may
 be a pair (z, p), read as z^k p^{k(k-1)/2}.  Parameters arrive as reduced
 int pairs: ``Fraction``s, or ``Ratio``s built from a point's symbols and
 reduced with one gcd as the kernel reads them.  It yields each term as an
-unreduced int pair, each denominator dividing the next, so a sum or a row is
-brought over the last denominator with exact int quotients (Knuth, TAOCP
-vol. 2, section 4.5.1), and each side is reduced once: ``poch_ratio`` and
-``pair_sum`` build one ``Fraction``, a ``TermRow`` one for its total and one
-per term on its first read.  ``linear`` is the one loop for a per-term
+unreduced int pair, each denominator dividing the next: each step's ratio is
+divided by its gcd before it is multiplied in, and the terms are not reduced.
+A sum is brought over the last denominator with exact int quotients (Knuth,
+TAOCP vol. 2, section 4.5.1), and each side is reduced once: ``poch_ratio``
+and ``pair_sum`` build one ``Fraction``.  A ``TermRow`` keeps the kernel's
+own pairs, times its prefactor, so the certificates' residuals combine them
+as ints; its total is one ``Fraction`` and a term is reduced where it is
+read.  ``linear`` is the one loop for a per-term
 factor 1 - c p^k that no Pochhammer ratio holds: the well-poised factor, the
 1 + z q^k of ``quintuple_ccg``, the bilateral sums' 1 - w q^{2j} and the
 anti-differences' factors.  The bilateral ``jacobi_finite`` and
@@ -26,7 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from math import gcd
+from typing import Iterable, Iterator, Sequence, Tuple
 
 from .qcore import PoleError, Ratio, _ints
 
@@ -49,7 +53,9 @@ def poch_ratio_pairs(nums: Sequence, dens: Sequence, q, z,
     term before it has been yielded and PoleError is raised.
 
     Each run [num, den, base num, base den] holds a q^k and its base as
-    unreduced ints, and the ratio is an int pair; nothing is reduced.
+    unreduced ints.  The ratio is an int pair, small next to the terms; it is
+    divided by its gcd before it is multiplied in, and the terms are not
+    reduced.
     """
     qn, qd = _ints(q)
     zn, zd, zpn, zpd = _run(z if isinstance(z, tuple) else (z, 1), qn, qd)
@@ -79,8 +85,9 @@ def poch_ratio_pairs(nums: Sequence, dens: Sequence, q, z,
             rd *= cd - cn
             run[0] = cn * pn
             run[1] = cd * pd
-        tn *= rn
-        td *= rd
+        g = gcd(rn, rd)
+        tn *= rn // g
+        td *= rd // g
 
 
 def _run(a, qn: int, qd: int) -> list:
@@ -132,60 +139,53 @@ def poch_ratio_sum(nums: Sequence, dens: Sequence, q, z, terms: int) -> Fraction
 
 
 class TermRow:
-    """The terms F_0, ..., F_n of one terminating sum, as far as defined: int
-    numerators ``nums`` over the one nonzero int denominator ``den``.
+    """The terms F_0, ..., F_n of one terminating sum, as far as defined: the
+    kernel's unreduced int pairs ``pairs``, each den dividing the next.
 
-    ``nums`` stops short of n + 1 entries where a denominator factor
+    ``pairs`` stops short of n + 1 entries where a denominator factor
     vanished; reading a term from there on, or the total, raises PoleError
-    with the message ``pole``.  Terms outside [0, n] are 0.  The first read
-    of a term reduces every term once; the total is one ``Fraction``.  A
-    plain class, like ``identities.CrRow``.
+    with the message ``pole``.  Terms outside [0, n] are 0.  ``pair`` reads
+    an entry as it is, ``term`` reduces it to a ``Fraction`` and ``total``
+    is one ``Fraction``.  A plain class, like ``identities.CrRow``.
     """
 
-    __slots__ = ("nums", "den", "n", "pole", "_terms")
+    __slots__ = ("pairs", "n", "pole")
 
-    def __init__(self, nums: Sequence[int], den: int, n: int, pole: str = ""):
-        self.nums, self.den, self.n, self.pole = nums, den, n, pole
-        self._terms: Optional[Tuple[Fraction, ...]] = None
+    def __init__(self, pairs: Sequence[Tuple[int, int]], n: int,
+                 pole: str = ""):
+        self.pairs, self.n, self.pole = pairs, n, pole
 
-    @property
-    def terms(self) -> Tuple[Fraction, ...]:
-        """The reduced terms F_0, F_1, ..., as far as defined."""
-        if self._terms is None:
-            den = self.den
-            self._terms = tuple(Fraction(x, den) for x in self.nums)
-        return self._terms
+    def pair(self, k: int) -> Tuple[int, int]:
+        """The entry at k as an unreduced int pair; (0, 1) outside [0, n]."""
+        if k < 0 or k > self.n:
+            return 0, 1
+        if k >= len(self.pairs):
+            raise PoleError(self.pole)
+        return self.pairs[k]
 
     def term(self, k: int) -> Fraction:
-        if k < 0 or k > self.n:
-            return Fraction(0)
-        if k >= len(self.nums):
-            raise PoleError(self.pole)
-        return self.terms[k]
+        return Fraction(*self.pair(k))
 
     def total(self) -> Fraction:
-        if len(self.nums) <= self.n:
+        if len(self.pairs) <= self.n:
             raise PoleError(self.pole)
-        return Fraction(sum(self.nums), self.den)
+        return pair_sum(self.pairs)
 
 
 def pair_row(pairs: Iterable[Tuple[int, int]], n: int,
              pre: Fraction = Fraction(1)) -> TermRow:
     """The row of the terms k = 0..n, given as int pairs each of whose den
     divides the next, each times pre; a PoleError ends the row where it
-    arose.  The numerators are brought over the last den by the exact
-    quotient of the dens."""
+    arose."""
     out = []
     pole = ""
+    pn, pd = pre.numerator, pre.denominator
     try:
-        for pair in pairs:
-            out.append(pair)
+        for num, den in pairs:
+            out.append((num * pn, den * pd))
     except PoleError as exc:
         pole = str(exc)
-    last = out[-1][1] if out else 1
-    pn = pre.numerator
-    return TermRow([num * pn * (last // den) for num, den in out],
-                   last * pre.denominator, n, pole)
+    return TermRow(out, n, pole)
 
 
 @dataclass(frozen=True)

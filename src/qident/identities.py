@@ -455,7 +455,8 @@ class CrRow:
     (norm_a = a q^n, each axis the weight row), the n = 1 lemma (norm_a =
     a q) and, with no axes, the certificate's pair ratios.  ``scale`` brings
     the pair table's int numerators over the normalizer; a vanished one
-    raises PoleError on read, as a TermRow's pole does.  A plain class:
+    raises PoleError on read, as a TermRow's pole does.  ``pair`` reads an
+    entry as an unreduced int pair and ``term`` reduces it.  A plain class:
     generating a dataclass's methods is a measurable share of import time."""
 
     __slots__ = ("n", "xs", "axes", "pairs", "scale")
@@ -474,31 +475,39 @@ class CrRow:
         if self.scale[1] == 0:
             raise PoleError("pair-interaction denominator vanished")
 
-    def term(self, ks) -> Fraction:
+    def pair(self, ks) -> Tuple[int, int]:
+        """The entry at the k-vector ks as an unreduced int pair; (0, 1)
+        outside [0, n]^r."""
         ks = (ks,) if isinstance(ks, int) else tuple(ks)
         if len(ks) != len(self.xs):
             raise ValueError("need a k-vector of length r=%d" % len(self.xs))
         if any(k < 0 or k > self.n for k in ks):
-            return Fraction(0)
+            return 0, 1
         self._check_scale()
         num, den = self.scale
         num *= self.pairs[ks]
         for row, k in zip(self.axes, ks):
-            t = row.term(k)
-            num *= t.numerator
-            den *= t.denominator
-        return Fraction(num, den)
+            t_num, t_den = row.pair(k)
+            num *= t_num
+            den *= t_den
+        return num, den
+
+    def term(self, ks) -> Fraction:
+        return Fraction(*self.pair(ks))
 
     def total(self) -> Fraction:
-        """Each axis row's int numerators over its den, per k-vector."""
+        """Each axis row's int numerators brought over its last den, per
+        k-vector."""
         self._check_scale()
         num, den = self.scale
         weights = [1]
         for row in self.axes:
-            if len(row.nums) <= self.n:
+            if len(row.pairs) <= self.n:
                 raise PoleError(row.pole)
-            den *= row.den
-            weights = [w * v for w in weights for v in row.nums]
+            last = row.pairs[-1][1]
+            den *= last
+            nums = [t_num * (last // t_den) for t_num, t_den in row.pairs]
+            weights = [w * v for w in weights for v in nums]
         return Fraction(num * sum(map(operator.mul, self.pairs.values(),
                                       weights)), den)
 
@@ -585,8 +594,9 @@ def _cr_lhs(p: ParamPoint, signed: bool) -> Fraction:
     # every axis weighs k by (-1)^k q^{-(r-1) k}, over q's numerator to the
     # (r-1) n
     qn, qd, e = q.numerator, q.denominator, r - 1
-    weight = TermRow([(-1 if signed and k % 2 else 1) * qd**(e*k)
-                      * qn**(e*(n - k)) for k in range(n + 1)], qn**(e*n), n)
+    den = qn**(e*n)
+    weight = TermRow([((-1 if signed and k % 2 else 1) * qd**(e*k)
+                       * qn**(e*(n - k)), den) for k in range(n + 1)], n)
     return CrRow(n, a, q, _xs(p, r), (weight,) * r, a*q**n).total()
 
 

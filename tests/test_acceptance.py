@@ -220,13 +220,21 @@ def test_mutation_sensitivity():
 
 SCALE = Fraction(102, 101)
 
+def _scaled(pairs, k):
+    """The int pairs with entry k times 102/101: the entries after it times
+    101/101, so that each den still divides the next."""
+    return [(num * (SCALE.numerator if i == k else SCALE.denominator),
+             den * SCALE.denominator) if i >= k else (num, den)
+            for i, (num, den) in enumerate(pairs)]
+
+
 def _scaled_anti_diff(cert):
     """The certificate with every entry of its anti-difference rows scaled:
-    each numerator times 102 over the denominator times 101."""
+    each numerator times 102 and each denominator times 101."""
     def anti_diff(point, n):
         row = cert.anti_diff(point, n)
-        return TermRow([x * SCALE.numerator for x in row.nums],
-                       row.den * SCALE.denominator, row.n, row.pole)
+        return TermRow([(num * SCALE.numerator, den * SCALE.denominator)
+                        for num, den in row.pairs], row.n, row.pole)
     return replace(cert, anti_diff=anti_diff)
 
 
@@ -237,21 +245,18 @@ def _boundary_only(cert):
     the boundary sum, which is that running sum at k = n, sees the fault."""
     def rhs_term(point, n):
         row = cert.rhs_term(point, n)
-        nums = [x * SCALE.denominator for x in row.nums]
-        if len(nums) > n:
-            nums[n] = row.nums[n] * SCALE.numerator
-        return TermRow(nums, row.den * SCALE.denominator, row.n, row.pole)
+        return TermRow(_scaled(row.pairs, n), row.n, row.pole)
     planted = replace(cert, rhs_term=rhs_term)
     # against a zero anti-difference each residual is the combination itself
     combos = replace(planted,
-                     anti_diff=lambda point, n: TermRow([0] * (n + 1), 1, n))
+                     anti_diff=lambda point, n: TermRow([(0, 1)] * (n + 1), n))
 
     def anti_diff(point, n):
         sums = list(itertools.accumulate(
             c for _, c in certs.telescoping_residuals(combos, point, n)))
         den = math.lcm(*(h.denominator for h in sums))
-        return TermRow([h.numerator * (den // h.denominator) for h in sums],
-                       den, n)
+        return TermRow([(h.numerator * (den // h.denominator), den)
+                        for h in sums], n)
     return replace(planted, anti_diff=anti_diff)
 
 
@@ -313,14 +318,11 @@ def test_shared_row_fault_fails_identity_and_proof(monkeypatch, row_name):
     healthy = getattr(identities, row_name)
 
     def faulty(point):
-        # F_{n,1} x 102/101: the other numerators times 101 keep their terms
-        # over the denominator times 101
+        # F_{n,1} x 102/101
         row = healthy(point)
-        if len(row.nums) < 2:
+        if len(row.pairs) < 2:
             return row
-        nums = [x * SCALE.denominator for x in row.nums]
-        nums[1] = row.nums[1] * SCALE.numerator
-        return TermRow(nums, row.den * SCALE.denominator, row.n, row.pole)
+        return TermRow(_scaled(row.pairs, 1), row.n, row.pole)
 
     monkeypatch.setattr(identities, row_name, faulty)
     status, report = cli.run(config)

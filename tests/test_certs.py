@@ -104,6 +104,22 @@ def test_telescoping_requires_anti_difference():
         boundary_check("lebesgue", point, 2)
 
 
+def test_residual_generators_refuse_at_the_call():
+    # nothing here iterates a generator: the refusal comes from the call
+    rng = random.Random(6)
+    point = sample_certificate_point("jackson", rng)
+    with pytest.raises(ValueError,
+                       match="^certificate jackson has no anti-difference$"):
+        certs.telescoping_residuals("jackson", point, 2)
+    with pytest.raises(ValueError, match="^term recurrence needs n >= 1$"):
+        certs.term_recurrence_residuals("jackson", point, 0)
+    point = sample_certificate_point("singh", rng)
+    with pytest.raises(ValueError, match="^telescoping needs n >= 2$"):
+        certs.telescoping_residuals("singh", point, 1)
+    with pytest.raises(ValueError, match="^term recurrence needs n >= 2$"):
+        certs.term_recurrence_residuals("singh", point, 1)
+
+
 def test_spec_example_points():
     # fixed point from the summation example family
     p = ParamPoint({"a": 3, "b": Fraction(1, 2), "c": 5, "d": Fraction(1, 7),
@@ -355,7 +371,8 @@ def _row_outcome(build, point):
     row = ref.outcome(build, point)
     if isinstance(row, tuple):
         return row
-    return row.n, list(row.terms), row.pole, ref.outcome(row.total)
+    return (row.n, [Fraction(*pair) for pair in row.pairs], row.pole,
+            ref.outcome(row.total))
 
 
 @pytest.mark.parametrize("bound", [2, 3, 1000])

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from qident.hyper import (WellPoisedTerm, contiguous_alpha,
                           contiguous_residual_2, linear, pair_row, poch_ratio,
                           poch_ratio_pairs, poch_ratio_sum,
                           trivial_identity_residuals, wp_pairs, wp_term)
+from qident.identities import CrRow
 import reference_loops as ref
 
 small_rats = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
@@ -128,7 +130,8 @@ def _assert_pairs_match_the_fraction_loop(nums, dens, q, z, terms, pre):
         assert (ref.outcome(poch_ratio, nums, dens, q, terms - 1, z)
                 == (error if error else expected[-1]))
     row = pair_row(poch_ratio_pairs(nums, dens, q, z, terms), terms - 1, pre)
-    assert list(row.terms) == [pre * t for t in expected]
+    assert [row.term(k) for k in range(len(row.pairs))] == [
+        pre * t for t in expected]
     assert (ref.outcome(row.total)
             == ((PoleError, error[1]) if error else pre * total))
 
@@ -255,13 +258,66 @@ def test_poch_ratio_terms_pole_at_known_k():
     assert poch_ratio_sum(nums, dens, q, Fraction(5, 3), 4) == sum(
         ref.poch_ratio_terms(nums, dens, q, Fraction(5, 3), 4))
     row = pair_row(poch_ratio_pairs(nums, dens, q, Fraction(5, 3), 7), 6)
-    assert len(row.terms) == 4
+    assert len(row.pairs) == 4
     assert row.term(3) != 0
     assert row.term(-1) == row.term(7) == 0
     with pytest.raises(PoleError):
         row.term(4)
     with pytest.raises(PoleError):
         row.total()
+
+
+# The pair form: a row keeps the kernel's own int pairs times its prefactor,
+# and an entry is reduced only where it is read as a term.
+
+def _reduced(outcome):
+    """An outcome of a ``pair`` read reduced as ``term`` reduces it; an
+    error as it is."""
+    return Fraction(*outcome) if isinstance(outcome[0], int) else outcome
+
+
+@settings(max_examples=300, deadline=None)
+@given(params, params, small_rats.filter(lambda v: v not in (0, 1, -1)),
+       small_rats, st.integers(1, 9), small_rats)
+@example([(Fraction(3, 5), 1)], [(Fraction(1, 4), 1)], Fraction(2),
+         Fraction(5, 3), 7, Fraction(-2, 3))        # a pole at k = 3
+def test_row_keeps_the_kernel_pairs(nums, dens, q, z, terms, pre):
+    nums = [a if e == 1 else (a, q**e) for a, e in nums]
+    dens = [b if e == 1 else (b, q**e) for b, e in dens]
+    pairs, error = ref.drain(poch_ratio_pairs(nums, dens, q, z, terms))
+    # each den, after the per-step gcd, divides the next
+    assert all(den % prev == 0 for (_, prev), (_, den) in zip(pairs, pairs[1:]))
+    row = pair_row(poch_ratio_pairs(nums, dens, q, z, terms), terms - 1, pre)
+    assert row.pairs == [(num * pre.numerator, den * pre.denominator)
+                         for num, den in pairs]
+    # a pole raises from pair exactly where, and as, it raises from term
+    for k in range(-1, terms + 1):
+        assert ref.outcome(row.term, k) == _reduced(ref.outcome(row.pair, k))
+    if error is None:
+        assert row.total() == sum(row.term(k) for k in range(terms))
+    else:
+        assert ref.outcome(row.total) == (PoleError, row.pole)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(small_rats, min_size=1, max_size=3, unique=True), small_rats,
+       small_rats.filter(lambda v: v not in (0, 1, -1)), small_rats,
+       st.integers(0, 3))
+def test_cr_row_pair_agrees_with_its_term(xs, a, q, b, n):
+    # axis i has the pole of (a x_i;q)_k where a x_i q^j = 1 for some j < n
+    axes = tuple(pair_row(poch_ratio_pairs([b * x], [q, a * x], q, x, n + 1),
+                          n) for x in xs)
+    row = CrRow(n, a, q, xs, axes)
+    terms = []
+    for ks in itertools.product(range(-1, n + 2), repeat=len(xs)):
+        term = ref.outcome(row.term, ks)
+        assert term == _reduced(ref.outcome(row.pair, ks))
+        if all(0 <= k <= n for k in ks):
+            terms.append(term)
+    if all(isinstance(t, Fraction) for t in terms):
+        assert row.total() == sum(terms)
+    else:
+        assert ref.outcome(row.total)[0] is PoleError
 
 
 # int pairs each of whose den divides the next: a list of (num, den step)
