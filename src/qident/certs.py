@@ -42,12 +42,12 @@ residual is one unreduced int pair, combined from the rows' own int pairs
 (``pair``) and the coefficients' ints, so ``check_point``'s zero tests read
 one int each; the public residual functions build one ``Fraction`` per
 residual, which costs nothing where the numerator is 0.  A point
-keeps its shifts, its identity point per level and its C_r split
-coefficients (``ParamPoint.derived``); the other costly coefficients
-(jackson's, watson's and bailey's c_move, singh's gamma) are memoized.
+keeps what is made from it (``ParamPoint.derived``): its shifts, and per
+level its identity point, its rows and its step and C_r split coefficients,
+so the sweeps and the replay make each once.
 
 The anti-differences are rows on the term kernel, with any per-term factor
-1 - c p^k applied by ``hyper.linear``.  They are not memoized: the
+1 - c p^k applied by ``hyper.linear``.  They are not kept on the point: the
 telescoping check reads each (point, n) once.  Each (x;q)_{k+1} of the
 printed form is taken as (1 - x)(xq;q)_k, with 1 - x moved into the
 k-independent prefactor P:
@@ -136,14 +136,14 @@ def _at_level(point: ParamPoint, n: int, derive) -> ParamPoint:
 def _row_level(identity_id: str,
                row: Union[str, Callable[[ParamPoint], TermRow]]) -> LevelFn:
     """Level reader of a row builder at the identity's own points.  A name is
-    a builder in ``identities``, looked up at each read, so that a patched
-    builder takes effect.  A pole raised before the row exists gives a row
+    a builder in ``identities``, read by ``identities.read_row``; a function
+    is called at each read.  A pole raised before the row exists gives a row
     with no entries, so that, as for any row, only reads inside [0, n] raise
     it."""
     def level(point: ParamPoint, n: int) -> TermRow:
-        build = getattr(_ident, row) if isinstance(row, str) else row
+        at = _identity_point(identity_id, point, n)
         try:
-            return build(_identity_point(identity_id, point, n))
+            return _ident.read_row(at, row) if isinstance(row, str) else row(at)
         except PoleError as exc:
             return TermRow([], n, str(exc))
     return level
@@ -153,7 +153,6 @@ def _row_level(identity_id: str,
 # balanced very-well-poised summation (four free parameters)
 # ---------------------------------------------------------------------------
 
-@_ident._memo_rows
 def jackson_gamma(p: ParamPoint, n: int) -> Fraction:
     a, b, c, d, q = p.ratios("abcdq")
     num = ((a*a*q**n/(b*c*d) - q**(-n)) * (1 - b*c*d/a) * (1 - a*q)
@@ -167,7 +166,6 @@ def jackson_gamma(p: ParamPoint, n: int) -> Fraction:
 # q-Whipple transformation (five free parameters)
 # ---------------------------------------------------------------------------
 
-@_ident._memo_rows
 def watson_beta(p: ParamPoint, n: int) -> Fraction:
     a, b, c, d, e, q = p.ratios("abcdeq")
     num = -(1 - a*q) * (1 - a*q*q) * (1 - b) * (1 - c) * (1 - d) * (1 - e) \
@@ -192,7 +190,6 @@ def watson_anti_diff_row(p: ParamPoint) -> TermRow:
 # two-level very-well-poised transformation (six free parameters)
 # ---------------------------------------------------------------------------
 
-@_ident._memo_rows
 def bailey_alpha(p: ParamPoint, n: int) -> Fraction:
     a, b, c, d, e, f, q = p.ratios("abcdefq")
     lam = a*a*q / (b*c*d)
@@ -233,7 +230,6 @@ def singh_beta(p: ParamPoint, n: int) -> Fraction:
     return _div(1 + c*q**(2-n), q * (1 + c*q**(-n)))
 
 
-@_ident._memo_rows
 def singh_gamma(p: ParamPoint, n: int) -> Fraction:
     A, B, c, q = p.ratios("ABcq")
     num = ((1 - A) * (1 - B) * (1 - c*c) * (1 - A*q) * (1 - B*q)
@@ -588,7 +584,7 @@ def _level_residuals(cert: ProofCertificate, read: LevelFn, point: ParamPoint,
         for coeff, dn, s in cert.steps:
             while len(shifted) <= s:
                 shifted.append(shifted[-1].derived(cert.shift))
-            c = coeff(point, n)
+            c = point.derived(coeff, n)
             lower.append((c.numerator, c.denominator,
                           read(shifted[s], n - dn), s * cert.k_shift))
     for k in ks:
@@ -737,7 +733,7 @@ def inductive_replay(proof: CertOrId, point: ParamPoint, n_max: int) -> bool:
     for m in range(cert.order, n_max + 1):
         for j in range(n_max + 1 - m):
             p = pts[j]
-            propagated = sum((coeff(p, m) * values[(m - dn, j + s)]
+            propagated = sum((p.derived(coeff, m) * values[(m - dn, j + s)]
                               for coeff, dn, s in cert.steps), Fraction(0))
             if propagated != cert.lhs_value(p, m):
                 return False

@@ -171,11 +171,7 @@ def _resolve_selection(requested: Sequence[str], known: Sequence[str],
 
 
 def run(config: RunConfig) -> Tuple[int, Dict]:
-    """Execute the configured checks; returns (exit_status, report).
-
-    The row memo is cleared first, so that a run's work does not depend on
-    what ran before it in the same process."""
-    ident.clear_row_memo()
+    """Execute the configured checks; returns (exit_status, report)."""
     items: List[Dict] = []
     for command, item_ids, run_item in (
             ("verify", config.identity_ids, _verify_item),

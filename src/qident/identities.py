@@ -17,7 +17,6 @@ the point's ``Ratio`` int pairs, and each side is reduced once, to a Fraction.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import math
@@ -94,41 +93,6 @@ def _vwp_pairs(a1, middles: Sequence, q, n: int, z) -> Pairs:
     """
     return _well_poised(a1, q, wp_pairs([a1, *middles, Ratio(*_ints(q))**-n],
                                         q, z, n + 1))
-
-
-_ROW_MEMOS: Dict[str, Callable] = {}
-
-
-def _memo_rows(build: Callable[..., "TermRow | CrRow"]
-               ) -> Callable[..., "TermRow | CrRow"]:
-    """Memoize a summand-row builder, or a certificate coefficient, on the
-    point and on any further (hashable) arguments.  A ``ParamPoint`` hashes
-    and compares by the ints of its symbol and index values, so equal points
-    built apart share an entry.
-
-    At n <= 6 one certificate point's checks read each builder's rows at 23
-    (point, n) keys: the sweeps read levels 1..6 at the point and 0..5 at its
-    first shift, the replay levels 0..5-j at its j-th shift.  The memo holds
-    32 rows, so each is built once.  A pole raised before the row exists is
-    not cached.
-    """
-    cached = functools.lru_cache(maxsize=32)(build)
-    _ROW_MEMOS[build.__name__] = cached
-    return cached
-
-
-def clear_row_memo() -> None:
-    """Forget every memoized row and certificate coefficient and reset the
-    memo counts."""
-    for cached in _ROW_MEMOS.values():
-        cached.cache_clear()
-
-
-def row_memo_info() -> Dict[str, Tuple[int, int, int, int]]:
-    """Per memoized builder: (hits, misses, maxsize, currsize) since the last
-    clear; a miss is one build."""
-    return {name: tuple(cached.cache_info())
-            for name, cached in _ROW_MEMOS.items()}
 
 
 def _pair_factor(a: Fraction, yi: int, ei: int, yj: int, ej: int) -> int:
@@ -332,15 +296,20 @@ def _xs(point: ParamPoint, r: int) -> list:
 # below that is a single sum is the total of its row, and the certificates
 # read their summands F_{n,k} and G_{n,k} from the same rows.
 
+def read_row(p: ParamPoint, row_name: str) -> "TermRow | CrRow":
+    """The named row at the point, built once and kept on the point.  The
+    builder is looked up at each read, so that a patched builder takes
+    effect; a pole raised before the row exists keeps nothing."""
+    return p.derived(globals()[row_name])
+
+
 def _total(row_name: str) -> Evaluator:
-    """The total of the named row, whose builder is looked up at each call,
-    so that a patched builder takes effect."""
+    """The total of the named row."""
     def total(p: ParamPoint) -> Fraction:
-        return globals()[row_name](p).total()
+        return read_row(p, row_name).total()
     return total
 
 
-@_memo_rows
 def jackson_row(p: ParamPoint) -> TermRow:
     a, b, c, d, e, q = p.ratios("abcdeq")
     n = p.idx("n")
@@ -371,7 +340,6 @@ def _6phi5_rhs(p: ParamPoint) -> Fraction:
     return poch_ratio([a*q, a*q/(b*c)], [a*q/b, a*q/c], q, n)
 
 
-@_memo_rows
 def watson_row(p: ParamPoint) -> TermRow:
     a, b, c, d, e, q = p.ratios("abcdeq")
     n = p.idx("n")
@@ -379,7 +347,6 @@ def watson_row(p: ParamPoint) -> TermRow:
     return pair_row(_vwp_pairs(a, [b, c, d, e], q, n, z), n)
 
 
-@_memo_rows
 def watson_rhs_row(p: ParamPoint) -> TermRow:
     a, b, c, d, e, q = p.ratios("abcdeq")
     n = p.idx("n")
@@ -402,7 +369,6 @@ def _vwp_rhs(p: ParamPoint) -> Fraction:
                                a*q**(n+1)/e), pre)
 
 
-@_memo_rows
 def bailey_row(p: ParamPoint) -> TermRow:
     a, b, c, d, e, f, q, lam = p.ratios(("a", "b", "c", "d", "e", "f", "q", "lam"))
     n = p.idx("n")
@@ -410,7 +376,6 @@ def bailey_row(p: ParamPoint) -> TermRow:
     return pair_row(_vwp_pairs(a, [b, c, d, e, f, g], q, n, q), n)
 
 
-@_memo_rows
 def bailey_rhs_row(p: ParamPoint) -> TermRow:
     a, b, c, d, e, f, q, lam = p.ratios(("a", "b", "c", "d", "e", "f", "q", "lam"))
     n = p.idx("n")
@@ -421,7 +386,6 @@ def bailey_rhs_row(p: ParamPoint) -> TermRow:
     return pair_row(ser, n, pre)
 
 
-@_memo_rows
 def singh_lhs_row(p: ParamPoint) -> TermRow:
     A, B, c, q = p.ratios(("A", "B", "c", "q"))
     n = p.idx("n")
@@ -429,7 +393,6 @@ def singh_lhs_row(p: ParamPoint) -> TermRow:
                                      [q, (A*B*q, q*q), -c*q**(-n)], q, q, n + 1), n)
 
 
-@_memo_rows
 def singh_rhs_row(p: ParamPoint) -> TermRow:
     A, B, c, q = p.ratios(("A", "B", "c", "q"))
     n = p.idx("n")
@@ -512,7 +475,6 @@ class CrRow:
                                       weights)), den)
 
 
-@_memo_rows
 def schlosser_row(p: ParamPoint) -> CrRow:
     a, b, c, d, q = p.ratios("abcdq")
     n, r = p.idx("n"), p.idx("r")
@@ -526,7 +488,7 @@ def schlosser_row(p: ParamPoint) -> CrRow:
 
 def schlosser_lhs(p: ParamPoint) -> Fraction:
     _require_multisum_budget(p.idx("n"), p.idx("r"))
-    return schlosser_row(p).total()
+    return read_row(p, "schlosser_row").total()
 
 
 def _schlosser_axes_rhs(p: ParamPoint, n: int, t=Ratio(1)) -> Fraction:
@@ -627,7 +589,6 @@ def _cr_xcheck(signed: bool):
     return check
 
 
-@_memo_rows
 def lebesgue_row(p: ParamPoint) -> TermRow:
     """F_{n,k} = [n, k]_q q^{k(k+1)/2} / (a q^k;q)_{n+1}, which is
     (q^{-n}, a;q)_k (-q^{n+1})^k / (q, a q^{n+1};q)_k / (a;q)_{n+1}."""
@@ -704,7 +665,6 @@ def _jacobi_pref_rhs(p: ParamPoint) -> Fraction:
     return _div(t, qpoch(-q/z, q, m - k) * qpoch(-z, q, n + k + 1))
 
 
-@_memo_rows
 def quintuple_row(p: ParamPoint) -> TermRow:
     """F_{n,k} = (1 - z^2 q^{2k+1}) [n, k]_q (zq;q)_n z^k q^{k^2}
     / (z^2 q^{k+1};q)_{n+1}; with a = z^2 q that is (zq;q)_n / (aq;q)_n times

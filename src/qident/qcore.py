@@ -10,7 +10,6 @@ index, with negative indices handled by the reciprocal identity
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -91,14 +90,14 @@ def _ints(v) -> Tuple[int, int]:
     return num // g, den // g
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ParamPoint:
     """An exact parameter assignment: symbol values plus integer indices.
 
     Immutable after construction.  If the symbol ``q`` is present it must not
-    be 0 or 1.  Two points are equal, and hash alike, exactly when their
-    symbol values and indices are: both read the point's values as ints,
-    built once per point.
+    be 0 or 1.  Two points are equal exactly when their symbol values and
+    indices are.  Values made from a point are kept on it (``derived``), so a
+    point is not hashed and is not hashable.
     """
 
     symbols: Mapping[str, Fraction]
@@ -136,23 +135,6 @@ class ParamPoint:
         if (fn, args) not in cache:
             cache[fn, args] = fn(self, *args)
         return cache[fn, args]
-
-    @functools.cached_property
-    def _key(self) -> tuple:
-        """The sorted (name, numerator, denominator) of the symbols and the
-        sorted indices; ints hash without the modular inverse a ``Fraction``
-        hash takes."""
-        return (tuple(sorted([(name, v.numerator, v.denominator)
-                              for name, v in self.symbols.items()])),
-                tuple(sorted(self.indices.items())))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ParamPoint):
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash(self._key)
 
     def idx(self, name: str) -> int:
         try:

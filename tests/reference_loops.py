@@ -230,7 +230,7 @@ def _quintuple_mn_lhs(p: ParamPoint) -> Fraction:
 
 # -- the sides and certificate factors as they stood before their parameters
 # were built from the point's ints: one reduced Fraction operation per
-# product or quotient, verbatim, on the same kernel; rows are not memoized --
+# product or quotient, verbatim, on the same kernel; no row is kept --
 
 def _sym(point: ParamPoint, names: str):
     return tuple(point.sym(s) for s in names)

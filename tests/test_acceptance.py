@@ -312,7 +312,7 @@ def test_shared_row_fault_fails_identity_and_proof(monkeypatch, row_name):
     config = cli.RunConfig(command="all", identity_ids=(identity_id,),
                            proof_ids=(proof_id,), trials=5, cert_trials=1,
                            seed=SEED, n_max=3)
-    # the healthy run also fills the row memo, which must not mask the fault
+    # the healthy run comes first: no row it built may mask the fault
     status, _ = cli.run(config)
     assert status == 0
     healthy = getattr(identities, row_name)

@@ -383,7 +383,7 @@ def test_coefficients_and_anti_diffs_match_the_fraction_expressions(cert_id,
     point's ints against their Fraction expressions: the same value, or the
     same PoleError with the same message."""
     cert = get_certificate(cert_id)
-    coefficient = getattr(certs, MEMOIZED_COEFFICIENTS[cert_id])
+    coefficient = getattr(certs, COSTLY_COEFFICIENTS[cert_id])
     anti_diff = ref.FRACTION_ANTI_DIFFS.get(cert_id)
     rng = random.Random(200 + bound)
     poles = 0
@@ -470,62 +470,93 @@ def test_check_ranges_and_counts(cert_id, n_max):
         "replay": 1}
 
 
-MEMOIZED_COEFFICIENTS = {"jackson": "jackson_gamma", "watson": "watson_beta",
-                         "bailey": "bailey_alpha", "singh": "singh_gamma"}
+ROWS = ("jackson_row", "watson_row", "watson_rhs_row", "bailey_row",
+        "bailey_rhs_row", "singh_lhs_row", "singh_rhs_row", "lebesgue_row",
+        "quintuple_row", "schlosser_row")
+COSTLY_COEFFICIENTS = {"jackson": "jackson_gamma", "watson": "watson_beta",
+                       "bailey": "bailey_alpha", "singh": "singh_gamma"}
+
+
+def _counting(build, name, builds):
+    def counting(point, *args):
+        key = (tuple(sorted(point.symbols.items())),
+               tuple(sorted(point.indices.items())), args)
+        builds[name][key] += 1
+        return build(point, *args)
+    return counting
+
+
+def _count_builds(monkeypatch):
+    """Per name, the number of builds at each (point, n) key of every summand
+    row, wrapped where the readers look it up, and of each costly step
+    coefficient, wrapped in the steps of its certificate."""
+    builds = collections.defaultdict(collections.Counter)
+    for name in ROWS:
+        monkeypatch.setattr(ident, name,
+                            _counting(getattr(ident, name), name, builds))
+    for cert in list_certificates():
+        steps = tuple((_counting(c, c.__name__, builds)
+                       if c.__name__ == COSTLY_COEFFICIENTS.get(cert.id)
+                       else c, dn, s)
+                      for c, dn, s in cert.steps)
+        monkeypatch.setitem(certs._CERTS, cert.id, replace(cert, steps=steps))
+    return builds
 
 
 @pytest.mark.parametrize("cert_id", certificate_ids())
-def test_one_point_builds_each_row_once(cert_id):
+def test_one_point_builds_each_row_once(monkeypatch, cert_id):
+    builds = _count_builds(monkeypatch)
     cert = get_certificate(cert_id)
     rng = random.Random(12)
     ranges = certs.check_ranges(cert, 6, 1)
     while True:
         point = sample_certificate_point(cert, rng, r_range=(1, 1))
-        ident.clear_row_memo()
+        builds.clear()
         try:
             counts, failure = certs.check_point(cert, point, ranges)
         except PoleError:
             continue
         break
     assert failure is None and counts["replay"] == 1
-    built = {name: info for name, info in ident.row_memo_info().items()
-             if info[1]}
-    assert built
-    for name, (hits, misses, maxsize, currsize) in built.items():
-        # every miss built a row that is still held: no key was built twice
-        assert misses == currsize < maxsize, (name, misses, currsize)
-    # the costly step coefficients are read again by the later checks and
-    # evaluated once per (point, n), like the rows
-    coefficient = MEMOIZED_COEFFICIENTS.get(cert_id)
+    # at n <= 6 the checks read each row at 23 (point, n) keys: the sweeps
+    # read levels 1..6 at the point and 0..5 at its first shift, the replay
+    # levels 0..5-j at its j-th shift (singh: 0..4 at the first shift, and
+    # the base levels 0 and 1 at every shift).  The C_r proof runs to n = 3,
+    # 4 levels at the point and 3 at its shift.
+    rows = [name for name in ROWS if builds[name]]
+    assert rows
+    for name in rows:
+        assert len(builds[name]) == (7 if cert.multi else 23), name
+        assert set(builds[name].values()) == {1}, name
+    # the costly step coefficients are read by the sweep and again by the
+    # replay, and evaluated once per (point, n), like the rows
+    coefficient = COSTLY_COEFFICIENTS.get(cert_id)
     if coefficient is not None:
-        assert built[coefficient][0] > 0, built[coefficient]
+        assert set(builds[coefficient].values()) == {1}, coefficient
 
 
-# hits and misses of each memoized builder after one certify run; a miss is
-# one build.  The anti-difference rows are not memoized: the telescoping
-# check reads each (point, n) once, so a memo would only miss.  The boundary
-# sum is taken in the telescoping pass, so it reads no row or coefficient.
-ROW_MEMO_COUNTS = {
-    "bailey_alpha": (33, 48), "bailey_row": (48, 69),
-    "bailey_rhs_row": (48, 69),
-    "jackson_gamma": (15, 48), "jackson_row": (48, 69),
-    "lebesgue_row": (48, 69), "quintuple_row": (48, 69),
-    "schlosser_row": (18, 21),
-    "singh_gamma": (27, 33), "singh_lhs_row": (57, 69),
-    "singh_rhs_row": (57, 69),
-    "watson_beta": (33, 48), "watson_row": (48, 69),
-    "watson_rhs_row": (48, 69)}
+# builds of each summand row and evaluations of each costly step coefficient
+# in one certify run.  The anti-difference rows are not kept on the point:
+# the telescoping check reads each (point, n) once.  The boundary sum is
+# taken in the telescoping pass, so it reads no row or coefficient.
+CERTIFY_RUN_BUILDS = {
+    "bailey_alpha": 48, "bailey_row": 69, "bailey_rhs_row": 69,
+    "jackson_gamma": 48, "jackson_row": 69,
+    "lebesgue_row": 69, "quintuple_row": 69,
+    "schlosser_row": 21,
+    "singh_gamma": 33, "singh_lhs_row": 69, "singh_rhs_row": 69,
+    "watson_beta": 48, "watson_row": 69, "watson_rhs_row": 69}
 
 
-def test_row_memo_counts_of_a_certify_run():
+def test_row_builds_of_a_certify_run(monkeypatch):
     # certify --proof all --n-max 6 --r-max 1 --trials 3 --seed 7
-    ident.clear_row_memo()
+    builds = _count_builds(monkeypatch)
     status, _ = cli.run(cli.RunConfig(
         command="certify", proof_ids=certificate_ids(), cert_trials=3,
         seed=7, n_max=6, r_max=1))
     assert status == 0
-    assert {name: info[:2] for name, info in ident.row_memo_info().items()
-            } == ROW_MEMO_COUNTS
+    assert {name: sum(keys.values()) for name, keys in builds.items()
+            } == CERTIFY_RUN_BUILDS
 
 
 def test_split_coefficients_are_evaluated_once_per_point_n_and_s(monkeypatch):

@@ -1,3 +1,4 @@
+import collections
 import copy
 import json
 import random
@@ -206,26 +207,29 @@ def test_certify_all_proofs(capsys):
     assert report["summary"]["passed"] == 7
 
 
-def _row_builds():
-    return sum(info[1] for info in ident.row_memo_info().values())
-
-
-def test_row_builds_do_not_depend_on_earlier_runs():
+def test_row_builds_do_not_depend_on_earlier_runs(monkeypatch):
+    builds = collections.Counter()
+    for name in ("watson_row", "watson_rhs_row"):
+        def counting(p, healthy=getattr(ident, name), name=name):
+            builds[name] += 1
+            return healthy(p)
+        monkeypatch.setattr(ident, name, counting)
     certify = cli.RunConfig(command="certify", proof_ids=("watson",),
                             cert_trials=1, seed=11, n_max=3)
     verify = cli.RunConfig(command="verify",
                            identity_ids=("watson_transform",), trials=5,
                            seed=11)
-    builds = []
+    counts = []
     for earlier in (None, certify, verify):
         if earlier is not None:
             cli.run(earlier)
+        before = sum(builds.values())
         cli.run(certify)
-        builds.append(_row_builds())
-    # one point's rows all fit in the memo, so a run that kept an earlier
-    # run's rows would build none of them again
-    assert builds[0] > 0
-    assert builds == [builds[0]] * 3
+        counts.append(sum(builds.values()) - before)
+    # rows are kept on the points a run makes, so no run reads a row an
+    # earlier run built
+    assert counts[0] > 0
+    assert counts == [counts[0]] * 3
 
 
 def test_series_spec_example(capsys):

@@ -1,16 +1,17 @@
 """The fault catalogue: one row per fault planted in a layer of the program,
 naming the identity and the certificate check that must report it.
 
-A row plants its fault in every module that reads the faulty function, with
-the row memo cleared before and after, so that no healthy row masks the fault
-and no faulty row outlives it.  It asserts that the healthy run passes and
-that the planted run fails: ``verify`` finds a counterexample of the
-identity, and ``certs.check_point`` reports the named check for the proof.
+A row plants its fault in every module that reads the faulty function.  It
+asserts that the healthy run passes and that the planted run fails:
+``verify`` finds a counterexample of the identity, and ``certs.check_point``
+reports the named check for the proof.
 A fault that no check catches at the default n is a row of ``KNOWN_GAPS``,
 asserted to pass there and to fail at the n that reveals it, so that the gap
 stays visible.  Faults are scaled by 102/101, so they stay exact.
 """
 
+import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -79,13 +80,6 @@ KNOWN_GAPS = {
 }
 
 
-@pytest.fixture
-def fresh_memo():
-    identities.clear_row_memo()
-    yield
-    identities.clear_row_memo()
-
-
 def _plant(monkeypatch, name, plant):
     healthy = getattr(hyper, name)
     for module in (hyper, identities, certs):
@@ -121,19 +115,39 @@ def _runs(identity_id, proof_id, n_max=None):
 
 
 @pytest.mark.parametrize("fault", sorted(FAULTS), ids=" / ".join)
-def test_planted_fault_is_reported(monkeypatch, fresh_memo, fault):
+def test_planted_fault_is_reported(monkeypatch, fault):
     name, plant, identity_id, proof_id, check = FAULTS[fault]
     assert _runs(identity_id, proof_id) == ("PASS", None)
-    identities.clear_row_memo()
     _plant(monkeypatch, name, plant)
     assert _runs(identity_id, proof_id) == ("FAIL", check)
 
 
 @pytest.mark.parametrize("fault", sorted(KNOWN_GAPS), ids=" / ".join)
-def test_known_gap_passes_at_the_default_n(monkeypatch, fresh_memo, fault):
+def test_known_gap_passes_at_the_default_n(monkeypatch, fault):
     name, plant, identity_id, proof_id, n_max, check = KNOWN_GAPS[fault]
     assert _runs(identity_id, proof_id, n_max) == ("PASS", None)
-    identities.clear_row_memo()
     _plant(monkeypatch, name, plant)
     assert _runs(identity_id, proof_id, 6) == ("PASS", None)
     assert _runs(identity_id, proof_id, n_max) == ("FAIL", check)
+
+
+def test_closed_form_gap_passes_below_n_7(monkeypatch):
+    # jackson_8phi7's right side times 1 + prod_{j=0}^{6} (1 - q^{n-j}): the
+    # product has the factor 1 - q^0 at every n <= 6, so the fault shows at
+    # n >= 7 only.  The trials draw n <= 6, and the proof reads the right
+    # side only in its replay, at n <= 5.  A replay to --n-max (ROADMAP item
+    # 6) or a check of the closed form's own recurrence (item 10) closes it.
+    desc = identities.get_identity("jackson_8phi7")
+
+    def planted(p, healthy=desc.rhs):
+        q, n = p.sym("q"), p.idx("n")
+        return healthy(p) * (1 + math.prod(1 - q**(n - j) for j in range(7)))
+    monkeypatch.setitem(identities._REGISTRY, desc.id,
+                        dataclasses.replace(desc, rhs=planted))
+    assert verify(desc.id, 20, SEED).status == "PASS"
+    cert = certs.get_certificate("jackson")
+    _, failure = certs.check_point(cert, _certificate_point(cert),
+                                   certs.check_ranges(cert, 12, 1))
+    assert failure is None
+    with pytest.raises(CounterexampleFound):
+        verify(desc.id, 20, SEED, {"n": (7, 7)})
