@@ -41,8 +41,12 @@ telescoping pass, and the replay's propagation reads the same steps.  A
 residual is one unreduced int pair, combined from the rows' own int pairs
 (``pair``) and the coefficients' ints, so ``check_point``'s zero tests read
 one int each; the public residual functions build one ``Fraction`` per
-residual, which costs nothing where the numerator is 0.  A point
-keeps what is made from it (``ParamPoint.derived``): its shifts, and per
+residual, which costs nothing where the numerator is 0.  The replay runs
+no ``Fraction`` arithmetic either: a node's propagated value is one
+unreduced int pair, cross-multiplied against the node's left side, which
+is kept as the node's value; the C_r split residual, split coefficient and
+coefficient residual are products of the point's ``Ratio`` int pairs,
+reduced once, to one ``Fraction`` each.  A point keeps what is made from it (``ParamPoint.derived``): its shifts, and per
 level its identity point, its rows and its step and C_r split coefficients,
 so the sweeps and the replay make each once.
 
@@ -75,9 +79,9 @@ from typing import (Callable, Dict, Iterable, Iterator, NamedTuple, Optional,
                     Sequence, Tuple, Union)
 
 from .hyper import Pairs, TermRow, linear, pair_row, poch_ratio, poch_ratio_pairs
-from .qcore import ParamPoint, PoleError, qpoch, qpoch_multi
+from .qcore import ParamPoint, PoleError, Ratio
 from . import identities as _ident
-from .identities import _div, _xs
+from .identities import _div, _quot, _xs
 
 LevelFn = Callable[[ParamPoint, int], "TermRow | _ident.CrRow"]
 CoeffFn = Callable[[ParamPoint, int], Fraction]
@@ -304,25 +308,37 @@ def _pair_ratios(p: ParamPoint) -> "_ident.CrRow":
     return _ident.CrRow(1, p.sym("a"), p.sym("q"), _xs(p, p.idx("r")), ())
 
 
+def _x_ratios(p: ParamPoint) -> list:
+    return p.ratios(["x%d" % i for i in range(1, p.idx("r") + 1)])
+
+
+def _poch(q: Ratio, m: int, *avals: Ratio) -> Ratio:
+    """(avals;q)_m for m >= 0, as one unreduced Ratio."""
+    t = Ratio(1)
+    for a in avals:
+        for _ in range(m):
+            t *= 1 - a
+            a *= q
+    return t
+
+
 def schlosser_split_coeff(p: ParamPoint, n: int, ss: Tuple[int, ...]) -> Fraction:
     """Per-s coefficient of the 2^r-fold split (product form), at lower level n.
 
     The checks read it through ``p.derived``, once per point, n and s: the
     replay's coefficient residual reads the value the sweep evaluated."""
     r = p.idx("r")
-    a, b, c, d, q = map(p.sym, "abcdq")
-    xs = _xs(p, r)
-    t = p.derived(_pair_ratios).term(ss)
-    for i in range(r):
-        xi, si = xs[i], ss[i]
-        num = (Fraction(-1)**si * qpoch(a*xi*xi*q, q, 2*si)
-               * qpoch_multi([b*xi, c*xi, d*xi, b*c*d*xi*q**(r-1)/a,
-                              a*a*xi*q**(2*n-r+3)/(b*c*d)], q, si))
+    a, b, c, d, q = p.ratios("abcdq")
+    t = Ratio(*p.derived(_pair_ratios).pair(ss))
+    for xi, si in zip(_x_ratios(p), ss):
+        num = (_poch(q, 2*si, a*xi*xi*q)
+               * _poch(q, si, b*xi, c*xi, d*xi, b*c*d*xi*q**(r-1)/a,
+                       a*a*xi*q**(2*n-r+3)/(b*c*d)))
         den = (q**(n*si)
-               * qpoch_multi([a*xi*xi*q**(n+1), b*c*d*xi*q**(r-n-2)/a], q, 2*si)
-               * qpoch_multi([a*xi*q/b, a*xi*q/c, a*xi*q/d], q, si))
-        t *= _div(num, den)
-    return t
+               * _poch(q, 2*si, a*xi*xi*q**(n+1), b*c*d*xi*q**(r-n-2)/a)
+               * _poch(q, si, a*xi*q/b, a*xi*q/c, a*xi*q/d))
+        t *= _quot(-num if si else num, den)
+    return _div(t, 1)
 
 
 def _schlosser_shift_s(p: ParamPoint, ss: Sequence[int]) -> ParamPoint:
@@ -341,8 +357,8 @@ def schlosser_split_residual(point: ParamPoint, n: int, i: int,
     (1 - q^{-n+k_i-1})(1 - a x_i^2 q^{n+k_i+1})(1 - q^{n+1})(1 - a x_i^2 q^{n+1}),
     which is defined everywhere and vanishes iff the split holds.
     """
-    a, b, c, d, q = map(point.sym, "abcdq")
-    r, xi = point.idx("r"), point.sym("x%d" % i)
+    a, b, c, d, q, xi = point.ratios([*"abcdq", "x%d" % i])
+    r = point.idx("r")
     lhs_num = ((1 - a*a*xi*q**(n+k_i-r+2)/(b*c*d))
                * (1 - b*c*d*xi*q**(k_i+r-n-2)/a))
     lhs_den = (1 - q**(-n+k_i-1)) * (1 - a*xi*xi*q**(n+k_i+1))
@@ -351,22 +367,19 @@ def schlosser_split_residual(point: ParamPoint, n: int, i: int,
     t2_num = ((1 - a*a*xi*q**(2*n-r+3)/(b*c*d)) * (1 - b*c*d*xi*q**(r-1)/a)
               * (1 - a*xi*xi*q**k_i) * (1 - q**k_i))
     common = (1 - q**(n+1)) * (1 - a*xi*xi*q**(n+1))
-    return lhs_num * common - t1_num * lhs_den - t2_num
+    return _div(lhs_num * common - t1_num * lhs_den - t2_num, 1)
 
 
 def _schlosser_alpha_s(point: ParamPoint, n: int,
-                       ss: Sequence[int]) -> Fraction:
-    a, b, c, d, q = map(point.sym, "abcdq")
+                       ss: Sequence[int]) -> Ratio:
+    a, b, c, d, q = point.ratios("abcdq")
     r = point.idx("r")
-    xs = _xs(point, r)
-    t = _div(Fraction(1), (1 - q**(n+1)) ** r)
-    for i in range(r):
-        xi, si = xs[i], ss[i]
-        t *= _div((-q**(n+1)) ** (1 - si), 1 - a*xi*xi*q**(n+1))
-        t *= (1 - a*a*xi*q**(n-r+2)/(b*c*d)) ** (1 - si)
-        t *= (1 - b*c*d*xi*q**(r-n-2)/a) ** (1 - si)
-        t *= (1 - a*a*xi*q**(2*n-r+3)/(b*c*d)) ** si
-        t *= (1 - b*c*d*xi*q**(r-1)/a) ** si
+    t = _quot(Ratio(1), (1 - q**(n+1)) ** r)
+    for xi, si in zip(_x_ratios(point), ss):
+        num = (((1 - a*a*xi*q**(2*n-r+3)/(b*c*d)) * (1 - b*c*d*xi*q**(r-1)/a))
+               if si else (-q**(n+1) * (1 - a*a*xi*q**(n-r+2)/(b*c*d))
+                           * (1 - b*c*d*xi*q**(r-n-2)/a)))
+        t *= _quot(num, 1 - a*xi*xi*q**(n+1))
     return t
 
 
@@ -378,21 +391,19 @@ def schlosser_coeff_residual(point: ParamPoint, n: int,
     ss, r = tuple(s_vector), point.idx("r")
     if len(ss) != r or any(s not in (0, 1) for s in ss):
         raise ValueError("s_vector must lie in {0,1}^r")
-    a, b, c, d, q = map(point.sym, "abcdq")
-    xs = _xs(point, r)
+    a, b, c, d, q = point.ratios("abcdq")
     form1 = (_schlosser_alpha_s(point, n, ss)
-             * point.derived(_pair_ratios).term(ss))
-    for i in range(r):
-        xi, si = xs[i], ss[i]
-        form1 *= _div(1 - a*xi*xi*q**(2*si), 1 - a*xi*xi)
-        num = (qpoch(a*xi*xi, q, 2*si)
-               * qpoch_multi([b*xi, c*xi, d*xi], q, si) * q**si
-               * (1 - a*xi*xi*q**(n+si+1)) ** (1 - 2*si) * (1 - q**(-n-1)))
-        den = (qpoch_multi([a*xi*q/b, a*xi*q/c, a*xi*q/d], q, si)
-               * qpoch(b*c*d*xi*q**(r-n-2)/a, q, si + 1)
-               * qpoch(a*a*xi*q**(n-r+2)/(b*c*d), q, 1 - si))
-        form1 *= _div(num, den)
-    return form1 - point.derived(schlosser_split_coeff, n, ss)
+             * Ratio(*point.derived(_pair_ratios).pair(ss)))
+    for xi, si in zip(_x_ratios(point), ss):
+        form1 *= _quot(1 - a*xi*xi*q**(2*si), 1 - a*xi*xi)
+        num = (_poch(q, 2*si, a*xi*xi) * _poch(q, si, b*xi, c*xi, d*xi)
+               * q**si * (1 - q**(-n-1)))
+        den = (_poch(q, si, a*xi*q/b, a*xi*q/c, a*xi*q/d)
+               * _poch(q, si + 1, b*c*d*xi*q**(r-n-2)/a)
+               * _poch(q, 1 - si, a*a*xi*q**(n-r+2)/(b*c*d)))
+        f = 1 - a*xi*xi*q**(n+si+1)         # to the power 1 - 2 s_i
+        form1 *= _quot(num, den * f) if si else _quot(num * f, den)
+    return _div(form1 - point.derived(schlosser_split_coeff, n, ss), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -733,13 +744,18 @@ def inductive_replay(proof: CertOrId, point: ParamPoint, n_max: int) -> bool:
     for m in range(cert.order, n_max + 1):
         for j in range(n_max + 1 - m):
             p = pts[j]
-            propagated = sum((p.derived(coeff, m) * values[(m - dn, j + s)]
-                              for coeff, dn, s in cert.steps), Fraction(0))
-            if propagated != cert.lhs_value(p, m):
+            num, den = 0, 1         # the propagated value, unreduced
+            for coeff, dn, s in cert.steps:
+                c, v = p.derived(coeff, m), values[(m - dn, j + s)]
+                cd = c.denominator * v.denominator
+                num = num * cd + c.numerator * v.numerator * den
+                den *= cd
+            lhs = cert.lhs_value(p, m)
+            if lhs.numerator * den != num * lhs.denominator:
                 return False
-            if propagated != cert.rhs_value(p, m):
+            if lhs != cert.rhs_value(p, m):
                 return False
-            values[(m, j)] = propagated
+            values[(m, j)] = lhs    # the propagated value, reduced
     return True
 
 

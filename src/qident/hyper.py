@@ -95,7 +95,9 @@ def _run(a, qn: int, qd: int) -> list:
     base q = qn/qd, or of a pair (a, p)."""
     if isinstance(a, tuple):
         return [*_ints(a[0]), *_ints(a[1])]
-    return [*_ints(a), qn, qd]
+    num, den = a.numerator, a.denominator
+    g = gcd(num, den) * (-1 if den < 0 else 1)
+    return [num // g, den // g, qn, qd]
 
 
 def poch_ratio(nums: Sequence, dens: Sequence, q, n: int, z=1,

@@ -61,12 +61,18 @@ class RetryExhausted(QIdentityError):
         self.failure = failure
 
 
-def _div(num, den, what: str = "denominator") -> Fraction:
-    """num/den as one Fraction; PoleError where den is 0."""
+def _quot(num, den, what: str = "denominator") -> Ratio:
+    """num/den as one unreduced Ratio; PoleError where den is 0."""
     if den.numerator == 0:
         raise PoleError("%s vanished" % what)
-    return Fraction(num.numerator * den.denominator,
-                    num.denominator * den.numerator)
+    return Ratio(num.numerator * den.denominator,
+                 num.denominator * den.numerator)
+
+
+def _div(num, den, what: str = "denominator") -> Fraction:
+    """num/den as one Fraction; PoleError where den is 0."""
+    t = _quot(num, den, what)
+    return Fraction(t.numerator, t.denominator)
 
 
 def _well_poised(a, q, pairs: Iterable[Tuple[int, int]]) -> Pairs:

@@ -57,10 +57,14 @@ class Ratio:
                      d * o.denominator)
 
     def __rsub__(self, o) -> "Ratio":
-        return -self + o
+        d = self.denominator
+        return Ratio(o.numerator * d - self.numerator * o.denominator,
+                     o.denominator * d)
 
     def __sub__(self, o) -> "Ratio":
-        return self + -o
+        d = self.denominator
+        return Ratio(self.numerator * o.denominator - o.numerator * d,
+                     d * o.denominator)
 
     def __neg__(self) -> "Ratio":
         return Ratio(-self.numerator, self.denominator)

@@ -15,6 +15,11 @@ on the same term-ratio kernel.  Their well-poised factor is
 ``_well_poised_pairs``, the int loop as it stood before it ran on
 ``hyper.linear``, verbatim, so these rows do not follow the rewritten factor.
 
+The C_r replay's split coefficient, split residual, alpha_s and coefficient
+residual are the ``Fraction`` forms they had before they ran on ``Ratio``
+int pairs, verbatim, with ``_pair_ratio_term`` for the certificate's
+per-point pair-ratio table.
+
 The series kernels below work on plain lists of ``Fraction`` coefficients,
 and ``infinite_identity_residual`` is the one in ``psers``, built on
 them."""
@@ -637,6 +642,88 @@ FRACTION_COEFFICIENTS = {"jackson": jackson_gamma, "watson": watson_beta,
 FRACTION_ANTI_DIFFS = {"watson": watson_anti_diff_row,
                        "bailey": bailey_anti_diff_row,
                        "singh": singh_anti_diff_row}
+
+
+# -- the C_r replay's residuals, one Fraction per factor ------------------------
+
+def qpoch_multi(avals: Sequence, q, n: int) -> Fraction:
+    result = Fraction(1)
+    for a in avals:
+        result *= qpoch(a, q, n)
+    return result
+
+
+def _pair_ratio_term(p: ParamPoint, ss) -> Fraction:
+    return CrRow(1, p.sym("a"), p.sym("q"), _xs(p, p.idx("r")), ()).term(ss)
+
+
+def schlosser_split_coeff(p: ParamPoint, n: int, ss: Tuple[int, ...]) -> Fraction:
+    r = p.idx("r")
+    a, b, c, d, q = map(p.sym, "abcdq")
+    xs = _xs(p, r)
+    t = _pair_ratio_term(p, ss)
+    for i in range(r):
+        xi, si = xs[i], ss[i]
+        num = (Fraction(-1)**si * qpoch(a*xi*xi*q, q, 2*si)
+               * qpoch_multi([b*xi, c*xi, d*xi, b*c*d*xi*q**(r-1)/a,
+                              a*a*xi*q**(2*n-r+3)/(b*c*d)], q, si))
+        den = (q**(n*si)
+               * qpoch_multi([a*xi*xi*q**(n+1), b*c*d*xi*q**(r-n-2)/a], q, 2*si)
+               * qpoch_multi([a*xi*q/b, a*xi*q/c, a*xi*q/d], q, si))
+        t *= _div(num, den)
+    return t
+
+
+def schlosser_split_residual(point: ParamPoint, n: int, i: int,
+                             k_i: int) -> Fraction:
+    a, b, c, d, q = map(point.sym, "abcdq")
+    r, xi = point.idx("r"), point.sym("x%d" % i)
+    lhs_num = ((1 - a*a*xi*q**(n+k_i-r+2)/(b*c*d))
+               * (1 - b*c*d*xi*q**(k_i+r-n-2)/a))
+    lhs_den = (1 - q**(-n+k_i-1)) * (1 - a*xi*xi*q**(n+k_i+1))
+    t1_num = (-q**(n+1) * (1 - a*a*xi*q**(n-r+2)/(b*c*d))
+              * (1 - b*c*d*xi*q**(r-n-2)/a))
+    t2_num = ((1 - a*a*xi*q**(2*n-r+3)/(b*c*d)) * (1 - b*c*d*xi*q**(r-1)/a)
+              * (1 - a*xi*xi*q**k_i) * (1 - q**k_i))
+    common = (1 - q**(n+1)) * (1 - a*xi*xi*q**(n+1))
+    return lhs_num * common - t1_num * lhs_den - t2_num
+
+
+def schlosser_alpha_s(point: ParamPoint, n: int,
+                      ss: Sequence[int]) -> Fraction:
+    a, b, c, d, q = map(point.sym, "abcdq")
+    r = point.idx("r")
+    xs = _xs(point, r)
+    t = _div(Fraction(1), (1 - q**(n+1)) ** r)
+    for i in range(r):
+        xi, si = xs[i], ss[i]
+        t *= _div((-q**(n+1)) ** (1 - si), 1 - a*xi*xi*q**(n+1))
+        t *= (1 - a*a*xi*q**(n-r+2)/(b*c*d)) ** (1 - si)
+        t *= (1 - b*c*d*xi*q**(r-n-2)/a) ** (1 - si)
+        t *= (1 - a*a*xi*q**(2*n-r+3)/(b*c*d)) ** si
+        t *= (1 - b*c*d*xi*q**(r-1)/a) ** si
+    return t
+
+
+def schlosser_coeff_residual(point: ParamPoint, n: int,
+                             s_vector: Sequence[int]) -> Fraction:
+    ss, r = tuple(s_vector), point.idx("r")
+    if len(ss) != r or any(s not in (0, 1) for s in ss):
+        raise ValueError("s_vector must lie in {0,1}^r")
+    a, b, c, d, q = map(point.sym, "abcdq")
+    xs = _xs(point, r)
+    form1 = schlosser_alpha_s(point, n, ss) * _pair_ratio_term(point, ss)
+    for i in range(r):
+        xi, si = xs[i], ss[i]
+        form1 *= _div(1 - a*xi*xi*q**(2*si), 1 - a*xi*xi)
+        num = (qpoch(a*xi*xi, q, 2*si)
+               * qpoch_multi([b*xi, c*xi, d*xi], q, si) * q**si
+               * (1 - a*xi*xi*q**(n+si+1)) ** (1 - 2*si) * (1 - q**(-n-1)))
+        den = (qpoch_multi([a*xi*q/b, a*xi*q/c, a*xi*q/d], q, si)
+               * qpoch(b*c*d*xi*q**(r-n-2)/a, q, si + 1)
+               * qpoch(a*a*xi*q**(n-r+2)/(b*c*d), q, 1 - si))
+        form1 *= _div(num, den)
+    return form1 - schlosser_split_coeff(point, n, ss)
 
 
 # -- truncated power series on Fraction lists ---------------------------------

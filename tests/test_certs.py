@@ -274,6 +274,79 @@ def test_checks_and_replay_read_the_same_steps(cert_id, step):
     assert not inductive_replay(faulty, point, 4)
 
 
+REPLAY_STEP_CASES = [
+    (cert_id, step) for cert_id, step in STEP_CASES
+    if get_certificate(cert_id).steps[step][0] is not certs._one]
+
+
+@pytest.mark.parametrize("cert_id,step", REPLAY_STEP_CASES)
+def test_a_step_wrong_only_away_from_the_point_fails_the_replay(cert_id, step):
+    # the sweeps read every coefficient at the sampled point itself; only the
+    # replay's propagation reads them at the shifted points j >= 1
+    cert = get_certificate(cert_id)
+    coeff, dn, s = cert.steps[step]
+    point = sample_certificate_point(cert, random.Random(90))
+
+    def shifted_only(p, n):
+        c = coeff(p, n)
+        return c if p.symbols == point.symbols else c * Fraction(102, 101)
+    faulty = replace(cert, steps=cert.steps[:step] + ((shifted_only, dn, s),)
+                     + cert.steps[step + 1:])
+    ranges = certs.check_ranges(cert, 4, 1)
+    healthy_counts, failure = certs.check_point(cert, point, ranges)
+    assert failure is None and healthy_counts["replay"] == 1
+    counts, failure = certs.check_point(faulty, point, ranges)
+    assert failure == {"check": "inductive_replay",
+                       "point": ident.serialize_point(point)}
+    assert counts == dict(healthy_counts, replay=0)
+
+
+@pytest.mark.parametrize("bound", [2, 3, 1000])
+def test_cr_replay_residuals_match_the_fraction_forms(bound):
+    """The C_r split residual, split coefficient, alpha_s and coefficient
+    residual on the point's int pairs against their Fraction forms: the same
+    value, or the same PoleError with the same message."""
+    rng = random.Random(400 + bound)
+    cases = poles = leaks = 0
+    for r in (1, 2, 3):
+        for _ in range(8):
+            symbols = ident._sample_symbols(rng, "abcd", {"r": r}, bound)
+            for n in range(3):
+                p = ParamPoint(symbols, {"r": r})
+                for i in range(1, r + 1):
+                    for k_i in range(n + 2):
+                        expected = ref.outcome(ref.schlosser_split_residual,
+                                               p, n, i, k_i)
+                        assert ref.outcome(schlosser_split_residual, p, n, i,
+                                           k_i) == expected, (p, n, i, k_i)
+                        cases += 1
+                for ss in itertools.product((0, 1), repeat=r):
+                    for mine, theirs in (
+                            (certs.schlosser_split_coeff,
+                             ref.schlosser_split_coeff),
+                            (lambda *a: certs._div(
+                                certs._schlosser_alpha_s(*a), 1),
+                             ref.schlosser_alpha_s),
+                            (schlosser_coeff_residual,
+                             ref.schlosser_coeff_residual)):
+                        expected = ref.outcome(theirs, p, n, ss)
+                        if expected == (ZeroDivisionError, "Fraction(1, 0)"):
+                            # the Fraction form's (1 - a x_i^2 q^{n+2})^{-1}
+                            # leaked the error; the int form has the factor
+                            # in the denominator it checks
+                            expected = PoleError, "denominator vanished"
+                            leaks += 1
+                        assert ref.outcome(mine, p, n, ss) == expected, \
+                            (p, n, ss)
+                        poles += isinstance(expected, tuple)
+                        cases += 1
+    assert cases > 500
+    if bound <= 3:
+        assert poles > 0
+    if bound == 2:
+        assert leaks > 0
+
+
 # ---------------------------------------------------------------------------
 # the anti-differences as printed, Pochhammer products evaluated per k: the
 # reference for the kernel rows behind cert.anti_diff

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from qident import certs, hyper, identities
+from qident import certs, hyper, identities, qcore
 from qident.identities import CounterexampleFound, derive_trial_seed, verify
 from qident.qcore import PoleError, Ratio, _ints
 
@@ -46,6 +46,16 @@ def _scaled_c(kernel):
     return planted
 
 
+def _scaled_where(test):
+    """The function's value times 102/101 wherever test(*args) holds."""
+    def plant(fn):
+        def planted(*args):
+            value = fn(*args)
+            return value * SCALE if test(*args) else value
+        return planted
+    return plant
+
+
 def _last_pair_dropped(kernel):
     """``pair_sum`` without its last pair."""
     def planted(pairs, *pre):
@@ -54,7 +64,7 @@ def _last_pair_dropped(kernel):
 
 
 # (layer, fault) -> (function, plant, identity, proof, the check that must
-# report it); the function is planted in hyper, identities and certs alike
+# report it); the function is planted in every module that reads it
 FAULTS = {
     ("kernel", "step ratio x 102/101 at k = 2"): (
         "poch_ratio_pairs", _step_ratio_from(2),
@@ -68,6 +78,15 @@ FAULTS = {
     ("kernel", "pair_sum drops its last pair"): (
         "pair_sum", _last_pair_dropped,
         "watson_transform", "watson", "inductive_replay"),
+    # lebesgue's right side (-q;q)_n / (a;q^2)_{n+1} goes wrong at n = 1
+    # only, where the two planted factors do not cancel
+    ("qcore", "qpoch x 102/101 at n >= 2"): (
+        "qpoch", _scaled_where(lambda a, q, n: n >= 2),
+        "lebesgue_finite", "lebesgue", "inductive_replay"),
+    # the C_r product side: no sweep reads it, the replay's base case does
+    ("replay alone", "_schlosser_axes_rhs x 102/101"): (
+        "_schlosser_axes_rhs", _scaled_where(lambda *args: True),
+        "schlosser_cr", "schlosser", "inductive_replay"),
 }
 
 # (layer, fault) -> (function, plant, identity, proof, n, check): faults that
@@ -81,8 +100,9 @@ KNOWN_GAPS = {
 
 
 def _plant(monkeypatch, name, plant):
-    healthy = getattr(hyper, name)
-    for module in (hyper, identities, certs):
+    modules = (qcore, hyper, identities, certs)
+    healthy = next(getattr(m, name) for m in modules if hasattr(m, name))
+    for module in modules:
         if getattr(module, name, None) is healthy:
             monkeypatch.setattr(module, name, plant(healthy))
 
