@@ -39,7 +39,7 @@ MULTISUM_MAX_N = 3
 MULTISUM_MAX_TERMS = 2500
 
 DEFAULT_SIZE_BOUND = 1000
-DEFAULT_RETRY_CAP = 100
+RETRY_CAP = 100
 
 
 class CounterexampleFound(QIdentityError):
@@ -158,7 +158,6 @@ class IdentityDescriptor:
     guards: Optional[Callable[[ParamPoint], Iterable[Tuple[str, Fraction]]]] = None
     xcheck: Optional[Callable[[ParamPoint, random.Random, int],
                               Fraction]] = None
-    notes: str = ""
 
     @property
     def multisum(self) -> bool:
@@ -735,12 +734,12 @@ def _build_registry() -> Dict[str, IdentityDescriptor]:
             raise ValueError("duplicate identity id %r" % desc.id)
         reg[desc.id] = desc
 
+    # balanced very-well-poised summation; e := a^2 q^{n+1}/(bcd)
     add(IdentityDescriptor(
         id="jackson_8phi7",
         symbols=("a", "b", "c", "d"),
         index_names=("n",),
-        lhs=_total("jackson_row"), rhs=_jackson_rhs, derive=_jackson_derive,
-        notes="balanced very-well-poised summation; e := a^2 q^{n+1}/(bcd)"))
+        lhs=_total("jackson_row"), rhs=_jackson_rhs, derive=_jackson_derive))
 
     add(IdentityDescriptor(
         id="jackson_6phi5",
@@ -754,12 +753,12 @@ def _build_registry() -> Dict[str, IdentityDescriptor]:
         index_names=("n",),
         lhs=_total("watson_row"), rhs=_total("watson_rhs_row")))
 
+    # lam := a^2 q/(bcd); both sides share the Watson-shaped left side
     add(IdentityDescriptor(
         id="vwp_transform",
         symbols=("a", "b", "c", "d", "e"),
         index_names=("n",),
-        lhs=_total("watson_row"), rhs=_vwp_rhs, derive=_vwp_derive,
-        notes="lam := a^2 q/(bcd); both sides share the Watson-shaped left side"))
+        lhs=_total("watson_row"), rhs=_vwp_rhs, derive=_vwp_derive))
 
     add(IdentityDescriptor(
         id="bailey_10phi9",
@@ -767,13 +766,13 @@ def _build_registry() -> Dict[str, IdentityDescriptor]:
         index_names=("n",),
         lhs=_total("bailey_row"), rhs=_total("bailey_rhs_row"), derive=_vwp_derive))
 
+    # A = a^2, B = b^2; terminated by d = q^{-n} (the c = q^{-n} variant
+    # swaps the roles of c and d and evaluates identically)
     add(IdentityDescriptor(
         id="singh_quadratic",
         symbols=("A", "B", "c"),
         index_names=("n",),
-        lhs=_total("singh_lhs_row"), rhs=_total("singh_rhs_row"),
-        notes="A = a^2, B = b^2; terminated by d = q^{-n} (the c = q^{-n} "
-              "variant swaps the roles of c and d and evaluates identically)"))
+        lhs=_total("singh_lhs_row"), rhs=_total("singh_rhs_row")))
 
     add(IdentityDescriptor(
         id="schlosser_cr",
@@ -800,14 +799,13 @@ def _build_registry() -> Dict[str, IdentityDescriptor]:
         lhs=lambda p: _cr_lhs(p, signed=False), rhs=_cr1_rhs,
         xcheck=_cr_xcheck(signed=False)))
 
+    # per-index weight (-1)^{s_i} q^{-(r-1) s_i}; right side vanishes for odd n
     add(IdentityDescriptor(
         id="cr_prop_2",
         symbols=("a",),
         index_names=("n", "r"),
         lhs=lambda p: _cr_lhs(p, signed=True), rhs=_cr2_rhs,
-        xcheck=_cr_xcheck(signed=True),
-        notes="per-index weight (-1)^{s_i} q^{-(r-1) s_i}; right side vanishes "
-              "for odd n"))
+        xcheck=_cr_xcheck(signed=True)))
 
     add(IdentityDescriptor(
         id="lebesgue_finite",
@@ -821,14 +819,14 @@ def _build_registry() -> Dict[str, IdentityDescriptor]:
         index_names=("n", "m"),
         lhs=_jacobi_finite_lhs, rhs=_jacobi_finite_rhs))
 
+    # termwise change-of-variables relation; k ranges over [-m, n]; z = -1 is
+    # guarded, since both sides vanish there for k < -n
     add(IdentityDescriptor(
         id="jacobi_prefactor_relation",
         symbols=("z",),
         index_names=("n", "m", "k"),
         lhs=_jacobi_pref_lhs, rhs=_jacobi_pref_rhs,
-        guards=lambda p: [("1 + z", 1 + p.sym("z"))],
-        notes="termwise change-of-variables relation; k ranges over [-m, n]; "
-              "z = -1 is guarded, since both sides vanish there for k < -n"))
+        guards=lambda p: [("1 + z", 1 + p.sym("z"))]))
 
     add(IdentityDescriptor(
         id="quintuple_finite",
@@ -849,24 +847,24 @@ def _build_registry() -> Dict[str, IdentityDescriptor]:
         index_names=("n",),
         lhs=_quintuple_ccg_lhs, rhs=_one))
 
+    # the b = 0 specialization is addressable as lebesgue_finite_2
     add(IdentityDescriptor(
         id="andrews_jain",
         symbols=("a", "b"),
         index_names=("n",),
-        lhs=_andrews_jain_lhs, rhs=_andrews_jain_rhs,
-        notes="the b = 0 specialization is addressable as lebesgue_finite_2"))
+        lhs=_andrews_jain_lhs, rhs=_andrews_jain_rhs))
 
     return reg
 
 
 _REGISTRY = _build_registry()
 
+# b := 0 specialization of andrews_jain
 _LEBESGUE_2 = replace(
     _REGISTRY["andrews_jain"],
     id="lebesgue_finite_2",
     symbols=("a",),
-    derive=lambda p: p.with_symbols(b=0),
-    notes="b := 0 specialization of andrews_jain")
+    derive=lambda p: p.with_symbols(b=0))
 
 
 def list_identities() -> Tuple[IdentityDescriptor, ...]:
@@ -930,13 +928,12 @@ def sample_point(desc: IdentityDescriptor, rng: random.Random,
 def run_trials(trials: int, seed: int, key: str,
                draw: Callable[[random.Random], object],
                check: Callable[[object, random.Random], object],
-               judge: Callable[[object, object], object],
-               retry_cap: int = DEFAULT_RETRY_CAP) -> Dict:
+               judge: Callable[[object, object], object]) -> Dict:
     """The one trial loop of every item kind.
 
     Trial t draws from an RNG of its own, seeded from (seed, key, t), and
     checks the point with ``check(point, rng)``; where either step raises
-    PoleError it draws again, at most retry_cap draws in all, and a trial
+    PoleError it draws again, at most RETRY_CAP draws in all, and a trial
     whose every draw hit a pole is rejected.  ``judge(point, result)``
     returns a failure, which ends the loop, or None.  Returns the item's
     ``status`` (FAIL, or ERROR when every trial was rejected), ``succeeded``,
@@ -946,7 +943,7 @@ def run_trials(trials: int, seed: int, key: str,
            "point_rejections": 0, "first_failure": None}
     for trial in range(trials):
         rng = random.Random(derive_trial_seed(seed, key, trial))
-        for _ in range(retry_cap):
+        for _ in range(RETRY_CAP):
             try:
                 point = draw(rng)
                 result = check(point, rng)
@@ -964,14 +961,14 @@ def run_trials(trials: int, seed: int, key: str,
     if out["rejected"] == trials:
         out.update(status="ERROR", first_failure={
             "error": "all %d trials exhausted %d pole retries each"
-                     % (trials, retry_cap)})
+                     % (trials, RETRY_CAP)})
     return out
 
 
 def verify(identity_id: str, trials: int, seed: int,
            index_ranges: Optional[Mapping[str, Tuple[int, int]]] = None, *,
-           mutate_rhs: bool = False, size_bound: int = DEFAULT_SIZE_BOUND,
-           retry_cap: int = DEFAULT_RETRY_CAP) -> VerificationReport:
+           mutate_rhs: bool = False, size_bound: int = DEFAULT_SIZE_BOUND
+           ) -> VerificationReport:
     """Random-rational verification of one identity.
 
     Each trial derives its own RNG from (seed, identity id, trial index), so
@@ -1012,7 +1009,7 @@ def verify(identity_id: str, trials: int, seed: int,
 
     start = time.monotonic()
     out = run_trials(trials, seed, desc.id, draw, agrees,
-                     lambda point, ok: None if ok else point, retry_cap)
+                     lambda point, ok: None if ok else point)
     report.elapsed_s = time.monotonic() - start
     for name in ("status", "succeeded", "rejected", "point_rejections"):
         setattr(report, name, out[name])

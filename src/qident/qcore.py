@@ -29,7 +29,7 @@ class DegenerateQ(QIdentityError):
 
 
 class MissingSymbol(QIdentityError):
-    """A ParamPoint lacks a symbol or index required by an evaluator."""
+    """A point lacks a symbol or index required by an evaluator."""
 
 
 class Ratio:

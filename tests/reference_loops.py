@@ -26,7 +26,7 @@ them."""
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from qident.hyper import (Pairs, TermRow, _ints, pair_row, pair_sum,
                          poch_ratio, poch_ratio_pairs)
@@ -917,8 +917,7 @@ def _q_kummer_residual(a: Fraction, b: Fraction, order: int) -> QSeries:
 
 
 def infinite_identity_residual(identity_id: str,
-                               params: Union[ParamPoint, Mapping],
-                               order: int) -> QSeries:
+                               params: Mapping, order: int) -> QSeries:
     """LHS-series minus RHS-series of a limiting identity; the zero series."""
     symbols = _params_of(params)
     if identity_id in ("jacobi_triple", "quintuple", "ab11", "ab00"):

@@ -311,7 +311,7 @@ def _plant(monkeypatch, kind, plant):
     return ["series", "--id", "quintuple", "--order", "10"]
 
 
-CAP = ident.DEFAULT_RETRY_CAP
+CAP = ident.RETRY_CAP
 
 
 @pytest.mark.parametrize("kind", ["identity", "certificate", "series"])

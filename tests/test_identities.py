@@ -190,8 +190,9 @@ def test_retry_exhaustion_signals(monkeypatch):
     desc = get_identity("quintuple_finite")
     hopeless = replace(desc, guards=lambda p: [("always", Fraction(0))])
     monkeypatch.setitem(ident._REGISTRY, "quintuple_finite", hopeless)
+    monkeypatch.setattr(ident, "RETRY_CAP", 5)
     with pytest.raises(RetryExhausted) as info:
-        verify("quintuple_finite", 3, 7, retry_cap=5)
+        verify("quintuple_finite", 3, 7)
     assert str(info.value) == ("identity quintuple_finite: all 3 trials "
                                "exhausted 5 pole retries each")
     report = info.value.report
@@ -212,8 +213,9 @@ def test_failing_trial_is_the_last_attempted(monkeypatch):
         return desc.lhs(p) + (len(calls) >= 7)
     monkeypatch.setitem(ident._REGISTRY, "quintuple_finite",
                         replace(desc, lhs=planted))
+    monkeypatch.setattr(ident, "RETRY_CAP", 5)
     with pytest.raises(CounterexampleFound) as info:
-        verify("quintuple_finite", 10, 42, retry_cap=5)
+        verify("quintuple_finite", 10, 42)
     report = info.value.report
     assert (report.status, report.attempted, report.succeeded,
             report.rejected, report.point_rejections) == ("FAIL", 3, 1, 1, 5)
