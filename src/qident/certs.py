@@ -22,33 +22,43 @@ symbols, the index r of a multi-index proof and both sides at level n are
 that identity's own, read from its registry entry, so a certificate replays
 the proof of exactly the sums the harness verifies.
 
-Every recurrence is one tuple of steps (c, dn, s), read as
+A certificate is data: no registry entry holds a closure.  Every shift by
+powers of q is a table of exponents, read by ``ParamPoint.shifted``: the
+proof's sigma (jackson's {a: 2, b: 1, c: 1, d: 1} is a -> a q^2, b -> b q,
+c -> c q, d -> d q), the C_r split's x_i -> x_i q^{s_i}, singh's half shift
+A, B, c -> Aq, Bq, cq and the C_r lemma's a -> a q^{level-1}.  Every
+recurrence is one tuple of steps (c, dn, s, dk), read as
 
-    F_{n,k} = sum over steps of c(p, n) F_{n-dn, k-s*k_shift}(sigma^s p):
+    F_{n,k} = sum over steps of c(p, n) F_{n-dn, k-dk}(sigma^s p):
 
-    jackson, watson, bailey:   (1, 1, 0)        (c_move, 1, 1)
-    lebesgue, quintuple:       (c_keep, 1, 0)   (c_move, 1, 1)
-    singh:                     (alpha, 1, 0)    (-beta, 2, 0)    (gamma, 2, 1)
+    jackson, watson, bailey:   (1, 1, 0, 0)        (c_move, 1, 1, 1)
+    lebesgue, quintuple:       (c_keep, 1, 0, 0)   (c_move, 1, 1, 1)
+    singh:                     (alpha, 1, 0, 0)    (beta, 2, 0, 0)
+                               (gamma, 2, 1, 2)
 
+with each coefficient carrying its sign (singh's beta is negative).
 The multi-index certificate (the C_r sum) has no steps: its recurrence is a
-2^r-fold split over s in {0,1}^r with per-s coefficients beta_s and per-axis
-shifts x_i -> x_i q^{s_i}.  ``_level_residuals`` is the one residual loop:
-per level it evaluates each coefficient once and fetches each row once, then
-yields the residuals in k order.  The term recurrence and the telescoped
-right-side combination run on it, the per-k checks as one-k levels;
-``check_point`` sums the combinations for the boundary check in its
-telescoping pass, and the replay's propagation reads the same steps.  A
-residual is one unreduced int pair, combined from the rows' own int pairs
-(``pair``) and the coefficients' ints, so ``check_point``'s zero tests read
-one int each; the public residual functions build one ``Fraction`` per
-residual, which costs nothing where the numerator is 0.  The replay runs
-no ``Fraction`` arithmetic either: a node's propagated value is one
-unreduced int pair, cross-multiplied against the node's left side, which
-is kept as the node's value; the C_r split residual, split coefficient and
-coefficient residual are products of the point's ``Ratio`` int pairs,
-reduced once, to one ``Fraction`` each.  A point keeps what is made from it (``ParamPoint.derived``): its shifts, and per
-level its identity point, its rows and its step and C_r split coefficients,
-so the sweeps and the replay make each once.
+2^r-fold split over s in {0,1}^r with per-s coefficients beta_s, per-axis
+shifts x_i -> x_i q^{s_i} and k-offset vectors s.
+
+``_level_residuals`` is the one residual loop: per level it evaluates each
+coefficient once and fetches each row once, then yields the residuals in k
+order.  The term recurrence and the telescoped right-side combination run
+on it, the per-k checks as one-k levels; ``check_point`` sums the
+combinations for the boundary check in its telescoping pass, and the
+replay's propagation reads the same steps.  A residual is one unreduced int
+pair, combined from the rows' own int pairs (``pair``) and the
+coefficients' ints, so ``check_point``'s zero tests read one int each; the
+public residual functions build one ``Fraction`` per residual, which costs
+nothing where the numerator is 0.  The replay runs no ``Fraction``
+arithmetic either: a node's propagated value is one unreduced int pair,
+cross-multiplied against the node's left side, which is kept as the node's
+value; the C_r split residual, split coefficient and coefficient residual
+are products of the point's ``Ratio`` int pairs, reduced once, to one
+``Fraction`` each.  A point keeps what is made from it
+(``ParamPoint.derived``): its shifts, keyed by their tables, and per level
+its identity point, its rows and its step and C_r split coefficients, so
+the sweeps and the replay make each once.
 
 The anti-differences are rows on the term kernel, with any per-term factor
 1 - c p^k applied by ``hyper.linear``.  They are not kept on the point: the
@@ -75,8 +85,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import (Callable, Dict, Iterable, Iterator, NamedTuple, Optional,
-                    Sequence, Tuple, Union)
+from typing import (Callable, Dict, Iterable, Iterator, Mapping, NamedTuple,
+                    Optional, Sequence, Tuple, Union)
 
 from .hyper import Pairs, TermRow, linear, pair_row, poch_ratio, poch_ratio_pairs
 from .qcore import ParamPoint, PoleError, Ratio
@@ -85,7 +95,7 @@ from .identities import _div, _quot, _xs
 
 LevelFn = Callable[[ParamPoint, int], "TermRow | _ident.CrRow"]
 CoeffFn = Callable[[ParamPoint, int], Fraction]
-Step = Tuple[CoeffFn, int, int]     # (coefficient, levels down, shifts)
+Step = Tuple[CoeffFn, int, int, int]    # (c, levels down, shifts, k-offset)
 Pair = Tuple[int, int]              # an unreduced value num/den, den nonzero
 
 
@@ -96,9 +106,8 @@ class ProofCertificate:
 
     id: str
     identity: str                   # the registered identity the proof proves
-    k_shift: int
     term: LevelFn
-    shift: Callable[[ParamPoint], ParamPoint]
+    shift: Mapping[str, int]        # sigma: symbol -> its exponent of q
     steps: Tuple[Step, ...]
     rhs_term: Optional[LevelFn] = None
     anti_diff: Optional[LevelFn] = None
@@ -115,7 +124,7 @@ class ProofCertificate:
     @property
     def order(self) -> int:
         """The recurrence depth in n: the largest dn over the steps."""
-        return max((dn for _, dn, _ in self.steps), default=1)
+        return max((dn for _, dn, _, _ in self.steps), default=1)
 
     def lhs_value(self, point: ParamPoint, n: int) -> Fraction:
         desc = _ident.get_identity(self.identity)
@@ -124,6 +133,11 @@ class ProofCertificate:
     def rhs_value(self, point: ParamPoint, n: int) -> Fraction:
         desc = _ident.get_identity(self.identity)
         return desc.rhs(_identity_point(self.identity, point, n))
+
+
+def _shift(point: ParamPoint, exponents: Mapping[str, int]) -> ParamPoint:
+    """The point shifted by a table of q-exponents, once per point and table."""
+    return point.derived(ParamPoint.shifted, tuple(sorted(exponents.items())))
 
 
 def _identity_point(identity_id: str, point: ParamPoint, n: int) -> ParamPoint:
@@ -231,7 +245,7 @@ def singh_alpha(p: ParamPoint, n: int) -> Fraction:
 
 def singh_beta(p: ParamPoint, n: int) -> Fraction:
     c, q = p.ratios("cq")
-    return _div(1 + c*q**(2-n), q * (1 + c*q**(-n)))
+    return _div(-(1 + c*q**(2-n)), q * (1 + c*q**(-n)))
 
 
 def singh_gamma(p: ParamPoint, n: int) -> Fraction:
@@ -249,7 +263,7 @@ def singh_first_order_residual(p: ParamPoint, n: int, k: int) -> Fraction:
     A, B, c, q = map(p.sym, "ABcq")
     gamma1 = _div(-(1 - A) * (1 - B) * (1 - c*c) * q**(1-n),
                   (1 - A*B*q) * (1 + c*q**(-n)) * (1 + c*q**(1-n)))
-    shifted = p.scaled(A=q, B=q, c=q)
+    shifted = p.shifted({"A": 1, "B": 1, "c": 1})
     level = get_certificate("singh").term
     return (level(p, n).term(k) - level(p, n - 1).term(k)
             - gamma1 * level(shifted, n - 1).term(k - 1))
@@ -341,12 +355,6 @@ def schlosser_split_coeff(p: ParamPoint, n: int, ss: Tuple[int, ...]) -> Fractio
     return _div(t, 1)
 
 
-def _schlosser_shift_s(p: ParamPoint, ss: Sequence[int]) -> ParamPoint:
-    q = p.sym("q")
-    updates = {"x%d" % (i + 1): q**ss[i] for i in range(len(ss)) if ss[i]}
-    return p.scaled(**updates) if updates else p
-
-
 def schlosser_split_residual(point: ParamPoint, n: int, i: int,
                              k_i: int) -> Fraction:
     """Denominator-cleared residual of the two-term partial-fraction split
@@ -362,24 +370,31 @@ def schlosser_split_residual(point: ParamPoint, n: int, i: int,
     lhs_num = ((1 - a*a*xi*q**(n+k_i-r+2)/(b*c*d))
                * (1 - b*c*d*xi*q**(k_i+r-n-2)/a))
     lhs_den = (1 - q**(-n+k_i-1)) * (1 - a*xi*xi*q**(n+k_i+1))
-    t1_num = (-q**(n+1) * (1 - a*a*xi*q**(n-r+2)/(b*c*d))
-              * (1 - b*c*d*xi*q**(r-n-2)/a))
-    t2_num = ((1 - a*a*xi*q**(2*n-r+3)/(b*c*d)) * (1 - b*c*d*xi*q**(r-1)/a)
+    t1_num = _split_num(point, xi, n, 0)
+    t2_num = (_split_num(point, xi, n, 1)
               * (1 - a*xi*xi*q**k_i) * (1 - q**k_i))
     common = (1 - q**(n+1)) * (1 - a*xi*xi*q**(n+1))
     return _div(lhs_num * common - t1_num * lhs_den - t2_num, 1)
 
 
+def _split_num(point: ParamPoint, xi: Ratio, n: int, si: int) -> Ratio:
+    """Numerator of the split's s_i term at lower level n, over
+    (1 - a x_i^2 q^{n+1}), as the two branches spell it."""
+    a, b, c, d, q = point.ratios("abcdq")
+    r = point.idx("r")
+    if si:
+        return (1 - a*a*xi*q**(2*n-r+3)/(b*c*d)) * (1 - b*c*d*xi*q**(r-1)/a)
+    return (-q**(n+1) * (1 - a*a*xi*q**(n-r+2)/(b*c*d))
+            * (1 - b*c*d*xi*q**(r-n-2)/a))
+
+
 def _schlosser_alpha_s(point: ParamPoint, n: int,
                        ss: Sequence[int]) -> Ratio:
-    a, b, c, d, q = point.ratios("abcdq")
+    a, q = point.ratios("aq")
     r = point.idx("r")
     t = _quot(Ratio(1), (1 - q**(n+1)) ** r)
     for xi, si in zip(_x_ratios(point), ss):
-        num = (((1 - a*a*xi*q**(2*n-r+3)/(b*c*d)) * (1 - b*c*d*xi*q**(r-1)/a))
-               if si else (-q**(n+1) * (1 - a*a*xi*q**(n-r+2)/(b*c*d))
-                           * (1 - b*c*d*xi*q**(r-n-2)/a)))
-        t *= _quot(num, 1 - a*xi*xi*q**(n+1))
+        t *= _quot(_split_num(point, xi, n, si), 1 - a*xi*xi*q**(n+1))
     return t
 
 
@@ -410,77 +425,53 @@ def schlosser_coeff_residual(point: ParamPoint, n: int,
 # registry
 # ---------------------------------------------------------------------------
 
-def _scale_shift(**factors_of_q):
-    powers = dict(factors_of_q)
-
-    def shift(point: ParamPoint) -> ParamPoint:
-        q = point.sym("q")
-        return point.scaled(**{name: q**e for name, e in powers.items()})
-    return shift
-
-
 def _one(p: ParamPoint, n: int) -> Fraction:
     return Fraction(1)
 
 
-def _build_certificates() -> Dict[str, ProofCertificate]:
-    certs = {}
-
-    def add(cert: ProofCertificate) -> None:
-        certs[cert.id] = cert
-
-    add(ProofCertificate(
-        id="jackson", identity="jackson_8phi7", k_shift=1,
+_CERTS = {cert.id: cert for cert in (
+    ProofCertificate(
+        id="jackson", identity="jackson_8phi7",
         term=_row_level("jackson_8phi7", "jackson_row"),
-        shift=_scale_shift(a=2, b=1, c=1, d=1),
-        steps=((_one, 1, 0), (jackson_gamma, 1, 1))))
-
-    add(ProofCertificate(
-        id="watson", identity="watson_transform", k_shift=1,
+        shift=dict(a=2, b=1, c=1, d=1),
+        steps=((_one, 1, 0, 0), (jackson_gamma, 1, 1, 1))),
+    ProofCertificate(
+        id="watson", identity="watson_transform",
         term=_row_level("watson_transform", "watson_row"),
-        shift=_scale_shift(a=2, b=1, c=1, d=1, e=1),
-        steps=((_one, 1, 0), (watson_beta, 1, 1)),
+        shift=dict(a=2, b=1, c=1, d=1, e=1),
+        steps=((_one, 1, 0, 0), (watson_beta, 1, 1, 1)),
         rhs_term=_row_level("watson_transform", "watson_rhs_row"),
-        anti_diff=_row_level("watson_transform", watson_anti_diff_row)))
-
-    add(ProofCertificate(
-        id="bailey", identity="bailey_10phi9", k_shift=1,
+        anti_diff=_row_level("watson_transform", watson_anti_diff_row)),
+    ProofCertificate(
+        id="bailey", identity="bailey_10phi9",
         term=_row_level("bailey_10phi9", "bailey_row"),
-        shift=_scale_shift(a=2, b=1, c=1, d=1, e=1, f=1),
-        steps=((_one, 1, 0), (bailey_alpha, 1, 1)),
+        shift=dict(a=2, b=1, c=1, d=1, e=1, f=1),
+        steps=((_one, 1, 0, 0), (bailey_alpha, 1, 1, 1)),
         rhs_term=_row_level("bailey_10phi9", "bailey_rhs_row"),
-        anti_diff=_row_level("bailey_10phi9", bailey_anti_diff_row)))
-
-    add(ProofCertificate(
-        id="singh", identity="singh_quadratic", k_shift=2,
+        anti_diff=_row_level("bailey_10phi9", bailey_anti_diff_row)),
+    ProofCertificate(
+        id="singh", identity="singh_quadratic",
         term=_row_level("singh_quadratic", "singh_lhs_row"),
-        shift=_scale_shift(A=2, B=2, c=2),
-        steps=((singh_alpha, 1, 0), (lambda p, n: -singh_beta(p, n), 2, 0),
-               (singh_gamma, 2, 1)),
+        shift=dict(A=2, B=2, c=2),
+        steps=((singh_alpha, 1, 0, 0), (singh_beta, 2, 0, 0),
+               (singh_gamma, 2, 1, 2)),
         rhs_term=_row_level("singh_quadratic", "singh_rhs_row"),
-        anti_diff=_row_level("singh_quadratic", singh_anti_diff_row)))
-
-    add(ProofCertificate(
-        id="lebesgue", identity="lebesgue_finite", k_shift=1,
+        anti_diff=_row_level("singh_quadratic", singh_anti_diff_row)),
+    ProofCertificate(
+        id="lebesgue", identity="lebesgue_finite",
         term=_row_level("lebesgue_finite", "lebesgue_row"),
-        shift=_scale_shift(a=2),
-        steps=((lebesgue_keep, 1, 0), (lebesgue_move, 1, 1))))
-
-    add(ProofCertificate(
-        id="quintuple", identity="quintuple_finite", k_shift=1,
+        shift=dict(a=2),
+        steps=((lebesgue_keep, 1, 0, 0), (lebesgue_move, 1, 1, 1))),
+    ProofCertificate(
+        id="quintuple", identity="quintuple_finite",
         term=_row_level("quintuple_finite", "quintuple_row"),
-        shift=_scale_shift(z=1),
-        steps=((quintuple_keep, 1, 0), (quintuple_move, 1, 1))))
-
-    add(ProofCertificate(
-        id="schlosser", identity="schlosser_cr", k_shift=1,
-        term=_row_level("schlosser_cr", "schlosser_row"), shift=lambda p: p,
-        steps=()))
-
-    return certs
-
-
-_CERTS = _build_certificates()
+        shift=dict(z=1),
+        steps=((quintuple_keep, 1, 0, 0), (quintuple_move, 1, 1, 1))),
+    ProofCertificate(
+        id="schlosser", identity="schlosser_cr",
+        term=_row_level("schlosser_cr", "schlosser_row"), shift={},
+        steps=()),
+)}
 
 
 def list_certificates() -> Tuple[ProofCertificate, ...]:
@@ -566,7 +557,7 @@ def check_point(cert: ProofCertificate, point: ParamPoint, ranges: CheckRanges
 # ---------------------------------------------------------------------------
 
 def _back(k, back):
-    """The index k moved back by a step's k-shift (a vector for the C_r sum)."""
+    """The index k moved back by a step's k-offset (a vector for the C_r sum)."""
     if isinstance(k, tuple):
         return tuple(ki - bi for ki, bi in zip(k, back))
     return k - back
@@ -583,21 +574,21 @@ def _level_residuals(cert: ProofCertificate, read: LevelFn, point: ParamPoint,
     so a nonzero residual at k is yielded before any entry past k is read.
     """
     top = read(point, n)
-    lower = []              # (coefficient num, den, row, k-shift)
+    lower = []              # (coefficient num, den, row, k-offset)
     if cert.multi:
-        for ss in itertools.product((0, 1), repeat=point.idx("r")):
+        xs = ["x%d" % i for i in range(1, point.idx("r") + 1)]
+        for ss in itertools.product((0, 1), repeat=len(xs)):
             c = point.derived(schlosser_split_coeff, n - 1, ss)
             lower.append((c.numerator, c.denominator,
-                          read(point.derived(_schlosser_shift_s, ss), n - 1),
-                          ss))
+                          read(_shift(point, dict(zip(xs, ss))), n - 1), ss))
     else:
         shifted = [point]
-        for coeff, dn, s in cert.steps:
+        for coeff, dn, s, dk in cert.steps:
             while len(shifted) <= s:
-                shifted.append(shifted[-1].derived(cert.shift))
+                shifted.append(_shift(shifted[-1], cert.shift))
             c = point.derived(coeff, n)
             lower.append((c.numerator, c.denominator,
-                          read(shifted[s], n - dn), s * cert.k_shift))
+                          read(shifted[s], n - dn), dk))
     for k in ks:
         num, den = top.pair(k)
         for cn, cd, row, back in lower:
@@ -731,7 +722,7 @@ def inductive_replay(proof: CertOrId, point: ParamPoint, n_max: int) -> bool:
         return _schlosser_replay(cert, point, n_max)
     pts = [point]
     for _ in range(n_max):
-        pts.append(pts[-1].derived(cert.shift))
+        pts.append(_shift(pts[-1], cert.shift))
 
     values: Dict[Tuple[int, int], Fraction] = {}
     for m in range(cert.order):
@@ -745,7 +736,7 @@ def inductive_replay(proof: CertOrId, point: ParamPoint, n_max: int) -> bool:
         for j in range(n_max + 1 - m):
             p = pts[j]
             num, den = 0, 1         # the propagated value, unreduced
-            for coeff, dn, s in cert.steps:
+            for coeff, dn, s, _ in cert.steps:    # totals over k: no dk
                 c, v = p.derived(coeff, m), values[(m - dn, j + s)]
                 cd = c.denominator * v.denominator
                 num = num * cd + c.numerator * v.numerator * den
@@ -788,12 +779,10 @@ def _schlosser_replay(cert: ProofCertificate, point: ParamPoint,
         raise ValueError("replay cost guard: n <= %d" % _ident.MULTISUM_MAX_N)
     if r > _ident.MULTISUM_MAX_R:
         raise ValueError("replay cost guard: r <= %d" % _ident.MULTISUM_MAX_R)
-    a = point.sym("a")
-    q = point.sym("q")
     if cert.lhs_value(point, 0) != cert.rhs_value(point, 0):
         return False
     for level in range(1, n_max + 1):
-        lemma_point = point.with_symbols(a=a * q**(level - 1))
+        lemma_point = point.shifted({"a": level - 1})
         if (_ident.schlosser_lemma_lhs(lemma_point)
                 != _ident.schlosser_lemma_rhs(lemma_point)):
             return False

@@ -121,6 +121,8 @@ class Coeffs:
 
 
 def _one(order: int) -> Coeffs:
+    if order < 0:
+        raise ValueError("order must be at least 0, got %d" % order)
     return Coeffs([1] + [0] * order)
 
 

@@ -101,7 +101,8 @@ class ParamPoint:
     Immutable after construction.  If the symbol ``q`` is present it must not
     be 0 or 1.  Two points are equal exactly when their symbol values and
     indices are.  Values made from a point are kept on it (``derived``), so a
-    point is not hashed and is not hashable.
+    point is not hashed and is not hashable.  ``with_symbols`` replaces
+    symbols; ``shifted`` moves them by powers of q, read from a table.
     """
 
     symbols: Mapping[str, Fraction]
@@ -153,15 +154,17 @@ class ParamPoint:
         syms.update({k: Fraction(v) for k, v in updates.items()})
         return ParamPoint(syms, dict(self.indices))
 
-    def scaled(self, **factors) -> "ParamPoint":
-        """New point with named symbols multiplied by the given factors.
-
-        This is the shape every proof-certificate parameter shift takes,
-        e.g. ``point.scaled(a=q**2, b=q, c=q, d=q)``.
-        """
+    def shifted(self, exponents) -> "ParamPoint":
+        """New point with each named symbol times q to its exponent, from a
+        table (a mapping or pairs): ``{"a": 2, "b": 1}`` is a -> a q^2,
+        b -> b q, as in every proof's shift.  All zeros give the point."""
+        exponents = [(name, e) for name, e in dict(exponents).items() if e]
+        if not exponents:
+            return self
+        q = self.sym("q")
         syms = dict(self.symbols)
-        for name, factor in factors.items():
-            syms[name] = self.sym(name) * Fraction(factor)
+        for name, e in exponents:
+            syms[name] = self.sym(name) * q**e
         return ParamPoint(syms, dict(self.indices))
 
 

@@ -263,11 +263,11 @@ def _boundary_only(cert):
 # fault -> (proof, planted fault, the check that must report it)
 CERT_FAULTS = {
     "jackson": ("jackson", lambda cert: replace(cert, steps=(
-        cert.steps[0], (lambda p, n: cert.steps[1][0](p, n) * SCALE, 1, 1))),
+        cert.steps[0], (lambda p, n: cert.steps[1][0](p, n) * SCALE, 1, 1, 1))),
         "term_recurrence"),
     "watson": ("watson", _scaled_anti_diff, "telescoping"),
     "bailey": ("bailey", lambda cert: replace(
-        cert, shift=certs._scale_shift(a=1, b=1, c=1, d=1, e=1, f=1)),
+        cert, shift=dict(a=1, b=1, c=1, d=1, e=1, f=1)),
         "term_recurrence"),
     "bailey_anti_diff": ("bailey", _scaled_anti_diff, "telescoping"),
     "singh_anti_diff": ("singh", _scaled_anti_diff, "telescoping"),

@@ -48,7 +48,7 @@ def test_out_of_range_k_is_trivially_zero():
         cert = get_certificate(cert_id)
         point = sample_certificate_point(cert, rng)
         n = max(2, cert.order)
-        for k in (-2, -1, n + cert.k_shift + 1):
+        for k in (-2, -1, n + max(dk for *_, dk in cert.steps) + 1):
             assert term_recurrence_residual(cert, point, n, k) == 0
 
 
@@ -260,8 +260,8 @@ STEP_CASES = [(cert_id, i) for cert_id in SINGLE_CERTS
 @pytest.mark.parametrize("cert_id,step", STEP_CASES)
 def test_checks_and_replay_read_the_same_steps(cert_id, step):
     cert = get_certificate(cert_id)
-    coeff, dn, s = cert.steps[step]
-    scaled = (lambda p, n: coeff(p, n) * Fraction(102, 101), dn, s)
+    coeff, dn, s, dk = cert.steps[step]
+    scaled = (lambda p, n: coeff(p, n) * Fraction(102, 101), dn, s, dk)
     faulty = replace(cert, steps=cert.steps[:step] + (scaled,)
                      + cert.steps[step + 1:])
     point = sample_certificate_point(cert, random.Random(90))
@@ -284,13 +284,13 @@ def test_a_step_wrong_only_away_from_the_point_fails_the_replay(cert_id, step):
     # the sweeps read every coefficient at the sampled point itself; only the
     # replay's propagation reads them at the shifted points j >= 1
     cert = get_certificate(cert_id)
-    coeff, dn, s = cert.steps[step]
+    coeff, dn, s, dk = cert.steps[step]
     point = sample_certificate_point(cert, random.Random(90))
 
     def shifted_only(p, n):
         c = coeff(p, n)
         return c if p.symbols == point.symbols else c * Fraction(102, 101)
-    faulty = replace(cert, steps=cert.steps[:step] + ((shifted_only, dn, s),)
+    faulty = replace(cert, steps=cert.steps[:step] + ((shifted_only, dn, s, dk),)
                      + cert.steps[step + 1:])
     ranges = certs.check_ranges(cert, 4, 1)
     healthy_counts, failure = certs.check_point(cert, point, ranges)
@@ -570,8 +570,8 @@ def _count_builds(monkeypatch):
     for cert in list_certificates():
         steps = tuple((_counting(c, c.__name__, builds)
                        if c.__name__ == COSTLY_COEFFICIENTS.get(cert.id)
-                       else c, dn, s)
-                      for c, dn, s in cert.steps)
+                       else c, dn, s, dk)
+                      for c, dn, s, dk in cert.steps)
         monkeypatch.setitem(certs._CERTS, cert.id, replace(cert, steps=steps))
     return builds
 
@@ -656,9 +656,9 @@ def test_level_yields_each_k_before_a_later_pole():
     q = Fraction(2, 3)
     point = ParamPoint({"a": q**-3, "q": q}, {})
     cert = get_certificate("lebesgue")
-    keep, dn, s = cert.steps[0]
+    keep, dn, s, dk = cert.steps[0]
     faulty = replace(cert, steps=((lambda p, n: keep(p, n) * Fraction(102, 101),
-                                   dn, s),) + cert.steps[1:])
+                                   dn, s, dk),) + cert.steps[1:])
     for c, healthy in ((cert, True), (faulty, False)):
         level = certs.term_recurrence_residuals(c, point, 2)
         k, residual = next(level)

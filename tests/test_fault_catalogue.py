@@ -4,7 +4,8 @@ naming the identity and the certificate check that must report it.
 A row plants its fault in every module that reads the faulty function.  It
 asserts that the healthy run passes and that the planted run fails:
 ``verify`` finds a counterexample of the identity, and ``certs.check_point``
-reports the named check for the proof.
+reports the named check for the proof.  A fault in a certificate's own data
+(a row of ``STEP_FAULTS``) leaves the identity passing and fails the proof.
 A fault that no check catches at the default n is a row of ``KNOWN_GAPS``,
 asserted to pass there and to fail at the n that reveals it, so that the gap
 stays visible.  Faults are scaled by 102/101, so they stay exact.
@@ -99,6 +100,14 @@ KNOWN_GAPS = {
 }
 
 
+# (proof, step index) -> a wrong k-offset for that step, off by one: only the
+# proof reads it, and its term recurrence fails at the first level it checks
+STEP_FAULTS = {
+    ("singh", 2): 1,        # gamma's dk 2 -> 1
+    ("jackson", 1): 0,      # gamma's dk 1 -> 0
+}
+
+
 def _plant(monkeypatch, name, plant):
     modules = (qcore, hyper, identities, certs)
     healthy = next(getattr(m, name) for m in modules if hasattr(m, name))
@@ -140,6 +149,22 @@ def test_planted_fault_is_reported(monkeypatch, fault):
     assert _runs(identity_id, proof_id) == ("PASS", None)
     _plant(monkeypatch, name, plant)
     assert _runs(identity_id, proof_id) == ("FAIL", check)
+
+
+@pytest.mark.parametrize("proof_id,step", sorted(STEP_FAULTS))
+def test_step_k_offset_off_by_one_fails_the_term_recurrence(monkeypatch,
+                                                             proof_id, step):
+    cert = certs.get_certificate(proof_id)
+    assert _runs(cert.identity, proof_id) == ("PASS", None)
+    coeff, dn, s, _ = cert.steps[step]
+    steps = list(cert.steps)
+    steps[step] = coeff, dn, s, STEP_FAULTS[proof_id, step]
+    planted = dataclasses.replace(cert, steps=tuple(steps))
+    monkeypatch.setitem(certs._CERTS, proof_id, planted)
+    assert _runs(cert.identity, proof_id) == ("PASS", "term_recurrence")
+    _, failure = certs.check_point(planted, _certificate_point(planted),
+                                   certs.check_ranges(planted, 4, 1))
+    assert failure["n"] == cert.order
 
 
 @pytest.mark.parametrize("fault", sorted(KNOWN_GAPS), ids=" / ".join)

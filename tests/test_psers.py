@@ -134,8 +134,14 @@ def test_series_guards():
         quintuple_product_relation_residual(1, 10)
     with pytest.raises(MissingSymbol, match="needs symbol 'a'"):
         infinite_identity_residual("lebesgue_inf", {"z": 2}, 10)
-    with pytest.raises(ValueError, match="order must be at least 0, got -1"):
-        infinite_identity_residual("jacobi_triple", {"z": 2}, -1)
+    for below_zero in (
+            lambda: infinite_identity_residual("jacobi_triple", {"z": 2}, -1),
+            lambda: poch_inf(2, 1, 1, -1),
+            lambda: jacobi_product_relation_residual(2, -1),
+            lambda: quintuple_product_relation_residual(2, -1)):
+        with pytest.raises(ValueError,
+                           match="order must be at least 0, got -1"):
+            below_zero()
 
 
 def test_missing_series_symbol_is_not_redrawn_as_a_pole():

@@ -291,7 +291,7 @@ def test_param_point_missing_names():
 def test_param_point_updates_leave_original_alone():
     p = ParamPoint({"a": 2, "q": Fraction(1, 2)}, {"n": 1})
     p2 = p.with_symbols(a=7)
-    p3 = p.scaled(a=Fraction(1, 2))
+    p3 = p.shifted({"a": 1})
     assert p.sym("a") == 2
     assert p2.sym("a") == 7
     assert p3.sym("a") == 1
