@@ -82,7 +82,6 @@ with g = lam a q^{n+1}/(ef) and lam = a^2 q/(bcd).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import (Callable, Dict, Iterable, Iterator, Mapping, NamedTuple,
@@ -99,8 +98,7 @@ Step = Tuple[CoeffFn, int, int, int]    # (c, levels down, shifts, k-offset)
 Pair = Tuple[int, int]              # an unreduced value num/den, den nonzero
 
 
-@dataclass(frozen=True)
-class ProofCertificate:
+class ProofCertificate(NamedTuple):
     """One proof's machinery; what its identity says (symbols, indices and
     both sides) is read from the identity registry."""
 
@@ -263,7 +261,7 @@ def singh_first_order_residual(p: ParamPoint, n: int, k: int) -> Fraction:
     A, B, c, q = map(p.sym, "ABcq")
     gamma1 = _div(-(1 - A) * (1 - B) * (1 - c*c) * q**(1-n),
                   (1 - A*B*q) * (1 + c*q**(-n)) * (1 + c*q**(1-n)))
-    shifted = p.shifted({"A": 1, "B": 1, "c": 1})
+    shifted = _shift(p, {"A": 1, "B": 1, "c": 1})
     level = get_certificate("singh").term
     return (level(p, n).term(k) - level(p, n - 1).term(k)
             - gamma1 * level(shifted, n - 1).term(k - 1))

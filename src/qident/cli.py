@@ -15,7 +15,6 @@ import contextlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import identities as ident
@@ -23,8 +22,10 @@ from . import certs
 from . import psers
 
 
-@dataclass
 class RunConfig:
+    """One run's settings, set by keyword; each default is a class attribute,
+    which ``build_parser`` reads."""
+
     command: str
     identity_ids: Tuple[str, ...] = ()
     proof_ids: Tuple[str, ...] = ()
@@ -41,9 +42,15 @@ class RunConfig:
     fmt: str = "text"
     out: Optional[str] = None
 
+    def __init__(self, command: str, **settings):
+        unknown = sorted(settings.keys() - RunConfig.__annotations__)
+        if unknown:
+            raise TypeError("RunConfig has no field %s" % ", ".join(unknown))
+        vars(self).update(command=command, **settings)
+
     def echo(self) -> Dict:
         """The report's copy of the config, without where the report goes."""
-        echo = asdict(self)
+        echo = {name: getattr(self, name) for name in RunConfig.__annotations__}
         del echo["fmt"], echo["out"]
         for field, key in (("identity_ids", "identities"),
                            ("proof_ids", "proofs"), ("series_ids", "series")):

@@ -27,12 +27,11 @@ list; both are exposed as zero-residual checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, Sequence, Tuple
 
-from .qcore import PoleError, Ratio, _ints
+from .qcore import PoleError, Ratio, _Frozen, _ints
 
 # Terms as unreduced int pairs (num_k, den_k), each den_k dividing den_{k+1}.
 Pairs = Iterator[Tuple[int, int]]
@@ -148,7 +147,8 @@ class TermRow:
     vanished; reading a term from there on, or the total, raises PoleError
     with the message ``pole``.  Terms outside [0, n] are 0.  ``pair`` reads
     an entry as it is, ``term`` reduces it to a ``Fraction`` and ``total``
-    is one ``Fraction``.  A plain class, like ``identities.CrRow``.
+    is one ``Fraction``.  A plain class, like every class of the package
+    (``qcore._Frozen`` says why).
     """
 
     __slots__ = ("pairs", "n", "pole")
@@ -190,21 +190,15 @@ def pair_row(pairs: Iterable[Tuple[int, int]], n: int,
     return TermRow(out, n, pole)
 
 
-@dataclass(frozen=True)
-class WellPoisedTerm:
+class WellPoisedTerm(_Frozen):
     """Inputs for the k-th term of a well-poised series.
 
     The denominator parameters are implied: (q, a_1 q/a_2, ..., a_1 q/a_{r+1}).
     """
 
-    a_list: Tuple[Fraction, ...]
-    q: Fraction
-    z: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "a_list", tuple(Fraction(a) for a in self.a_list))
-        object.__setattr__(self, "q", Fraction(self.q))
-        object.__setattr__(self, "z", Fraction(self.z))
+    def __init__(self, a_list: Sequence[Fraction], q: Fraction, z: Fraction):
+        self.__dict__.update(a_list=tuple(Fraction(a) for a in a_list),
+                             q=Fraction(q), z=Fraction(z))
         if len(self.a_list) < 2:
             raise ValueError("well-poised term needs at least two parameters")
 

@@ -23,10 +23,9 @@ import math
 import operator
 import random
 import time
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import (Callable, Dict, Iterable, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import (Callable, Dict, Iterable, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .qcore import ParamPoint, PoleError, QIdentityError, Ratio, qpoch
 from .hyper import (Pairs, TermRow, _ints, linear, pair_row, pair_sum,
@@ -145,8 +144,7 @@ def _pair_table(a: Fraction, q: Fraction, xs: Sequence[Fraction], n: int):
 Evaluator = Callable[[ParamPoint], Fraction]
 
 
-@dataclass(frozen=True)
-class IdentityDescriptor:
+class IdentityDescriptor(NamedTuple):
     """Metadata and exact evaluators for one registered identity."""
 
     id: str
@@ -165,21 +163,22 @@ class IdentityDescriptor:
         return {"n", "r"} <= set(self.index_names)
 
 
-@dataclass
 class VerificationReport:
-    """Outcome of one verify() run."""
+    """Outcome of one verify() run; ``verify`` sets the outcome fields."""
 
-    identity: str
-    status: str = "PASS"         # FAIL, or ERROR: every trial rejected
-    attempted: int = 0
-    succeeded: int = 0           # trials whose point passed every check
-    rejected: int = 0            # trials that used up their pole retries
-    point_rejections: int = 0    # points redrawn, cross-check poles too
-    seed: int = 0
-    index_ranges: Dict[str, Tuple[int, int]] = field(default_factory=dict)
-    elapsed_s: float = 0.0
-    mutated: bool = False
+    status = "PASS"              # FAIL, or ERROR: every trial rejected
+    attempted = 0
+    succeeded = 0                # trials whose point passed every check
+    rejected = 0                 # trials that used up their pole retries
+    point_rejections = 0         # points redrawn, cross-check poles too
+    elapsed_s = 0.0
     counterexample: Optional[Dict] = None
+
+    def __init__(self, identity: str, seed: int = 0,
+                 index_ranges: Optional[Dict[str, Tuple[int, int]]] = None,
+                 mutated: bool = False):
+        self.identity, self.seed, self.mutated = identity, seed, mutated
+        self.index_ranges = index_ranges or {}
 
     def as_dict(self) -> Dict:
         return {
@@ -424,8 +423,8 @@ class CrRow:
     a q) and, with no axes, the certificate's pair ratios.  ``scale`` brings
     the pair table's int numerators over the normalizer; a vanished one
     raises PoleError on read, as a TermRow's pole does.  ``pair`` reads an
-    entry as an unreduced int pair and ``term`` reduces it.  A plain class:
-    generating a dataclass's methods is a measurable share of import time."""
+    entry as an unreduced int pair and ``term`` reduces it.  A plain class,
+    like every class of the package (``qcore._Frozen`` says why)."""
 
     __slots__ = ("n", "xs", "axes", "pairs", "scale")
 
@@ -860,8 +859,7 @@ def _build_registry() -> Dict[str, IdentityDescriptor]:
 _REGISTRY = _build_registry()
 
 # b := 0 specialization of andrews_jain
-_LEBESGUE_2 = replace(
-    _REGISTRY["andrews_jain"],
+_LEBESGUE_2 = _REGISTRY["andrews_jain"]._replace(
     id="lebesgue_finite_2",
     symbols=("a",),
     derive=lambda p: p.with_symbols(b=0))

@@ -24,26 +24,33 @@ each of the six identities, runs in 0.25-0.36 s wall at seeds 1, 2, 3 and
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Dict, List, Mapping, NamedTuple, Tuple, Union
 
-from .qcore import MissingSymbol, PoleError
+from .qcore import MissingSymbol, PoleError, _Frozen
 
 
-@dataclass(frozen=True)
-class QSeries:
-    """Series sum_j c_j q^j + O(q^{N+1}) with exact rational coefficients."""
+class QSeries(_Frozen):
+    """Series sum_j c_j q^j + O(q^{N+1}) with exact rational coefficients,
+    equal and hashed by ``coeffs``."""
 
-    coeffs: Tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(
-            c if isinstance(c, Fraction) else Fraction(c)
-            for c in self.coeffs))
+    def __init__(self, coeffs: Tuple[Fraction, ...]):
+        self.__dict__["coeffs"] = tuple(
+            c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
         if not self.coeffs:
             raise ValueError("a QSeries needs at least the constant coefficient")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return "QSeries(coeffs=%r)" % (self.coeffs,)
 
     @property
     def order(self) -> int:

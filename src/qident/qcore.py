@@ -10,10 +10,9 @@ index, with negative indices handled by the reciprocal identity
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Mapping, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 
 class QIdentityError(Exception):
@@ -94,29 +93,47 @@ def _ints(v) -> Tuple[int, int]:
     return num // g, den // g
 
 
-@dataclass(frozen=True)
-class ParamPoint:
+class _Frozen:
+    """Attributes set once, through ``__dict__`` in ``__init__``: assigning or
+    deleting one raises AttributeError.  No class of the package is a
+    dataclass, because importing ``dataclasses`` (and ``inspect`` with it)
+    and generating methods cost start-up time that no run uses."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    __delattr__ = __setattr__
+
+
+class ParamPoint(_Frozen):
     """An exact parameter assignment: symbol values plus integer indices.
 
-    Immutable after construction.  If the symbol ``q`` is present it must not
-    be 0 or 1.  Two points are equal exactly when their symbol values and
-    indices are.  Values made from a point are kept on it (``derived``), so a
-    point is not hashed and is not hashable.  ``with_symbols`` replaces
-    symbols; ``shifted`` moves them by powers of q, read from a table.
+    Immutable after construction: assigning an attribute raises
+    AttributeError.  If the symbol ``q`` is present it must not be 0 or 1.
+    Two points are equal exactly when their symbol values and indices are.
+    Values made from a point are kept on it (``derived``), so a point is not
+    hashed and is not hashable.  ``with_symbols`` replaces symbols;
+    ``shifted`` moves them by powers of q, read from a table.
     """
 
-    symbols: Mapping[str, Fraction]
-    indices: Mapping[str, int] = field(default_factory=dict)
-
-    def __post_init__(self):
+    def __init__(self, symbols: Mapping[str, Fraction],
+                 indices: Optional[Mapping[str, int]] = None):
         syms = {name: v if isinstance(v, Fraction) else Fraction(v)
-                for name, v in self.symbols.items()}
-        idxs = {name: int(v) for name, v in self.indices.items()}
-        object.__setattr__(self, "symbols", syms)
-        object.__setattr__(self, "indices", idxs)
+                for name, v in symbols.items()}
+        self.__dict__.update(symbols=syms, indices={
+            name: int(v) for name, v in (indices or {}).items()})
         q = syms.get("q")
         if q is not None and q in (0, 1):
             raise DegenerateQ("q must not be 0 or 1, got q=%s" % q)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.symbols, self.indices) == (other.symbols, other.indices)
+
+    def __repr__(self) -> str:
+        return "ParamPoint(symbols=%r, indices=%r)" % (self.symbols,
+                                                       self.indices)
 
     def sym(self, name: str) -> Fraction:
         try:

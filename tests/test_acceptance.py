@@ -10,7 +10,6 @@ import json
 import math
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -235,7 +234,7 @@ def _scaled_anti_diff(cert):
         row = cert.anti_diff(point, n)
         return TermRow([(num * SCALE.numerator, den * SCALE.denominator)
                         for num, den in row.pairs], row.n, row.pole)
-    return replace(cert, anti_diff=anti_diff)
+    return cert._replace(anti_diff=anti_diff)
 
 
 def _boundary_only(cert):
@@ -246,10 +245,10 @@ def _boundary_only(cert):
     def rhs_term(point, n):
         row = cert.rhs_term(point, n)
         return TermRow(_scaled(row.pairs, n), row.n, row.pole)
-    planted = replace(cert, rhs_term=rhs_term)
+    planted = cert._replace(rhs_term=rhs_term)
     # against a zero anti-difference each residual is the combination itself
-    combos = replace(planted,
-                     anti_diff=lambda point, n: TermRow([(0, 1)] * (n + 1), n))
+    combos = planted._replace(
+        anti_diff=lambda point, n: TermRow([(0, 1)] * (n + 1), n))
 
     def anti_diff(point, n):
         sums = list(itertools.accumulate(
@@ -257,17 +256,17 @@ def _boundary_only(cert):
         den = math.lcm(*(h.denominator for h in sums))
         return TermRow([(h.numerator * (den // h.denominator), den)
                         for h in sums], n)
-    return replace(planted, anti_diff=anti_diff)
+    return planted._replace(anti_diff=anti_diff)
 
 
 # fault -> (proof, planted fault, the check that must report it)
 CERT_FAULTS = {
-    "jackson": ("jackson", lambda cert: replace(cert, steps=(
+    "jackson": ("jackson", lambda cert: cert._replace(steps=(
         cert.steps[0], (lambda p, n: cert.steps[1][0](p, n) * SCALE, 1, 1, 1))),
         "term_recurrence"),
     "watson": ("watson", _scaled_anti_diff, "telescoping"),
-    "bailey": ("bailey", lambda cert: replace(
-        cert, shift=dict(a=1, b=1, c=1, d=1, e=1, f=1)),
+    "bailey": ("bailey", lambda cert: cert._replace(
+        shift=dict(a=1, b=1, c=1, d=1, e=1, f=1)),
         "term_recurrence"),
     "bailey_anti_diff": ("bailey", _scaled_anti_diff, "telescoping"),
     "singh_anti_diff": ("singh", _scaled_anti_diff, "telescoping"),

@@ -1,7 +1,6 @@
 import collections
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -42,6 +41,18 @@ def test_registry():
         get_certificate("gauss")
 
 
+def test_replace_keeps_every_other_certificate_field():
+    for cert in list_certificates():
+        planted = cert._replace(steps=cert.steps[::-1])
+        assert type(planted) is type(cert)
+        assert planted.steps == cert.steps[::-1]
+        for name in cert._fields:
+            if name != "steps":
+                assert getattr(planted, name) is getattr(cert, name), name
+        assert (planted.symbols, planted.multi, planted.order) == \
+            (cert.symbols, cert.multi, cert.order)
+
+
 def test_out_of_range_k_is_trivially_zero():
     rng = random.Random(3)
     for cert_id in SINGLE_CERTS:
@@ -80,6 +91,20 @@ def test_singh_first_order_relation():
     for n in range(1, 5):
         for k in range(-1, n + 2):
             assert singh_first_order_residual(point, n, k) == 0
+
+
+def test_singh_first_order_relation_builds_each_row_once(monkeypatch):
+    # the half-shifted point (Aq, Bq, cq) is kept on its point, as every
+    # shift is: over the loop above, levels 0..4 at the point and 0..3 at
+    # the half shift are each built once
+    builds = _count_builds(monkeypatch)
+    point = sample_certificate_point("singh", random.Random(5))
+    for n in range(1, 5):
+        for k in range(-1, n + 2):
+            assert singh_first_order_residual(point, n, k) == 0
+    assert set(builds) == {"singh_lhs_row"}
+    assert len(builds["singh_lhs_row"]) == 5 + 4
+    assert set(builds["singh_lhs_row"].values()) == {1}
 
 
 def test_telescoping_and_boundary():
@@ -176,8 +201,8 @@ def test_replay_rejects_corrupt_closed_form(monkeypatch):
     assert inductive_replay(cert, point, 4)
     # the certificate reads its closed form from the registry
     desc = ident.get_identity(cert.identity)
-    monkeypatch.setitem(ident._REGISTRY, cert.identity, replace(
-        desc, rhs=lambda p: desc.rhs(p) * (p.sym("q") if p.idx("n") else 1)))
+    monkeypatch.setitem(ident._REGISTRY, cert.identity, desc._replace(
+        rhs=lambda p: desc.rhs(p) * (p.sym("q") if p.idx("n") else 1)))
     assert not inductive_replay(cert, point, 4)
 
 
@@ -262,8 +287,8 @@ def test_checks_and_replay_read_the_same_steps(cert_id, step):
     cert = get_certificate(cert_id)
     coeff, dn, s, dk = cert.steps[step]
     scaled = (lambda p, n: coeff(p, n) * Fraction(102, 101), dn, s, dk)
-    faulty = replace(cert, steps=cert.steps[:step] + (scaled,)
-                     + cert.steps[step + 1:])
+    faulty = cert._replace(steps=cert.steps[:step] + (scaled,)
+                           + cert.steps[step + 1:])
     point = sample_certificate_point(cert, random.Random(90))
     sweep = [(n, k) for n in range(cert.order, 5) for k in range(n + 1)]
     assert all(term_recurrence_residual(cert, point, n, k) == 0
@@ -290,8 +315,9 @@ def test_a_step_wrong_only_away_from_the_point_fails_the_replay(cert_id, step):
     def shifted_only(p, n):
         c = coeff(p, n)
         return c if p.symbols == point.symbols else c * Fraction(102, 101)
-    faulty = replace(cert, steps=cert.steps[:step] + ((shifted_only, dn, s, dk),)
-                     + cert.steps[step + 1:])
+    faulty = cert._replace(steps=cert.steps[:step]
+                           + ((shifted_only, dn, s, dk),)
+                           + cert.steps[step + 1:])
     ranges = certs.check_ranges(cert, 4, 1)
     healthy_counts, failure = certs.check_point(cert, point, ranges)
     assert failure is None and healthy_counts["replay"] == 1
@@ -572,7 +598,7 @@ def _count_builds(monkeypatch):
                        if c.__name__ == COSTLY_COEFFICIENTS.get(cert.id)
                        else c, dn, s, dk)
                       for c, dn, s, dk in cert.steps)
-        monkeypatch.setitem(certs._CERTS, cert.id, replace(cert, steps=steps))
+        monkeypatch.setitem(certs._CERTS, cert.id, cert._replace(steps=steps))
     return builds
 
 
@@ -657,8 +683,8 @@ def test_level_yields_each_k_before_a_later_pole():
     point = ParamPoint({"a": q**-3, "q": q}, {})
     cert = get_certificate("lebesgue")
     keep, dn, s, dk = cert.steps[0]
-    faulty = replace(cert, steps=((lambda p, n: keep(p, n) * Fraction(102, 101),
-                                   dn, s, dk),) + cert.steps[1:])
+    faulty = cert._replace(steps=((lambda p, n: keep(p, n) * Fraction(102, 101),
+                                  dn, s, dk),) + cert.steps[1:])
     for c, healthy in ((cert, True), (faulty, False)):
         level = certs.term_recurrence_residuals(c, point, 2)
         k, residual = next(level)

@@ -1,8 +1,10 @@
 import collections
 import copy
 import json
+import os
 import random
-from dataclasses import replace
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -120,6 +122,34 @@ def test_verify_draws_the_points_the_cli_draws(monkeypatch):
             (item["succeeded"], item["point_rejections"])
     assert len(by_cli) == 18
     assert drawn == by_cli
+
+
+def test_run_config_takes_known_keywords_and_keeps_class_defaults():
+    config = cli.RunConfig(command="verify", trials=3)
+    assert (config.trials, config.seed, cli.RunConfig.trials) == (3, 42, 20)
+    config.identity_ids = ("jackson_8phi7",)     # as perfbench/run.py sets it
+    assert config.echo() == {
+        "command": "verify", "trials": 3, "seed": 42, "n_max": 6,
+        "m_max": 4, "r_max": 3, "order": 60, "series_trials": 5,
+        "cert_trials": 10, "max_abs": 1000, "identities": ["jackson_8phi7"],
+        "proofs": [], "series": []}
+    assert list(config.echo())[:2] == ["command", "trials"]
+    with pytest.raises(TypeError):
+        cli.RunConfig(command="verify", bogus=1)
+    with pytest.raises(TypeError):
+        cli.RunConfig(trials=3)
+
+
+def test_import_loads_no_dataclass_machinery():
+    # the package's classes are plain, so its import never reaches
+    # dataclasses and what that module imports
+    code = ("import sys, qident, qident.cli; print(sorted({'dataclasses', "
+            "'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.stdout.split() == ["[]"]
 
 
 def test_series_draws_each_entrys_symbols(capsys, monkeypatch):
@@ -242,7 +272,7 @@ def test_series_spec_example(capsys):
 
 def test_failure_reported_with_exact_point(capsys, monkeypatch):
     desc = ident.get_identity("quintuple_finite")
-    corrupt = replace(desc, rhs=lambda p: Fraction(2))
+    corrupt = desc._replace(rhs=lambda p: Fraction(2))
     monkeypatch.setitem(ident._REGISTRY, "quintuple_finite", corrupt)
     status, out, _ = run_main(capsys, [
         "verify", "--id", "quintuple_finite", "--trials", "5", "--seed", "1",
@@ -299,8 +329,8 @@ def _plant(monkeypatch, kind, plant):
     line that runs the item."""
     if kind == "identity":
         desc = ident.get_identity("quintuple_finite")
-        monkeypatch.setitem(ident._REGISTRY, "quintuple_finite", replace(
-            desc, lhs=plant(desc.lhs, kind)))
+        monkeypatch.setitem(ident._REGISTRY, "quintuple_finite", desc._replace(
+            lhs=plant(desc.lhs, kind)))
         return ["verify", "--id", "quintuple_finite"]
     if kind == "certificate":
         monkeypatch.setattr(cli.certs, "check_point", plant(

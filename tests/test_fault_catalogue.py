@@ -11,7 +11,6 @@ asserted to pass there and to fail at the n that reveals it, so that the gap
 stays visible.  Faults are scaled by 102/101, so they stay exact.
 """
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -57,6 +56,19 @@ def _scaled_where(test):
     return plant
 
 
+def _last_denominator_scaled(kernel):
+    """``wp_pairs`` with its last implied denominator d = a_1 q/a_{r+1} times
+    102/101: each term times (d;q)_k/(d 102/101;q)_k."""
+    def planted(a_list, q, z, terms):
+        pairs = kernel(a_list, q, z, terms)
+        (an, ad), (qn, qd), (ln, ld) = map(_ints, (a_list[0], q, a_list[-1]))
+        d = Fraction(an * qn * ld, ad * qd * ln)
+        for (num, den), (fn, fd) in zip(pairs, hyper.poch_ratio_pairs(
+                [d], [d * SCALE], q, 1, terms)):
+            yield num * fn, den * fd
+    return planted
+
+
 def _last_pair_dropped(kernel):
     """``pair_sum`` without its last pair."""
     def planted(pairs, *pre):
@@ -76,6 +88,9 @@ FAULTS = {
     # residual carries the same one; the anti-difference's factor does not
     ("kernel", "linear's c x 102/101"): (
         "linear", _scaled_c, "bailey_10phi9", "bailey", "telescoping"),
+    ("kernel", "wp_pairs' last denominator x 102/101"): (
+        "wp_pairs", _last_denominator_scaled,
+        "jackson_8phi7", "jackson", "term_recurrence"),
     ("kernel", "pair_sum drops its last pair"): (
         "pair_sum", _last_pair_dropped,
         "watson_transform", "watson", "inductive_replay"),
@@ -159,7 +174,7 @@ def test_step_k_offset_off_by_one_fails_the_term_recurrence(monkeypatch,
     coeff, dn, s, _ = cert.steps[step]
     steps = list(cert.steps)
     steps[step] = coeff, dn, s, STEP_FAULTS[proof_id, step]
-    planted = dataclasses.replace(cert, steps=tuple(steps))
+    planted = cert._replace(steps=tuple(steps))
     monkeypatch.setitem(certs._CERTS, proof_id, planted)
     assert _runs(cert.identity, proof_id) == ("PASS", "term_recurrence")
     _, failure = certs.check_point(planted, _certificate_point(planted),
@@ -188,7 +203,7 @@ def test_closed_form_gap_passes_below_n_7(monkeypatch):
         q, n = p.sym("q"), p.idx("n")
         return healthy(p) * (1 + math.prod(1 - q**(n - j) for j in range(7)))
     monkeypatch.setitem(identities._REGISTRY, desc.id,
-                        dataclasses.replace(desc, rhs=planted))
+                        desc._replace(rhs=planted))
     assert verify(desc.id, 20, SEED).status == "PASS"
     cert = certs.get_certificate("jackson")
     _, failure = certs.check_point(cert, _certificate_point(cert),

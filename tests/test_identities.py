@@ -2,7 +2,6 @@ import itertools
 import random
 import re
 import time
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -54,6 +53,16 @@ def test_lebesgue_finite_2_alias():
     # matches andrews_jain evaluated with b = 0 explicitly
     p0 = p.with_symbols(b=0)
     assert eval_sides("andrews_jain", p0) == (lhs, rhs)
+
+
+def test_replace_keeps_every_other_descriptor_field():
+    for desc in list_identities():
+        planted = desc._replace(rhs=desc.lhs)
+        assert type(planted) is type(desc) and planted.rhs is desc.lhs
+        for name in desc._fields:
+            if name != "rhs":
+                assert getattr(planted, name) is getattr(desc, name), name
+        assert planted.multisum == desc.multisum
 
 
 def test_unknown_identity():
@@ -188,7 +197,7 @@ def test_mutation_detected():
 
 def test_retry_exhaustion_signals(monkeypatch):
     desc = get_identity("quintuple_finite")
-    hopeless = replace(desc, guards=lambda p: [("always", Fraction(0))])
+    hopeless = desc._replace(guards=lambda p: [("always", Fraction(0))])
     monkeypatch.setitem(ident._REGISTRY, "quintuple_finite", hopeless)
     monkeypatch.setattr(ident, "RETRY_CAP", 5)
     with pytest.raises(RetryExhausted) as info:
@@ -212,7 +221,7 @@ def test_failing_trial_is_the_last_attempted(monkeypatch):
             raise PoleError("planted pole")
         return desc.lhs(p) + (len(calls) >= 7)
     monkeypatch.setitem(ident._REGISTRY, "quintuple_finite",
-                        replace(desc, lhs=planted))
+                        desc._replace(lhs=planted))
     monkeypatch.setattr(ident, "RETRY_CAP", 5)
     with pytest.raises(CounterexampleFound) as info:
         verify("quintuple_finite", 10, 42)
@@ -396,7 +405,7 @@ def test_cr_xcheck_pole_redraws_the_point(monkeypatch):
         return sides
 
     monkeypatch.setitem(ident._REGISTRY, "cr_prop_1",
-                        replace(desc, xcheck=recording))
+                        desc._replace(xcheck=recording))
     report = verify("cr_prop_1", 50, 1, size_bound=3)
     # every passing trial ran its cross-check; each pole there was a redraw
     assert report.succeeded == outcomes.count("ran") == 50

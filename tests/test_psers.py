@@ -41,6 +41,19 @@ def test_series_basic_algebra():
         a * QSeries((1, 2))
 
 
+def test_series_are_equal_and_hashed_by_coefficients():
+    a = QSeries((1, Fraction(1, 2), 0))
+    assert a == QSeries((Fraction(1), Fraction(2, 4), Fraction(0)))
+    assert a != QSeries((1, Fraction(1, 2), 1))
+    assert a != a.coeffs
+    assert hash(a) == hash(QSeries(a.coeffs))
+    assert len({a, QSeries(a.coeffs), QSeries((1,))}) == 2
+    with pytest.raises(AttributeError):
+        a.coeffs = ()
+    with pytest.raises(ValueError):
+        QSeries(())
+
+
 @settings(max_examples=60)
 @given(coeff_lists, coeff_lists)
 def test_multiply_then_truncate_is_truncate_then_multiply(xs, ys):

@@ -310,3 +310,21 @@ def test_param_point_keeps_fractions_and_converts_the_rest():
     assert p.sym("a") == half
     with pytest.raises(DegenerateQ):
         ParamPoint({"q": Fraction(1)}, {})
+
+
+def test_param_point_is_frozen_unhashable_and_equal_by_value():
+    p = ParamPoint({"a": 2, "q": Fraction(1, 2)}, {"n": 1})
+    with pytest.raises(AttributeError):
+        p.symbols = {}
+    with pytest.raises(AttributeError):
+        del p.indices
+    with pytest.raises(TypeError):
+        hash(p)
+    assert p == ParamPoint({"a": Fraction(2), "q": "1/2"}, {"n": 1})
+    assert p != ParamPoint({"a": 2, "q": Fraction(1, 2)}, {"n": 2})
+    assert p != (p.symbols, p.indices)
+    assert ParamPoint({"a": 1}).indices == {}
+    # the values made from a point are kept in its __dict__
+    p.ratios("a")
+    p.derived(ParamPoint.shifted, (("a", 1),))
+    assert {"_ratios", "_derived"} <= set(vars(p))
