@@ -50,12 +50,13 @@ replay's propagation reads the same steps.  A residual is one unreduced int
 pair, combined from the rows' own int pairs (``pair``) and the
 coefficients' ints, so ``check_point``'s zero tests read one int each; the
 public residual functions build one ``Fraction`` per residual, which costs
-nothing where the numerator is 0.  The replay runs no ``Fraction``
-arithmetic either: a node's propagated value is one unreduced int pair,
-cross-multiplied against the node's left side, which is kept as the node's
-value; the C_r split residual, split coefficient and coefficient residual
-are products of the point's ``Ratio`` int pairs, reduced once, to one
-``Fraction`` each.  A point keeps what is made from it
+nothing where the numerator is 0.  The replay reduces nothing either: a
+node's propagated value is one unreduced int pair, cross-multiplied against
+the node's left side, and the two sides, unreduced ``Ratio``s, are compared
+the same way; the left side is kept as the node's value.  The C_r replay's
+split and coefficient residuals are products of the point's ``Ratio`` int
+pairs, tested for zero unreduced; a split coefficient, which the point
+keeps, is one ``Fraction``.  A point keeps what is made from it
 (``ParamPoint.derived``): its shifts, keyed by their tables, and per level
 its identity point, its rows and its step and C_r split coefficients, so
 the sweeps and the replay make each once.
@@ -124,11 +125,11 @@ class ProofCertificate(NamedTuple):
         """The recurrence depth in n: the largest dn over the steps."""
         return max((dn for _, dn, _, _ in self.steps), default=1)
 
-    def lhs_value(self, point: ParamPoint, n: int) -> Fraction:
+    def lhs_value(self, point: ParamPoint, n: int) -> "_ident.Value":
         desc = _ident.get_identity(self.identity)
         return desc.lhs(_identity_point(self.identity, point, n))
 
-    def rhs_value(self, point: ParamPoint, n: int) -> Fraction:
+    def rhs_value(self, point: ParamPoint, n: int) -> "_ident.Value":
         desc = _ident.get_identity(self.identity)
         return desc.rhs(_identity_point(self.identity, point, n))
 
@@ -363,6 +364,11 @@ def schlosser_split_residual(point: ParamPoint, n: int, i: int,
     (1 - q^{-n+k_i-1})(1 - a x_i^2 q^{n+k_i+1})(1 - q^{n+1})(1 - a x_i^2 q^{n+1}),
     which is defined everywhere and vanishes iff the split holds.
     """
+    return _div(_split_residual(point, n, i, k_i), 1)
+
+
+def _split_residual(point: ParamPoint, n: int, i: int, k_i: int) -> Ratio:
+    """``schlosser_split_residual`` as one unreduced Ratio."""
     a, b, c, d, q, xi = point.ratios([*"abcdq", "x%d" % i])
     r = point.idx("r")
     lhs_num = ((1 - a*a*xi*q**(n+k_i-r+2)/(b*c*d))
@@ -372,7 +378,7 @@ def schlosser_split_residual(point: ParamPoint, n: int, i: int,
     t2_num = (_split_num(point, xi, n, 1)
               * (1 - a*xi*xi*q**k_i) * (1 - q**k_i))
     common = (1 - q**(n+1)) * (1 - a*xi*xi*q**(n+1))
-    return _div(lhs_num * common - t1_num * lhs_den - t2_num, 1)
+    return lhs_num * common - t1_num * lhs_den - t2_num
 
 
 def _split_num(point: ParamPoint, xi: Ratio, n: int, si: int) -> Ratio:
@@ -401,6 +407,12 @@ def schlosser_coeff_residual(point: ParamPoint, n: int,
     """Residual between the two displayed forms of the split coefficient
     beta_{s_1..s_r} (the alpha-based expansion vs. the product form); always 0.
     """
+    return _div(_coeff_residual(point, n, s_vector), 1)
+
+
+def _coeff_residual(point: ParamPoint, n: int,
+                    s_vector: Sequence[int]) -> Ratio:
+    """``schlosser_coeff_residual`` as one unreduced Ratio."""
     ss, r = tuple(s_vector), point.idx("r")
     if len(ss) != r or any(s not in (0, 1) for s in ss):
         raise ValueError("s_vector must lie in {0,1}^r")
@@ -416,7 +428,7 @@ def schlosser_coeff_residual(point: ParamPoint, n: int,
                * _poch(q, 1 - si, a*a*xi*q**(n-r+2)/(b*c*d)))
         f = 1 - a*xi*xi*q**(n+si+1)         # to the power 1 - 2 s_i
         form1 *= _quot(num, den * f) if si else _quot(num * f, den)
-    return _div(form1 - point.derived(schlosser_split_coeff, n, ss), 1)
+    return form1 - point.derived(schlosser_split_coeff, n, ss)
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +734,7 @@ def inductive_replay(proof: CertOrId, point: ParamPoint, n_max: int) -> bool:
     for _ in range(n_max):
         pts.append(_shift(pts[-1], cert.shift))
 
-    values: Dict[Tuple[int, int], Fraction] = {}
+    values: Dict[Tuple[int, int], Ratio] = {}
     for m in range(cert.order):
         for j in range(n_max + 1):
             base = cert.lhs_value(pts[j], m)
@@ -744,7 +756,7 @@ def inductive_replay(proof: CertOrId, point: ParamPoint, n_max: int) -> bool:
                 return False
             if lhs != cert.rhs_value(p, m):
                 return False
-            values[(m, j)] = lhs    # the propagated value, reduced
+            values[(m, j)] = lhs    # the propagated value, as evaluated
     return True
 
 
@@ -771,7 +783,8 @@ def _schlosser_replay(cert: ProofCertificate, point: ParamPoint,
                       n_max: int) -> bool:
     """Replay the C_r induction: at each level, the n=1 lemma re-based at
     a -> a q^{level-1}, the split residuals, the coefficient residuals, and a
-    direct two-sided evaluation must all hold."""
+    direct two-sided evaluation must all hold, each compared as unreduced
+    ints."""
     r = point.idx("r")
     if n_max > _ident.MULTISUM_MAX_N:
         raise ValueError("replay cost guard: n <= %d" % _ident.MULTISUM_MAX_N)
@@ -786,10 +799,10 @@ def _schlosser_replay(cert: ProofCertificate, point: ParamPoint,
             return False
         for i in range(1, r + 1):
             for k_i in range(level + 1):
-                if schlosser_split_residual(point, level - 1, i, k_i) != 0:
+                if _split_residual(point, level - 1, i, k_i) != 0:
                     return False
         for ss in itertools.product((0, 1), repeat=r):
-            if schlosser_coeff_residual(point, level - 1, ss) != 0:
+            if _coeff_residual(point, level - 1, ss) != 0:
                 return False
         if cert.lhs_value(point, level) != cert.rhs_value(point, level):
             return False

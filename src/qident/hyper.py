@@ -2,17 +2,19 @@
 
 ``poch_ratio_pairs`` is the one term-ratio loop behind every one-sided
 terminating sum, same-index Pochhammer quotient and certificate row; z may
-be a pair (z, p), read as z^k p^{k(k-1)/2}.  Parameters arrive as reduced
-int pairs: ``Fraction``s, or ``Ratio``s built from a point's symbols and
-reduced with one gcd as the kernel reads them.  It yields each term as an
-unreduced int pair, each denominator dividing the next: each step's ratio is
-divided by its gcd before it is multiplied in, and the terms are not reduced.
-A sum is brought over the last denominator with exact int quotients (Knuth,
-TAOCP vol. 2, section 4.5.1), and each side is reduced once: ``poch_ratio``
-and ``pair_sum`` build one ``Fraction``.  A ``TermRow`` keeps the kernel's
-own pairs, times its prefactor, so the certificates' residuals combine them
-as ints; its total is one ``Fraction`` and a term is reduced where it is
-read.  ``linear`` is the one loop for a per-term
+be a pair (z, p), read as z^k p^{k(k-1)/2}.  Parameters arrive as
+``Fraction``s, or as ``Ratio``s built from a point's symbols, and the kernel
+reduces each with one gcd as it reads it.  It yields each term as an
+unreduced int pair, each denominator dividing the next, and takes no gcd per
+step: the factors every step's ratio is known to share (powers of q's
+denominator, and the parameters' denominators common to both sides) are
+cancelled exactly, once per call.  A sum is brought over the last
+denominator with exact int quotients (Knuth, TAOCP vol. 2, section 4.5.1),
+and nothing is reduced: ``poch_ratio``, ``pair_sum`` and a ``TermRow``'s
+total are each one unreduced ``Ratio``, which its caller compares by
+cross-multiplied ints.  A ``TermRow`` keeps the kernel's own pairs, times
+its prefactor, so the certificates' residuals combine them as ints; a term
+is reduced where it is read.  ``linear`` is the one loop for a per-term
 factor 1 - c p^k that no Pochhammer ratio holds: the well-poised factor, the
 1 + z q^k of ``quintuple_ccg``, the bilateral sums' 1 - w q^{2j} and the
 anti-differences' factors.  The bilateral ``jacobi_finite`` and
@@ -51,63 +53,109 @@ def poch_ratio_pairs(nums: Sequence, dens: Sequence, q, z,
     usual (q;q)_k factor is wanted.  When a denominator factor vanishes, every
     term before it has been yielded and PoleError is raised.
 
-    Each run [num, den, base num, base den] holds a q^k and its base as
-    unreduced ints.  The ratio is an int pair, small next to the terms; it is
-    divided by its gcd before it is multiplied in, and the terms are not
-    reduced.
+    Every base-q parameter a = an/ad, reduced once, reads q^k from one shared
+    power pair (Qn, Qd): its factor is (ad Qd - an Qn)/(ad Qd).  The dens of
+    those factors are cancelled exactly, once per call: the parameters' ad
+    over their gcd, and as many Qd as both sides hold.  What remains of the
+    ratio outside its factors (z, and the ad and Qd left over) is reduced
+    once too, as is what a step multiplies it by.  A pair-base parameter
+    keeps a run of its own.  No gcd is taken per step, and the terms are not
+    reduced.  Per base-q factor a step reads one constant (an, ad) and makes
+    one product; only a step whose den is 0 looks for the factor that
+    vanished.
     """
     qn, qd = _ints(q)
-    zn, zd, zpn, zpd = _run(z if isinstance(z, tuple) else (z, 1), qn, qd)
-    num_runs = [_run(a, qn, qd) for a in nums]
-    den_runs = [_run(b, qn, qd) for b in dens]
+    zn, zd, zpn, zpd = _run(z) if z.__class__ is tuple else (*_ints(z), 1, 1)
+    num_params, num_runs, pa = _split(nums)
+    den_params, den_runs, pb = _split(dens)
+    g = gcd(pa, pb)
+    extra = len(den_params) - len(num_params)       # the Qd left over
+    # the ratio's factors outside the products, and what each step adds,
+    # each reduced once
+    sn, sd = zn * (pb // g), zd * (pa // g)
+    stepn, stepd = zpn * qd ** max(extra, 0), zpd * qd ** max(-extra, 0)
+    g, h = gcd(sn, sd), gcd(stepn, stepd)
+    sn, sd, stepn, stepd = sn // g, sd // g, stepn // h, stepd // h
+    runs = num_runs or den_runs
+    pn = pd = 1                                     # q^k
     tn = td = 1
     for k in range(terms):
         yield tn, td
         if k == terms - 1:
             return
-        rn, rd = zn, zd
-        zn *= zpn
-        zd *= zpd
-        for run in num_runs:
-            cn, cd, pn, pd = run
-            rn *= cd - cn
-            rd *= cd
-            run[0] = cn * pn
-            run[1] = cd * pd
-        for run, b in zip(den_runs, dens):
-            cn, cd, pn, pd = run
-            if cn == cd:
-                raise PoleError(
-                    "denominator factor 1 - (%s) q^%d vanished at k=%d"
-                    % (b, k, k + 1))
-            rn *= cd
-            rd *= cd - cn
-            run[0] = cn * pn
-            run[1] = cd * pd
-        g = gcd(rn, rd)
-        tn *= rn // g
-        td *= rd // g
+        rn, rd = sn, sd
+        for an, ad in num_params:
+            rn *= ad * pd - an * pn
+        for bn, bd in den_params:
+            rd *= bd * pd - bn * pn
+        if runs:
+            rn, rd = _run_step(num_runs, rn, rd)
+            rd, rn = _run_step(den_runs, rd, rn)
+        if not rd:
+            _pole(dens, q, k)
+        tn *= rn
+        td *= rd
+        sn *= stepn
+        sd *= stepd
+        pn *= qn
+        pd *= qd
 
 
-def _run(a, qn: int, qd: int) -> list:
-    """[num, den, base num, base den] of a Pochhammer parameter a, read with
-    base q = qn/qd, or of a pair (a, p)."""
-    if isinstance(a, tuple):
-        return [*_ints(a[0]), *_ints(a[1])]
-    num, den = a.numerator, a.denominator
-    g = gcd(num, den) * (-1 if den < 0 else 1)
-    return [num // g, den // g, qn, qd]
+def _run(a) -> list:
+    """[num, den, base num, base den] of a pair (a, p), read as (a;p)_k."""
+    return [*_ints(a[0]), *_ints(a[1])]
+
+
+def _split(params: Sequence) -> Tuple[list, list, int]:
+    """The base-q parameters as int pairs, each reduced with one gcd; a run
+    (``_run``) for each pair (a, p); and the product of the pairs' dens."""
+    pairs, runs, dens = [], [], 1
+    for a in params:
+        if a.__class__ is tuple:
+            runs.append(_run(a))
+            continue
+        num, den = a.numerator, a.denominator
+        g = gcd(num, den)
+        if den < 0:
+            g = -g
+        den //= g
+        pairs.append((num // g, den))
+        dens *= den
+    return pairs, runs, dens
+
+
+def _run_step(runs: list, rn: int, rd: int) -> Tuple[int, int]:
+    """rn times each run's 1 - c, and rd times its den, at c = a p^k; then
+    each run moves on to c p."""
+    for run in runs:
+        cn, cd, pn, pd = run
+        rn *= cd - cn
+        rd *= cd
+        run[0] = cn * pn
+        run[1] = cd * pd
+    return rn, rd
+
+
+def _pole(dens: Sequence, q, k: int) -> None:
+    """Raise PoleError naming the first of dens, in list order, whose factor
+    1 - b q^k (or 1 - b p^k, for a pair (b, p)) vanishes."""
+    for b in dens:
+        (cn, cd), (pn, pd) = map(_ints, b if isinstance(b, tuple) else (b, q))
+        if cn * pn**k == cd * pd**k:
+            raise PoleError("denominator factor 1 - (%s) q^%d vanished at k=%d"
+                            % (b, k, k + 1))
 
 
 def poch_ratio(nums: Sequence, dens: Sequence, q, n: int, z=1,
-               pre=1) -> Fraction:
+               pre=1) -> Ratio:
     """pre times the term T_n = (nums;q)_n z^n / (dens;q)_n of
-    ``poch_ratio_pairs``, one ``Fraction``; PoleError where (dens;q)_n is 0."""
+    ``poch_ratio_pairs``, one unreduced ``Ratio``; PoleError where
+    (dens;q)_n is 0."""
     if n < 0:
         raise ValueError("poch_ratio needs n >= 0, got %d" % n)
     for num, den in poch_ratio_pairs(nums, dens, q, z, n + 1):
         pass
-    return Fraction(num * pre.numerator, den * pre.denominator)
+    return Ratio(num * pre.numerator, den * pre.denominator)
 
 
 def linear(pairs: Iterable[Tuple[int, int]], c, p) -> Pairs:
@@ -122,18 +170,18 @@ def linear(pairs: Iterable[Tuple[int, int]], c, p) -> Pairs:
 
 
 def pair_sum(pairs: Iterable[Tuple[int, int]],
-             pre: Fraction = Fraction(1)) -> Fraction:
+             pre: Fraction = Fraction(1)) -> Ratio:
     """pre times the sum of the terms num/den of int pairs each of whose den
-    divides the next, as one ``Fraction``: the running numerator is brought
-    over each new den by the exact quotient of the dens."""
+    divides the next, as one unreduced ``Ratio``: the running numerator is
+    brought over each new den by the exact quotient of the dens."""
     num, den = 0, 1
     for n, d in pairs:
         num = num * (d // den) + n
         den = d
-    return Fraction(num * pre.numerator, den * pre.denominator)
+    return Ratio(num * pre.numerator, den * pre.denominator)
 
 
-def poch_ratio_sum(nums: Sequence, dens: Sequence, q, z, terms: int) -> Fraction:
+def poch_ratio_sum(nums: Sequence, dens: Sequence, q, z, terms: int) -> Ratio:
     """Exact sum_{k=0}^{terms-1} (nums;q)_k z^k / (dens;q)_k (see
     ``poch_ratio_pairs``)."""
     return pair_sum(poch_ratio_pairs(nums, dens, q, z, terms))
@@ -147,8 +195,8 @@ class TermRow:
     vanished; reading a term from there on, or the total, raises PoleError
     with the message ``pole``.  Terms outside [0, n] are 0.  ``pair`` reads
     an entry as it is, ``term`` reduces it to a ``Fraction`` and ``total``
-    is one ``Fraction``.  A plain class, like every class of the package
-    (``qcore._Frozen`` says why).
+    is one unreduced ``Ratio``.  A plain class, like every class of the
+    package (``qcore._Frozen`` says why).
     """
 
     __slots__ = ("pairs", "n", "pole")
@@ -168,7 +216,7 @@ class TermRow:
     def term(self, k: int) -> Fraction:
         return Fraction(*self.pair(k))
 
-    def total(self) -> Fraction:
+    def total(self) -> Ratio:
         if len(self.pairs) <= self.n:
             raise PoleError(self.pole)
         return pair_sum(self.pairs)

@@ -12,7 +12,11 @@ included: it seeds each trial, redraws a point on a pole, counts and stops.
 ``sampled_ranges`` is the one rule for the range of each index n, m and r,
 for ``verify`` and the CLI alike; ``sample_point`` draws k in [-m, n].
 Every kernel parameter, derived symbol and closed-form factor is built from
-the point's ``Ratio`` int pairs, and each side is reduced once, to a Fraction.
+the point's ``Ratio`` int pairs.  Each side is one unreduced ``Ratio`` (or a
+``Fraction`` from ``qcore``), and the trials compare the sides by
+cross-multiplied ints, so no side is reduced to be judged.  A ``Fraction`` is
+built where a value becomes a symbol (``_div``, for derived symbols and the
+certificates' step coefficients) or leaves the library (``eval_sides``).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import random
 import time
 from fractions import Fraction
 from typing import (Callable, Dict, Iterable, Mapping, NamedTuple, Optional,
-                    Sequence, Tuple)
+                    Sequence, Tuple, Union)
 
 from .qcore import ParamPoint, PoleError, QIdentityError, Ratio, qpoch
 from .hyper import (Pairs, TermRow, _ints, linear, pair_row, pair_sum,
@@ -141,7 +145,9 @@ def _pair_table(a: Fraction, q: Fraction, xs: Sequence[Fraction], n: int):
 # descriptor and report types
 # ---------------------------------------------------------------------------
 
-Evaluator = Callable[[ParamPoint], Fraction]
+# a side's value: an unreduced Ratio, or a Fraction from qcore
+Value = Union[Ratio, Fraction]
+Evaluator = Callable[[ParamPoint], Value]
 
 
 class IdentityDescriptor(NamedTuple):
@@ -155,7 +161,7 @@ class IdentityDescriptor(NamedTuple):
     derive: Optional[Callable[[ParamPoint], ParamPoint]] = None
     guards: Optional[Callable[[ParamPoint], Iterable[Tuple[str, Fraction]]]] = None
     xcheck: Optional[Callable[[ParamPoint, random.Random, int],
-                              Fraction]] = None
+                              Value]] = None
 
     @property
     def multisum(self) -> bool:
@@ -216,12 +222,15 @@ def derive_trial_seed(seed: int, item_id: str, trial: int) -> int:
 def random_rational(rng: random.Random, bound: int = DEFAULT_SIZE_BOUND) -> Fraction:
     if bound < 1:
         raise ValueError("size bound must be at least 1, got %d" % bound)
+    # randint(-bound, bound), with its two helper frames inlined: the same
+    # draws from the same generator state
+    span = 2 * bound + 1
     num = 0
     while num == 0:
-        num = rng.randint(-bound, bound)
+        num = rng._randbelow(span) - bound
     den = 0
     while den == 0:
-        den = rng.randint(-bound, bound)
+        den = rng._randbelow(span) - bound
     return Fraction(num, den)
 
 
@@ -309,7 +318,7 @@ def read_row(p: ParamPoint, row_name: str) -> "TermRow | CrRow":
 
 def _total(row_name: str) -> Evaluator:
     """The total of the named row."""
-    def total(p: ParamPoint) -> Fraction:
+    def total(p: ParamPoint) -> Ratio:
         return read_row(p, row_name).total()
     return total
 
@@ -320,7 +329,7 @@ def jackson_row(p: ParamPoint) -> TermRow:
     return pair_row(_vwp_pairs(a, [b, c, d, e], q, n, q), n)
 
 
-def _jackson_rhs(p: ParamPoint) -> Fraction:
+def _jackson_rhs(p: ParamPoint) -> Value:
     a, b, c, d, q = p.ratios("abcdq")
     n = p.idx("n")
     return poch_ratio([a*q, a*q/(b*c), a*q/(b*d), a*q/(c*d)],
@@ -332,13 +341,13 @@ def _jackson_derive(p: ParamPoint) -> ParamPoint:
     return p.with_symbols(e=_div(a*a*q**(p.idx("n")+1), b*c*d))
 
 
-def _6phi5_lhs(p: ParamPoint) -> Fraction:
+def _6phi5_lhs(p: ParamPoint) -> Value:
     a, b, c, q = p.ratios("abcq")
     n = p.idx("n")
     return pair_sum(_vwp_pairs(a, [b, c], q, n, a*q**(n+1)/(b*c)))
 
 
-def _6phi5_rhs(p: ParamPoint) -> Fraction:
+def _6phi5_rhs(p: ParamPoint) -> Value:
     a, b, c, q = p.ratios("abcq")
     n = p.idx("n")
     return poch_ratio([a*q, a*q/(b*c)], [a*q/b, a*q/c], q, n)
@@ -365,7 +374,7 @@ def _vwp_derive(p: ParamPoint) -> ParamPoint:
     return p.with_symbols(lam=_div(a*a*q, b*c*d))
 
 
-def _vwp_rhs(p: ParamPoint) -> Fraction:
+def _vwp_rhs(p: ParamPoint) -> Value:
     a, b, c, d, e, q, lam = p.ratios(("a", "b", "c", "d", "e", "q", "lam"))
     n = p.idx("n")
     pre = poch_ratio([a*q, lam*q/e], [a*q/e, lam*q], q, n)
@@ -423,7 +432,8 @@ class CrRow:
     a q) and, with no axes, the certificate's pair ratios.  ``scale`` brings
     the pair table's int numerators over the normalizer; a vanished one
     raises PoleError on read, as a TermRow's pole does.  ``pair`` reads an
-    entry as an unreduced int pair and ``term`` reduces it.  A plain class,
+    entry as an unreduced int pair, ``term`` reduces it, and ``total`` is
+    one unreduced ``Ratio``.  A plain class,
     like every class of the package (``qcore._Frozen`` says why)."""
 
     __slots__ = ("n", "xs", "axes", "pairs", "scale")
@@ -462,7 +472,7 @@ class CrRow:
     def term(self, ks) -> Fraction:
         return Fraction(*self.pair(ks))
 
-    def total(self) -> Fraction:
+    def total(self) -> Ratio:
         """Each axis row's int numerators brought over its last den, per
         k-vector."""
         self._check_scale()
@@ -475,8 +485,8 @@ class CrRow:
             den *= last
             nums = [t_num * (last // t_den) for t_num, t_den in row.pairs]
             weights = [w * v for w in weights for v in nums]
-        return Fraction(num * sum(map(operator.mul, self.pairs.values(),
-                                      weights)), den)
+        return Ratio(num * sum(map(operator.mul, self.pairs.values(),
+                                   weights)), den)
 
 
 def schlosser_row(p: ParamPoint) -> CrRow:
@@ -490,12 +500,12 @@ def schlosser_row(p: ParamPoint) -> CrRow:
     return CrRow(n, a, q, xs, tuple(axes))
 
 
-def schlosser_lhs(p: ParamPoint) -> Fraction:
+def schlosser_lhs(p: ParamPoint) -> Value:
     _require_multisum_budget(p.idx("n"), p.idx("r"))
     return read_row(p, "schlosser_row").total()
 
 
-def _schlosser_axes_rhs(p: ParamPoint, n: int, t=Ratio(1)) -> Fraction:
+def _schlosser_axes_rhs(p: ParamPoint, n: int, t=Ratio(1)) -> Ratio:
     """t times the per-axis closed-form product of the C_r sum at level n."""
     a, b, c, d, q = p.ratios("abcdq")
     r = p.idx("r")
@@ -504,21 +514,21 @@ def _schlosser_axes_rhs(p: ParamPoint, n: int, t=Ratio(1)) -> Fraction:
                          a*q**(2-i)/(b*d), a*q**(2-i)/(c*d)],
                         [a*q**(2-r)/(b*c*d*xi), a*xi*q/b,
                          a*xi*q/c, a*xi*q/d], q, n)
-    return _div(t, 1)
+    return t
 
 
-def schlosser_rhs(p: ParamPoint) -> Fraction:
+def schlosser_rhs(p: ParamPoint) -> Value:
     a, q = p.ratios("aq")
     n, r = p.idx("n"), p.idx("r")
     xs = _xs(p, r)
     t = Ratio(1)
     for i in range(r):
         for j in range(i + 1, r):
-            t *= _div(1 - a*xs[i]*xs[j]*q**n, 1 - a*xs[i]*xs[j])
+            t *= _quot(1 - a*xs[i]*xs[j]*q**n, 1 - a*xs[i]*xs[j])
     return _schlosser_axes_rhs(p, n, t)
 
 
-def schlosser_lemma_lhs(p: ParamPoint) -> Fraction:
+def schlosser_lemma_lhs(p: ParamPoint) -> Value:
     """The r-fold sum over {0, 1}^r; axis row i is [1, v_i]."""
     a, b, c, d, q = p.ratios("abcdq")
     r = p.idx("r")
@@ -533,11 +543,11 @@ def schlosser_lemma_lhs(p: ParamPoint) -> Fraction:
     return CrRow(1, a, q, xs, axes, aq).total()
 
 
-def schlosser_lemma_rhs(p: ParamPoint) -> Fraction:
+def schlosser_lemma_rhs(p: ParamPoint) -> Value:
     return _schlosser_axes_rhs(p, 1)
 
 
-def _sch_special_lhs(p: ParamPoint) -> Fraction:
+def _sch_special_lhs(p: ParamPoint) -> Value:
     a, b, c, d, q = p.ratios("abcdq")
     n = p.idx("n")
     pre = poch_ratio([], [a*q], q, n)
@@ -545,7 +555,7 @@ def _sch_special_lhs(p: ParamPoint) -> Fraction:
                                n, q), pre)
 
 
-def _sch_special_rhs(p: ParamPoint) -> Fraction:
+def _sch_special_rhs(p: ParamPoint) -> Value:
     a, b, c, d, q = p.ratios("abcdq")
     n = p.idx("n")
     return poch_ratio(
@@ -553,7 +563,7 @@ def _sch_special_rhs(p: ParamPoint) -> Fraction:
         [b, c, d, a*a*q**(3-n)/(b*c*d)], q, n, pre=(b*c*d*q**(n-2)/a) ** n)
 
 
-def _cr_lhs(p: ParamPoint, signed: bool) -> Fraction:
+def _cr_lhs(p: ParamPoint, signed: bool) -> Ratio:
     a, q = p.ratios("aq")
     n, r = p.idx("n"), p.idx("r")
     _require_multisum_budget(n, r)
@@ -566,14 +576,14 @@ def _cr_lhs(p: ParamPoint, signed: bool) -> Fraction:
     return CrRow(n, a, q, _xs(p, r), (weight,) * r, a*q**n).total()
 
 
-def _cr1_rhs(p: ParamPoint) -> Fraction:
+def _cr1_rhs(p: ParamPoint) -> Value:
     [q] = p.ratios("q")
     n, r = p.idx("n"), p.idx("r")
     return poch_ratio([(q**(n+1), q**(n+1))], [q], q, r - 1,
                       pre=(n + 1) * q**-(n * (r*(r-1)//2)))
 
 
-def _cr2_rhs(p: ParamPoint) -> Fraction:
+def _cr2_rhs(p: ParamPoint) -> Value:
     [q] = p.ratios("q")
     n, r = p.idx("n"), p.idx("r")
     if n % 2 == 1:
@@ -586,7 +596,7 @@ def _cr_xcheck(signed: bool):
     """The left side at a fresh x-vector, which the caller compares with the
     left side at the point: neither right side reads x."""
     def check(point: ParamPoint, rng: random.Random,
-              size_bound: int) -> Fraction:
+              size_bound: int) -> Ratio:
         r = point.idx("r")
         other = point.with_symbols(**_sample_x_vector(rng, r, size_bound))
         return _cr_lhs(other, signed)
@@ -603,14 +613,14 @@ def lebesgue_row(p: ParamPoint) -> TermRow:
     return pair_row(ser, n, pre)
 
 
-def _lebesgue_rhs(p: ParamPoint) -> Fraction:
+def _lebesgue_rhs(p: ParamPoint) -> Value:
     a, q = p.ratios("aq")
     n = p.idx("n")
-    return _div(qpoch(-q, q, n), qpoch(a, q*q, n + 1))
+    return _quot(qpoch(-q, q, n), qpoch(a, q*q, n + 1))
 
 
 def _bilateral_sum(q: Ratio, n: int, m: int, b: Ratio, top: Ratio, z,
-                   w=Ratio(0)) -> Fraction:
+                   w=Ratio(0)) -> Ratio:
     """sum_{k=-m}^{n} [m+n, m+k]_q top Z_k (1 - w q^{2m+2k})
     / ((b;q)_{m-k} (q/b;q)_{n+k+1}), where Z_{-m} = 1 and Z_{k+1}/Z_k is the
     kernel's z read at j = m + k.
@@ -641,32 +651,32 @@ def _bilateral_sum(q: Ratio, n: int, m: int, b: Ratio, top: Ratio, z,
     return pair_sum(linear(terms, w, q*q), first / qd**top_e)
 
 
-def _jacobi_finite_lhs(p: ParamPoint) -> Fraction:
+def _jacobi_finite_lhs(p: ParamPoint) -> Value:
     z, q = p.ratios("zq")
     n, m = p.idx("n"), p.idx("m")
     top = q**(m*m) / z**m * qpoch(-q*q/z, q*q, m) * qpoch(-z, q*q, n + 1)
     return _bilateral_sum(q, n, m, -q/z, top, (z*q**(1-2*m), q*q))
 
 
-def _jacobi_finite_rhs(p: ParamPoint) -> Fraction:
+def _jacobi_finite_rhs(p: ParamPoint) -> Value:
     [q] = p.ratios("q")
     return qpoch(-q, q, p.idx("m") + p.idx("n"))
 
 
-def _jacobi_pref_lhs(p: ParamPoint) -> Fraction:
+def _jacobi_pref_lhs(p: ParamPoint) -> Value:
     z, q = p.ratios("zq")
     n, m, k = p.idx("n"), p.idx("m"), p.idx("k")
     return poch_ratio([(-z*q**(-2*m), q*q)], [-z*q**(k-m)], q, m + n + 1,
                       pre=q**((m+k+1)*(m+k)//2))
 
 
-def _jacobi_pref_rhs(p: ParamPoint) -> Fraction:
+def _jacobi_pref_rhs(p: ParamPoint) -> Value:
     """(-q^2/z;q^2)_m (-z;q^2)_{n+1} q^{k^2} z^k / ((-q/z;q)_{m-k} (-z;q)_{n+k+1}),
     the k-th summand of jacobi_finite over its q-binomial, at one k."""
     z, q = p.ratios("zq")
     n, m, k = p.idx("n"), p.idx("m"), p.idx("k")
     t = z**k * q**(k*k) * qpoch(-q*q/z, q*q, m) * qpoch(-z, q*q, n + 1)
-    return _div(t, qpoch(-q/z, q, m - k) * qpoch(-z, q, n + k + 1))
+    return _quot(t, qpoch(-q/z, q, m - k) * qpoch(-z, q, n + k + 1))
 
 
 def quintuple_row(p: ParamPoint) -> TermRow:
@@ -683,7 +693,7 @@ def quintuple_row(p: ParamPoint) -> TermRow:
     return pair_row(ser, n, pre)
 
 
-def _quintuple_mn_lhs(p: ParamPoint) -> Fraction:
+def _quintuple_mn_lhs(p: ParamPoint) -> Value:
     z, q = p.ratios("zq")
     n, m = p.idx("n"), p.idx("m")
     top = (q**(m*(3*m-1)//2) / z**(3*m+1)
@@ -692,7 +702,7 @@ def _quintuple_mn_lhs(p: ParamPoint) -> Fraction:
                           z*z*q**(1-2*m))
 
 
-def _quintuple_ccg_lhs(p: ParamPoint) -> Fraction:
+def _quintuple_ccg_lhs(p: ParamPoint) -> Value:
     """(z;q)_{n+1}/(z^2;q)_{n+1} sum_k (1 + z q^k) T_k; the factor 1 + z q^k
     stays per term, as (-zq;q)_k/(-z;q)_k would add poles at z = -q^{-j}."""
     z, q = p.ratios("zq")
@@ -702,11 +712,11 @@ def _quintuple_ccg_lhs(p: ParamPoint) -> Fraction:
     return pair_sum(linear(ser, -z, q), poch_ratio([z], [z*z], q, n + 1))
 
 
-def _one(p: ParamPoint) -> Fraction:
+def _one(p: ParamPoint) -> Value:
     return Fraction(1)
 
 
-def _andrews_jain_lhs(p: ParamPoint) -> Fraction:
+def _andrews_jain_lhs(p: ParamPoint) -> Value:
     a, b, q = p.ratios("abq")
     n = p.idx("n")
     q2 = q*q
@@ -714,7 +724,7 @@ def _andrews_jain_lhs(p: ParamPoint) -> Fraction:
                           q, q, n + 1)
 
 
-def _andrews_jain_rhs(p: ParamPoint) -> Fraction:
+def _andrews_jain_rhs(p: ParamPoint) -> Value:
     a, b, q = p.ratios("abq")
     n = p.idx("n")
     q2 = q*q
@@ -898,10 +908,11 @@ def _derive_and_guard(desc: IdentityDescriptor, point: ParamPoint) -> ParamPoint
 
 
 def eval_sides(identity_id: str, point: ParamPoint) -> Tuple[Fraction, Fraction]:
-    """Exact (LHS, RHS) after applying derived symbols and pole guards."""
+    """Exact (LHS, RHS) after applying derived symbols and pole guards, each
+    reduced to a Fraction."""
     desc = get_identity(identity_id)
     point = _derive_and_guard(desc, point)
-    return desc.lhs(point), desc.rhs(point)
+    return _div(desc.lhs(point), 1), _div(desc.rhs(point), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Exact rational scalars, parameter points, and q-Pochhammer primitives.
 
 Every operation is exact; nothing touches floating point.  Parameters are
-built as ``Ratio`` int pairs and inner loops carry unreduced int pairs, but
-every value returned, and so every value compared, is a normalized
-``Fraction``.  The q-shifted factorial ``qpoch`` is defined for any integer
-index, with negative indices handled by the reciprocal identity
+built as ``Ratio`` int pairs, inner loops carry unreduced int pairs, and a
+``Ratio`` is compared by cross-multiplying its ints, so nothing is reduced
+to be compared.  A point's symbols and every value this module returns are
+normalized ``Fraction``s.  The q-shifted factorial ``qpoch`` is defined for
+any integer index, with negative indices handled by the reciprocal identity
 (a;q)_{-m} = 1 / (a q^{-m};q)_m so that evaluation stays finite.
 """
 
@@ -31,9 +32,16 @@ class MissingSymbol(QIdentityError):
     """A point lacks a symbol or index required by an evaluator."""
 
 
+_new = object.__new__
+
+
 class Ratio:
-    """A parameter as an unreduced int pair: a*q/(b*c) is one product over
-    one product until the kernel reads it.  It prints as its Fraction."""
+    """A value as an unreduced int pair: a*q/(b*c) is one product over one
+    product until the kernel reads it, and a sum's side is one pair until it
+    is compared.  Equality is exact, by cross-multiplied ints, with a
+    ``Ratio``, a ``Fraction`` or an int; a ``Ratio`` is not hashable, and
+    ``Fraction(r)`` refuses it, so no unreduced pair becomes a symbol
+    unnoticed.  It prints as its Fraction."""
 
     __slots__ = ("numerator", "denominator")
 
@@ -43,8 +51,11 @@ class Ratio:
         self.numerator, self.denominator = num, den
 
     def __mul__(self, o) -> "Ratio":
-        return Ratio(self.numerator * o.numerator,
-                     self.denominator * o.denominator)
+        # a product of nonzero denominators is nonzero: no check
+        r = _new(Ratio)
+        r.numerator = self.numerator * o.numerator
+        r.denominator = self.denominator * o.denominator
+        return r
 
     def __truediv__(self, o) -> "Ratio":
         return Ratio(self.numerator * o.denominator,
@@ -72,8 +83,14 @@ class Ratio:
         n, d = self.numerator, self.denominator
         return Ratio(n ** e, d ** e) if e >= 0 else Ratio(d ** -e, n ** -e)
 
-    def __eq__(self, other):            # a zero test reads the ints
-        raise TypeError("a Ratio is not compared; read its ints")
+    def __eq__(self, other):
+        try:
+            return (self.numerator * other.denominator
+                    == other.numerator * self.denominator)
+        except AttributeError:
+            return NotImplemented
+
+    __hash__ = None
 
     def __str__(self) -> str:
         return str(Fraction(self.numerator, self.denominator))

@@ -1,8 +1,9 @@
 """The fault catalogue: one row per fault planted in a layer of the program,
 naming the identity and the certificate check that must report it.
 
-A row plants its fault in every module that reads the faulty function.  It
-asserts that the healthy run passes and that the planted run fails:
+A row plants its fault in every module that reads the faulty function, or
+on its class for a method such as ``Ratio.__truediv__``.  It asserts that
+the healthy run passes and that the planted run fails:
 ``verify`` finds a counterexample of the identity, and ``certs.check_point``
 reports the named check for the proof.  A fault in a certificate's own data
 (a row of ``STEP_FAULTS``) leaves the identity passing and fails the proof.
@@ -99,6 +100,11 @@ FAULTS = {
     ("qcore", "qpoch x 102/101 at n >= 2"): (
         "qpoch", _scaled_where(lambda a, q, n: n >= 2),
         "lebesgue_finite", "lebesgue", "inductive_replay"),
+    # every quotient of Ratio int pairs: the parameters a*q/(b*c) the sides
+    # and the step coefficients are built from
+    ("qcore", "Ratio.__truediv__ x 102/101"): (
+        "Ratio.__truediv__", _scaled_where(lambda *args: True),
+        "jackson_8phi7", "jackson", "term_recurrence"),
     # the C_r product side: no sweep reads it, the replay's base case does
     ("replay alone", "_schlosser_axes_rhs x 102/101"): (
         "_schlosser_axes_rhs", _scaled_where(lambda *args: True),
@@ -124,6 +130,11 @@ STEP_FAULTS = {
 
 
 def _plant(monkeypatch, name, plant):
+    owner, _, method = name.rpartition(".")
+    if owner:                       # a method, planted on its qcore class
+        cls = getattr(qcore, owner)
+        monkeypatch.setattr(cls, method, plant(getattr(cls, method)))
+        return
     modules = (qcore, hyper, identities, certs)
     healthy = next(getattr(m, name) for m in modules if hasattr(m, name))
     for module in modules:

@@ -285,7 +285,7 @@ def test_row_keeps_the_kernel_pairs(nums, dens, q, z, terms, pre):
     nums = [a if e == 1 else (a, q**e) for a, e in nums]
     dens = [b if e == 1 else (b, q**e) for b, e in dens]
     pairs, error = ref.drain(poch_ratio_pairs(nums, dens, q, z, terms))
-    # each den, after the per-step gcd, divides the next
+    # each den divides the next: a step multiplies its ratio's den in
     assert all(den % prev == 0 for (_, prev), (_, den) in zip(pairs, pairs[1:]))
     row = pair_row(poch_ratio_pairs(nums, dens, q, z, terms), terms - 1, pre)
     assert row.pairs == [(num * pre.numerator, den * pre.denominator)

@@ -165,18 +165,35 @@ def test_ratio_matches_the_fraction_arithmetic(factors, sign, zero, x):
         assert type(value) is Ratio and _div(value, 1) == wanted
 
 
-def test_ratio_refuses_comparison_and_conversion():
-    r = Ratio(6, -4)
-    assert (r.numerator, r.denominator) == (6, -4)
-    assert _ints(r) == (-3, 2)
-    for compare in (lambda: r == 0, lambda: 0 == r, lambda: r in (0, 1),
-                    lambda: Fraction(1) == r):
-        with pytest.raises(TypeError):
-            compare()
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10**6, 10**6), nonzero, nonzero,
+       st.integers(1, 10**6))
+def test_ratio_equality_is_exact_and_conversion_refused(a, b, k, d):
+    # an unreduced pair equals its value, with either sign of k, from either
+    # side, and differs from any other value; it is not hashed, and no
+    # Fraction or point is made from it
+    r, x = Ratio(a * k, b * k), Fraction(a, b)
+    assert r == x and x == r and not r != x
+    assert r == Ratio(a, b) and r == Ratio(-a * d, -b * d)
+    assert r != x + Fraction(1, d) and x + Fraction(1, d) != r
+    assert r != Ratio(a * k + 1, b * k)
+    assert (r == a // b) is (a % b == 0) and (a // b == r) is (a % b == 0)
+    assert (r in (0, 1)) is (x in (0, 1))
+    assert r != "1" and r != None                       # noqa: E711
+    with pytest.raises(TypeError):
+        hash(r)
     with pytest.raises(TypeError):
         Fraction(r)
     with pytest.raises(TypeError):
         ParamPoint({"a": r})
+
+
+def test_ratio_keeps_its_ints_and_refuses_a_zero_denominator():
+    r = Ratio(6, -4)
+    assert (r.numerator, r.denominator) == (6, -4)
+    assert _ints(r) == (-3, 2)
+    assert 0 == Ratio(0, 5) and Ratio(0, 5) in (0, 1) and r not in (0, 1)
+    assert r * Ratio(2, 2) == Fraction(-3, 2)
     for divide_by_zero in (lambda: Ratio(3, 0), lambda: r / Ratio(0, 5),
                            lambda: Ratio(0, 2) ** -1):
         with pytest.raises(ZeroDivisionError):
