@@ -22,12 +22,13 @@ symbols, the index r of a multi-index proof and both sides at level n are
 that identity's own, read from its registry entry, so a certificate replays
 the proof of exactly the sums the harness verifies.
 
-A certificate is data: no registry entry holds a closure.  Every shift by
-powers of q is a table of exponents, read by ``ParamPoint.shifted``: the
-proof's sigma (jackson's {a: 2, b: 1, c: 1, d: 1} is a -> a q^2, b -> b q,
-c -> c q, d -> d q), the C_r split's x_i -> x_i q^{s_i}, singh's half shift
-A, B, c -> Aq, Bq, cq and the C_r lemma's a -> a q^{level-1}.  Every
-recurrence is one tuple of steps (c, dn, s, dk), read as
+A certificate's steps and shifts are data, and ``_row_level`` makes its
+three row readers from a row builder.  Every shift by powers of q is a table
+of exponents, read by ``ParamPoint.shifted``: the proof's sigma (jackson's
+{a: 2, b: 1, c: 1, d: 1} is a -> a q^2, b -> b q, c -> c q, d -> d q), the
+C_r split's x_i -> x_i q^{s_i}, singh's half shift A, B, c -> Aq, Bq, cq
+and the C_r lemma's a -> a q^{level-1}.  Every recurrence is one tuple of
+steps (c, dn, s, dk), read as
 
     F_{n,k} = sum over steps of c(p, n) F_{n-dn, k-dk}(sigma^s p):
 
@@ -35,28 +36,28 @@ recurrence is one tuple of steps (c, dn, s, dk), read as
     lebesgue, quintuple:       (c_keep, 1, 0, 0)   (c_move, 1, 1, 1)
     singh:                     (alpha, 1, 0, 0)    (beta, 2, 0, 0)
                                (gamma, 2, 1, 2)
+    singh, first order:        (1, 1, 0, 0)        (gamma', 1, 1, 1)
 
-with each coefficient carrying its sign (singh's beta is negative).
-The multi-index certificate (the C_r sum) has no steps: its recurrence is a
-2^r-fold split over s in {0,1}^r with per-s coefficients beta_s, per-axis
-shifts x_i -> x_i q^{s_i} and k-offset vectors s.
+with each coefficient carrying its sign (singh's beta is negative); singh's
+first-order relation takes sigma as its half shift.  The multi-index
+certificate (the C_r sum) has no steps: its recurrence is a 2^r-fold split
+over s in {0,1}^r with per-s coefficients beta_s, per-axis shifts
+x_i -> x_i q^{s_i} and k-offset vectors s.
 
 ``_level_residuals`` is the one residual loop: per level it evaluates each
 coefficient once and fetches each row once, then yields the residuals in k
-order.  The term recurrence and the telescoped right-side combination run
-on it, the per-k checks as one-k levels; ``check_point`` sums the
-combinations for the boundary check in its telescoping pass, and the
-replay's propagation reads the same steps.  A residual is one unreduced int
-pair, combined from the rows' own int pairs (``pair``) and the
-coefficients' ints, so ``check_point``'s zero tests read one int each; the
-public residual functions build one ``Fraction`` per residual, which costs
-nothing where the numerator is 0.  The replay reduces nothing either: a
-node's propagated value is one unreduced int pair, cross-multiplied against
-the node's left side, and the two sides, unreduced ``Ratio``s, are compared
-the same way; the left side is kept as the node's value.  The C_r replay's
-split and coefficient residuals are products of the point's ``Ratio`` int
-pairs, tested for zero unreduced; a split coefficient, which the point
-keeps, is one ``Fraction``.  A point keeps what is made from it
+order.  The term recurrence, singh's first-order relation and the telescoped
+right-side combination run on it, the per-k checks as one-k levels;
+``check_point`` sums the combinations for the boundary check in its
+telescoping pass, and the replay's propagation reads the same steps.  A
+residual is one unreduced int pair, combined from the rows' own int pairs
+(``pair``) and the coefficients' ints, so ``check_point``'s zero tests read
+one int each; the public residual functions build one ``Fraction`` per
+residual, which costs nothing where the numerator is 0.  The single-index
+replay compares unreduced int pairs too: a node's propagated value against
+its left side, kept as the node's value, and that against its right side.
+The C_r replay tests the public split and coefficient residuals, each
+reduced once, as is a split coefficient.  A point keeps what is made from it
 (``ParamPoint.derived``): its shifts, keyed by their tables, and per level
 its identity point, its rows and its step and C_r split coefficients, so
 the sweeps and the replay make each once.
@@ -256,16 +257,17 @@ def singh_gamma(p: ParamPoint, n: int) -> Fraction:
     return _div(num, den)
 
 
+def singh_gamma1(p: ParamPoint, n: int) -> Fraction:
+    """gamma'_n of singh's first-order relation."""
+    A, B, c, q = p.ratios("ABcq")
+    return _div(-(1 - A) * (1 - B) * (1 - c*c) * q**(1-n),
+                (1 - A*B*q) * (1 + c*q**(-n)) * (1 + c*q**(1-n)))
+
+
 def singh_first_order_residual(p: ParamPoint, n: int, k: int) -> Fraction:
-    """Residual of the first-order relation F_{n,k} - F_{n-1,k}
-    = gamma'_n F_{n-1,k-1}(Aq, Bq, cq); always 0 for n >= 1."""
-    A, B, c, q = map(p.sym, "ABcq")
-    gamma1 = _div(-(1 - A) * (1 - B) * (1 - c*c) * q**(1-n),
-                  (1 - A*B*q) * (1 + c*q**(-n)) * (1 + c*q**(1-n)))
-    shifted = _shift(p, {"A": 1, "B": 1, "c": 1})
-    level = get_certificate("singh").term
-    return (level(p, n).term(k) - level(p, n - 1).term(k)
-            - gamma1 * level(shifted, n - 1).term(k - 1))
+    """F_{n,k} - F_{n-1,k} - gamma'_n F_{n-1,k-1}(Aq, Bq, cq): singh's
+    first-order relation, run as a term recurrence; 0 for every n >= 1."""
+    return term_recurrence_residual(_SINGH_FIRST_ORDER, p, n, k)
 
 
 def singh_anti_diff_row(p: ParamPoint) -> TermRow:
@@ -364,11 +366,6 @@ def schlosser_split_residual(point: ParamPoint, n: int, i: int,
     (1 - q^{-n+k_i-1})(1 - a x_i^2 q^{n+k_i+1})(1 - q^{n+1})(1 - a x_i^2 q^{n+1}),
     which is defined everywhere and vanishes iff the split holds.
     """
-    return _div(_split_residual(point, n, i, k_i), 1)
-
-
-def _split_residual(point: ParamPoint, n: int, i: int, k_i: int) -> Ratio:
-    """``schlosser_split_residual`` as one unreduced Ratio."""
     a, b, c, d, q, xi = point.ratios([*"abcdq", "x%d" % i])
     r = point.idx("r")
     lhs_num = ((1 - a*a*xi*q**(n+k_i-r+2)/(b*c*d))
@@ -378,7 +375,7 @@ def _split_residual(point: ParamPoint, n: int, i: int, k_i: int) -> Ratio:
     t2_num = (_split_num(point, xi, n, 1)
               * (1 - a*xi*xi*q**k_i) * (1 - q**k_i))
     common = (1 - q**(n+1)) * (1 - a*xi*xi*q**(n+1))
-    return lhs_num * common - t1_num * lhs_den - t2_num
+    return _div(lhs_num * common - t1_num * lhs_den - t2_num, 1)
 
 
 def _split_num(point: ParamPoint, xi: Ratio, n: int, si: int) -> Ratio:
@@ -407,12 +404,6 @@ def schlosser_coeff_residual(point: ParamPoint, n: int,
     """Residual between the two displayed forms of the split coefficient
     beta_{s_1..s_r} (the alpha-based expansion vs. the product form); always 0.
     """
-    return _div(_coeff_residual(point, n, s_vector), 1)
-
-
-def _coeff_residual(point: ParamPoint, n: int,
-                    s_vector: Sequence[int]) -> Ratio:
-    """``schlosser_coeff_residual`` as one unreduced Ratio."""
     ss, r = tuple(s_vector), point.idx("r")
     if len(ss) != r or any(s not in (0, 1) for s in ss):
         raise ValueError("s_vector must lie in {0,1}^r")
@@ -428,7 +419,7 @@ def _coeff_residual(point: ParamPoint, n: int,
                * _poch(q, 1 - si, a*a*xi*q**(n-r+2)/(b*c*d)))
         f = 1 - a*xi*xi*q**(n+si+1)         # to the power 1 - 2 s_i
         form1 *= _quot(num, den * f) if si else _quot(num * f, den)
-    return form1 - point.derived(schlosser_split_coeff, n, ss)
+    return _div(form1 - point.derived(schlosser_split_coeff, n, ss), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +473,10 @@ _CERTS = {cert.id: cert for cert in (
         term=_row_level("schlosser_cr", "schlosser_row"), shift={},
         steps=()),
 )}
+
+
+_SINGH_FIRST_ORDER = _CERTS["singh"]._replace(
+    shift=dict(A=1, B=1, c=1), steps=((_one, 1, 0, 0), (singh_gamma1, 1, 1, 1)))
 
 
 def list_certificates() -> Tuple[ProofCertificate, ...]:
@@ -783,8 +778,7 @@ def _schlosser_replay(cert: ProofCertificate, point: ParamPoint,
                       n_max: int) -> bool:
     """Replay the C_r induction: at each level, the n=1 lemma re-based at
     a -> a q^{level-1}, the split residuals, the coefficient residuals, and a
-    direct two-sided evaluation must all hold, each compared as unreduced
-    ints."""
+    direct two-sided evaluation must all hold."""
     r = point.idx("r")
     if n_max > _ident.MULTISUM_MAX_N:
         raise ValueError("replay cost guard: n <= %d" % _ident.MULTISUM_MAX_N)
@@ -799,10 +793,10 @@ def _schlosser_replay(cert: ProofCertificate, point: ParamPoint,
             return False
         for i in range(1, r + 1):
             for k_i in range(level + 1):
-                if _split_residual(point, level - 1, i, k_i) != 0:
+                if schlosser_split_residual(point, level - 1, i, k_i) != 0:
                     return False
         for ss in itertools.product((0, 1), repeat=r):
-            if _coeff_residual(point, level - 1, ss) != 0:
+            if schlosser_coeff_residual(point, level - 1, ss) != 0:
                 return False
         if cert.lhs_value(point, level) != cert.rhs_value(point, level):
             return False

@@ -24,7 +24,8 @@ exactly the points where their per-k Pochhammers of any index vanish.
 The two contiguous relations connect the k-th term of a well-poised series
 whose last two parameters (first relation) or whose argument (second) differ
 by a factor of q to the (k-1)-th term at a uniformly q-shifted parameter
-list; both are exposed as zero-residual checks.
+list; both are exposed as zero-residual checks on (a_list, q, z, k), whose
+terms are read by ``wp_term``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, Sequence, Tuple
 
-from .qcore import PoleError, Ratio, _Frozen, _ints
+from .qcore import PoleError, Ratio, _ints
 
 # Terms as unreduced int pairs (num_k, den_k), each den_k dividing den_{k+1}.
 Pairs = Iterator[Tuple[int, int]]
@@ -238,19 +239,6 @@ def pair_row(pairs: Iterable[Tuple[int, int]], n: int,
     return TermRow(out, n, pole)
 
 
-class WellPoisedTerm(_Frozen):
-    """Inputs for the k-th term of a well-poised series.
-
-    The denominator parameters are implied: (q, a_1 q/a_2, ..., a_1 q/a_{r+1}).
-    """
-
-    def __init__(self, a_list: Sequence[Fraction], q: Fraction, z: Fraction):
-        self.__dict__.update(a_list=tuple(Fraction(a) for a in a_list),
-                             q=Fraction(q), z=Fraction(z))
-        if len(self.a_list) < 2:
-            raise ValueError("well-poised term needs at least two parameters")
-
-
 def wp_pairs(a_list: Sequence, q, z, terms: int) -> Pairs:
     """The terms k = 0..terms-1 of the well-poised series
     (a_1, ..., a_{r+1};q)_k z^k / (q, a_1 q/a_2, ..., a_1 q/a_{r+1};q)_k, as
@@ -263,16 +251,15 @@ def wp_pairs(a_list: Sequence, q, z, terms: int) -> Pairs:
     return poch_ratio_pairs(a_list, dens, q, z, terms)
 
 
-def _wp_value(a_list: Sequence[Fraction], q: Fraction, z: Fraction, k: int) -> Fraction:
+def wp_term(a_list: Sequence, q, z, k: int) -> Fraction:
+    """Exact k-th term of the well-poised series of ``wp_pairs``; 0 for
+    k < 0, 1 at k = 0.  The list needs at least two parameters."""
+    if len(a_list) < 2:
+        raise ValueError("well-poised term needs at least two parameters")
     if k < 0:
         return Fraction(0)
     *_, (num, den) = wp_pairs(a_list, q, z, k + 1)
     return Fraction(num, den)
-
-
-def wp_term(t: WellPoisedTerm, k: int) -> Fraction:
-    """Exact k-th well-poised term; 0 for k < 0, 1 at k = 0."""
-    return _wp_value(t.a_list, t.q, t.z, k)
 
 
 def contiguous_alpha(a_list: Sequence, q, z) -> Fraction:
@@ -320,35 +307,30 @@ def _shifted(a_list: Sequence[Fraction], q: Fraction) -> list:
     return [a_list[0] * q * q] + [a * q for a in a_list[1:]]
 
 
-def contiguous_residual_1(t: WellPoisedTerm, k: int) -> Fraction:
+def contiguous_residual_1(a_list: Sequence, q, z, k: int) -> Fraction:
     """Residual of the first contiguous relation at term index k; always 0.
 
     F_k(..., a_r q, a_{r+1}) - F_k(..., a_r, a_{r+1} q)
         - alpha * F_{k-1}(a_1 q^2, a_2 q, ..., a_{r+1} q).
     """
-    a = list(t.a_list)
-    q, z = t.q, t.z
-    bumped_r = a[:-2] + [a[-2] * q, a[-1]]
-    bumped_r1 = a[:-1] + [a[-1] * q]
-    first = _wp_value(bumped_r, q, z, k)
-    second = _wp_value(bumped_r1, q, z, k)
-    alpha = contiguous_alpha(a, q, z)
-    return first - second - alpha * _wp_value(_shifted(a, q), q, z, k - 1)
+    *head, ar, ar1 = a_list
+    first = wp_term([*head, ar * q, ar1], q, z, k)
+    second = wp_term([*head, ar, ar1 * q], q, z, k)
+    alpha = contiguous_alpha(a_list, q, z)
+    return first - second - alpha * wp_term(_shifted(a_list, q), q, z, k - 1)
 
 
-def contiguous_residual_2(t: WellPoisedTerm, k: int) -> Fraction:
+def contiguous_residual_2(a_list: Sequence, q, z, k: int) -> Fraction:
     """Residual of the second contiguous relation at term index k; always 0.
 
     F_k(..., a_{r+1}; q, qz) - F_k(..., a_{r+1} q; q, z)
         - beta * F_{k-1}(a_1 q^2, a_2 q, ..., a_{r+1} q; q, z).
     """
-    a = list(t.a_list)
-    q, z = t.q, t.z
-    bumped_r1 = a[:-1] + [a[-1] * q]
-    first = _wp_value(a, q, q * z, k)
-    second = _wp_value(bumped_r1, q, z, k)
-    beta = contiguous_beta(a, q, z)
-    return first - second - beta * _wp_value(_shifted(a, q), q, z, k - 1)
+    *head, ar1 = a_list
+    first = wp_term(a_list, q, q * z, k)
+    second = wp_term([*head, ar1 * q], q, z, k)
+    beta = contiguous_beta(a_list, q, z)
+    return first - second - beta * wp_term(_shifted(a_list, q), q, z, k - 1)
 
 
 def trivial_identity_residuals(a, b, c, x) -> Tuple[Fraction, Fraction]:

@@ -107,6 +107,13 @@ def test_singh_first_order_relation_builds_each_row_once(monkeypatch):
     assert set(builds["singh_lhs_row"].values()) == {1}
 
 
+def test_singh_first_order_relation_refuses_n_0():
+    # the relation runs as a term recurrence of order 1, which refuses n = 0
+    point = sample_certificate_point("singh", random.Random(5))
+    with pytest.raises(ValueError, match=r"^term recurrence needs n >= 1$"):
+        singh_first_order_residual(point, 0, 0)
+
+
 def test_telescoping_and_boundary():
     rng = random.Random(72)
     for cert_id in TELESCOPING_CERTS:
@@ -226,6 +233,22 @@ def test_schlosser_split_residual():
             for i in range(1, r + 1):
                 for k_i in range(n + 2):   # includes the k_i = n + 1 edge
                     assert schlosser_split_residual(point, n, i, k_i) == 0
+
+
+def test_cr_replay_tests_the_public_residuals(monkeypatch):
+    # at r = 2 and levels 1..3 the replay tests 2 (2 + 3 + 4) split residuals
+    # and 3 * 2^2 coefficient residuals, each through its public function
+    calls = collections.Counter()
+    for name in ("schlosser_split_residual", "schlosser_coeff_residual"):
+        def counting(*args, residual=getattr(certs, name), name=name):
+            calls[name] += 1
+            return residual(*args)
+        monkeypatch.setattr(certs, name, counting)
+    point = sample_certificate_point("schlosser", random.Random(79),
+                                     r_range=(2, 2))
+    assert inductive_replay("schlosser", point, 3)
+    assert calls == {"schlosser_split_residual": 18,
+                     "schlosser_coeff_residual": 12}
 
 
 def test_schlosser_coeff_residual():

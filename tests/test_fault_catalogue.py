@@ -7,6 +7,8 @@ the healthy run passes and that the planted run fails:
 ``verify`` finds a counterexample of the identity, and ``certs.check_point``
 reports the named check for the proof.  A fault in a certificate's own data
 (a row of ``STEP_FAULTS``) leaves the identity passing and fails the proof.
+A wrong right side of a single-index proof's identity (``CLOSED_FORM_PROOFS``)
+is planted in the identity registry; the proof's replay reports it.
 A fault that no check catches at the default n is a row of ``KNOWN_GAPS``,
 asserted to pass there and to fail at the n that reveals it, so that the gap
 stays visible.  Faults are scaled by 102/101, so they stay exact.
@@ -121,6 +123,13 @@ KNOWN_GAPS = {
 }
 
 
+# the single-index proofs, each with a row for its identity's right side
+# (closed form or sum) x 102/101 at n >= 1: only the identity's trials and the
+# proof's replay read that side, the sweeps read the summand rows
+CLOSED_FORM_PROOFS = ("jackson", "watson", "bailey", "singh", "lebesgue",
+                      "quintuple")
+
+
 # (proof, step index) -> a wrong k-offset for that step, off by one: only the
 # proof reads it, and its term recurrence fails at the first level it checks
 STEP_FAULTS = {
@@ -175,6 +184,17 @@ def test_planted_fault_is_reported(monkeypatch, fault):
     assert _runs(identity_id, proof_id) == ("PASS", None)
     _plant(monkeypatch, name, plant)
     assert _runs(identity_id, proof_id) == ("FAIL", check)
+
+
+@pytest.mark.parametrize("proof_id", CLOSED_FORM_PROOFS)
+def test_planted_right_side_fails_the_replay(monkeypatch, proof_id):
+    cert = certs.get_certificate(proof_id)
+    desc = identities.get_identity(cert.identity)
+    assert _runs(desc.id, proof_id) == ("PASS", None)
+    planted = _scaled_where(lambda p: p.idx("n") >= 1)(desc.rhs)
+    monkeypatch.setitem(identities._REGISTRY, desc.id,
+                        desc._replace(rhs=planted))
+    assert _runs(desc.id, proof_id) == ("FAIL", "inductive_replay")
 
 
 @pytest.mark.parametrize("proof_id,step", sorted(STEP_FAULTS))

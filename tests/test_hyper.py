@@ -6,11 +6,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qident.qcore import PoleError, Ratio, qpoch, qpoch_multi
-from qident.hyper import (WellPoisedTerm, contiguous_alpha,
-                          contiguous_beta, contiguous_residual_1,
-                          contiguous_residual_2, linear, pair_row, poch_ratio,
-                          poch_ratio_pairs, poch_ratio_sum,
-                          trivial_identity_residuals, wp_pairs, wp_term)
+from qident.hyper import (contiguous_alpha, contiguous_beta,
+                          contiguous_residual_1, contiguous_residual_2,
+                          linear, pair_row, poch_ratio, poch_ratio_pairs,
+                          poch_ratio_sum, trivial_identity_residuals,
+                          wp_pairs, wp_term)
 from qident.identities import CrRow
 import reference_loops as ref
 
@@ -348,40 +348,39 @@ def test_linear_matches_the_per_term_fraction_product(steps, c, p):
 
 
 def test_wp_term_values():
-    t = WellPoisedTerm((3, 5), 2, 1)
-    assert wp_term(t, 0) == 1
-    assert wp_term(t, -1) == 0
-    assert wp_term(t, 1) == 40
-    t0 = WellPoisedTerm((3, 5, 7), Fraction(2, 3), 0)
-    assert wp_term(t0, 2) == 0
+    assert wp_term((3, 5), 2, 1, 0) == 1
+    assert wp_term((3, 5), 2, 1, -1) == 0
+    assert wp_term((3, 5), 2, 1, 1) == 40
+    assert wp_term((3, 5, 7), Fraction(2, 3), 0, 2) == 0
+    with pytest.raises(ValueError, match="at least two parameters"):
+        wp_term((3,), 2, 1, 1)
 
 
 def test_contiguous_residuals_vanish():
     rng = random.Random(123)
     for r in range(2, 10):
         for _ in range(3):
-            t = WellPoisedTerm(tuple(rand_rational(rng) for _ in range(r + 1)),
-                               rand_q(rng), rand_rational(rng))
+            t = (tuple(rand_rational(rng) for _ in range(r + 1)),
+                 rand_q(rng), rand_rational(rng))
             for k in (0, 1, 3, 5):
-                assert contiguous_residual_1(t, k) == 0
-                assert contiguous_residual_2(t, k) == 0
+                assert contiguous_residual_1(*t, k) == 0
+                assert contiguous_residual_2(*t, k) == 0
 
 
 def test_contiguous_residual_2_covers_r1():
     rng = random.Random(5)
     for _ in range(5):
-        t = WellPoisedTerm((rand_rational(rng), rand_rational(rng)),
-                           rand_q(rng), rand_rational(rng))
+        t = ((rand_rational(rng), rand_rational(rng)),
+             rand_q(rng), rand_rational(rng))
         for k in (0, 1, 2, 5):
-            assert contiguous_residual_2(t, k) == 0
+            assert contiguous_residual_2(*t, k) == 0
 
 
 def test_contiguous_residual_1_singular_at_r1():
     # bumping the anchor itself: the coefficient denominator 1 - a_1/a_r
     # is identically zero
-    t = WellPoisedTerm((3, 5), 2, 1)
     with pytest.raises(PoleError):
-        contiguous_residual_1(t, 2)
+        contiguous_residual_1((3, 5), 2, 1, 2)
 
 
 def test_alpha_beta_middle_product_conventions():

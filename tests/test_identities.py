@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from qident.qcore import ParamPoint, PoleError, qbinom, qpoch, qpoch_multi
+from qident.hyper import poch_ratio
 from qident import certs
 from qident import identities as ident
 from qident.identities import (CounterexampleFound, RetryExhausted,
@@ -610,6 +611,83 @@ def test_very_well_poised_anchor_1_is_a_pole(identity_id):
     p = sample_point(desc, rng, {"n": (2, 2)}).with_symbols(a=1)
     with pytest.raises(PoleError, match="anchor"):
         eval_sides(identity_id, p)
+
+
+# ---------------------------------------------------------------------------
+# sums that are another identity's rows at substituted parameters
+# ---------------------------------------------------------------------------
+
+def _lam_swap(p):
+    """The point at (a, b, c, d, lam) -> (lam, lam b/a, lam c/a, lam d/a, a),
+    under which lam = a^2 q/(bcd) goes to a."""
+    a, b, c, d, lam = (p.sym(name) for name in ("a", "b", "c", "d", "lam"))
+    return p.with_symbols(a=lam, b=lam*b/a, c=lam*c/a, d=lam*d/a, lam=a)
+
+
+def _entries(row, pre=Fraction(1)):
+    """pre times each entry k = 0..n of the row, or PoleError where the row
+    stopped at a pole."""
+    return [_value_or_pole(lambda k: row.term(k) * pre, k)
+            for k in range(row.n + 1)]
+
+
+def _sch_special_by_jackson(p):
+    # 1/(aq;q)_n is built before the sum, as the left side builds it
+    a, b, c, d, q = (p.sym(name) for name in "abcdq")
+    pre = poch_ratio([], [a*q], q, p.idx("n"))
+    sub = ident._jackson_derive(p.with_symbols(b=a*q/b, c=a*q/c, d=a*q/d))
+    return ident.jackson_row(sub).total() * pre
+
+
+def _vwp_rhs_by_watson(p):
+    a, e, q, lam = (p.sym(name) for name in ("a", "e", "q", "lam"))
+    pre = poch_ratio([a*q, lam*q/e], [a*q/e, lam*q], q, p.idx("n"))
+    return ident.watson_row(_lam_swap(p)).total() * pre
+
+
+def _bailey_rhs_by_bailey(p):
+    a, e, f, q, lam = (p.sym(name) for name in ("a", "e", "f", "q", "lam"))
+    pre = poch_ratio([a*q, a*q/(e*f), lam*q/e, lam*q/f],
+                     [a*q/e, a*q/f, lam*q/(e*f), lam*q], q, p.idx("n"))
+    return _entries(ident.bailey_row(_lam_swap(p)), ident._div(pre, 1))
+
+
+# (identity, the sum as registered, the same sum read off another row at a
+# substituted point)
+SUBSTITUTED_SUMS = [
+    ("sch_8phi7_special", ident._sch_special_lhs, _sch_special_by_jackson),
+    ("vwp_transform", ident._vwp_rhs, _vwp_rhs_by_watson),
+    ("bailey_10phi9", lambda p: _entries(ident.bailey_rhs_row(p)),
+     _bailey_rhs_by_bailey),
+]
+
+
+@pytest.mark.parametrize("bound", [2, 3, 1000])
+@pytest.mark.parametrize("identity_id,registered,substituted",
+                         SUBSTITUTED_SUMS, ids=[i for i, *_ in SUBSTITUTED_SUMS])
+def test_sums_equal_another_identitys_row_at_substituted_points(
+        identity_id, registered, substituted, bound):
+    """sch_8phi7_special's left side is jackson's sum at (a, aq/b, aq/c,
+    aq/d) over (aq;q)_n; vwp_transform's right side is watson's sum at the
+    lam-swap, and bailey_10phi9's right-side row is its own left-side row
+    there, each times its prefactor.  The same value, or PoleError from
+    both, until a symbolic check proves the substitution."""
+    desc = get_identity(identity_id)
+    rng = random.Random(bound)
+    matches = poles = 0
+    for _ in range(300):
+        p = sample_point(desc, rng, {"n": (0, 6)}, bound)
+        if desc.derive is not None:
+            p = desc.derive(p)
+        expected = _value_or_pole(registered, p)
+        assert _value_or_pole(substituted, p) == expected, p
+        # bailey's row counts each entry
+        outcomes = expected if isinstance(expected, list) else [expected]
+        poles += outcomes.count(PoleError)
+        matches += len(outcomes) - outcomes.count(PoleError)
+    assert matches > 0
+    if bound == 2:
+        assert poles > 0
 
 
 # ---------------------------------------------------------------------------
